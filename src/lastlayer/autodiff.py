@@ -1,12 +1,13 @@
-"""Reverse-mode automatic differentiation over numpy arrays.
+"""Hand-derived reverse passes shared by the training objectives.
 
-A ``Tensor`` wraps an array together with a backward closure; operations
-build the computation graph on the fly and ``value_and_grad`` runs the
-reverse sweep.  The op set is deliberately small: exactly what the
-marginal-likelihood, mean-squared-error and variational objectives in this
-package need.  The one non-elementwise primitive is ``logdet_spd``, whose
-backward pass applies d(log det A) = trace(A^-1 dA) through a Cholesky
-solve instead of tracing the factorization itself.
+Every objective in this package is a small head on top of one network
+shape, so gradients come from two pieces: ``mlp_backward``, the reverse
+sweep through the network given the head's gradients with respect to its
+outputs and last hidden layer, and ``logdet_spd``, whose gradient
+d(log det A) = trace(A^-1 dA) is read off a Cholesky solve instead of
+differentiating the factorization itself.  Heads and primitives return
+their value together with a function for the gradient, so value-only
+callers pay for no reverse pass.
 """
 
 from __future__ import annotations
@@ -15,314 +16,53 @@ import numpy as np
 
 from .linalg import chol_spd, logdet_pd, solve_pd
 
-__all__ = [
-    "NonFiniteLoss",
-    "Tensor",
-    "affine",
-    "backward",
-    "constant",
-    "exp",
-    "leaf",
-    "log",
-    "logdet_spd",
-    "matmul",
-    "softplus",
-    "tanh",
-    "tensor_sum",
-    "value_and_grad",
-    "with_ones_column",
-]
+__all__ = ["NonFiniteLoss", "logdet_spd", "mlp_backward"]
 
 
 class NonFiniteLoss(ArithmeticError):
     """An objective evaluated to NaN or infinity."""
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient over the axes that broadcasting introduced."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    keep = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if keep:
-        grad = grad.sum(axis=keep, keepdims=True)
-    return grad
-
-
-class Tensor:
-    __slots__ = ("data", "grad", "needs_grad", "_parents", "_backward")
-
-    def __init__(self, data, parents=(), backward=None, needs_grad=None):
-        self.data = np.asarray(data, dtype=float)
-        self.grad = None
-        self._parents = parents
-        self._backward = backward
-        if needs_grad is None:
-            needs_grad = any(p.needs_grad for p in parents)
-        self.needs_grad = needs_grad
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
-
-    # -- elementwise arithmetic (broadcast-aware) --------------------------
-
-    def __add__(self, other):
-        other = _wrap(other)
-        out = Tensor(self.data + other.data, (self, other))
-
-        def bw():
-            if self.needs_grad:
-                self.accumulate(_unbroadcast(out.grad, self.shape))
-            if other.needs_grad:
-                other.accumulate(_unbroadcast(out.grad, other.shape))
-
-        out._backward = bw
-        return out
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        other = _wrap(other)
-        out = Tensor(self.data * other.data, (self, other))
-
-        def bw():
-            if self.needs_grad:
-                self.accumulate(_unbroadcast(out.grad * other.data, self.shape))
-            if other.needs_grad:
-                other.accumulate(_unbroadcast(out.grad * self.data, other.shape))
-
-        out._backward = bw
-        return out
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
-
-    def __sub__(self, other):
-        return self + (-_wrap(other))
-
-    def __rsub__(self, other):
-        return _wrap(other) + (-self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    @property
-    def T(self) -> "Tensor":
-        out = Tensor(self.data.T, (self,))
-
-        def bw():
-            if self.needs_grad:
-                self.accumulate(out.grad.T)
-
-        out._backward = bw
-        return out
-
-
-def _wrap(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value, needs_grad=False)
-
-
-def leaf(data) -> Tensor:
-    """Differentiable graph input."""
-    return Tensor(data, needs_grad=True)
-
-
-def constant(data) -> Tensor:
-    """Non-differentiable graph input."""
-    return Tensor(data, needs_grad=False)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.data @ b.data, (a, b))
-
-    def bw():
-        if a.needs_grad:
-            a.accumulate(out.grad @ b.data.T)
-        if b.needs_grad:
-            b.accumulate(a.data.T @ out.grad)
-
-    out._backward = bw
-    return out
-
-
-def affine(x: Tensor, w: Tensor) -> Tensor:
-    """One network layer: x @ w[:-1] + w[-1], the last row of w is the bias."""
-    x, w = _wrap(x), _wrap(w)
-    body = w.data[:-1]
-    out = Tensor(x.data @ body + w.data[-1], (x, w))
-
-    def bw():
-        g = out.grad
-        if w.needs_grad:
-            w.accumulate(np.concatenate([x.data.T @ g, g.sum(axis=0, keepdims=True)]))
-        if x.needs_grad:
-            x.accumulate(g @ body.T)
-
-    out._backward = bw
-    return out
-
-
-def with_ones_column(x: Tensor) -> Tensor:
-    """Append a column of ones (linear features -> affine features)."""
-    x = _wrap(x)
-    ones = np.ones((x.data.shape[0], 1))
-    out = Tensor(np.concatenate([x.data, ones], axis=1), (x,))
-
-    def bw():
-        if x.needs_grad:
-            x.accumulate(out.grad[:, :-1])
-
-    out._backward = bw
-    return out
-
-
-def tanh(x: Tensor) -> Tensor:
-    x = _wrap(x)
-    val = np.tanh(x.data)
-    out = Tensor(val, (x,))
-
-    def bw():
-        if x.needs_grad:
-            x.accumulate(out.grad * (1.0 - val * val))
-
-    out._backward = bw
-    return out
-
-
-def relu(x: Tensor) -> Tensor:
-    x = _wrap(x)
-    out = Tensor(np.maximum(x.data, 0.0), (x,))
-
-    def bw():
-        if x.needs_grad:
-            x.accumulate(out.grad * (x.data > 0.0))
-
-    out._backward = bw
-    return out
-
-
-def exp(x: Tensor) -> Tensor:
-    x = _wrap(x)
-    val = np.exp(x.data)
-    out = Tensor(val, (x,))
-
-    def bw():
-        if x.needs_grad:
-            x.accumulate(out.grad * val)
-
-    out._backward = bw
-    return out
-
-
-def log(x: Tensor) -> Tensor:
-    x = _wrap(x)
-    out = Tensor(np.log(x.data), (x,))
-
-    def bw():
-        if x.needs_grad:
-            x.accumulate(out.grad / x.data)
-
-    out._backward = bw
-    return out
-
-
-def softplus(x: Tensor) -> Tensor:
-    """log(1 + exp(x)), overflow-safe; derivative is the logistic sigmoid."""
-    x = _wrap(x)
-    out = Tensor(np.logaddexp(0.0, x.data), (x,))
-
-    def bw():
-        if x.needs_grad:
-            sig = 0.5 * (1.0 + np.tanh(0.5 * x.data))
-            x.accumulate(out.grad * sig)
-
-    out._backward = bw
-    return out
-
-
-def tensor_sum(x: Tensor, axis: int | None = None) -> Tensor:
-    x = _wrap(x)
-    out = Tensor(x.data.sum(axis=axis), (x,))
-
-    def bw():
-        if x.needs_grad:
-            g = out.grad
-            if axis is not None:
-                g = np.expand_dims(g, axis)
-            x.accumulate(np.broadcast_to(g, x.shape).copy())
-
-    out._backward = bw
-    return out
-
-
-def logdet_spd(a: Tensor) -> Tensor:
-    """Log-determinant of a symmetric positive-definite matrix."""
-    a = _wrap(a)
-    factor = chol_spd(a.data)
-    out = Tensor(logdet_pd(factor), (a,))
-
-    def bw():
-        if a.needs_grad:
-            inv = solve_pd(factor, np.eye(factor.dim))
-            a.accumulate(out.grad * inv)
-
-    out._backward = bw
-    return out
-
-
-def backward(root: Tensor) -> None:
-    """Reverse sweep from a scalar root, accumulating into leaf ``grad``s."""
-    if root.data.shape != ():
-        raise ValueError("backward requires a scalar root")
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if parent.needs_grad:
-                stack.append((parent, False))
-    root.grad = np.ones(())
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward()
-
-
-def value_and_grad(fn, arrays: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
-    """Evaluate a scalar loss builder and its gradient at the given point.
+def logdet_spd(a: np.ndarray):
+    """Log-determinant of a symmetric positive-definite matrix.
+
+    Returns the value and a function giving its gradient A^-1 from the same
+    Cholesky factor, so callers that need only the value skip the solve.
+    """
+    factor = chol_spd(a)
+    return logdet_pd(factor), lambda: solve_pd(factor, np.eye(factor.dim))
+
+
+def mlp_backward(
+    weights,
+    acts: list[np.ndarray],
+    d_out: np.ndarray,
+    d_last_hidden: np.ndarray | None,
+    activation: str,
+) -> list[np.ndarray]:
+    """Reverse sweep through a network evaluated by ``mlp.forward_layers``.
 
     Args:
-        fn: maps a list of leaf Tensors to a scalar Tensor.
-        arrays: current values of the differentiable inputs.
+        weights: one matrix per layer, bias in the last row.
+        acts: the forward activations [x, h_1, ..., h_L, y].
+        d_out: gradient of the objective with respect to the outputs y.
+        d_last_hidden: extra gradient with respect to h_L from a head that
+            reads the features directly, or None.
+        activation: "tanh" or "relu", as in the forward pass.
 
     Returns:
-        The loss value and one gradient array per input, in order.
-
-    Raises:
-        NonFiniteLoss: if the forward value is NaN or infinite.
+        The gradient with respect to each weight matrix, in layer order.
     """
-    leaves = [leaf(a) for a in arrays]
-    out = fn(leaves)
-    value = float(out.data)
-    if not np.isfinite(value):
-        raise NonFiniteLoss(f"objective evaluated to {value}")
-    backward(out)
-    return value, [
-        l.grad if l.grad is not None else np.zeros_like(l.data) for l in leaves
-    ]
+    n_layers = len(weights)
+    grads = [None] * n_layers
+    g = d_out
+    for k in range(n_layers - 1, -1, -1):
+        grads[k] = np.vstack([acts[k].T @ g, g.sum(axis=0)])
+        if k == 0:
+            break
+        g = g @ weights[k][:-1].T
+        if k == n_layers - 1 and d_last_hidden is not None:
+            g = g + d_last_hidden
+        h = acts[k]
+        g = g * (1.0 - h * h) if activation == "tanh" else g * (h > 0.0)
+    return grads

@@ -11,33 +11,34 @@ and alpha tuning are shared with the jointly trained variant.
 
 import numpy as np
 
-from . import autodiff as ad
+from .autodiff import mlp_backward
 from .bll import (
     BllHyper,
     BllModel,
     closed_form_wbar,
     fit_posterior,
     negative_lml,
-    negative_lml_grads,
+    nlml_head,
 )
-from .data import Dataset, fit_standardizer, split_train_val
-from .mlp import MlpParams, MlpSpec, features, init_params
-from .training import TrainConfig, TrainHistory, clamp_hyper_tail, standardize_with, fit_loop
+from .data import Dataset
+from .mlp import MlpParams, MlpSpec, features, forward_batch, forward_layers, init_params
+from .training import TrainConfig, TrainHistory, clamp_hyper_tail, fit_loop, standardized_splits
 from .rng import make_rng
 
-__all__ = ["BlrModel", "blr_fit", "train_mse"]
-
-# Identical predictive machinery; only the fitting route differs.
-BlrModel = BllModel
+__all__ = ["blr_fit", "train_mse"]
 
 
-def _mse_graph(weights, x, t, activation):
-    act = ad.tanh if activation == "tanh" else ad.relu
-    a = ad.constant(x)
-    for w in weights[:-1]:
-        a = act(ad.affine(a, w))
-    resid = ad.constant(t) - ad.affine(a, weights[-1])
-    return (1.0 / t.size) * ad.tensor_sum(resid * resid)
+def _mse_head(y: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean squared error of the outputs and its gradient with respect to them."""
+    resid = t - y
+    return float((1.0 / t.size) * np.sum(resid * resid)), (-2.0 / t.size) * resid
+
+
+def _mse_grads(weights, activation: str, data: Dataset):
+    """Mean squared error of the network on ``data`` and its weight gradients."""
+    acts = forward_layers(MlpParams(tuple(weights), activation), data.x)
+    value, d_y = _mse_head(acts[-1], data.t)
+    return value, mlp_backward(weights, acts, d_y, None, activation)
 
 
 def train_mse(
@@ -51,33 +52,19 @@ def train_mse(
     Returns parameters in standardized data space (the same standardization
     ``blr_fit`` rebuilds from the training data).
     """
-    x_scaler = fit_standardizer(train_data.x)
-    t_scaler = fit_standardizer(train_data.t)
-    if val_data is not None:
-        fit_part, val_part = train_data, val_data
-    elif cfg.val_fraction is not None and train_data.m >= 5:
-        fit_part, val_part = split_train_val(train_data, cfg.val_fraction, cfg.seed)
-    else:
-        fit_part, val_part = train_data, None
-    fit_std = standardize_with(fit_part, x_scaler, t_scaler)
-    val_std = standardize_with(val_part, x_scaler, t_scaler) if val_part is not None else None
-
+    _, _, fit_std, val_std = standardized_splits(train_data, cfg, val_data)
     params0 = init_params(spec, make_rng(cfg.seed))
     leaves = list(params0.weights)
 
     def loss_and_grads(vals):
-        return ad.value_and_grad(
-            lambda ts: _mse_graph(ts, fit_std.x, fit_std.t, spec.activation), vals
-        )
+        return _mse_grads(vals, spec.activation, fit_std)
 
     monitor = None
     if val_std is not None:
 
         def monitor(vals):
-            value, _ = ad.value_and_grad(
-                lambda ts: _mse_graph(ts, val_std.x, val_std.t, spec.activation), vals
-            )
-            return value
+            y, _ = forward_batch(MlpParams(tuple(vals), spec.activation), val_std.x)
+            return _mse_head(y, val_std.t)[0]
 
     best, history = fit_loop(leaves, loss_and_grads, cfg, monitor=monitor)
     return MlpParams(tuple(best), spec.activation), history
@@ -88,24 +75,16 @@ def blr_fit(
     train_data: Dataset,
     cfg: TrainConfig,
     val_data: Dataset | None = None,
-) -> tuple[BlrModel, TrainHistory]:
+) -> tuple[BllModel, TrainHistory]:
     """Empirical-Bayes regression on a fixed feature map.
 
     Maximizes the marginal-likelihood objective over the output weights and
-    the log hyperparameters with the hidden layers excluded from the
-    gradient, then replaces the output weights by their closed-form
-    posterior mean before caching the model.
+    the log hyperparameters on features computed once from the frozen hidden
+    layers, then replaces the output weights by their closed-form posterior
+    mean before caching the model.
     """
-    x_scaler = fit_standardizer(train_data.x)
-    t_scaler = fit_standardizer(train_data.t)
-    if val_data is not None:
-        fit_part, val_part = train_data, val_data
-    elif cfg.val_fraction is not None and train_data.m >= 5:
-        fit_part, val_part = split_train_val(train_data, cfg.val_fraction, cfg.seed)
-    else:
-        fit_part, val_part = train_data, None
-    fit_std = standardize_with(fit_part, x_scaler, t_scaler)
-    val_std = standardize_with(val_part, x_scaler, t_scaler) if val_part is not None else None
+    x_scaler, t_scaler, fit_std, val_std = standardized_splits(train_data, cfg, val_data)
+    _, feats = forward_batch(frozen, fit_std.x)
 
     n_y = train_data.n_y
     leaves = [
@@ -121,10 +100,11 @@ def blr_fit(
 
     def loss_and_grads(vals):
         params, hyper = unpack(vals)
-        value, (w_grads, g_la, g_ls) = negative_lml_grads(
-            params, hyper, fit_std, freeze_features=True
-        )
-        return value, [w_grads[-1], g_la, g_ls]
+        y = feats @ params.wbar[:-1] + params.wbar[-1]
+        value, grad_fn = nlml_head(feats, y, params.wbar, fit_std.t, hyper)
+        d_y, _, d_wbar, d_log_alpha, d_log_sigma_e = grad_fn()
+        (g_wbar,) = mlp_backward((params.wbar,), [feats, y], d_y, None, frozen.activation)
+        return value, [g_wbar + d_wbar, d_log_alpha, d_log_sigma_e]
 
     monitor = None
     if val_std is not None:

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import Dataset, Standardizer, identity_standardizer
 from .linalg import CholeskyFactor, chol_spd, logdet_pd, solve_pd
-from .mlp import MlpParams, features, forward_batch
+from .mlp import MlpParams, features, forward_batch, forward_layers
 
 __all__ = [
     "BllHyper",
@@ -33,6 +33,7 @@ __all__ = [
     "negative_lml",
     "negative_lml_grads",
     "negative_lml_marginalized",
+    "nlml_head",
     "precision_bar",
     "predict",
     "predict_batch",
@@ -108,49 +109,72 @@ def closed_form_wbar(
     return solve_pd(factor, np.asarray(phi, dtype=float).T @ np.asarray(t, dtype=float))
 
 
-def _nlml_graph(
-    weights: list[ad.Tensor],
-    log_alpha: ad.Tensor,
-    log_sigma_e: ad.Tensor,
-    x: np.ndarray,
+def nlml_head(
+    a: np.ndarray,
+    y: np.ndarray,
+    wbar: np.ndarray,
     t: np.ndarray,
-    activation: str,
-    flat_bias: bool,
-) -> ad.Tensor:
-    """Scaled negative log-marginal likelihood as an autodiff graph."""
+    hyper: BllHyper,
+    flat_bias: bool = True,
+):
+    """Scaled negative LML on top of a network's last layer.
+
+    Args:
+        a: linear features, the last hidden activations (m, n_phi - 1).
+        y: network outputs a @ wbar[:-1] + wbar[-1] (m, n_y).
+        wbar: output-layer weights, bias in the last row.
+        t: targets (m, n_y).
+        hyper: alpha and the per-output noise scales.
+        flat_bias: leave the bias row out of the prior.
+
+    Returns:
+        The objective value and a function giving its gradients
+        (d_y, d_a, d_wbar_penalty, d_log_alpha, d_log_sigma_e); the output
+        layer's data term reaches wbar through d_y.
+
+    Raises:
+        NonFiniteLoss: if the value is NaN or infinite.
+    """
     m, n_y = t.shape
-    act = ad.tanh if activation == "tanh" else ad.relu
-    a = ad.constant(x)
-    for w in weights[:-1]:
-        a = act(ad.affine(a, w))
-    phi = ad.with_ones_column(a)
+    phi = np.concatenate([a, np.ones((m, 1))], axis=1)
     n_phi = phi.shape[1]
-    y = ad.affine(a, weights[-1])
+    log_alpha = np.asarray(hyper.log_alpha, dtype=float)
+    inv_alpha = np.exp(-log_alpha)
+    prior = masked_identity(n_phi, flat_bias)
+    in_prior = np.diag(prior)  # 0 on a flat bias row
+    logdet, logdet_grad = ad.logdet_spd(phi.T @ phi + inv_alpha * prior)
 
-    inv_alpha = ad.exp(-log_alpha)
-    gram = phi.T @ phi
-    lam = gram + inv_alpha * ad.constant(masked_identity(n_phi, flat_bias))
-    logdet = ad.logdet_spd(lam)
+    inv_sig2 = np.exp(-2.0 * hyper.log_sigma_e)
+    resid = t - y
+    misfit = np.sum(resid * resid, axis=0)
+    wpen_rows = wbar * in_prior[:, None]
+    wpen = np.sum(wpen_rows * wpen_rows, axis=0)
 
-    inv_sig2 = ad.exp(-2.0 * log_sigma_e)
-    resid = ad.constant(t) - y
-    misfit = ad.tensor_sum(ad.tensor_sum(resid * resid, axis=0) * inv_sig2)
-
-    wbar = weights[-1]
-    if flat_bias:
-        mask = np.ones((wbar.shape[0], 1))
-        mask[-1, 0] = 0.0
-        wbar = wbar * ad.constant(mask)
-    wpen = inv_alpha * ad.tensor_sum(ad.tensor_sum(wbar * wbar, axis=0) * inv_sig2)
-
-    return (
+    value = float(
         0.5 * n_y * math.log(2.0 * math.pi)
         + (n_y * n_phi / (2.0 * m)) * log_alpha
         + (n_y / (2.0 * m)) * logdet
-        + ad.tensor_sum(log_sigma_e)
-        + (0.5 / m) * misfit
-        + (0.5 / m) * wpen
+        + np.sum(hyper.log_sigma_e)
+        + (0.5 / m) * np.sum(misfit * inv_sig2)
+        + (0.5 / m) * (inv_alpha * np.sum(wpen * inv_sig2))
     )
+    if not np.isfinite(value):
+        raise ad.NonFiniteLoss(f"objective evaluated to {value}")
+
+    def grad_fn():
+        lam_inv = logdet_grad()
+        d_y = (-1.0 / m) * resid * inv_sig2
+        d_a = (n_y / m) * (phi @ lam_inv)[:, :-1]
+        d_wbar = (inv_alpha / m) * wpen_rows * inv_sig2
+        d_log_alpha = (
+            n_y * n_phi / (2.0 * m)
+            - (n_y / (2.0 * m)) * inv_alpha * np.sum(np.diag(lam_inv) * in_prior)
+            - (0.5 / m) * inv_alpha * np.sum(wpen * inv_sig2)
+        )
+        d_log_sigma_e = 1.0 - (misfit + inv_alpha * wpen) * inv_sig2 / m
+        return d_y, d_a, d_wbar, d_log_alpha, d_log_sigma_e
+
+    return value, grad_fn
 
 
 def negative_lml(
@@ -159,72 +183,24 @@ def negative_lml(
     """Scaled negative LML with the output weights read from ``params``.
 
     Handles any number of outputs; with one output the multivariate sum
-    collapses to the scalar form term by term.  Value only: the graph is
-    built over constants, so no backward pass is paid.
+    collapses to the scalar form term by term.  Value only: no reverse
+    pass is paid.
     """
-    out = _nlml_graph(
-        [ad.constant(w) for w in params.weights],
-        ad.constant(np.asarray(hyper.log_alpha, dtype=float)),
-        ad.constant(hyper.log_sigma_e),
-        data.x,
-        data.t,
-        params.activation,
-        flat_bias,
-    )
-    value = float(out.data)
-    if not np.isfinite(value):
-        raise ad.NonFiniteLoss(f"objective evaluated to {value}")
+    y, a = forward_batch(params, data.x)
+    value, _ = nlml_head(a, y, params.wbar, data.t, hyper, flat_bias)
     return value
 
 
 def negative_lml_grads(
-    params: MlpParams,
-    hyper: BllHyper,
-    data: Dataset,
-    flat_bias: bool = True,
-    freeze_features: bool = False,
+    params: MlpParams, hyper: BllHyper, data: Dataset, flat_bias: bool = True
 ):
-    """Objective value and gradients for (weights, log_alpha, log_sigma_e).
-
-    With ``freeze_features`` the hidden layers enter as constants and their
-    gradient slots come back as zeros (features fixed, regression trained).
-    """
-    n_w = len(params.weights)
-    log_alpha = np.asarray(hyper.log_alpha, dtype=float)
-
-    if freeze_features:
-        hidden = [ad.constant(w) for w in params.weights[:-1]]
-
-        def fn(leaves):
-            return _nlml_graph(
-                hidden + [leaves[0]],
-                leaves[1],
-                leaves[2],
-                data.x,
-                data.t,
-                params.activation,
-                flat_bias,
-            )
-
-        arrays = [params.weights[-1], log_alpha, hyper.log_sigma_e]
-        value, grads = ad.value_and_grad(fn, arrays)
-        weight_grads = [np.zeros_like(w) for w in params.weights[:-1]] + [grads[0]]
-        return value, (weight_grads, grads[1], grads[2])
-
-    def fn(leaves):
-        return _nlml_graph(
-            leaves[:n_w],
-            leaves[n_w],
-            leaves[n_w + 1],
-            data.x,
-            data.t,
-            params.activation,
-            flat_bias,
-        )
-
-    arrays = [*params.weights, log_alpha, hyper.log_sigma_e]
-    value, grads = ad.value_and_grad(fn, arrays)
-    return value, (grads[:n_w], grads[n_w], grads[n_w + 1])
+    """Objective value and gradients for (weights, log_alpha, log_sigma_e)."""
+    acts = forward_layers(params, data.x)
+    value, grad_fn = nlml_head(acts[-2], acts[-1], params.wbar, data.t, hyper, flat_bias)
+    d_y, d_a, d_wbar, d_log_alpha, d_log_sigma_e = grad_fn()
+    grads = ad.mlp_backward(params.weights, acts, d_y, d_a, params.activation)
+    grads[-1] = grads[-1] + d_wbar
+    return value, (grads, d_log_alpha, d_log_sigma_e)
 
 
 def negative_lml_marginalized(

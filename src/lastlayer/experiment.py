@@ -4,8 +4,9 @@ A run trains the selected methods on one dataset, tunes the extrapolation
 penalty where applicable, scores every split, and writes deterministic
 artifacts: a flat metrics JSON (keyed ``method.metric`` plus a provenance
 block), per-point prediction CSVs aligned with the dataset rows, dense
-prediction curves for plotting, and alpha-sweep tables.  Timing is printed
-to stdout only so that files are byte-identical across reruns.
+prediction curves for plotting (single-input datasets), and alpha-sweep
+tables.  Timing is printed to stdout only so that files are byte-identical
+across reruns.
 """
 
 import hashlib
@@ -27,7 +28,7 @@ from .data import Dataset, read_splits_csv, write_splits_csv, write_table_csv
 from .mlp import MlpSpec, forward_batch
 from .rng import make_rng
 from .training import TrainConfig, train
-from .vi import vi_predict_batch, vi_train
+from .vi import gmm_log_density, vi_predict_batch, vi_train
 
 __all__ = ["ExperimentConfig", "config_hash", "run_experiment", "toy_feature_demo"]
 
@@ -168,11 +169,10 @@ def _run_lml_method(name, config, splits, out_dir, metrics, trainer):
     everything = _stack_all(splits)
     _write_predictions(out_dir / f"predictions_{name}_alpha_star.csv", model_star, everything)
     _write_predictions(out_dir / f"predictions_{name}_alpha_max.csv", model_max, everything)
-    lo = splits["test"].x.min()
-    hi = splits["test"].x.max()
-    grid = np.linspace(lo, hi, 400).reshape(-1, 1)
-    _write_curve(out_dir / f"curve_{name}_alpha_star.csv", model_star, grid, everything.n_y)
-    _write_curve(out_dir / f"curve_{name}_alpha_max.csv", model_max, grid, everything.n_y)
+    if everything.n_x == 1:  # a dense curve over one input; no single axis exists otherwise
+        grid = np.linspace(splits["test"].x.min(), splits["test"].x.max(), 400).reshape(-1, 1)
+        _write_curve(out_dir / f"curve_{name}_alpha_star.csv", model_star, grid, everything.n_y)
+        _write_curve(out_dir / f"curve_{name}_alpha_max.csv", model_max, grid, everything.n_y)
 
     log_grid = np.linspace(
         model_star.hyper.log_alpha,
@@ -276,14 +276,7 @@ def _run_vi(config, train_cfg, spec, splits, out_dir, metrics):
     sizes = [splits[k].m for k in ("train", "val", "test")]
     edges = np.cumsum([0, *sizes])
     names = ("train", "val", "test")
-    from scipy.special import logsumexp  # local: keeps module import light
-
-    comp = -0.5 * (
-        math.log(2.0 * math.pi)
-        + np.log(noise_var)
-        + (everything.t - means) ** 2 / noise_var
-    )
-    per_point = logsumexp(comp.sum(axis=2), axis=0) - math.log(VI_PREDICT_SAMPLES)
+    per_point = gmm_log_density(means, noise_var, everything.t)
     for k, name in enumerate(names):
         seg = slice(edges[k], edges[k + 1])
         metrics[f"vi.{name}_lpd"] = float(per_point[seg].mean())
@@ -308,11 +301,11 @@ def _run_vi(config, train_cfg, spec, splits, out_dir, metrics):
     ]
     write_table_csv(out_dir / "predictions_vi.csv", header, rows)
 
-    comp_header = ["x_0"] + [
+    comp_header = [f"x_{i}" for i in range(everything.n_x)] + [
         f"mean_{j}_c{c}" for c in range(VI_PREDICT_SAMPLES) for j in range(everything.n_y)
     ]
     comp_rows = [
-        [everything.x[i, 0]]
+        [*everything.x[i]]
         + [means[c, i, j] for c in range(VI_PREDICT_SAMPLES) for j in range(everything.n_y)]
         for i in range(everything.m)
     ]

@@ -10,7 +10,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MlpSpec", "MlpParams", "init_params", "forward", "forward_batch", "features"]
+__all__ = [
+    "MlpSpec",
+    "MlpParams",
+    "init_params",
+    "forward",
+    "forward_batch",
+    "forward_layers",
+    "features",
+]
 
 _ACTIVATIONS = {
     "tanh": np.tanh,
@@ -81,18 +89,29 @@ def init_params(spec: MlpSpec, rng: np.random.Generator) -> MlpParams:
     return MlpParams(tuple(weights), spec.activation)
 
 
+def forward_layers(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
+    """Evaluate the network on rows of ``x``, keeping every layer's output.
+
+    Returns [x, h_1, ..., h_L, y]: the inputs, each hidden activation and
+    the linear outputs, as ``autodiff.mlp_backward`` expects them.
+    """
+    act = _ACTIVATIONS[params.activation]
+    acts = [np.asarray(x, dtype=float)]
+    for w in params.weights[:-1]:
+        acts.append(act(acts[-1] @ w[:-1] + w[-1]))
+    w = params.weights[-1]
+    acts.append(acts[-1] @ w[:-1] + w[-1])
+    return acts
+
+
 def forward_batch(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the network on rows of ``x``.
 
     Returns the outputs (m, n_y) and the linear features (m, n_phi_tilde),
     i.e. the last hidden activations that feed the linear output layer.
     """
-    act = _ACTIVATIONS[params.activation]
-    a = np.asarray(x, dtype=float)
-    for w in params.weights[:-1]:
-        a = act(a @ w[:-1] + w[-1])
-    w = params.weights[-1]
-    return a @ w[:-1] + w[-1], a
+    acts = forward_layers(params, x)
+    return acts[-1], acts[-2]
 
 
 def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

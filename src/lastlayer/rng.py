@@ -9,7 +9,7 @@ independence between children of one seed.
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn_rngs", "standard_normal"]
+__all__ = ["make_rng", "spawn_rngs"]
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -22,9 +22,3 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     children = np.random.SeedSequence(seed).spawn(n)
     return [np.random.Generator(np.random.PCG64(c)) for c in children]
 
-
-def standard_normal(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw ``n`` standard normal variates from the stream."""
-    if n < 0:
-        raise ValueError("draw count must be nonnegative")
-    return rng.standard_normal(n)

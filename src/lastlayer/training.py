@@ -14,15 +14,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import NonFiniteLoss
-from .bll import BllHyper, BllModel, fit_posterior, negative_lml, negative_lml_grads
-from .data import Dataset, fit_standardizer, split_train_val
+from .bll import (
+    HYPER_CLAMP,
+    BllHyper,
+    BllModel,
+    fit_posterior,
+    negative_lml,
+    negative_lml_grads,
+)
+from .data import Dataset, Standardizer, fit_standardizer, split_train_val
 from .mlp import MlpParams, MlpSpec, init_params
 from .optim import adam_init, adam_step
 from .rng import make_rng
 
 __all__ = ["TrainConfig", "TrainHistory", "train"]
-
-HYPER_CLAMP = 15.0
 
 
 @dataclass(frozen=True)
@@ -60,7 +65,7 @@ def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=N
 
     Args:
         leaves: list of parameter arrays (updated functionally).
-        loss_and_grads: epoch -> (value, grads) at the current leaves.
+        loss_and_grads: leaves -> (value, grads) at the current leaves.
         cfg: loop hyperparameters.
         monitor: optional callable giving the early-stopping criterion value
             at the current leaves; defaults to the training objective.
@@ -68,6 +73,10 @@ def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=N
 
     Returns:
         (best_leaves, history).
+
+    Raises:
+        NonFiniteLoss: naming the epoch, when the objective or the monitor is
+            NaN or infinite.
     """
     state = adam_init(leaves, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     history = TrainHistory(val_objective=None if monitor is None else [])
@@ -76,12 +85,15 @@ def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=N
     for epoch in range(cfg.max_epochs):
         try:
             value, grads = loss_and_grads(leaves)
+            if not np.isfinite(value):
+                raise NonFiniteLoss(f"objective evaluated to {value}")
+            crit = value if monitor is None else monitor(leaves)
+            if not np.isfinite(crit):
+                raise NonFiniteLoss(f"monitor evaluated to {crit}")
         except NonFiniteLoss as err:
             raise NonFiniteLoss(f"epoch {epoch}: {err}") from err
         history.train_objective.append(value)
-        crit = value
         if monitor is not None:
-            crit = monitor(leaves)
             history.val_objective.append(crit)
         if crit < best_value:
             best_value = crit
@@ -97,8 +109,29 @@ def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=N
     return best_leaves, history
 
 
-def standardize_with(data: Dataset, x_scaler, t_scaler) -> Dataset:
-    return Dataset(x_scaler.transform(data.x), t_scaler.transform(data.t))
+def standardized_splits(
+    train_data: Dataset, cfg: TrainConfig, val_data: Dataset | None = None
+) -> tuple[Standardizer, Standardizer, Dataset, Dataset | None]:
+    """Scalers fitted on all training rows, then the standardized fit and monitor sets.
+
+    The monitor set is ``val_data`` when given, otherwise a deterministic
+    ``cfg.val_fraction`` split of the training rows (none when that is unset
+    or there are fewer than five rows).
+    """
+    x_scaler = fit_standardizer(train_data.x)
+    t_scaler = fit_standardizer(train_data.t)
+    if val_data is not None:
+        fit_part, val_part = train_data, val_data
+    elif cfg.val_fraction is not None and train_data.m >= 5:
+        fit_part, val_part = split_train_val(train_data, cfg.val_fraction, cfg.seed)
+    else:
+        fit_part, val_part = train_data, None
+
+    def standardize(data):
+        return Dataset(x_scaler.transform(data.x), t_scaler.transform(data.t))
+
+    val_std = standardize(val_part) if val_part is not None else None
+    return x_scaler, t_scaler, standardize(fit_part), val_std
 
 
 def clamp_hyper_tail(n_hyper_leaves: int):
@@ -133,17 +166,7 @@ def train(
     """
     if spec.output_dim != train_data.n_y or spec.input_dim != train_data.n_x:
         raise ValueError("network spec does not match dataset dimensions")
-    x_scaler = fit_standardizer(train_data.x)
-    t_scaler = fit_standardizer(train_data.t)
-
-    if val_data is not None:
-        fit_part, val_part = train_data, val_data
-    elif cfg.val_fraction is not None and train_data.m >= 5:
-        fit_part, val_part = split_train_val(train_data, cfg.val_fraction, cfg.seed)
-    else:
-        fit_part, val_part = train_data, None
-    fit_std = standardize_with(fit_part, x_scaler, t_scaler)
-    val_std = standardize_with(val_part, x_scaler, t_scaler) if val_part is not None else None
+    x_scaler, t_scaler, fit_std, val_std = standardized_splits(train_data, cfg, val_data)
 
     params0 = init_params(spec, make_rng(cfg.seed))
     n_y = train_data.n_y

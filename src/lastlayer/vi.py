@@ -18,16 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from . import autodiff as ad
-from .data import Dataset, Standardizer, fit_standardizer, split_train_val
-from .mlp import MlpSpec, init_params
+from .autodiff import mlp_backward
+from .data import Dataset, Standardizer
+from .mlp import MlpParams, MlpSpec, forward_batch, forward_layers, init_params
 from .rng import spawn_rngs
-from .training import TrainConfig, TrainHistory, clamp_hyper_tail, standardize_with, fit_loop
+from .training import TrainConfig, TrainHistory, clamp_hyper_tail, fit_loop, standardized_splits
 
 __all__ = [
     "GmmPredictive",
     "ViModel",
     "ViParams",
+    "gmm_log_density",
     "gmm_lpd",
     "kl_diag_gaussian",
     "vi_predict",
@@ -85,54 +86,70 @@ def kl_diag_gaussian(mu: np.ndarray, sigma: np.ndarray, prior_sigma) -> float:
     )
 
 
-def _elbo_graph(leaves, eps_sets, x, t, spec: MlpSpec, hidden_prior_var: float):
-    """Negative ELBO / m as an autodiff graph; one entry of eps_sets per MC draw."""
+def _negative_elbo(leaves, eps_sets, x, t, spec: MlpSpec, hidden_prior_var: float):
+    """Negative ELBO / m and its gradient; one entry of eps_sets per MC draw.
+
+    Each draw evaluates the network at W = mu + sigma * eps, so the data
+    term's weight gradient dW reaches mu as is and rho as dW * eps *
+    sigmoid(rho) (Bayes by Backprop).  The KL term against the priors is
+    closed form, and so is its gradient.
+
+    Returns:
+        The value and one gradient array per leaf, in leaf order.
+    """
     n_layers = len(spec.layer_shapes())
     mus = leaves[:n_layers]
     rhos = leaves[n_layers : 2 * n_layers]
     log_prior_spread = leaves[2 * n_layers]
     log_sigma_e = leaves[2 * n_layers + 1]
     m, n_y = t.shape
-    act = ad.tanh if spec.activation == "tanh" else ad.relu
+    sigmas = [np.logaddexp(0.0, r) for r in rhos]
 
-    inv_sig2 = ad.exp(-2.0 * log_sigma_e)
-    nll = None
-    for eps in eps_sets:
-        a = ad.constant(x)
-        for mu, rho, e in zip(mus[:-1], rhos[:-1], eps[:-1]):
-            w = mu + ad.softplus(rho) * ad.constant(e)
-            a = act(ad.affine(a, w))
-        w_last = mus[-1] + ad.softplus(rhos[-1]) * ad.constant(eps[-1])
-        resid = ad.constant(t) - ad.affine(a, w_last)
-        quad = ad.tensor_sum(ad.tensor_sum(resid * resid, axis=0) * inv_sig2)
-        draw = 0.5 * m * n_y * LOG_2PI + m * ad.tensor_sum(log_sigma_e) + 0.5 * quad
-        nll = draw if nll is None else nll + draw
-    nll = (1.0 / len(eps_sets)) * nll
-
-    # Closed-form KL against the priors.
-    kl = None
-    prior_var = hidden_prior_var
-    for mu, rho in zip(mus[:-1], rhos[:-1]):
-        sigma = ad.softplus(rho)
-        term = (
-            -ad.tensor_sum(ad.log(sigma))
-            + (0.5 / prior_var) * ad.tensor_sum(sigma * sigma + mu * mu)
-            + 0.5 * mu.data.size * math.log(prior_var)
-            - 0.5 * mu.data.size
-        )
-        kl = term if kl is None else kl + term
-    mu, rho = mus[-1], rhos[-1]
-    sigma = ad.softplus(rho)
-    rows = mu.data.shape[0]
-    inv_prior = ad.exp(-2.0 * log_prior_spread)
-    kl_last = (
-        rows * ad.tensor_sum(log_prior_spread)
-        - ad.tensor_sum(ad.log(sigma))
-        + 0.5 * ad.tensor_sum(ad.tensor_sum(sigma * sigma + mu * mu, axis=0) * inv_prior)
-        - 0.5 * mu.data.size
+    # KL(q || prior): fixed zero-mean prior on hidden layers, learned
+    # per-output spread on the last layer.
+    inv_priors = [1.0 / hidden_prior_var] * (n_layers - 1) + [np.exp(-2.0 * log_prior_spread)]
+    rows = mus[-1].shape[0]
+    kl = rows * np.sum(log_prior_spread) + 0.5 * math.log(hidden_prior_var) * sum(
+        mu.size for mu in mus[:-1]
     )
-    kl = kl + kl_last
-    return (1.0 / m) * (nll + kl)
+    g_mus, g_sigmas = [], []
+    for mu, sigma, inv_prior in zip(mus, sigmas, inv_priors):
+        kl += (
+            -np.sum(np.log(sigma))
+            + 0.5 * np.sum((sigma * sigma + mu * mu) * inv_prior)
+            - 0.5 * mu.size
+        )
+        g_mus.append(mu * inv_prior)
+        g_sigmas.append(sigma * inv_prior - 1.0 / sigma)
+    g_log_prior_spread = rows - np.sum(sigmas[-1] ** 2 + mus[-1] ** 2, axis=0) * inv_priors[-1]
+
+    # Monte Carlo negative log-likelihood, averaged over the draws.
+    inv_sig2 = np.exp(-2.0 * log_sigma_e)
+    n_draws = len(eps_sets)
+    nll = 0.0
+    g_log_sigma_e = np.zeros_like(log_sigma_e)
+    for eps in eps_sets:
+        weights = [mu + sigma * e for mu, sigma, e in zip(mus, sigmas, eps)]
+        acts = forward_layers(MlpParams(tuple(weights), spec.activation), x)
+        resid = t - acts[-1]
+        misfit = np.sum(resid * resid, axis=0) * inv_sig2
+        nll += 0.5 * m * n_y * LOG_2PI + m * np.sum(log_sigma_e) + 0.5 * np.sum(misfit)
+        g_log_sigma_e += (m - misfit) / n_draws
+        d_y = (-1.0 / n_draws) * resid * inv_sig2
+        d_weights = mlp_backward(weights, acts, d_y, None, spec.activation)
+        for k, (d_w, e) in enumerate(zip(d_weights, eps)):
+            g_mus[k] += d_w
+            g_sigmas[k] += d_w * e
+
+    sigmoids = [0.5 * (1.0 + np.tanh(0.5 * r)) for r in rhos]
+    grads = [
+        *g_mus,
+        *(g * sig for g, sig in zip(g_sigmas, sigmoids)),
+        g_log_prior_spread,
+        g_log_sigma_e,
+    ]
+    value = float((nll / n_draws + kl) / m)
+    return value, [g / m for g in grads]
 
 
 def vi_train(
@@ -150,16 +167,7 @@ def vi_train(
     """
     if n_mc < 1:
         raise ValueError("n_mc must be at least 1")
-    x_scaler = fit_standardizer(train_data.x)
-    t_scaler = fit_standardizer(train_data.t)
-    if val_data is not None:
-        fit_part, val_part = train_data, val_data
-    elif cfg.val_fraction is not None and train_data.m >= 5:
-        fit_part, val_part = split_train_val(train_data, cfg.val_fraction, cfg.seed)
-    else:
-        fit_part, val_part = train_data, None
-    fit_std = standardize_with(fit_part, x_scaler, t_scaler)
-    val_std = standardize_with(val_part, x_scaler, t_scaler) if val_part is not None else None
+    x_scaler, t_scaler, fit_std, val_std = standardized_splits(train_data, cfg, val_data)
 
     init_rng, noise_rng = spawn_rngs(cfg.seed, 2)
     params0 = init_params(spec, init_rng)
@@ -176,23 +184,15 @@ def vi_train(
         eps_sets = [
             [noise_rng.standard_normal(s) for s in shapes] for _ in range(n_mc)
         ]
-        return ad.value_and_grad(
-            lambda ts: _elbo_graph(ts, eps_sets, fit_std.x, fit_std.t, spec, hidden_prior_var),
-            vals,
-        )
+        return _negative_elbo(vals, eps_sets, fit_std.x, fit_std.t, spec, hidden_prior_var)
 
+    n_layers = len(shapes)
     monitor = None
     if val_std is not None:
-        n_layers = len(shapes)
 
         def monitor(vals):
             # Negative log-likelihood at the surrogate means.
-            a = val_std.x
-            act = np.tanh if spec.activation == "tanh" else lambda h: np.maximum(h, 0.0)
-            for w in vals[:n_layers][:-1]:
-                a = act(a @ w[:-1] + w[-1])
-            w = vals[n_layers - 1]
-            y = a @ w[:-1] + w[-1]
+            y, _ = forward_batch(MlpParams(tuple(vals[:n_layers]), spec.activation), val_std.x)
             sig2 = np.exp(2.0 * vals[-1])
             resid = val_std.t - y
             per_output = 0.5 * (LOG_2PI + np.log(sig2)) + (resid**2).mean(axis=0) / (
@@ -203,7 +203,6 @@ def vi_train(
     best, history = fit_loop(
         leaves, loss_and_grads, cfg, monitor=monitor, post_step=clamp_hyper_tail(2)
     )
-    n_layers = len(shapes)
     params = ViParams(
         mus=tuple(best[:n_layers]),
         rhos=tuple(best[n_layers : 2 * n_layers]),
@@ -216,14 +215,11 @@ def vi_train(
 
 
 def _sample_forward(params: ViParams, x_std: np.ndarray, rng) -> np.ndarray:
-    act = np.tanh if params.activation == "tanh" else lambda h: np.maximum(h, 0.0)
-    a = x_std
-    sigmas = params.sigmas
-    for i, (mu, sigma) in enumerate(zip(params.mus, sigmas)):
-        w = mu + sigma * rng.standard_normal(mu.shape)
-        h = a @ w[:-1] + w[-1]
-        a = act(h) if i < len(params.mus) - 1 else h
-    return a
+    weights = tuple(
+        mu + sigma * rng.standard_normal(mu.shape) for mu, sigma in zip(params.mus, params.sigmas)
+    )
+    y, _ = forward_batch(MlpParams(weights, params.activation), x_std)
+    return y
 
 
 def vi_predict_batch(
@@ -256,16 +252,23 @@ def vi_predict(model: ViModel, x: np.ndarray, n_samples: int, rng) -> GmmPredict
     return GmmPredictive(means[:, 0, :], noise_var)
 
 
+def gmm_log_density(means: np.ndarray, noise_var: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Per-point log density of uniform Gaussian mixtures, via log-sum-exp.
+
+    ``means`` holds the component means (n_components, m, n_y), ``t`` the
+    targets (m, n_y); the outputs are independent given a component.
+    """
+    comp = -0.5 * (LOG_2PI + np.log(noise_var) + (t - means) ** 2 / noise_var)
+    return logsumexp(comp.sum(axis=2), axis=0) - math.log(means.shape[0])
+
+
 def gmm_lpd(pred: GmmPredictive, t: np.ndarray) -> float:
-    """Log density of the mixture at ``t``, stabilized with log-sum-exp."""
+    """Log density of the mixture at ``t``."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    comp = -0.5 * (LOG_2PI + np.log(pred.noise_var) + (t - pred.means) ** 2 / pred.noise_var)
-    return float(logsumexp(comp.sum(axis=1)) - math.log(pred.means.shape[0]))
+    return float(gmm_log_density(pred.means[:, None, :], pred.noise_var, t[None, :])[0])
 
 
 def gmm_lpd_dataset(model: ViModel, data: Dataset, n_samples: int, rng) -> float:
     """Mean mixture LPD over a dataset with shared sampled components."""
     means, noise_var = vi_predict_batch(model, data.x, n_samples, rng)
-    comp = -0.5 * (LOG_2PI + np.log(noise_var) + (data.t - means) ** 2 / noise_var)
-    per_point = logsumexp(comp.sum(axis=2), axis=0) - math.log(n_samples)
-    return float(per_point.mean())
+    return float(gmm_log_density(means, noise_var, data.t).mean())

@@ -3,105 +3,59 @@ import pytest
 
 from lastlayer import autodiff as ad
 from lastlayer.linalg import cholesky, logdet_pd
+from lastlayer.mlp import MlpParams, forward_layers
+from lastlayer.training import TrainConfig, fit_loop
 
 from oracles import finite_difference, random_spd
 
 
-def _grad_check(fn, arrays, rtol=1e-6, atol=1e-8):
-    value, grads = ad.value_and_grad(fn, arrays)
-    fd = finite_difference(lambda arrs: ad.value_and_grad(fn, arrs)[0], arrays)
-    for g, f in zip(grads, fd):
-        np.testing.assert_allclose(g, f, rtol=rtol, atol=atol)
-    return value
-
-
-def test_quadratic_gradient_is_the_point():
-    # loss = 0.5 ||W||^2 has gradient W
-    w = np.random.default_rng(0).standard_normal((3, 2))
-    _, grads = ad.value_and_grad(lambda ts: 0.5 * ad.tensor_sum(ts[0] * ts[0]), [w])
-    np.testing.assert_allclose(grads[0], w, rtol=1e-12)
-
-
 def test_linear_chain_matches_hand_derivative():
-    # y = w2 * tanh(w1 * x); loss = 0.5 (y - t)^2 on scalars
+    # y = w2 * tanh(w1 * x); loss = 0.5 (y - t)^2 on scalars, zero biases
     x, t = 0.7, 0.3
-    w1, w2 = np.asarray(1.1), np.asarray(-0.4)
-
-    def loss(ts):
-        y = ts[1] * ad.tanh(ts[0] * x)
-        r = y - t
-        return 0.5 * r * r
-
-    value, grads = ad.value_and_grad(loss, [w1, w2])
+    w1, w2 = 1.1, -0.4
+    weights = (np.array([[w1], [0.0]]), np.array([[w2], [0.0]]))
+    acts = forward_layers(MlpParams(weights), np.array([[x]]))
     a = np.tanh(w1 * x)
-    y = w2 * a
-    dy = y - t
-    np.testing.assert_allclose(grads[1], dy * a, rtol=1e-12)
-    np.testing.assert_allclose(grads[0], dy * w2 * (1 - a**2) * x, rtol=1e-12)
-
-
-def test_elementwise_ops_against_finite_differences():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((4, 3))
-    b = rng.standard_normal((4, 3))
-
-    def loss(ts):
-        mix = ts[0] * ts[1] + ts[0] - 2.5 * ts[1]
-        return ad.tensor_sum(ad.tanh(mix) * mix)
-
-    _grad_check(loss, [a, b])
-
-
-def test_broadcasting_gradients():
-    rng = np.random.default_rng(2)
-    mat = rng.standard_normal((5, 3))
-    row = rng.standard_normal(3)
-    scalar = np.asarray(0.7)
-
-    def loss(ts):
-        out = ts[0] * ts[1] + ts[2] * ts[0]
-        return ad.tensor_sum(out * out)
-
-    _grad_check(loss, [mat, row, scalar])
+    dy = w2 * a - t
+    grads = ad.mlp_backward(weights, acts, np.array([[dy]]), None, "tanh")
+    np.testing.assert_allclose(grads[1], [[dy * a], [dy]], rtol=1e-12)
+    dh = dy * w2 * (1 - a**2)
+    np.testing.assert_allclose(grads[0], [[dh * x], [dh]], rtol=1e-12)
 
 
 def test_matmul_transpose_affine_ones():
+    # a head on the outputs and on the affine features [h, 1] at once:
+    # loss = sum(y) + sum((Phi^T Phi)^2)
     rng = np.random.default_rng(3)
     x = rng.standard_normal((6, 2))
-    w = rng.standard_normal((3, 4))
+    weights = [rng.standard_normal((3, 4)), rng.standard_normal((5, 2))]
+    for activation in ("tanh", "relu"):
 
-    def loss(ts):
-        h = ad.affine(ad.constant(x), ts[0])
-        phi = ad.with_ones_column(ad.tanh(h))
-        gram = phi.T @ phi
-        return ad.tensor_sum(gram * gram)
+        def loss(arrays):
+            acts = forward_layers(MlpParams(tuple(arrays), activation), x)
+            phi = np.concatenate([acts[-2], np.ones((6, 1))], axis=1)
+            gram = phi.T @ phi
+            return float(np.sum(acts[-1]) + np.sum(gram * gram))
 
-    _grad_check(loss, [w], rtol=1e-5)
-
-
-def test_exp_log_softplus_sum_axis():
-    rng = np.random.default_rng(4)
-    v = rng.standard_normal(5)
-
-    def loss(ts):
-        return ad.tensor_sum(
-            ad.log(ad.softplus(ts[0])) + ad.exp(0.3 * ts[0]), axis=None
-        ) + ad.tensor_sum(ad.tensor_sum(ts[0] * ts[0], axis=0))
-
-    _grad_check(loss, [v])
+        acts = forward_layers(MlpParams(tuple(weights), activation), x)
+        phi = np.concatenate([acts[-2], np.ones((6, 1))], axis=1)
+        d_phi = 4.0 * phi @ (phi.T @ phi)
+        grads = ad.mlp_backward(weights, acts, np.ones((6, 2)), d_phi[:, :-1], activation)
+        for g, f in zip(grads, finite_difference(loss, weights)):
+            np.testing.assert_allclose(g, f, rtol=1e-5, atol=1e-6)
 
 
 def test_logdet_gradient_is_inverse():
     rng = np.random.default_rng(5)
     a, _ = random_spd(rng, 4)
-    _, grads = ad.value_and_grad(lambda ts: ad.logdet_spd(ts[0]), [a])
-    np.testing.assert_allclose(grads[0], np.linalg.inv(a), rtol=1e-8, atol=1e-10)
+    _, grad = ad.logdet_spd(a)
+    np.testing.assert_allclose(grad(), np.linalg.inv(a), rtol=1e-8, atol=1e-10)
 
 
 def test_logdet_value_matches_cholesky():
     rng = np.random.default_rng(6)
     a, _ = random_spd(rng, 3)
-    value, _ = ad.value_and_grad(lambda ts: ad.logdet_spd(ts[0]), [a])
+    value, _ = ad.logdet_spd(a)
     assert value == pytest.approx(logdet_pd(cholesky(a)))
 
 
@@ -109,25 +63,18 @@ def test_logdet_composed_with_gram_finite_difference():
     rng = np.random.default_rng(7)
     phi = rng.standard_normal((5, 3))
 
-    def loss(ts):
-        gram = ts[0].T @ ts[0] + ad.constant(0.5 * np.eye(3))
-        return ad.logdet_spd(gram)
+    def loss(arrays):
+        return ad.logdet_spd(arrays[0].T @ arrays[0] + 0.5 * np.eye(3))[0]
 
-    _grad_check(loss, [phi], rtol=1e-5)
+    _, grad = ad.logdet_spd(phi.T @ phi + 0.5 * np.eye(3))
+    (fd,) = finite_difference(loss, [phi])
+    np.testing.assert_allclose(2.0 * phi @ grad(), fd, rtol=1e-5)
 
 
 def test_non_finite_loss_raises():
-    with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteLoss):
-        ad.value_and_grad(lambda ts: ad.exp(ts[0]), [np.asarray(1000.0)])
+    def loss_and_grads(leaves):
+        with np.errstate(over="ignore"):
+            return float(np.exp(leaves[0])), [np.zeros(())]
 
-
-def test_backward_requires_scalar():
-    with pytest.raises(ValueError):
-        ad.backward(ad.leaf(np.ones(3)))
-
-
-def test_reused_node_accumulates_once_per_path():
-    # z = x * x reuses the same node twice; gradient must be 2x
-    x = np.asarray(3.0)
-    _, grads = ad.value_and_grad(lambda ts: ts[0] * ts[0], [x])
-    np.testing.assert_allclose(grads[0], 6.0)
+    with pytest.raises(ad.NonFiniteLoss, match="epoch 0: objective evaluated to inf"):
+        fit_loop([np.asarray(1000.0)], loss_and_grads, TrainConfig(max_epochs=10, patience=5))

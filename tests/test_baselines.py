@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lastlayer.baselines import BlrModel, blr_fit, train_mse
-from lastlayer.bll import BllModel, closed_form_wbar, predict_batch
+from lastlayer import baselines
+from lastlayer.baselines import _mse_grads, blr_fit, train_mse
+from lastlayer.bll import BllHyper, closed_form_wbar, negative_lml_grads, predict_batch
 from lastlayer.data import Dataset
-from lastlayer.mlp import MlpSpec, forward_batch
+from lastlayer.mlp import MlpSpec, forward_batch, init_params
 from lastlayer.rng import make_rng
-from lastlayer.training import TrainConfig
+from lastlayer.training import TrainConfig, TrainHistory, standardized_splits
+
+from oracles import finite_difference
 
 FAST = TrainConfig(max_epochs=3000, patience=400, lr=5e-3, seed=0)
 
@@ -56,6 +60,28 @@ class TestTrainMse:
         assert h1.train_objective == h2.train_objective
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    activation=st.sampled_from(["tanh", "relu"]),
+    n_y=st.integers(1, 2),
+    depth=st.integers(1, 3),
+)
+def test_mse_gradient_matches_finite_differences(seed, activation, n_y, depth):
+    rng = np.random.default_rng(seed)
+    n_x = int(rng.integers(1, 3))
+    m = int(rng.integers(2, 8))
+    spec = MlpSpec(n_x, tuple(int(w) for w in rng.integers(1, 5, size=depth)), n_y, activation)
+    weights = [
+        w + 0.1 * rng.standard_normal(w.shape) for w in init_params(spec, make_rng(seed)).weights
+    ]
+    data = Dataset(rng.standard_normal((m, n_x)), rng.standard_normal((m, n_y)))
+    _, grads = _mse_grads(weights, activation, data)
+    fd = finite_difference(lambda arrays: _mse_grads(arrays, activation, data)[0], weights)
+    for g, f in zip(grads, fd):
+        np.testing.assert_allclose(g, f, rtol=1e-6, atol=1e-8)
+
+
 class TestBlrFit:
     def test_objective_improves_and_best_is_monotone(self):
         data = _linear_dataset(seed=5)
@@ -86,13 +112,39 @@ class TestBlrFit:
             np.testing.assert_array_equal(a, b)
 
     def test_shares_the_bll_predict_path(self):
-        assert BlrModel is BllModel
         data = _linear_dataset(seed=8)
         frozen, _ = train_mse(MlpSpec(1, (3,), 1), data, FAST)
         model, _ = blr_fit(frozen, data, FAST)
         mean, var_y, var_t = predict_batch(model, data.x)
         assert mean.shape == (data.m, 1)
         assert (var_t > var_y).all()
+
+
+    def test_epoch_gradient_is_the_output_slice_of_the_joint_gradient(self, monkeypatch):
+        data = _linear_dataset(seed=9)
+        frozen, _ = train_mse(MlpSpec(1, (3, 3), 1), data, FAST)
+        captured = {}
+
+        def capture(leaves, loss_and_grads, cfg, monitor=None, post_step=None):
+            captured["loss_and_grads"] = loss_and_grads
+            return leaves, TrainHistory(train_objective=[0.0])
+
+        monkeypatch.setattr(baselines, "fit_loop", capture)
+        blr_fit(frozen, data, FAST)
+        _, _, fit_std, _ = standardized_splits(data, FAST)
+        rng = make_rng(10)
+        for _ in range(5):
+            wbar = frozen.wbar + 0.3 * rng.standard_normal(frozen.wbar.shape)
+            hyper = BllHyper(float(rng.uniform(-1.0, 2.0)), rng.uniform(-1.0, 0.5, size=1))
+            leaves = [wbar, np.asarray(hyper.log_alpha), hyper.log_sigma_e]
+            value, grads = captured["loss_and_grads"](leaves)
+            joint, (w_grads, g_la, g_ls) = negative_lml_grads(
+                frozen.replace_wbar(wbar), hyper, fit_std
+            )
+            assert value == joint
+            np.testing.assert_allclose(grads[0], w_grads[-1], rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(grads[1], g_la, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(grads[2], g_ls, rtol=1e-12, atol=1e-14)
 
 
 def _fit_indices(data, cfg):

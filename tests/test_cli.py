@@ -165,3 +165,40 @@ def test_sweep_writes_table(tmp_path):
     header, rows = read_table_csv(tmp_path / "out" / "alpha_sweep.csv")
     assert header[:2] == ["log_alpha", "nlml_train"]
     assert rows.shape[0] == 5
+
+
+def test_two_input_run_writes_every_input_and_no_curves(tmp_path):
+    from lastlayer.data import Dataset, write_splits_csv
+
+    rng = np.random.default_rng(12)
+    splits = {}
+    for name, m, half_width in (("train", 30, 1.0), ("val", 10, 1.5), ("test", 10, 2.0)):
+        x = rng.uniform(-half_width, half_width, size=(m, 2))
+        t = np.sin(x[:, :1]) + 0.5 * x[:, 1:] + 0.05 * rng.standard_normal((m, 1))
+        splits[name] = Dataset(x, t)
+    dataset = tmp_path / "two_inputs.csv"
+    write_splits_csv(dataset, splits)
+    config_path, _ = _small_config(
+        tmp_path, methods=["bll", "blr", "vi"], dataset_path=str(dataset)
+    )
+    assert cli.main(["run", "--config", str(config_path)]) == 0
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [
+            "alpha_sweep_bll.csv",
+            "alpha_sweep_blr.csv",
+            "components_vi.csv",
+            "dataset.csv",
+            "metrics.json",
+            "predictions_bll_alpha_max.csv",
+            "predictions_bll_alpha_star.csv",
+            "predictions_blr_alpha_max.csv",
+            "predictions_blr_alpha_star.csv",
+            "predictions_vi.csv",
+        ]
+    )
+    everything = np.concatenate([splits[k].x for k in ("train", "val", "test")])
+    for name in ("predictions_bll_alpha_star.csv", "predictions_vi.csv", "components_vi.csv"):
+        header, rows = read_table_csv(out / name)
+        assert header[:3] == ["x_0", "x_1", "mean_0" if name.startswith("pred") else "mean_0_c0"]
+        np.testing.assert_array_equal(rows[:, :2], everything)

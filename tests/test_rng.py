@@ -1,32 +1,32 @@
 import numpy as np
 import pytest
 
-from lastlayer.rng import make_rng, spawn_rngs, standard_normal
+from lastlayer.rng import make_rng, spawn_rngs
 
 
 def test_empty_draw():
-    assert standard_normal(make_rng(0), 0).shape == (0,)
+    assert make_rng(0).standard_normal(0).shape == (0,)
 
 
 def test_negative_count_rejected():
     with pytest.raises(ValueError):
-        standard_normal(make_rng(0), -1)
+        make_rng(0).standard_normal(-1)
 
 
 def test_same_seed_same_stream():
-    a = standard_normal(make_rng(123), 5)
-    b = standard_normal(make_rng(123), 5)
+    a = make_rng(123).standard_normal(5)
+    b = make_rng(123).standard_normal(5)
     np.testing.assert_array_equal(a, b)
 
 
 def test_distinct_seeds_differ():
-    a = standard_normal(make_rng(1), 100)
-    b = standard_normal(make_rng(2), 100)
+    a = make_rng(1).standard_normal(100)
+    b = make_rng(2).standard_normal(100)
     assert np.abs(a - b).max() > 0.0
 
 
 def test_moments_converge():
-    draws = standard_normal(make_rng(42), 100_000)
+    draws = make_rng(42).standard_normal(100_000)
     assert abs(draws.mean()) < 0.02
     assert abs(draws.var() - 1.0) < 0.05
 

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from lastlayer.autodiff import NonFiniteLoss
+from lastlayer.baselines import blr_fit, train_mse
 from lastlayer.bll import closed_form_wbar
 from lastlayer.data import Dataset
-from lastlayer.mlp import MlpSpec
+from lastlayer.mlp import MlpSpec, init_params
 from lastlayer.rng import make_rng
 from lastlayer.training import TrainConfig, train, fit_loop
+from lastlayer.vi import vi_train
 
 
 def _linear_dataset(seed=0, m=40, slope=2.0, noise=0.1):
@@ -73,6 +75,34 @@ class TestFitLoop:
 
         with pytest.raises(NonFiniteLoss, match="epoch 3"):
             fit_loop([np.asarray(0.0)], loss_and_grads, TrainConfig(max_epochs=10, patience=5))
+
+    def test_non_finite_monitor_reports_epoch(self):
+        def loss_and_grads(leaves):
+            return 1.0, [np.zeros(())]
+
+        values = iter([3.0, 2.0, float("nan")])
+        with pytest.raises(NonFiniteLoss, match="^epoch 2: monitor evaluated to nan"):
+            fit_loop(
+                [np.asarray(0.0)],
+                loss_and_grads,
+                TrainConfig(max_epochs=10, patience=5),
+                monitor=lambda leaves: next(values),
+            )
+
+    @pytest.mark.parametrize("trainer", ["bll", "mse", "blr", "vi"])
+    def test_every_trainer_reports_the_epoch_of_a_non_finite_objective(self, trainer):
+        # one Adam step of size ~1e300 overflows every objective at epoch 1
+        data = _linear_dataset(seed=9, m=20)
+        spec = MlpSpec(1, (3,), 1)
+        cfg = TrainConfig(max_epochs=50, patience=10, lr=1e300)
+        run = {
+            "bll": lambda: train(spec, data, cfg),
+            "mse": lambda: train_mse(spec, data, cfg),
+            "blr": lambda: blr_fit(init_params(spec, make_rng(1)), data, cfg),
+            "vi": lambda: vi_train(spec, data, cfg),
+        }[trainer]
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss, match="^epoch 1: "):
+            run()
 
 
 class TestTrain:

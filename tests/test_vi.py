@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lastlayer import autodiff as ad
 from lastlayer.data import Dataset
 from lastlayer.mlp import MlpSpec
 from lastlayer.rng import make_rng
@@ -11,7 +11,7 @@ from lastlayer.training import TrainConfig
 from lastlayer.vi import (
     GmmPredictive,
     ViParams,
-    _elbo_graph,
+    _negative_elbo,
     gmm_lpd,
     gmm_lpd_dataset,
     kl_diag_gaussian,
@@ -19,6 +19,8 @@ from lastlayer.vi import (
     vi_predict_batch,
     vi_train,
 )
+
+from oracles import finite_difference
 
 FAST = TrainConfig(max_epochs=1500, patience=300, lr=5e-3, seed=0)
 
@@ -66,9 +68,7 @@ class TestElboGraph:
         leaves = self._leaves(spec)
         shapes = spec.layer_shapes()
         eps = [[np.zeros(s) for s in shapes]]
-        value, _ = ad.value_and_grad(
-            lambda ts: _elbo_graph(ts, eps, data.x, data.t, spec, 0.5), leaves
-        )
+        value, _ = _negative_elbo(leaves, eps, data.x, data.t, spec, 0.5)
         # reference: deterministic forward at the means plus closed-form KL
         mus, rhos = leaves[:2], leaves[2:4]
         sig = [np.logaddexp(0.0, r) for r in rhos]
@@ -90,23 +90,50 @@ class TestElboGraph:
         leaves = self._leaves(spec, rho=-40.0)
         shapes = spec.layer_shapes()
         eps = [[make_rng(4).standard_normal(s) for s in shapes]]
-        _, grads = ad.value_and_grad(
-            lambda ts: _elbo_graph(ts, eps, data.x, data.t, spec, 0.5), leaves
-        )
+        _, grads = _negative_elbo(leaves, eps, data.x, data.t, spec, 0.5)
 
-        def deterministic(ts):
-            a = ad.tanh(ad.affine(ad.constant(data.x), ts[0]))
-            resid = ad.constant(data.t) - ad.affine(a, ts[1])
-            inv_sig2 = ad.exp(-2.0 * ad.constant(np.array([-0.1])))
-            nll = 0.5 * ad.tensor_sum(ad.tensor_sum(resid * resid, axis=0) * inv_sig2)
-            prior = (0.5 / 0.5) * ad.tensor_sum(ts[0] * ts[0]) + 0.5 * math.exp(
-                -2 * 0.2
-            ) * ad.tensor_sum(ts[1] * ts[1])
-            return (1.0 / data.m) * (nll + prior)
+        def deterministic(ws):
+            a = np.tanh(data.x @ ws[0][:-1] + ws[0][-1])
+            resid = data.t - (a @ ws[1][:-1] + ws[1][-1])
+            nll = 0.5 * math.exp(2 * 0.1) * np.sum(resid * resid)
+            prior = (0.5 / 0.5) * np.sum(ws[0] * ws[0]) + 0.5 * math.exp(-2 * 0.2) * np.sum(
+                ws[1] * ws[1]
+            )
+            return (nll + prior) / data.m
 
-        _, det_grads = ad.value_and_grad(deterministic, [leaves[0], leaves[1]])
+        det_grads = finite_difference(deterministic, [leaves[0], leaves[1]])
         np.testing.assert_allclose(grads[0], det_grads[0], atol=1e-8)
         np.testing.assert_allclose(grads[1], det_grads[1], atol=1e-8)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    activation=st.sampled_from(["tanh", "relu"]),
+    n_y=st.integers(1, 2),
+    depth=st.integers(1, 3),
+    n_mc=st.integers(1, 2),
+)
+def test_elbo_gradient_matches_finite_differences(seed, activation, n_y, depth, n_mc):
+    rng = np.random.default_rng(seed)
+    n_x = int(rng.integers(1, 3))
+    m = int(rng.integers(2, 7))
+    spec = MlpSpec(n_x, tuple(int(w) for w in rng.integers(1, 4, size=depth)), n_y, activation)
+    shapes = spec.layer_shapes()
+    leaves = (
+        [0.5 * rng.standard_normal(s) for s in shapes]
+        + [rng.uniform(-3.0, 0.5, size=s) for s in shapes]
+        + [rng.uniform(-1.0, 1.0, size=n_y), rng.uniform(-1.0, 0.5, size=n_y)]
+    )
+    eps = [[rng.standard_normal(s) for s in shapes] for _ in range(n_mc)]
+    data = Dataset(rng.standard_normal((m, n_x)), rng.standard_normal((m, n_y)))
+
+    def value(arrays):
+        return _negative_elbo(arrays, eps, data.x, data.t, spec, 0.5)[0]
+
+    _, grads = _negative_elbo(leaves, eps, data.x, data.t, spec, 0.5)
+    for g, f in zip(grads, finite_difference(value, leaves)):
+        np.testing.assert_allclose(g, f, rtol=1e-6, atol=1e-8)
 
 
 class TestGmmLpd:
