@@ -16,7 +16,7 @@ import numpy as np
 from .bll import BllModel, negative_lml, predict_batch, with_alpha
 from .data import Dataset
 
-__all__ = ["AlphaSearchConfig", "alpha_sweep", "lpd", "tune_alpha"]
+__all__ = ["AlphaSearchConfig", "alpha_sweep", "gaussian_log_density", "lpd", "tune_alpha"]
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -36,15 +36,20 @@ class AlphaSearchConfig:
             raise ValueError("span and tol must be positive")
 
 
-def lpd(model: BllModel, data: Dataset) -> float:
-    """Mean log-predictive density of the targets.
+def gaussian_log_density(mean: np.ndarray, var_t: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Per-row log density of the targets ``t`` under independent Gaussians.
 
-    Per-output Gaussian log densities are summed per sample (the outputs
-    are independent) and averaged over samples.
+    All arrays are (m, n_y); the per-output log densities are summed per row
+    because the outputs are independent.
     """
+    logp = -0.5 * (LOG_2PI + np.log(var_t) + (t - mean) ** 2 / var_t)
+    return logp.sum(axis=1)
+
+
+def lpd(model: BllModel, data: Dataset) -> float:
+    """Mean log-predictive density of the targets, averaged over samples."""
     mean, _, var_t = predict_batch(model, data.x)
-    logp = -0.5 * (LOG_2PI + np.log(var_t) + (data.t - mean) ** 2 / var_t)
-    return float(logp.sum(axis=1).mean())
+    return float(gaussian_log_density(mean, var_t, data.t).mean())
 
 
 def tune_alpha(

@@ -1,11 +1,10 @@
 """Command-line entry points.
 
 Subcommands: ``generate`` (write a benchmark dataset), ``run`` (train the
-selected methods and emit metrics/prediction artifacts), ``toy`` (the
-three-sample feature-space demo), ``sweep`` (alpha sweep for a trained
-model), ``report`` (print a metrics table).  Exit codes: 0 on success,
-2 when some methods failed but the run completed, 1 on configuration
-errors.
+selected methods and emit metrics, prediction and alpha-sweep artifacts),
+``toy`` (the three-sample feature-space demo), ``report`` (print a metrics
+table).  Exit codes: 0 on success, 2 when some methods failed but the run
+completed, 1 on configuration errors.
 """
 
 import argparse
@@ -13,21 +12,15 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .benchmarks import default_benchmark, sample_benchmark
-from .calibration import alpha_sweep
-from .data import write_splits_csv, write_table_csv
+from .data import write_splits_csv
 from .experiment import (
     ExperimentConfig,
     config_from_dict,
-    load_splits,
     render_metrics_table,
     run_experiment,
     toy_feature_demo,
 )
-from .mlp import MlpSpec
-from .training import train
 
 
 class ConfigError(Exception):
@@ -84,33 +77,6 @@ def _cmd_toy(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    config = _load_config(args)
-    try:
-        splits = load_splits(config)
-    except (FileNotFoundError, ValueError) as err:
-        raise ConfigError(str(err)) from err
-    spec = MlpSpec(
-        input_dim=splits["train"].n_x,
-        hidden=config.hidden,
-        output_dim=splits["train"].n_y,
-        activation=config.activation,
-    )
-    model, _ = train(spec, splits["train"], config.train_config())
-    grid = np.linspace(
-        model.hyper.log_alpha,
-        model.hyper.log_alpha + config.alpha_search.span,
-        config.sweep_points,
-    )
-    rows = alpha_sweep(model, splits["train"], splits, grid)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "alpha_sweep.csv"
-    write_table_csv(path, list(rows[0].keys()), [list(r.values()) for r in rows])
-    print(f"wrote {path}")
-    return 0
-
-
 def _cmd_report(args) -> int:
     path = Path(args.out or "out") / "metrics.json"
     if args.config:
@@ -132,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("generate", _cmd_generate, "write the benchmark dataset CSV"),
         ("run", _cmd_run, "train methods and emit metrics and predictions"),
         ("toy", _cmd_toy, "three-sample feature-space demo bundle"),
-        ("sweep", _cmd_sweep, "alpha sweep table for a trained model"),
         ("report", _cmd_report, "print the metrics table for a finished run"),
     ]:
         cmd = sub.add_parser(name, help=help_text)

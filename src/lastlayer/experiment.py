@@ -23,7 +23,8 @@ from .affine import affine_cost_closed
 from .baselines import blr_fit, train_mse
 from .benchmarks import default_benchmark, sample_benchmark, toy_three_point
 from .bll import BllModel, negative_lml, predict_batch, with_alpha
-from .calibration import AlphaSearchConfig, alpha_sweep, lpd, tune_alpha
+from .calibration import AlphaSearchConfig, alpha_sweep, gaussian_log_density, tune_alpha
+from .calibration import lpd  # noqa: F401 - unused here, but perfbench's tracer patches this name
 from .data import Dataset, read_splits_csv, write_splits_csv, write_table_csv
 from .mlp import MlpSpec, forward_batch
 from .rng import make_rng
@@ -33,6 +34,7 @@ from .vi import gmm_log_density, vi_predict_batch, vi_train
 __all__ = ["ExperimentConfig", "config_hash", "run_experiment", "toy_feature_demo"]
 
 VI_PREDICT_SAMPLES = 100
+SPLITS = ("train", "val", "test")
 
 
 def benchmark_train_config() -> TrainConfig:
@@ -91,45 +93,29 @@ def load_splits(config: ExperimentConfig) -> dict[str, Dataset]:
         splits = read_splits_csv(path)
     else:
         splits = sample_benchmark(default_benchmark(), config.seed)
-    for required in ("train", "val", "test"):
+    for required in SPLITS:
         if required not in splits:
             raise ValueError(f"dataset is missing the {required!r} split")
     return splits
 
 
-def _write_predictions(path, model: BllModel, data: Dataset) -> None:
-    mean, var_y, var_t = predict_batch(model, data.x)
+def _write_predictions(path, x, mean, var_y, var_t) -> None:
+    """One row per input: the inputs, predictive means and both spreads."""
+    n_x, n_y = x.shape[1], mean.shape[1]
     header = (
-        [f"x_{i}" for i in range(data.n_x)]
-        + [f"mean_{j}" for j in range(data.n_y)]
-        + [f"sd_y_{j}" for j in range(data.n_y)]
-        + [f"sd_t_{j}" for j in range(data.n_y)]
-    )
-    rows = [
-        [*data.x[i], *mean[i], *np.sqrt(var_y[i]), *np.sqrt(var_t[i])]
-        for i in range(data.m)
-    ]
-    write_table_csv(path, header, rows)
-
-
-def _write_curve(path, model: BllModel, x_grid: np.ndarray, n_y: int) -> None:
-    mean, var_y, var_t = predict_batch(model, x_grid)
-    header = (
-        ["x_0"]
+        [f"x_{i}" for i in range(n_x)]
         + [f"mean_{j}" for j in range(n_y)]
         + [f"sd_y_{j}" for j in range(n_y)]
         + [f"sd_t_{j}" for j in range(n_y)]
     )
-    rows = [
-        [x_grid[i, 0], *mean[i], *np.sqrt(var_y[i]), *np.sqrt(var_t[i])]
-        for i in range(x_grid.shape[0])
-    ]
-    write_table_csv(path, header, rows)
+    write_table_csv(path, header, np.hstack([x, mean, np.sqrt(var_y), np.sqrt(var_t)]))
 
 
-def _mse(model: BllModel, data: Dataset) -> float:
-    mean, _, _ = predict_batch(model, data.x)
-    return float(np.mean((data.t - mean) ** 2))
+def _write_alpha_sweep(path, model: BllModel, splits, span: float, points: int) -> None:
+    """Objective and per-split LPD over ``points`` log-alphas above the trained one."""
+    log_grid = np.linspace(model.hyper.log_alpha, model.hyper.log_alpha + span, points)
+    rows = alpha_sweep(model, splits["train"], splits, log_grid)
+    write_table_csv(path, list(rows[0].keys()), [list(r.values()) for r in rows])
 
 
 def _nlml_on(model: BllModel, data: Dataset) -> float:
@@ -140,52 +126,69 @@ def _nlml_on(model: BllModel, data: Dataset) -> float:
 
 
 def _stack_all(splits: dict[str, Dataset]) -> Dataset:
-    xs = np.concatenate([splits[k].x for k in ("train", "val", "test")])
-    ts = np.concatenate([splits[k].t for k in ("train", "val", "test")])
+    xs = np.concatenate([splits[k].x for k in SPLITS])
+    ts = np.concatenate([splits[k].t for k in SPLITS])
     return Dataset(xs, ts)
 
 
-def _score_bll_variant(tag, model, splits, metrics):
-    metrics[f"{tag}.train_mse"] = _mse(model, splits["train"])
-    metrics[f"{tag}.test_mse"] = _mse(model, splits["test"])
-    metrics[f"{tag}.train_nlml"] = _nlml_on(model, splits["train"])
-    metrics[f"{tag}.train_lpd"] = lpd(model, splits["train"])
-    metrics[f"{tag}.val_lpd"] = lpd(model, splits["val"])
-    metrics[f"{tag}.test_lpd"] = lpd(model, splits["test"])
+def _score(tag, splits, mean, log_density, metrics) -> None:
+    """Per-split LPD and MSE from per-row arrays over the stacked splits."""
+    start = 0
+    for name in SPLITS:
+        seg = slice(start, start + splits[name].m)
+        start = seg.stop
+        metrics[f"{tag}.{name}_lpd"] = float(log_density[seg].mean())
+        metrics[f"{tag}.{name}_mse"] = float(np.mean((splits[name].t - mean[seg]) ** 2))
 
 
 def _run_lml_method(name, config, splits, out_dir, metrics, trainer):
     """Shared flow for the two marginal-likelihood methods (joint and frozen)."""
     model_star, _ = trainer()
-    alpha_max, model_max = tune_alpha(model_star, splits["val"], config.alpha_search)
+    search = config.alpha_search
+    alpha_max, model_max = tune_alpha(model_star, splits["val"], search)
     metrics[f"{name}.alpha_star"] = model_star.alpha
     metrics[f"{name}.alpha_max"] = alpha_max
+    climb = math.log(alpha_max) - model_star.hyper.log_alpha
+    metrics[f"{name}.alpha_max_at_bound"] = float(climb >= search.span - search.tol)
     for j, sig in enumerate(model_star.sigma_e):
         metrics[f"{name}.sigma_e_{j}"] = float(sig)
     metrics[f"{name}.wbar_gap"] = model_star.wbar_gap
-    _score_bll_variant(f"{name}_alpha_star", model_star, splits, metrics)
-    _score_bll_variant(f"{name}_alpha_max", model_max, splits, metrics)
 
     everything = _stack_all(splits)
-    _write_predictions(out_dir / f"predictions_{name}_alpha_star.csv", model_star, everything)
-    _write_predictions(out_dir / f"predictions_{name}_alpha_max.csv", model_max, everything)
-    if everything.n_x == 1:  # a dense curve over one input; no single axis exists otherwise
-        grid = np.linspace(splits["test"].x.min(), splits["test"].x.max(), 400).reshape(-1, 1)
-        _write_curve(out_dir / f"curve_{name}_alpha_star.csv", model_star, grid, everything.n_y)
-        _write_curve(out_dir / f"curve_{name}_alpha_max.csv", model_max, grid, everything.n_y)
+    for tag, model in (("alpha_star", model_star), ("alpha_max", model_max)):
+        variant = f"{name}_{tag}"
+        mean, var_y, var_t = predict_batch(model, everything.x)
+        metrics[f"{variant}.train_nlml"] = _nlml_on(model, splits["train"])
+        _score(variant, splits, mean, gaussian_log_density(mean, var_t, everything.t), metrics)
+        _write_predictions(out_dir / f"predictions_{variant}.csv", everything.x, mean, var_y, var_t)
+        if everything.n_x == 1:  # a dense curve over one input; no single axis exists otherwise
+            grid = np.linspace(splits["test"].x.min(), splits["test"].x.max(), 400).reshape(-1, 1)
+            _write_predictions(out_dir / f"curve_{variant}.csv", grid, *predict_batch(model, grid))
+    _write_alpha_sweep(
+        out_dir / f"alpha_sweep_{name}.csv", model_star, splits, search.span, config.sweep_points
+    )
 
-    log_grid = np.linspace(
-        model_star.hyper.log_alpha,
-        model_star.hyper.log_alpha + config.alpha_search.span,
-        config.sweep_points,
-    )
-    rows = alpha_sweep(model_star, splits["train"], splits, log_grid)
-    write_table_csv(
-        out_dir / f"alpha_sweep_{name}.csv",
-        list(rows[0].keys()),
-        [list(r.values()) for r in rows],
-    )
-    return model_star, model_max
+
+def _run_vi(config, train_cfg, spec, splits, out_dir, metrics):
+    model, history = vi_train(spec, splits["train"], train_cfg)
+    metrics["vi.train_nlml"] = history.train_objective[history.best_epoch]
+    for j, sig in enumerate(model.sigma_e):
+        metrics[f"vi.sigma_e_{j}"] = float(sig)
+
+    everything = _stack_all(splits)
+    rng = make_rng(config.seed + 7)
+    means, noise_var = vi_predict_batch(model, everything.x, VI_PREDICT_SAMPLES, rng)
+    for j, var in enumerate(noise_var):
+        metrics[f"vi.noise_var_{j}"] = float(var)
+    mean, var_y = means.mean(axis=0), means.var(axis=0)
+    _score("vi", splits, mean, gmm_log_density(means, noise_var, everything.t), metrics)
+    _write_predictions(out_dir / "predictions_vi.csv", everything.x, mean, var_y, var_y + noise_var)
+
+    comp_header = [f"x_{i}" for i in range(everything.n_x)] + [
+        f"mean_{j}_c{c}" for c in range(VI_PREDICT_SAMPLES) for j in range(everything.n_y)
+    ]
+    per_row = means.transpose(1, 0, 2).reshape(everything.m, -1)  # component-major columns
+    write_table_csv(out_dir / "components_vi.csv", comp_header, np.hstack([everything.x, per_row]))
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
@@ -209,44 +212,28 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
     metrics: dict = {}
     errors: dict[str, str] = {}
 
-    if "bll" in config.methods:
+    # Trainers are looked up in this module at call time, so they can be
+    # replaced on it.
+    def fit_blr():
+        mse_params, _ = train_mse(spec, splits["train"], train_cfg)
+        return blr_fit(mse_params, splits["train"], train_cfg)
+
+    runners = {
+        "bll": lambda: _run_lml_method(
+            "bll", config, splits, out_dir, metrics, lambda: train(spec, splits["train"], train_cfg)
+        ),
+        "blr": lambda: _run_lml_method("blr", config, splits, out_dir, metrics, fit_blr),
+        "vi": lambda: _run_vi(config, train_cfg, spec, splits, out_dir, metrics),
+    }
+    for name, runner in runners.items():
+        if name not in config.methods:
+            continue
         started = time.perf_counter()
         try:
-            _run_lml_method(
-                "bll",
-                config,
-                splits,
-                out_dir,
-                metrics,
-                trainer=lambda: train(spec, splits["train"], train_cfg),
-            )
-            print(f"bll finished in {time.perf_counter() - started:.1f}s")
+            runner()
+            print(f"{name} finished in {time.perf_counter() - started:.1f}s")
         except Exception as err:  # noqa: BLE001 - failures become report entries
-            errors["bll"] = f"{type(err).__name__}: {err}"
-
-    if "blr" in config.methods:
-        started = time.perf_counter()
-        try:
-            mse_params, _ = train_mse(spec, splits["train"], train_cfg)
-            _run_lml_method(
-                "blr",
-                config,
-                splits,
-                out_dir,
-                metrics,
-                trainer=lambda: blr_fit(mse_params, splits["train"], train_cfg),
-            )
-            print(f"blr finished in {time.perf_counter() - started:.1f}s")
-        except Exception as err:  # noqa: BLE001
-            errors["blr"] = f"{type(err).__name__}: {err}"
-
-    if "vi" in config.methods:
-        started = time.perf_counter()
-        try:
-            _run_vi(config, train_cfg, spec, splits, out_dir, metrics)
-            print(f"vi finished in {time.perf_counter() - started:.1f}s")
-        except Exception as err:  # noqa: BLE001
-            errors["vi"] = f"{type(err).__name__}: {err}"
+            errors[name] = f"{type(err).__name__}: {err}"
 
     for name, message in errors.items():
         metrics[f"errors.{name}"] = message
@@ -259,59 +246,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
         json.dump(metrics, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return metrics, (2 if errors else 0)
-
-
-def _run_vi(config, train_cfg, spec, splits, out_dir, metrics):
-    model, history = vi_train(spec, splits["train"], train_cfg)
-    metrics["vi.train_nlml"] = history.train_objective[history.best_epoch]
-    for j, sig in enumerate(model.sigma_e):
-        metrics[f"vi.sigma_e_{j}"] = float(sig)
-
-    everything = _stack_all(splits)
-    rng = make_rng(config.seed + 7)
-    means, noise_var = vi_predict_batch(model, everything.x, VI_PREDICT_SAMPLES, rng)
-    mixture_mean = means.mean(axis=0)
-    mixture_var = means.var(axis=0) + noise_var
-
-    sizes = [splits[k].m for k in ("train", "val", "test")]
-    edges = np.cumsum([0, *sizes])
-    names = ("train", "val", "test")
-    per_point = gmm_log_density(means, noise_var, everything.t)
-    for k, name in enumerate(names):
-        seg = slice(edges[k], edges[k + 1])
-        metrics[f"vi.{name}_lpd"] = float(per_point[seg].mean())
-        metrics[f"vi.{name}_mse"] = float(
-            np.mean((everything.t[seg] - mixture_mean[seg]) ** 2)
-        )
-
-    header = (
-        [f"x_{i}" for i in range(everything.n_x)]
-        + [f"mean_{j}" for j in range(everything.n_y)]
-        + [f"sd_y_{j}" for j in range(everything.n_y)]
-        + [f"sd_t_{j}" for j in range(everything.n_y)]
-    )
-    rows = [
-        [
-            *everything.x[i],
-            *mixture_mean[i],
-            *np.sqrt(means.var(axis=0)[i]),
-            *np.sqrt(mixture_var[i]),
-        ]
-        for i in range(everything.m)
-    ]
-    write_table_csv(out_dir / "predictions_vi.csv", header, rows)
-
-    comp_header = [f"x_{i}" for i in range(everything.n_x)] + [
-        f"mean_{j}_c{c}" for c in range(VI_PREDICT_SAMPLES) for j in range(everything.n_y)
-    ]
-    comp_rows = [
-        [*everything.x[i]]
-        + [means[c, i, j] for c in range(VI_PREDICT_SAMPLES) for j in range(everything.n_y)]
-        for i in range(everything.m)
-    ]
-    write_table_csv(out_dir / "components_vi.csv", comp_header, comp_rows)
-    for j in range(everything.n_y):
-        metrics[f"vi.noise_var_{j}"] = float(noise_var[j])
 
 
 def toy_feature_demo(seed: int, out_dir) -> dict:
@@ -344,7 +278,7 @@ def toy_feature_demo(seed: int, out_dir) -> dict:
         "alpha_large": with_alpha(model, alpha_max * 50.0),
     }
     for tag, mdl in variants.items():
-        _write_curve(out_dir / f"toy_predictions_{tag}.csv", mdl, x_grid, 1)
+        _write_predictions(out_dir / f"toy_predictions_{tag}.csv", x_grid, *predict_batch(mdl, x_grid))
 
     _, feats_train = forward_batch(model.params, model.x_scaler.transform(splits["train"].x))
     _, feats_grid = forward_batch(model.params, model.x_scaler.transform(x_grid))
@@ -371,15 +305,7 @@ def toy_feature_demo(seed: int, out_dir) -> dict:
         )
     write_table_csv(out_dir / "toy_affine_grid.csv", ["phi_0", "phi_1", "cost"], cost_rows)
 
-    log_grid = np.linspace(
-        model.hyper.log_alpha, model.hyper.log_alpha + 15.0, 41
-    )
-    sweep_rows = alpha_sweep(model, splits["train"], splits, log_grid)
-    write_table_csv(
-        out_dir / "toy_alpha_sweep.csv",
-        list(sweep_rows[0].keys()),
-        [list(r.values()) for r in sweep_rows],
-    )
+    _write_alpha_sweep(out_dir / "toy_alpha_sweep.csv", model, splits, 15.0, 41)
     return {
         "alpha_star": model.alpha,
         "alpha_max": alpha_max,

@@ -56,6 +56,9 @@ def test_run_emits_metrics_and_predictions(tmp_path):
     assert metrics["bll.alpha_max"] >= metrics["bll.alpha_star"]
     for name in ["dataset.csv", "predictions_bll_alpha_star.csv", "alpha_sweep_bll.csv"]:
         assert (out / name).exists()
+    header, rows = read_table_csv(out / "alpha_sweep_bll.csv")
+    assert header[:2] == ["log_alpha", "nlml_train"]
+    assert rows.shape[0] == config["sweep_points"]
 
 
 def test_report_prints_table(tmp_path, capsys):
@@ -80,8 +83,11 @@ def test_metrics_lpd_recomputable_from_prediction_files(tmp_path):
     per_point = logp.sum(axis=1)
     edges = np.cumsum([0, splits["train"].m, splits["val"].m, splits["test"].m])
     for i, name in enumerate(("train", "val", "test")):
-        recomputed = float(per_point[edges[i] : edges[i + 1]].mean())
+        seg = slice(edges[i], edges[i + 1])
+        recomputed = float(per_point[seg].mean())
         assert recomputed == pytest.approx(metrics[f"bll_alpha_max.{name}_lpd"], abs=1e-9)
+        mse = float(np.mean((targets[seg] - mean[seg]) ** 2))
+        assert mse == pytest.approx(metrics[f"bll_alpha_max.{name}_mse"], rel=1e-12)
 
 
 def test_vi_lpd_recomputable_from_component_file(tmp_path):
@@ -159,14 +165,6 @@ def test_missing_metrics_report_is_config_error(tmp_path):
     assert cli.main(["report", "--out", str(tmp_path)]) == 1
 
 
-def test_sweep_writes_table(tmp_path):
-    config_path, _ = _small_config(tmp_path)
-    assert cli.main(["sweep", "--config", str(config_path)]) == 0
-    header, rows = read_table_csv(tmp_path / "out" / "alpha_sweep.csv")
-    assert header[:2] == ["log_alpha", "nlml_train"]
-    assert rows.shape[0] == 5
-
-
 def test_two_input_run_writes_every_input_and_no_curves(tmp_path):
     from lastlayer.data import Dataset, write_splits_csv
 
@@ -197,6 +195,10 @@ def test_two_input_run_writes_every_input_and_no_curves(tmp_path):
             "predictions_vi.csv",
         ]
     )
+    metrics = json.loads((out / "metrics.json").read_text())
+    # both searches end at the top of their log-alpha span on this dataset
+    assert metrics["bll.alpha_max_at_bound"] == 1.0
+    assert metrics["blr.alpha_max_at_bound"] == 1.0
     everything = np.concatenate([splits[k].x for k in ("train", "val", "test")])
     for name in ("predictions_bll_alpha_star.csv", "predictions_vi.csv", "components_vi.csv"):
         header, rows = read_table_csv(out / name)

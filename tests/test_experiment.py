@@ -1,11 +1,16 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lastlayer.data import read_table_csv
 from lastlayer.experiment import (
     ExperimentConfig,
+    _write_predictions,
     config_from_dict,
     config_hash,
     toy_feature_demo,
@@ -84,3 +89,33 @@ class TestConfig:
     def test_train_config_threads_seed(self):
         config = ExperimentConfig(seed=5)
         assert config.train_config().seed == 5
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    m=st.integers(1, 4),
+    n_x=st.integers(1, 3),
+    n_y=st.integers(1, 3),
+)
+def test_prediction_csv_round_trips_header_and_exact_doubles(data, m, n_x, n_y):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    variance = st.floats(min_value=0.0, allow_infinity=False)
+    x = data.draw(arrays(float, (m, n_x), elements=finite))
+    mean = data.draw(arrays(float, (m, n_y), elements=finite))
+    var_y = data.draw(arrays(float, (m, n_y), elements=variance))
+    var_t = data.draw(arrays(float, (m, n_y), elements=variance))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "predictions.csv"
+        _write_predictions(path, x, mean, var_y, var_t)
+        header, rows = read_table_csv(path)
+    assert header == (
+        [f"x_{i}" for i in range(n_x)]
+        + [f"mean_{j}" for j in range(n_y)]
+        + [f"sd_y_{j}" for j in range(n_y)]
+        + [f"sd_t_{j}" for j in range(n_y)]
+    )
+    expected = np.array(
+        [[*x[i], *mean[i], *np.sqrt(var_y[i]), *np.sqrt(var_t[i])] for i in range(m)]
+    )
+    assert rows.tobytes() == expected.tobytes()  # bit for bit, signed zeros included
