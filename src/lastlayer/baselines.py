@@ -89,7 +89,7 @@ def blr_fit(
     n_y = train_data.n_y
     leaves = [
         frozen.wbar.copy(),
-        np.asarray(cfg.init_log_alpha, dtype=float),
+        np.asarray(0.0),
         np.full(n_y, cfg.init_log_sigma_e, dtype=float),
     ]
 

@@ -69,12 +69,6 @@ class BllHyper:
     def n_y(self) -> int:
         return self.log_sigma_e.shape[0]
 
-    def clipped(self, bound: float = HYPER_CLAMP) -> "BllHyper":
-        return BllHyper(
-            float(np.clip(self.log_alpha, -bound, bound)),
-            np.clip(self.log_sigma_e, -bound, bound),
-        )
-
 
 def masked_identity(n_phi: int, flat_bias: bool = True) -> np.ndarray:
     """Prior precision pattern: identity, bias entry zeroed when flat."""

@@ -23,8 +23,7 @@ from .affine import affine_cost_closed
 from .baselines import blr_fit, train_mse
 from .benchmarks import default_benchmark, sample_benchmark, toy_three_point
 from .bll import BllModel, negative_lml, predict_batch, with_alpha
-from .calibration import AlphaSearchConfig, alpha_sweep, gaussian_log_density, tune_alpha
-from .calibration import lpd  # noqa: F401 - unused here, but perfbench's tracer patches this name
+from .calibration import AlphaSearchConfig, alpha_sweep, gaussian_log_density, lpd, tune_alpha
 from .data import Dataset, read_splits_csv, write_splits_csv, write_table_csv
 from .mlp import MlpSpec, forward_batch
 from .rng import make_rng
@@ -78,9 +77,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    """Hash of everything that influences results (output location excluded)."""
+    """Hash of everything that influences results (output location excluded).
+
+    A dataset file enters by the sha256 of its bytes, not by its path.
+    """
     payload = asdict(config)
     payload.pop("out_dir")
+    if config.dataset_path is not None:
+        payload["dataset_path"] = hashlib.sha256(Path(config.dataset_path).read_bytes()).hexdigest()
     blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
@@ -148,8 +152,11 @@ def _run_lml_method(name, config, splits, out_dir, metrics, trainer):
     alpha_max, model_max = tune_alpha(model_star, splits["val"], search)
     metrics[f"{name}.alpha_star"] = model_star.alpha
     metrics[f"{name}.alpha_max"] = alpha_max
-    climb = math.log(alpha_max) - model_star.hyper.log_alpha
-    metrics[f"{name}.alpha_max_at_bound"] = float(climb >= search.span - search.tol)
+    # At the bound when the top of the search span scores at least as well as
+    # the chosen alpha, whether or not max_evals stopped the search short of it.
+    at_top = with_alpha(model_star, math.exp(model_star.hyper.log_alpha + search.span))
+    at_bound = lpd(at_top, splits["val"]) >= lpd(model_max, splits["val"])
+    metrics[f"{name}.alpha_max_at_bound"] = float(at_bound)
     for j, sig in enumerate(model_star.sigma_e):
         metrics[f"{name}.sigma_e_{j}"] = float(sig)
     metrics[f"{name}.wbar_gap"] = model_star.wbar_gap

@@ -44,16 +44,6 @@ class MlpSpec:
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
-    @property
-    def n_linear_features(self) -> int:
-        """Width of the last hidden layer."""
-        return self.hidden[-1]
-
-    @property
-    def n_features(self) -> int:
-        """Width of the affine feature vector (last hidden layer plus bias)."""
-        return self.hidden[-1] + 1
-
     def layer_shapes(self) -> list[tuple[int, int]]:
         dims = [self.input_dim, *self.hidden, self.output_dim]
         return [(dims[i] + 1, dims[i + 1]) for i in range(len(dims) - 1)]

@@ -1,4 +1,4 @@
-"""Adam optimizer with bias correction.
+"""Adam optimizer with bias correction, at its published constants.
 
 Functional style: a step returns fresh parameter arrays and a new state,
 so snapshots of past parameters (for early stopping) stay valid.
@@ -10,6 +10,10 @@ import numpy as np
 
 __all__ = ["AdamState", "adam_init", "adam_step"]
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class AdamState:
@@ -17,20 +21,11 @@ class AdamState:
     m: tuple[np.ndarray, ...]
     v: tuple[np.ndarray, ...]
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
 
 
-def adam_init(
-    params: list[np.ndarray],
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> AdamState:
+def adam_init(params: list[np.ndarray], lr: float = 1e-3) -> AdamState:
     zeros = tuple(np.zeros_like(p) for p in params)
-    return AdamState(0, zeros, tuple(np.zeros_like(p) for p in params), lr, beta1, beta2, eps)
+    return AdamState(0, zeros, tuple(np.zeros_like(p) for p in params), lr)
 
 
 def adam_step(
@@ -40,18 +35,15 @@ def adam_step(
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ValueError("parameter/gradient count mismatch")
     t = state.step + 1
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - BETA1**t
+    c2 = 1.0 - BETA2**t
     new_m, new_v, new_p = [], [], []
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape:
             raise ValueError("gradient shape mismatch")
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * g * g
         new_m.append(m)
         new_v.append(v)
-        new_p.append(p - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps))
-    new_state = AdamState(
-        t, tuple(new_m), tuple(new_v), state.lr, state.beta1, state.beta2, state.eps
-    )
-    return new_state, new_p
+        new_p.append(p - state.lr * (m / c1) / (np.sqrt(v / c2) + EPS))
+    return AdamState(t, tuple(new_m), tuple(new_v), state.lr), new_p

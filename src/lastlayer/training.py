@@ -35,13 +35,8 @@ class TrainConfig:
     max_epochs: int = 20000
     patience: int = 200
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     val_fraction: float | None = 0.2
-    log_every: int = 0
-    init_log_alpha: float = 0.0
     init_log_sigma_e: float = 0.0
 
     def __post_init__(self):
@@ -78,7 +73,7 @@ def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=N
         NonFiniteLoss: naming the epoch, when the objective or the monitor is
             NaN or infinite.
     """
-    state = adam_init(leaves, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    state = adam_init(leaves, cfg.lr)
     history = TrainHistory(val_objective=None if monitor is None else [])
     best_value = np.inf
     best_leaves = [a.copy() for a in leaves]
@@ -101,8 +96,6 @@ def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=N
             best_leaves = [a.copy() for a in leaves]
         elif epoch - history.best_epoch > cfg.patience:
             break
-        if cfg.log_every and epoch % cfg.log_every == 0:
-            print(f"epoch {epoch}: objective {value:.6f} monitor {crit:.6f}")
         state, leaves = adam_step(state, leaves, grads)
         if post_step is not None:
             leaves = post_step(leaves)
@@ -172,7 +165,7 @@ def train(
     n_y = train_data.n_y
     leaves = [
         *params0.weights,
-        np.asarray(cfg.init_log_alpha, dtype=float),
+        np.asarray(0.0),
         np.full(n_y, cfg.init_log_sigma_e, dtype=float),
     ]
     n_w = len(params0.weights)

@@ -25,19 +25,17 @@ from .rng import spawn_rngs
 from .training import TrainConfig, TrainHistory, clamp_hyper_tail, fit_loop, standardized_splits
 
 __all__ = [
-    "GmmPredictive",
     "ViModel",
     "ViParams",
     "gmm_log_density",
-    "gmm_lpd",
     "kl_diag_gaussian",
-    "vi_predict",
     "vi_predict_batch",
     "vi_train",
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
 RHO_INIT = math.log(math.expm1(0.05))  # softplus(rho) = 0.05 at init
+HIDDEN_PRIOR_VAR = 0.5  # fixed zero-mean prior variance of the hidden-layer weights
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,6 @@ class ViParams:
     rhos: tuple[np.ndarray, ...]
     log_prior_spread: np.ndarray  # last-layer prior, one entry per output
     log_sigma_e: np.ndarray
-    hidden_prior_var: float
     activation: str = "tanh"
 
     @property
@@ -68,14 +65,6 @@ class ViModel:
         return np.exp(self.params.log_sigma_e) * self.t_scaler.scale
 
 
-@dataclass(frozen=True)
-class GmmPredictive:
-    """Uniform Gaussian mixture: component means plus shared noise variance."""
-
-    means: np.ndarray  # (n_components, n_y)
-    noise_var: np.ndarray  # (n_y,)
-
-
 def kl_diag_gaussian(mu: np.ndarray, sigma: np.ndarray, prior_sigma) -> float:
     """KL(N(mu, sigma^2) || N(0, prior_sigma^2)), summed over entries."""
     mu = np.asarray(mu, dtype=float)
@@ -86,10 +75,22 @@ def kl_diag_gaussian(mu: np.ndarray, sigma: np.ndarray, prior_sigma) -> float:
     )
 
 
-def _negative_elbo(leaves, eps_sets, x, t, spec: MlpSpec, hidden_prior_var: float):
-    """Negative ELBO / m and its gradient; one entry of eps_sets per MC draw.
+def _unpack(leaves, activation: str) -> ViParams:
+    """Read the leaf layout [mus..., rhos..., log_prior_spread, log_sigma_e]."""
+    n_layers = (len(leaves) - 2) // 2
+    return ViParams(
+        mus=tuple(leaves[:n_layers]),
+        rhos=tuple(leaves[n_layers : 2 * n_layers]),
+        log_prior_spread=leaves[2 * n_layers],
+        log_sigma_e=leaves[2 * n_layers + 1],
+        activation=activation,
+    )
 
-    Each draw evaluates the network at W = mu + sigma * eps, so the data
+
+def _negative_elbo(leaves, eps, x, t, spec: MlpSpec):
+    """Negative ELBO / m and its gradient at one Monte Carlo draw ``eps``.
+
+    The draw evaluates the network at W = mu + sigma * eps, so the data
     term's weight gradient dW reaches mu as is and rho as dW * eps *
     sigmoid(rho) (Bayes by Backprop).  The KL term against the priors is
     closed form, and so is its gradient.
@@ -97,19 +98,17 @@ def _negative_elbo(leaves, eps_sets, x, t, spec: MlpSpec, hidden_prior_var: floa
     Returns:
         The value and one gradient array per leaf, in leaf order.
     """
-    n_layers = len(spec.layer_shapes())
-    mus = leaves[:n_layers]
-    rhos = leaves[n_layers : 2 * n_layers]
-    log_prior_spread = leaves[2 * n_layers]
-    log_sigma_e = leaves[2 * n_layers + 1]
+    params = _unpack(leaves, spec.activation)
+    mus, rhos, sigmas = params.mus, params.rhos, params.sigmas
+    log_prior_spread, log_sigma_e = params.log_prior_spread, params.log_sigma_e
+    n_layers = len(mus)
     m, n_y = t.shape
-    sigmas = [np.logaddexp(0.0, r) for r in rhos]
 
     # KL(q || prior): fixed zero-mean prior on hidden layers, learned
     # per-output spread on the last layer.
-    inv_priors = [1.0 / hidden_prior_var] * (n_layers - 1) + [np.exp(-2.0 * log_prior_spread)]
+    inv_priors = [1.0 / HIDDEN_PRIOR_VAR] * (n_layers - 1) + [np.exp(-2.0 * log_prior_spread)]
     rows = mus[-1].shape[0]
-    kl = rows * np.sum(log_prior_spread) + 0.5 * math.log(hidden_prior_var) * sum(
+    kl = rows * np.sum(log_prior_spread) + 0.5 * math.log(HIDDEN_PRIOR_VAR) * sum(
         mu.size for mu in mus[:-1]
     )
     g_mus, g_sigmas = [], []
@@ -123,32 +122,26 @@ def _negative_elbo(leaves, eps_sets, x, t, spec: MlpSpec, hidden_prior_var: floa
         g_sigmas.append(sigma * inv_prior - 1.0 / sigma)
     g_log_prior_spread = rows - np.sum(sigmas[-1] ** 2 + mus[-1] ** 2, axis=0) * inv_priors[-1]
 
-    # Monte Carlo negative log-likelihood, averaged over the draws.
+    # Monte Carlo negative log-likelihood at the one draw.
     inv_sig2 = np.exp(-2.0 * log_sigma_e)
-    n_draws = len(eps_sets)
-    nll = 0.0
-    g_log_sigma_e = np.zeros_like(log_sigma_e)
-    for eps in eps_sets:
-        weights = [mu + sigma * e for mu, sigma, e in zip(mus, sigmas, eps)]
-        acts = forward_layers(MlpParams(tuple(weights), spec.activation), x)
-        resid = t - acts[-1]
-        misfit = np.sum(resid * resid, axis=0) * inv_sig2
-        nll += 0.5 * m * n_y * LOG_2PI + m * np.sum(log_sigma_e) + 0.5 * np.sum(misfit)
-        g_log_sigma_e += (m - misfit) / n_draws
-        d_y = (-1.0 / n_draws) * resid * inv_sig2
-        d_weights = mlp_backward(weights, acts, d_y, None, spec.activation)
-        for k, (d_w, e) in enumerate(zip(d_weights, eps)):
-            g_mus[k] += d_w
-            g_sigmas[k] += d_w * e
+    weights = [mu + sigma * e for mu, sigma, e in zip(mus, sigmas, eps)]
+    acts = forward_layers(MlpParams(tuple(weights), spec.activation), x)
+    resid = t - acts[-1]
+    misfit = np.sum(resid * resid, axis=0) * inv_sig2
+    nll = 0.5 * m * n_y * LOG_2PI + m * np.sum(log_sigma_e) + 0.5 * np.sum(misfit)
+    d_weights = mlp_backward(weights, acts, -resid * inv_sig2, None, spec.activation)
+    for k, (d_w, e) in enumerate(zip(d_weights, eps)):
+        g_mus[k] += d_w
+        g_sigmas[k] += d_w * e
 
     sigmoids = [0.5 * (1.0 + np.tanh(0.5 * r)) for r in rhos]
     grads = [
         *g_mus,
         *(g * sig for g, sig in zip(g_sigmas, sigmoids)),
         g_log_prior_spread,
-        g_log_sigma_e,
+        m - misfit,
     ]
-    value = float((nll / n_draws + kl) / m)
+    value = float((nll + kl) / m)
     return value, [g / m for g in grads]
 
 
@@ -156,17 +149,14 @@ def vi_train(
     spec: MlpSpec,
     train_data: Dataset,
     cfg: TrainConfig,
-    n_mc: int = 1,
     val_data: Dataset | None = None,
-    hidden_prior_var: float = 0.5,
 ) -> tuple[ViModel, TrainHistory]:
     """Fit the surrogate posterior by minimizing the negative ELBO.
 
-    The early-stopping monitor is the validation negative log-likelihood at
-    the surrogate means, which is deterministic and cheap.
+    Each step draws one reparameterized weight sample.  The early-stopping
+    monitor is the validation negative log-likelihood at the surrogate
+    means, which is deterministic and cheap.
     """
-    if n_mc < 1:
-        raise ValueError("n_mc must be at least 1")
     x_scaler, t_scaler, fit_std, val_std = standardized_splits(train_data, cfg, val_data)
 
     init_rng, noise_rng = spawn_rngs(cfg.seed, 2)
@@ -176,24 +166,22 @@ def vi_train(
     leaves = [
         *[w.copy() for w in params0.weights],
         *[np.full(s, RHO_INIT) for s in shapes],
-        np.full(n_y, 0.5 * math.log(hidden_prior_var)),
+        np.full(n_y, 0.5 * math.log(HIDDEN_PRIOR_VAR)),
         np.full(n_y, cfg.init_log_sigma_e, dtype=float),
     ]
 
     def loss_and_grads(vals):
-        eps_sets = [
-            [noise_rng.standard_normal(s) for s in shapes] for _ in range(n_mc)
-        ]
-        return _negative_elbo(vals, eps_sets, fit_std.x, fit_std.t, spec, hidden_prior_var)
+        eps = [noise_rng.standard_normal(s) for s in shapes]
+        return _negative_elbo(vals, eps, fit_std.x, fit_std.t, spec)
 
-    n_layers = len(shapes)
     monitor = None
     if val_std is not None:
 
         def monitor(vals):
             # Negative log-likelihood at the surrogate means.
-            y, _ = forward_batch(MlpParams(tuple(vals[:n_layers]), spec.activation), val_std.x)
-            sig2 = np.exp(2.0 * vals[-1])
+            params = _unpack(vals, spec.activation)
+            y, _ = forward_batch(MlpParams(params.mus, spec.activation), val_std.x)
+            sig2 = np.exp(2.0 * params.log_sigma_e)
             resid = val_std.t - y
             per_output = 0.5 * (LOG_2PI + np.log(sig2)) + (resid**2).mean(axis=0) / (
                 2.0 * sig2
@@ -203,15 +191,7 @@ def vi_train(
     best, history = fit_loop(
         leaves, loss_and_grads, cfg, monitor=monitor, post_step=clamp_hyper_tail(2)
     )
-    params = ViParams(
-        mus=tuple(best[:n_layers]),
-        rhos=tuple(best[n_layers : 2 * n_layers]),
-        log_prior_spread=best[2 * n_layers],
-        log_sigma_e=best[2 * n_layers + 1],
-        hidden_prior_var=hidden_prior_var,
-        activation=spec.activation,
-    )
-    return ViModel(params, x_scaler, t_scaler), history
+    return ViModel(_unpack(best, spec.activation), x_scaler, t_scaler), history
 
 
 def _sample_forward(params: ViParams, x_std: np.ndarray, rng) -> np.ndarray:
@@ -244,14 +224,6 @@ def vi_predict_batch(
     return means, noise_var
 
 
-def vi_predict(model: ViModel, x: np.ndarray, n_samples: int, rng) -> GmmPredictive:
-    """Sampled mixture predictive at a single query point."""
-    means, noise_var = vi_predict_batch(
-        model, np.asarray(x, dtype=float).reshape(1, -1), n_samples, rng
-    )
-    return GmmPredictive(means[:, 0, :], noise_var)
-
-
 def gmm_log_density(means: np.ndarray, noise_var: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Per-point log density of uniform Gaussian mixtures, via log-sum-exp.
 
@@ -261,14 +233,3 @@ def gmm_log_density(means: np.ndarray, noise_var: np.ndarray, t: np.ndarray) -> 
     comp = -0.5 * (LOG_2PI + np.log(noise_var) + (t - means) ** 2 / noise_var)
     return logsumexp(comp.sum(axis=2), axis=0) - math.log(means.shape[0])
 
-
-def gmm_lpd(pred: GmmPredictive, t: np.ndarray) -> float:
-    """Log density of the mixture at ``t``."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    return float(gmm_log_density(pred.means[:, None, :], pred.noise_var, t[None, :])[0])
-
-
-def gmm_lpd_dataset(model: ViModel, data: Dataset, n_samples: int, rng) -> float:
-    """Mean mixture LPD over a dataset with shared sampled components."""
-    means, noise_var = vi_predict_batch(model, data.x, n_samples, rng)
-    return float(gmm_log_density(means, noise_var, data.t).mean())

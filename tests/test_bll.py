@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lastlayer.bll import (
     BllHyper,
@@ -15,7 +16,7 @@ from lastlayer.bll import (
     predict,
     predict_batch,
 )
-from lastlayer.data import Dataset
+from lastlayer.data import Dataset, fit_standardizer
 from lastlayer.linalg import chol_spd, solve_pd
 from lastlayer.mlp import MlpParams, MlpSpec, features, init_params
 from lastlayer.rng import make_rng
@@ -265,6 +266,39 @@ class TestPredict:
             assert (q_hi >= q_lo - 1e-12).all()
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    n_x=st.integers(1, 3),
+    n_y=st.integers(1, 3),
+    rows=st.integers(1, 8),
+)
+def test_predict_batch_shapes_noise_gap_and_single_rows(seed, n_x, n_y, rows):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 11))
+    x = rng.uniform(-2.0, 2.0, size=(m, n_x))
+    t = 1.5 + 3.0 * rng.standard_normal((m, n_y))
+    x_scaler, t_scaler = fit_standardizer(x), fit_standardizer(t)
+    params = init_params(MlpSpec(n_x, (4, 3), n_y), make_rng(seed))
+    hyper = BllHyper(float(rng.uniform(-1.5, 2.5)), rng.uniform(-1.0, 0.5, size=n_y))
+    data = Dataset(x_scaler.transform(x), t_scaler.transform(t))
+    model = fit_posterior(params, hyper, data, x_scaler=x_scaler, t_scaler=t_scaler)
+    queries = 3.0 * rng.standard_normal((rows, n_x))
+
+    mean, var_y, var_t = predict_batch(model, queries)
+    for arr in (mean, var_y, var_t):
+        assert arr.shape == (rows, n_y)
+    assert (var_y >= 0.0).all()
+    # the noise floor, up to the rounding of the subtraction
+    assert (np.abs(var_t - var_y - model.sigma_e**2) <= 1e-12 * var_t).all()
+    for i in range(rows):
+        dist = predict(model, queries[i])
+        for single, batch in ((dist.mean, mean), (dist.var_y, var_y), (dist.var_t, var_t)):
+            np.testing.assert_allclose(
+                single, batch[i], rtol=1e-12, atol=1e-12 * np.abs(batch).max()
+            )
+
+
 class TestFitPosterior:
     def test_refit_is_identical(self):
         rng = np.random.default_rng(13)
@@ -295,11 +329,6 @@ class TestBllHyper:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             BllHyper(float("nan"), np.array([0.0]))
-
-    def test_clipped_stays_in_box(self):
-        clipped = BllHyper(40.0, np.array([-99.0])).clipped()
-        assert clipped.log_alpha == 15.0
-        assert clipped.log_sigma_e[0] == -15.0
 
     def test_masked_identity_pattern(self):
         np.testing.assert_array_equal(

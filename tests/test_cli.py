@@ -165,6 +165,15 @@ def test_missing_metrics_report_is_config_error(tmp_path):
     assert cli.main(["report", "--out", str(tmp_path)]) == 1
 
 
+def test_retired_train_setting_is_config_error(tmp_path):
+    # Adam's constants are fixed; a config naming one is rejected, not ignored
+    config_path, _ = _small_config(
+        tmp_path, train={"max_epochs": 400, "patience": 200, "beta1": 0.8}
+    )
+    assert cli.main(["run", "--config", str(config_path)]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_two_input_run_writes_every_input_and_no_curves(tmp_path):
     from lastlayer.data import Dataset, write_splits_csv
 
@@ -204,3 +213,20 @@ def test_two_input_run_writes_every_input_and_no_curves(tmp_path):
         header, rows = read_table_csv(out / name)
         assert header[:3] == ["x_0", "x_1", "mean_0" if name.startswith("pred") else "mean_0_c0"]
         np.testing.assert_array_equal(rows[:, :2], everything)
+
+    # With 12 evaluations the golden-section bracket is still wide when the
+    # search stops, so the chosen alpha sits below the top of the span even
+    # though the validation LPD keeps rising up to it.
+    config_path, _ = _small_config(
+        tmp_path,
+        methods=["bll", "blr"],
+        out_dir=str(tmp_path / "out_12"),
+        dataset_path=str(dataset),
+        alpha_search={"max_evals": 12},
+    )
+    assert cli.main(["run", "--config", str(config_path)]) == 0
+    metrics = json.loads((tmp_path / "out_12" / "metrics.json").read_text())
+    for name in ("bll", "blr"):
+        climb = math.log(metrics[f"{name}.alpha_max"] / metrics[f"{name}.alpha_star"])
+        assert climb < 15.0 - 1e-3
+        assert metrics[f"{name}.alpha_max_at_bound"] == 1.0

@@ -86,6 +86,16 @@ class TestConfig:
         assert config_hash(a) == config_hash(b)
         assert config_hash(a) != config_hash(c)
 
+    def test_hash_follows_dataset_bytes_not_path(self, tmp_path):
+        first, second = tmp_path / "a" / "data.csv", tmp_path / "b" / "data.csv"
+        for path in (first, second):
+            path.parent.mkdir()
+            path.write_bytes(b"split,x_0,t_0\ntrain,0.5,1.0\n")
+        one = config_hash(ExperimentConfig(dataset_path=str(first)))
+        assert config_hash(ExperimentConfig(dataset_path=str(second))) == one
+        second.write_bytes(b"split,x_0,t_0\ntrain,0.5,1.1\n")
+        assert config_hash(ExperimentConfig(dataset_path=str(second))) != one
+
     def test_train_config_threads_seed(self):
         config = ExperimentConfig(seed=5)
         assert config.train_config().seed == 5

@@ -9,13 +9,10 @@ from lastlayer.mlp import MlpSpec
 from lastlayer.rng import make_rng
 from lastlayer.training import TrainConfig
 from lastlayer.vi import (
-    GmmPredictive,
     ViParams,
     _negative_elbo,
-    gmm_lpd,
-    gmm_lpd_dataset,
+    gmm_log_density,
     kl_diag_gaussian,
-    vi_predict,
     vi_predict_batch,
     vi_train,
 )
@@ -67,8 +64,8 @@ class TestElboGraph:
         data = _dataset(seed=2, m=8)
         leaves = self._leaves(spec)
         shapes = spec.layer_shapes()
-        eps = [[np.zeros(s) for s in shapes]]
-        value, _ = _negative_elbo(leaves, eps, data.x, data.t, spec, 0.5)
+        eps = [np.zeros(s) for s in shapes]
+        value, _ = _negative_elbo(leaves, eps, data.x, data.t, spec)
         # reference: deterministic forward at the means plus closed-form KL
         mus, rhos = leaves[:2], leaves[2:4]
         sig = [np.logaddexp(0.0, r) for r in rhos]
@@ -89,8 +86,8 @@ class TestElboGraph:
         data = _dataset(seed=3, m=10)
         leaves = self._leaves(spec, rho=-40.0)
         shapes = spec.layer_shapes()
-        eps = [[make_rng(4).standard_normal(s) for s in shapes]]
-        _, grads = _negative_elbo(leaves, eps, data.x, data.t, spec, 0.5)
+        eps = [make_rng(4).standard_normal(s) for s in shapes]
+        _, grads = _negative_elbo(leaves, eps, data.x, data.t, spec)
 
         def deterministic(ws):
             a = np.tanh(data.x @ ws[0][:-1] + ws[0][-1])
@@ -112,9 +109,8 @@ class TestElboGraph:
     activation=st.sampled_from(["tanh", "relu"]),
     n_y=st.integers(1, 2),
     depth=st.integers(1, 3),
-    n_mc=st.integers(1, 2),
 )
-def test_elbo_gradient_matches_finite_differences(seed, activation, n_y, depth, n_mc):
+def test_elbo_gradient_matches_finite_differences(seed, activation, n_y, depth):
     rng = np.random.default_rng(seed)
     n_x = int(rng.integers(1, 3))
     m = int(rng.integers(2, 7))
@@ -125,48 +121,49 @@ def test_elbo_gradient_matches_finite_differences(seed, activation, n_y, depth, 
         + [rng.uniform(-3.0, 0.5, size=s) for s in shapes]
         + [rng.uniform(-1.0, 1.0, size=n_y), rng.uniform(-1.0, 0.5, size=n_y)]
     )
-    eps = [[rng.standard_normal(s) for s in shapes] for _ in range(n_mc)]
+    eps = [rng.standard_normal(s) for s in shapes]
     data = Dataset(rng.standard_normal((m, n_x)), rng.standard_normal((m, n_y)))
 
     def value(arrays):
-        return _negative_elbo(arrays, eps, data.x, data.t, spec, 0.5)[0]
+        return _negative_elbo(arrays, eps, data.x, data.t, spec)[0]
 
-    _, grads = _negative_elbo(leaves, eps, data.x, data.t, spec, 0.5)
+    _, grads = _negative_elbo(leaves, eps, data.x, data.t, spec)
     for g, f in zip(grads, finite_difference(value, leaves)):
         np.testing.assert_allclose(g, f, rtol=1e-6, atol=1e-8)
 
 
 class TestGmmLpd:
+    """``gmm_log_density`` on one query row: means (components, 1, n_y), t (1, n_y)."""
+
     def test_single_component_gaussian(self):
-        pred = GmmPredictive(np.array([[0.0]]), np.array([1.0]))
-        assert gmm_lpd(pred, np.array([0.0])) == pytest.approx(
-            -0.5 * math.log(2 * math.pi)
-        )
+        value = gmm_log_density(np.array([[[0.0]]]), np.array([1.0]), np.array([[0.0]]))
+        assert value.shape == (1,)
+        assert value[0] == pytest.approx(-0.5 * math.log(2 * math.pi))
 
     def test_identical_components_collapse(self):
-        one = GmmPredictive(np.array([[0.3, -0.1]]), np.array([0.5, 2.0]))
-        two = GmmPredictive(np.array([[0.3, -0.1], [0.3, -0.1]]), np.array([0.5, 2.0]))
-        t = np.array([0.1, 0.4])
-        assert gmm_lpd(one, t) == pytest.approx(gmm_lpd(two, t))
+        one = np.array([[[0.3, -0.1]]])
+        two = np.array([[[0.3, -0.1]], [[0.3, -0.1]]])
+        var = np.array([0.5, 2.0])
+        t = np.array([[0.1, 0.4]])
+        assert gmm_log_density(one, var, t)[0] == pytest.approx(gmm_log_density(two, var, t)[0])
 
     def test_two_components_direct_summation(self):
-        means = np.array([[0.0], [1.0]])
+        means = np.array([[[0.0]], [[1.0]]])
         var = np.array([0.7])
-        t = np.array([0.4])
+        t = np.array([[0.4]])
         direct = 0.5 * sum(
-            math.exp(-0.5 * (t[0] - m) ** 2 / var[0]) / math.sqrt(2 * math.pi * var[0])
+            math.exp(-0.5 * (t[0, 0] - m) ** 2 / var[0]) / math.sqrt(2 * math.pi * var[0])
             for m in (0.0, 1.0)
         )
-        pred = GmmPredictive(means, var)
-        assert gmm_lpd(pred, t) == pytest.approx(math.log(direct), abs=1e-12)
+        assert gmm_log_density(means, var, t)[0] == pytest.approx(math.log(direct), abs=1e-12)
 
     def test_permutation_invariant(self):
         rng = make_rng(5)
-        means = rng.standard_normal((6, 2))
+        means = rng.standard_normal((6, 1, 2))
         var = np.array([0.3, 1.1])
-        t = rng.standard_normal(2)
-        base = gmm_lpd(GmmPredictive(means, var), t)
-        shuffled = gmm_lpd(GmmPredictive(means[::-1].copy(), var), t)
+        t = rng.standard_normal((1, 2))
+        base = gmm_log_density(means, var, t)[0]
+        shuffled = gmm_log_density(means[::-1].copy(), var, t)[0]
         assert base == pytest.approx(shuffled)
 
 
@@ -199,12 +196,13 @@ class TestViTraining:
     def test_single_sample_predictive_is_one_gaussian(self):
         data = _dataset(seed=9, m=15)
         model, _ = vi_train(MlpSpec(1, (3,), 1), data, FAST)
-        pred = vi_predict(model, data.x[0], 1, make_rng(2))
+        means, noise_var = vi_predict_batch(model, data.x[:1], 1, make_rng(2))
+        assert means.shape == (1, 1, 1)
         expected = -0.5 * (
-            math.log(2 * math.pi * pred.noise_var[0])
-            + (data.t[0, 0] - pred.means[0, 0]) ** 2 / pred.noise_var[0]
+            math.log(2 * math.pi * noise_var[0])
+            + (data.t[0, 0] - means[0, 0, 0]) ** 2 / noise_var[0]
         )
-        assert gmm_lpd(pred, data.t[0]) == pytest.approx(expected)
+        assert gmm_log_density(means, noise_var, data.t[:1])[0] == pytest.approx(expected)
 
     def test_collapsed_spreads_make_identical_components(self):
         data = _dataset(seed=10, m=12)
@@ -214,13 +212,12 @@ class TestViTraining:
             rhos=tuple(np.full_like(r, -60.0) for r in model.params.rhos),
             log_prior_spread=model.params.log_prior_spread,
             log_sigma_e=model.params.log_sigma_e,
-            hidden_prior_var=model.params.hidden_prior_var,
         )
         from dataclasses import replace
 
         frozen_model = replace(model, params=collapsed)
-        pred = vi_predict(frozen_model, data.x[0], 10, make_rng(3))
-        assert np.abs(pred.means - pred.means[0]).max() < 1e-12
+        means, _ = vi_predict_batch(frozen_model, data.x[:1], 10, make_rng(3))
+        assert np.abs(means - means[0]).max() < 1e-12
 
     def test_dataset_lpd_matches_pointwise_mixture(self):
         data = _dataset(seed=11, m=6)
@@ -228,9 +225,9 @@ class TestViTraining:
         # shared components across points: recompute from the batch sampler
         means, noise_var = vi_predict_batch(model, data.x, 25, make_rng(4))
         per_point = [
-            gmm_lpd(GmmPredictive(means[:, i, :], noise_var), data.t[i])
+            gmm_log_density(means[:, i : i + 1, :], noise_var, data.t[i : i + 1])[0]
             for i in range(data.m)
         ]
-        assert gmm_lpd_dataset(model, data, 25, make_rng(4)) == pytest.approx(
-            float(np.mean(per_point))
+        np.testing.assert_allclose(
+            gmm_log_density(means, noise_var, data.t), per_point, rtol=1e-12
         )
