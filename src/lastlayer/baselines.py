@@ -2,9 +2,10 @@
 its frozen features.
 
 ``train_mse`` fits the network weights by plain mean-squared error.
-``blr_fit`` then treats the hidden layers as a fixed feature map and
-maximizes the same marginal-likelihood objective over the output weights
-and hyperparameters only, finalizing the output weights in closed form.
+``blr_fit`` then treats the hidden layers as a fixed feature map and runs
+the same marginal-likelihood fit as the jointly trained model on the
+output layer alone (the DNGO recipe), finalizing the output weights in
+closed form.
 The resulting model is an ordinary ``BllModel``, so prediction, scoring
 and alpha tuning are shared with the jointly trained variant.
 """
@@ -12,17 +13,11 @@ and alpha tuning are shared with the jointly trained variant.
 import numpy as np
 
 from .autodiff import mlp_backward
-from .bll import (
-    BllHyper,
-    BllModel,
-    closed_form_wbar,
-    fit_posterior,
-    negative_lml,
-    nlml_head,
-)
+from .bll import BllModel, closed_form_wbar, fit_posterior
+from .bll import negative_lml  # noqa: F401 - perfbench's tracer patches baselines:negative_lml
 from .data import Dataset
 from .mlp import MlpParams, MlpSpec, features, forward_batch, forward_layers, init_params
-from .training import TrainConfig, TrainHistory, clamp_hyper_tail, fit_loop, standardized_splits
+from .training import TrainConfig, TrainHistory, fit_loop, fit_nlml, standardized_splits
 from .rng import make_rng
 
 __all__ = ["blr_fit", "train_mse"]
@@ -42,17 +37,14 @@ def _mse_grads(weights, activation: str, data: Dataset):
 
 
 def train_mse(
-    spec: MlpSpec,
-    train_data: Dataset,
-    cfg: TrainConfig,
-    val_data: Dataset | None = None,
+    spec: MlpSpec, train_data: Dataset, cfg: TrainConfig
 ) -> tuple[MlpParams, TrainHistory]:
     """Early-stopped Adam on the mean-squared error.
 
     Returns parameters in standardized data space (the same standardization
     ``blr_fit`` rebuilds from the training data).
     """
-    _, _, fit_std, val_std = standardized_splits(train_data, cfg, val_data)
+    _, _, fit_std, val_std = standardized_splits(train_data, cfg)
     params0 = init_params(spec, make_rng(cfg.seed))
     leaves = list(params0.weights)
 
@@ -71,53 +63,24 @@ def train_mse(
 
 
 def blr_fit(
-    frozen: MlpParams,
-    train_data: Dataset,
-    cfg: TrainConfig,
-    val_data: Dataset | None = None,
+    frozen: MlpParams, train_data: Dataset, cfg: TrainConfig
 ) -> tuple[BllModel, TrainHistory]:
     """Empirical-Bayes regression on a fixed feature map.
 
-    Maximizes the marginal-likelihood objective over the output weights and
-    the log hyperparameters on features computed once from the frozen hidden
-    layers, then replaces the output weights by their closed-form posterior
-    mean before caching the model.
+    Runs the bll objective (``fit_nlml``) on the output layer alone, over
+    features computed once from the frozen hidden layers, then replaces the
+    output weights by their closed-form posterior mean before caching the
+    model.
     """
-    x_scaler, t_scaler, fit_std, val_std = standardized_splits(train_data, cfg, val_data)
-    _, feats = forward_batch(frozen, fit_std.x)
+    x_scaler, t_scaler, fit_std, val_std = standardized_splits(train_data, cfg)
 
-    n_y = train_data.n_y
-    leaves = [
-        frozen.wbar.copy(),
-        np.asarray(0.0),
-        np.full(n_y, cfg.init_log_sigma_e, dtype=float),
-    ]
+    def frozen_features(data):
+        return None if data is None else Dataset(forward_batch(frozen, data.x)[1], data.t)
 
-    def unpack(vals):
-        params = frozen.replace_wbar(vals[0])
-        hyper = BllHyper(float(vals[1]), vals[2])
-        return params, hyper
-
-    def loss_and_grads(vals):
-        params, hyper = unpack(vals)
-        y = feats @ params.wbar[:-1] + params.wbar[-1]
-        value, grad_fn = nlml_head(feats, y, params.wbar, fit_std.t, hyper)
-        d_y, _, d_wbar, d_log_alpha, d_log_sigma_e = grad_fn()
-        (g_wbar,) = mlp_backward((params.wbar,), [feats, y], d_y, None, frozen.activation)
-        return value, [g_wbar + d_wbar, d_log_alpha, d_log_sigma_e]
-
-    monitor = None
-    if val_std is not None:
-
-        def monitor(vals):
-            params, hyper = unpack(vals)
-            return negative_lml(params, hyper, val_std)
-
-    best, history = fit_loop(
-        leaves, loss_and_grads, cfg, monitor=monitor, post_step=clamp_hyper_tail(2)
+    _, hyper, history = fit_nlml(
+        (frozen.wbar,), frozen.activation, frozen_features(fit_std), frozen_features(val_std), cfg
     )
-    params, hyper = unpack(best)
-    phi = features(params, fit_std.x)
-    params = params.replace_wbar(closed_form_wbar(phi, fit_std.t, hyper.alpha))
+    phi = features(frozen, fit_std.x)
+    params = frozen.replace_wbar(closed_form_wbar(phi, fit_std.t, hyper.alpha))
     model = fit_posterior(params, hyper, fit_std, x_scaler=x_scaler, t_scaler=t_scaler)
     return model, history

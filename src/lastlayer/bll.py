@@ -33,7 +33,6 @@ __all__ = [
     "negative_lml",
     "negative_lml_grads",
     "negative_lml_marginalized",
-    "nlml_head",
     "precision_bar",
     "predict",
     "predict_batch",
@@ -103,7 +102,7 @@ def closed_form_wbar(
     return solve_pd(factor, np.asarray(phi, dtype=float).T @ np.asarray(t, dtype=float))
 
 
-def nlml_head(
+def _nlml_head(
     a: np.ndarray,
     y: np.ndarray,
     wbar: np.ndarray,
@@ -181,7 +180,7 @@ def negative_lml(
     pass is paid.
     """
     y, a = forward_batch(params, data.x)
-    value, _ = nlml_head(a, y, params.wbar, data.t, hyper, flat_bias)
+    value, _ = _nlml_head(a, y, params.wbar, data.t, hyper, flat_bias)
     return value
 
 
@@ -190,7 +189,7 @@ def negative_lml_grads(
 ):
     """Objective value and gradients for (weights, log_alpha, log_sigma_e)."""
     acts = forward_layers(params, data.x)
-    value, grad_fn = nlml_head(acts[-2], acts[-1], params.wbar, data.t, hyper, flat_bias)
+    value, grad_fn = _nlml_head(acts[-2], acts[-1], params.wbar, data.t, hyper, flat_bias)
     d_y, d_a, d_wbar, d_log_alpha, d_log_sigma_e = grad_fn()
     grads = ad.mlp_backward(params.weights, acts, d_y, d_a, params.activation)
     grads[-1] = grads[-1] + d_wbar

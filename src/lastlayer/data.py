@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import make_rng
+
 __all__ = [
     "Dataset",
     "Standardizer",
@@ -90,9 +92,7 @@ def split_train_val(
     n_val = max(1, int(round(data.m * val_fraction)))
     if n_val >= data.m:
         raise ValueError("validation split would consume the whole dataset")
-    perm = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))).permutation(
-        data.m
-    )
+    perm = make_rng(seed).permutation(data.m)
     return data.subset(perm[:-n_val]), data.subset(perm[-n_val:])
 
 
@@ -100,30 +100,35 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _splits_header(n_x: int, n_y: int) -> list[str]:
+    return [f"x_{i}" for i in range(n_x)] + [f"t_{j}" for j in range(n_y)] + ["split"]
+
+
 def write_splits_csv(path, splits: dict[str, Dataset]) -> None:
     first = next(iter(splits.values()))
-    header = (
-        [f"x_{i}" for i in range(first.n_x)]
-        + [f"t_{j}" for j in range(first.n_y)]
-        + ["split"]
-    )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for name, data in splits.items():
-            for i in range(data.m):
-                row = [_fmt(v) for v in data.x[i]] + [_fmt(v) for v in data.t[i]]
-                writer.writerow(row + [name])
+    header = _splits_header(first.n_x, first.n_y)
+    rows = [[*d.x[i], *d.t[i], name] for name, d in splits.items() for i in range(d.m)]
+    write_table_csv(path, header, rows)
 
 
 def read_splits_csv(path) -> dict[str, Dataset]:
+    """Read a dataset CSV; raises ValueError when it does not follow the schema."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"dataset file is empty: {path}")
         n_x = sum(1 for c in header if c.startswith("x_"))
         n_y = sum(1 for c in header if c.startswith("t_"))
+        if n_x == 0 or n_y == 0 or header != _splits_header(n_x, n_y):
+            raise ValueError(f"dataset header must read x_0.., t_0.., split; got {header}")
         buckets: dict[str, list[list[float]]] = {}
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(
+                    f"dataset line {reader.line_num} has {len(row)} cells, "
+                    f"the header has {len(header)}"
+                )
             buckets.setdefault(row[-1], []).append([float(v) for v in row[:-1]])
     out = {}
     for name, rows in buckets.items():

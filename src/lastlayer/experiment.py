@@ -70,7 +70,7 @@ class ExperimentConfig:
 def config_from_dict(raw: dict) -> ExperimentConfig:
     raw = dict(raw)
     if "train" in raw:
-        raw["train"] = TrainConfig(**raw["train"])
+        raw["train"] = replace(benchmark_train_config(), **raw["train"])
     if "alpha_search" in raw:
         raw["alpha_search"] = AlphaSearchConfig(**raw["alpha_search"])
     return ExperimentConfig(**raw)

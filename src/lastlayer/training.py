@@ -1,12 +1,12 @@
 """Gradient training of the marginal-likelihood objective with early stopping.
 
-``train`` standardizes the data, runs full-batch Adam over all weights and
-the log hyperparameters, keeps the parameters of the best monitored epoch,
-and returns the fitted posterior model.  The monitor is the same objective
-evaluated on held-out data (a deterministic 20% shuffle split by default,
-or an explicit validation set); without any validation data the training
-objective itself is monitored, which turns early stopping into a plain
-convergence check.
+``fit_nlml`` runs full-batch Adam over network weights and the log
+hyperparameters and keeps the parameters of the best monitored epoch;
+``train`` runs it on a whole standardized network and returns the fitted
+posterior model.  The monitor is the same objective evaluated on held-out
+data (a deterministic 20% shuffle split by default); without validation
+data the training objective itself is monitored, which turns early
+stopping into a plain convergence check.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +27,7 @@ from .mlp import MlpParams, MlpSpec, init_params
 from .optim import adam_init, adam_step
 from .rng import make_rng
 
-__all__ = ["TrainConfig", "TrainHistory", "train"]
+__all__ = ["TrainConfig", "TrainHistory", "fit_nlml", "train"]
 
 
 @dataclass(frozen=True)
@@ -103,19 +103,16 @@ def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=N
 
 
 def standardized_splits(
-    train_data: Dataset, cfg: TrainConfig, val_data: Dataset | None = None
+    train_data: Dataset, cfg: TrainConfig
 ) -> tuple[Standardizer, Standardizer, Dataset, Dataset | None]:
     """Scalers fitted on all training rows, then the standardized fit and monitor sets.
 
-    The monitor set is ``val_data`` when given, otherwise a deterministic
-    ``cfg.val_fraction`` split of the training rows (none when that is unset
-    or there are fewer than five rows).
+    The monitor set is a deterministic ``cfg.val_fraction`` split of the
+    training rows (none when that is unset or there are fewer than five rows).
     """
     x_scaler = fit_standardizer(train_data.x)
     t_scaler = fit_standardizer(train_data.t)
-    if val_data is not None:
-        fit_part, val_part = train_data, val_data
-    elif cfg.val_fraction is not None and train_data.m >= 5:
+    if cfg.val_fraction is not None and train_data.m >= 5:
         fit_part, val_part = split_train_val(train_data, cfg.val_fraction, cfg.seed)
     else:
         fit_part, val_part = train_data, None
@@ -127,69 +124,74 @@ def standardized_splits(
     return x_scaler, t_scaler, standardize(fit_part), val_std
 
 
-def clamp_hyper_tail(n_hyper_leaves: int):
-    """Projection keeping the trailing hyperparameter leaves in a safe box."""
+def clamp_hyper_tail(leaves):
+    """Projection keeping the two trailing hyperparameter leaves in a safe box."""
+    return leaves[:-2] + [np.clip(a, -HYPER_CLAMP, HYPER_CLAMP) for a in leaves[-2:]]
 
-    def post_step(leaves):
-        head = leaves[:-n_hyper_leaves]
-        tail = [np.clip(a, -HYPER_CLAMP, HYPER_CLAMP) for a in leaves[-n_hyper_leaves:]]
-        return head + tail
 
-    return post_step
+def fit_nlml(
+    weights0, activation: str, fit_data: Dataset, val_data: Dataset | None, cfg: TrainConfig
+) -> tuple[MlpParams, BllHyper, TrainHistory]:
+    """Early-stopped Adam on the marginal-likelihood objective.
+
+    Fits the network ``weights0`` (the whole network for bll, the output
+    layer alone on frozen features for blr) together with log alpha and
+    the per-output log sigma_e, monitoring the same objective on
+    ``val_data`` when it is given.
+
+    Returns:
+        The parameters and hyperparameters of the best monitored epoch,
+        and the training history.
+    """
+    n_w = len(weights0)
+    leaves = [
+        *weights0,
+        np.asarray(0.0),
+        np.full(fit_data.n_y, cfg.init_log_sigma_e, dtype=float),
+    ]
+
+    def unpack(vals):
+        params = MlpParams(tuple(vals[:n_w]), activation)
+        hyper = BllHyper(float(vals[n_w]), vals[n_w + 1])
+        return params, hyper
+
+    def loss_and_grads(vals):
+        params, hyper = unpack(vals)
+        value, (w_grads, g_la, g_ls) = negative_lml_grads(params, hyper, fit_data)
+        return value, [*w_grads, g_la, g_ls]
+
+    monitor = None
+    if val_data is not None:
+
+        def monitor(vals):
+            params, hyper = unpack(vals)
+            return negative_lml(params, hyper, val_data)
+
+    best, history = fit_loop(
+        leaves, loss_and_grads, cfg, monitor=monitor, post_step=clamp_hyper_tail
+    )
+    return *unpack(best), history
 
 
 def train(
-    spec: MlpSpec,
-    train_data: Dataset,
-    cfg: TrainConfig,
-    val_data: Dataset | None = None,
+    spec: MlpSpec, train_data: Dataset, cfg: TrainConfig
 ) -> tuple[BllModel, TrainHistory]:
     """Train a Bayesian-last-layer network by marginal-likelihood descent.
 
     Args:
         spec: network architecture (output width must match the targets).
         train_data: training samples in original units.
-        cfg: loop configuration; when ``val_data`` is None and
-            ``cfg.val_fraction`` is set, a deterministic shuffle split of the
-            training data provides the early-stopping monitor.
-        val_data: optional explicit validation set for early stopping.
+        cfg: loop configuration; when ``cfg.val_fraction`` is set, a
+            deterministic shuffle split of the training data provides the
+            early-stopping monitor.
 
     Returns:
         The fitted model (best monitored epoch) and the training history.
     """
     if spec.output_dim != train_data.n_y or spec.input_dim != train_data.n_x:
         raise ValueError("network spec does not match dataset dimensions")
-    x_scaler, t_scaler, fit_std, val_std = standardized_splits(train_data, cfg, val_data)
-
+    x_scaler, t_scaler, fit_std, val_std = standardized_splits(train_data, cfg)
     params0 = init_params(spec, make_rng(cfg.seed))
-    n_y = train_data.n_y
-    leaves = [
-        *params0.weights,
-        np.asarray(0.0),
-        np.full(n_y, cfg.init_log_sigma_e, dtype=float),
-    ]
-    n_w = len(params0.weights)
-
-    def unpack(vals):
-        params = MlpParams(tuple(vals[:n_w]), spec.activation)
-        hyper = BllHyper(float(vals[n_w]), vals[n_w + 1])
-        return params, hyper
-
-    def loss_and_grads(vals):
-        params, hyper = unpack(vals)
-        value, (w_grads, g_la, g_ls) = negative_lml_grads(params, hyper, fit_std)
-        return value, [*w_grads, g_la, g_ls]
-
-    monitor = None
-    if val_std is not None:
-
-        def monitor(vals):
-            params, hyper = unpack(vals)
-            return negative_lml(params, hyper, val_std)
-
-    best, history = fit_loop(
-        leaves, loss_and_grads, cfg, monitor=monitor, post_step=clamp_hyper_tail(2)
-    )
-    params, hyper = unpack(best)
+    params, hyper, history = fit_nlml(params0.weights, spec.activation, fit_std, val_std, cfg)
     model = fit_posterior(params, hyper, fit_std, x_scaler=x_scaler, t_scaler=t_scaler)
     return model, history

@@ -146,10 +146,7 @@ def _negative_elbo(leaves, eps, x, t, spec: MlpSpec):
 
 
 def vi_train(
-    spec: MlpSpec,
-    train_data: Dataset,
-    cfg: TrainConfig,
-    val_data: Dataset | None = None,
+    spec: MlpSpec, train_data: Dataset, cfg: TrainConfig
 ) -> tuple[ViModel, TrainHistory]:
     """Fit the surrogate posterior by minimizing the negative ELBO.
 
@@ -157,7 +154,7 @@ def vi_train(
     monitor is the validation negative log-likelihood at the surrogate
     means, which is deterministic and cheap.
     """
-    x_scaler, t_scaler, fit_std, val_std = standardized_splits(train_data, cfg, val_data)
+    x_scaler, t_scaler, fit_std, val_std = standardized_splits(train_data, cfg)
 
     init_rng, noise_rng = spawn_rngs(cfg.seed, 2)
     params0 = init_params(spec, init_rng)
@@ -189,7 +186,7 @@ def vi_train(
             return float(per_output.sum())
 
     best, history = fit_loop(
-        leaves, loss_and_grads, cfg, monitor=monitor, post_step=clamp_hyper_tail(2)
+        leaves, loss_and_grads, cfg, monitor=monitor, post_step=clamp_hyper_tail
     )
     return ViModel(_unpack(best, spec.activation), x_scaler, t_scaler), history
 

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lastlayer import baselines
+from lastlayer import training
 from lastlayer.baselines import _mse_grads, blr_fit, train_mse
-from lastlayer.bll import BllHyper, closed_form_wbar, negative_lml_grads, predict_batch
+from lastlayer.bll import (
+    BllHyper,
+    closed_form_wbar,
+    negative_lml,
+    negative_lml_grads,
+    predict_batch,
+)
 from lastlayer.data import Dataset
 from lastlayer.mlp import MlpSpec, forward_batch, init_params
 from lastlayer.rng import make_rng
@@ -119,7 +125,6 @@ class TestBlrFit:
         assert mean.shape == (data.m, 1)
         assert (var_t > var_y).all()
 
-
     def test_epoch_gradient_is_the_output_slice_of_the_joint_gradient(self, monkeypatch):
         data = _linear_dataset(seed=9)
         frozen, _ = train_mse(MlpSpec(1, (3, 3), 1), data, FAST)
@@ -127,11 +132,12 @@ class TestBlrFit:
 
         def capture(leaves, loss_and_grads, cfg, monitor=None, post_step=None):
             captured["loss_and_grads"] = loss_and_grads
+            captured["monitor"] = monitor
             return leaves, TrainHistory(train_objective=[0.0])
 
-        monkeypatch.setattr(baselines, "fit_loop", capture)
+        monkeypatch.setattr(training, "fit_loop", capture)
         blr_fit(frozen, data, FAST)
-        _, _, fit_std, _ = standardized_splits(data, FAST)
+        _, _, fit_std, val_std = standardized_splits(data, FAST)
         rng = make_rng(10)
         for _ in range(5):
             wbar = frozen.wbar + 0.3 * rng.standard_normal(frozen.wbar.shape)
@@ -145,6 +151,10 @@ class TestBlrFit:
             np.testing.assert_allclose(grads[0], w_grads[-1], rtol=1e-12, atol=1e-14)
             np.testing.assert_allclose(grads[1], g_la, rtol=1e-12, atol=1e-14)
             np.testing.assert_allclose(grads[2], g_ls, rtol=1e-12, atol=1e-14)
+            # the monitor on precomputed features is the full frozen network's value
+            assert captured["monitor"](leaves) == negative_lml(
+                frozen.replace_wbar(wbar), hyper, val_std
+            )
 
 
 def _fit_indices(data, cfg):

@@ -16,7 +16,7 @@ def _small_config(tmp_path, **overrides):
         "seed": 3,
         "out_dir": str(tmp_path / "out"),
         "hidden": [6],
-        "train": {"max_epochs": 400, "patience": 200, "lr": 0.005},
+        "train": {"max_epochs": 400, "patience": 200, "lr": 0.005, "init_log_sigma_e": 0.0},
         "alpha_search": {"max_evals": 20},
         "sweep_points": 5,
     }
@@ -159,6 +159,40 @@ def test_unknown_method_is_config_error(tmp_path):
 def test_missing_dataset_path_is_config_error(tmp_path):
     config_path, _ = _small_config(tmp_path, dataset_path=str(tmp_path / "absent.csv"))
     assert cli.main(["run", "--config", str(config_path)]) == 1
+
+
+def _run_on_dataset_text(tmp_path, name, text, capsys):
+    dataset = tmp_path / name
+    dataset.write_text(text)
+    config_path, _ = _small_config(
+        tmp_path, dataset_path=str(dataset), out_dir=str(tmp_path / f"out_{name}")
+    )
+    code = cli.main(["run", "--config", str(config_path)])
+    return code, capsys.readouterr().err
+
+
+def test_empty_or_headerless_dataset_is_config_error(tmp_path, capsys):
+    rows = "1.0,2.0,train\n"
+    cases = {
+        "empty.csv": "",
+        "no_x.csv": "a_0,t_0,split\n" + rows,
+        "no_t.csv": "x_0,b_0,split\n" + rows,
+        "no_split.csv": "x_0,t_0,part\n" + rows,
+        "t_first.csv": "t_0,x_0,split\n" + rows,
+    }
+    for name, text in cases.items():
+        code, err = _run_on_dataset_text(tmp_path, name, text, capsys)
+        assert code == 1, name
+        assert err.startswith("error: "), name
+
+
+def test_dataset_row_length_must_match_header(tmp_path, capsys):
+    header = "x_0,t_0,split\n"
+    good = "".join(f"{i / 10},{i / 5},{s}\n" for s in ("train", "val", "test") for i in range(6))
+    for name, bad in (("long.csv", "1.0,2.0,9.0,train\n"), ("short.csv", "1.0,train\n")):
+        code, err = _run_on_dataset_text(tmp_path, name, header + good + bad, capsys)
+        assert code == 1, name
+        assert err.startswith("error: dataset line 20 has"), name
 
 
 def test_missing_metrics_report_is_config_error(tmp_path):

@@ -100,6 +100,11 @@ class TestConfig:
         config = ExperimentConfig(seed=5)
         assert config.train_config().seed == 5
 
+    def test_partial_train_block_keeps_the_run_defaults(self):
+        # the README example names three keys; the rest keep the run's values
+        raw = {"train": {"max_epochs": 20000, "patience": 1000, "lr": 0.002}}
+        assert config_from_dict(raw).train == ExperimentConfig().train
+
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lastlayer.linalg import (
     DimensionMismatch,
@@ -119,3 +120,24 @@ class TestSolve:
         b = rng.standard_normal(4)
         x = solve_pd(cholesky(a), b)
         assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) < 1e-8
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    m=st.integers(1, 7),
+    k=st.integers(1, 11),
+    log10_scale=st.floats(-3.0, 3.0),
+)
+def test_chol_spd_factors_rank_deficient_grams(seed, m, k, log10_scale):
+    # phi has k drawn columns plus one that repeats a mix of them, so the
+    # gram phi.T @ phi of size n = k + 1 is singular (rank <= min(m, k))
+    rng = np.random.default_rng(seed)
+    drawn = 10.0**log10_scale * rng.standard_normal((m, k))
+    phi = np.concatenate([drawn, drawn @ rng.standard_normal((k, 1))], axis=1)
+    a = phi.T @ phi
+    n = a.shape[0]
+    lower = chol_spd(a).lower
+    assert np.isfinite(lower).all()
+    assert (np.triu(lower, 1) == 0.0).all()
+    assert np.abs(lower @ lower.T - a).max() <= 1e-10 * np.trace(a) / n

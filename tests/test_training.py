@@ -160,11 +160,3 @@ class TestTrain:
         data = _linear_dataset(seed=6, m=10)
         with pytest.raises(ValueError):
             train(MlpSpec(2, (3,), 1), data, FAST)
-
-    def test_explicit_validation_set_is_used(self):
-        data = _linear_dataset(seed=7, m=20)
-        val = _linear_dataset(seed=8, m=10)
-        model, history = train(MlpSpec(1, (3,), 1), data, TrainConfig(max_epochs=300, patience=250), val_data=val)
-        assert history.val_objective is not None
-        # with an explicit validation set, all training rows feed the gradient
-        assert model.phi.shape[0] == data.m
