@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bll import BllModel, masked_identity, predict
+from .bll import BllModel, precision_bar, predict
 from .linalg import chol_spd, solve_pd
 from .mlp import forward
 
@@ -56,8 +56,7 @@ def affine_cost_closed(
     train = np.atleast_2d(np.asarray(phi_tilde_train, dtype=float))
     phi = np.append(np.asarray(phi_tilde, dtype=float), 1.0)
     full = np.concatenate([train, np.ones((train.shape[0], 1))], axis=1)
-    mat = full.T @ full + masked_identity(full.shape[1]) / gamma
-    return float(phi @ solve_pd(chol_spd(mat), phi))
+    return float(phi @ solve_pd(chol_spd(precision_bar(full, gamma)), phi))
 
 
 def affine_cost_kkt(

@@ -64,10 +64,6 @@ class BllHyper:
     def sigma_e(self) -> np.ndarray:
         return np.exp(self.log_sigma_e)
 
-    @property
-    def n_y(self) -> int:
-        return self.log_sigma_e.shape[0]
-
 
 def masked_identity(n_phi: int, flat_bias: bool = True) -> np.ndarray:
     """Prior precision pattern: identity, bias entry zeroed when flat."""
@@ -184,21 +180,17 @@ def negative_lml(
     return value
 
 
-def negative_lml_grads(
-    params: MlpParams, hyper: BllHyper, data: Dataset, flat_bias: bool = True
-):
+def negative_lml_grads(params: MlpParams, hyper: BllHyper, data: Dataset):
     """Objective value and gradients for (weights, log_alpha, log_sigma_e)."""
     acts = forward_layers(params, data.x)
-    value, grad_fn = _nlml_head(acts[-2], acts[-1], params.wbar, data.t, hyper, flat_bias)
+    value, grad_fn = _nlml_head(acts[-2], acts[-1], params.wbar, data.t, hyper)
     d_y, d_a, d_wbar, d_log_alpha, d_log_sigma_e = grad_fn()
     grads = ad.mlp_backward(params.weights, acts, d_y, d_a, params.activation)
     grads[-1] = grads[-1] + d_wbar
     return value, (grads, d_log_alpha, d_log_sigma_e)
 
 
-def negative_lml_marginalized(
-    phi: np.ndarray, t: np.ndarray, hyper: BllHyper, flat_bias: bool = True
-) -> float:
+def negative_lml_marginalized(phi: np.ndarray, t: np.ndarray, hyper: BllHyper) -> float:
     """Scaled negative LML with the output weights profiled out exactly.
 
     At the optimum the quadratic terms collapse to
@@ -210,7 +202,7 @@ def negative_lml_marginalized(
         t = t.T
     m, n_y = t.shape
     n_phi = phi.shape[1]
-    factor = chol_spd(precision_bar(phi, hyper.alpha, flat_bias))
+    factor = chol_spd(precision_bar(phi, hyper.alpha))
     wbar = solve_pd(factor, phi.T @ t)
     quad = np.einsum("ij,ij->j", t, t) - np.einsum("ij,ij->j", phi.T @ t, wbar)
     inv_sig2 = np.exp(-2.0 * hyper.log_sigma_e)

@@ -39,11 +39,11 @@ class AlphaSearchConfig:
 def gaussian_log_density(mean: np.ndarray, var_t: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Per-row log density of the targets ``t`` under independent Gaussians.
 
-    All arrays are (m, n_y); the per-output log densities are summed per row
-    because the outputs are independent.
+    The arrays broadcast to (..., m, n_y); the per-output log densities are
+    summed over the last axis because the outputs are independent.
     """
     logp = -0.5 * (LOG_2PI + np.log(var_t) + (t - mean) ** 2 / var_t)
-    return logp.sum(axis=1)
+    return logp.sum(axis=-1)
 
 
 def lpd(model: BllModel, data: Dataset) -> float:

@@ -1,8 +1,9 @@
 """Datasets, standardization, and deterministic CSV round-tripping.
 
 CSV schema for datasets: ``x_0..x_{n_x-1}, t_0..t_{n_y-1}, split`` with
-split in {train, val, test}.  Floats are written with ``repr`` so files are
-byte-identical across reruns and parse back to the exact same doubles.
+split in ``SPLITS``, rows read back in ``SPLITS`` order.  Floats are written
+with ``repr`` so files are byte-identical across reruns and parse back to the
+exact same doubles.
 """
 
 import csv
@@ -12,7 +13,10 @@ import numpy as np
 
 from .rng import make_rng
 
+SPLITS = ("train", "val", "test")
+
 __all__ = [
+    "SPLITS",
     "Dataset",
     "Standardizer",
     "fit_standardizer",
@@ -112,7 +116,7 @@ def write_splits_csv(path, splits: dict[str, Dataset]) -> None:
 
 
 def read_splits_csv(path) -> dict[str, Dataset]:
-    """Read a dataset CSV; raises ValueError when it does not follow the schema."""
+    """Read a dataset CSV in ``SPLITS`` order; raises ValueError off the schema."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -122,18 +126,24 @@ def read_splits_csv(path) -> dict[str, Dataset]:
         n_y = sum(1 for c in header if c.startswith("t_"))
         if n_x == 0 or n_y == 0 or header != _splits_header(n_x, n_y):
             raise ValueError(f"dataset header must read x_0.., t_0.., split; got {header}")
-        buckets: dict[str, list[list[float]]] = {}
+        buckets: dict[str, list[list[float]]] = {name: [] for name in SPLITS}
         for row in reader:
             if len(row) != len(header):
                 raise ValueError(
                     f"dataset line {reader.line_num} has {len(row)} cells, "
                     f"the header has {len(header)}"
                 )
-            buckets.setdefault(row[-1], []).append([float(v) for v in row[:-1]])
+            if row[-1] not in buckets:
+                raise ValueError(
+                    f"dataset line {reader.line_num} has split {row[-1]!r}; "
+                    f"the split must be one of {', '.join(SPLITS)}"
+                )
+            buckets[row[-1]].append([float(v) for v in row[:-1]])
     out = {}
     for name, rows in buckets.items():
-        arr = np.array(rows)
-        out[name] = Dataset(arr[:, :n_x], arr[:, n_x : n_x + n_y])
+        if rows:
+            arr = np.array(rows)
+            out[name] = Dataset(arr[:, :n_x], arr[:, n_x : n_x + n_y])
     return out
 
 

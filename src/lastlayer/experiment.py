@@ -24,7 +24,7 @@ from .baselines import blr_fit, train_mse
 from .benchmarks import default_benchmark, sample_benchmark, toy_three_point
 from .bll import BllModel, negative_lml, predict_batch, with_alpha
 from .calibration import AlphaSearchConfig, alpha_sweep, gaussian_log_density, lpd, tune_alpha
-from .data import Dataset, read_splits_csv, write_splits_csv, write_table_csv
+from .data import SPLITS, Dataset, read_splits_csv, write_splits_csv, write_table_csv
 from .mlp import MlpSpec, forward_batch
 from .rng import make_rng
 from .training import TrainConfig, train
@@ -33,7 +33,6 @@ from .vi import gmm_log_density, vi_predict_batch, vi_train
 __all__ = ["ExperimentConfig", "config_hash", "run_experiment", "toy_feature_demo"]
 
 VI_PREDICT_SAMPLES = 100
-SPLITS = ("train", "val", "test")
 
 
 def benchmark_train_config() -> TrainConfig:
@@ -61,6 +60,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
         if not self.methods:
             raise ValueError("at least one method must be selected")
+        if self.sweep_points < 2:
+            raise ValueError("sweep_points must be at least 2")
 
     def train_config(self) -> TrainConfig:
         """Loop settings with the experiment seed threaded through."""
@@ -115,11 +116,12 @@ def _write_predictions(path, x, mean, var_y, var_t) -> None:
     write_table_csv(path, header, np.hstack([x, mean, np.sqrt(var_y), np.sqrt(var_t)]))
 
 
-def _write_alpha_sweep(path, model: BllModel, splits, span: float, points: int) -> None:
+def _write_alpha_sweep(path, model: BllModel, splits, span: float, points: int) -> list[dict]:
     """Objective and per-split LPD over ``points`` log-alphas above the trained one."""
     log_grid = np.linspace(model.hyper.log_alpha, model.hyper.log_alpha + span, points)
     rows = alpha_sweep(model, splits["train"], splits, log_grid)
     write_table_csv(path, list(rows[0].keys()), [list(r.values()) for r in rows])
+    return rows
 
 
 def _nlml_on(model: BllModel, data: Dataset) -> float:
@@ -145,23 +147,25 @@ def _score(tag, splits, mean, log_density, metrics) -> None:
         metrics[f"{tag}.{name}_mse"] = float(np.mean((splits[name].t - mean[seg]) ** 2))
 
 
-def _run_lml_method(name, config, splits, out_dir, metrics, trainer):
+def _run_lml_method(name, config, splits, everything, out_dir, metrics, trainer):
     """Shared flow for the two marginal-likelihood methods (joint and frozen)."""
     model_star, _ = trainer()
     search = config.alpha_search
     alpha_max, model_max = tune_alpha(model_star, splits["val"], search)
     metrics[f"{name}.alpha_star"] = model_star.alpha
     metrics[f"{name}.alpha_max"] = alpha_max
-    # At the bound when the top of the search span scores at least as well as
-    # the chosen alpha, whether or not max_evals stopped the search short of it.
-    at_top = with_alpha(model_star, math.exp(model_star.hyper.log_alpha + search.span))
-    at_bound = lpd(at_top, splits["val"]) >= lpd(model_max, splits["val"])
+    sweep = _write_alpha_sweep(
+        out_dir / f"alpha_sweep_{name}.csv", model_star, splits, search.span, config.sweep_points
+    )
+    # At the bound when the top of the search span (the sweep's last row, as
+    # linspace ends at exactly its stop) scores at least as well as the chosen
+    # alpha, whether or not max_evals stopped the search short of it.
+    at_bound = sweep[-1]["lpd_val"] >= lpd(model_max, splits["val"])
     metrics[f"{name}.alpha_max_at_bound"] = float(at_bound)
     for j, sig in enumerate(model_star.sigma_e):
         metrics[f"{name}.sigma_e_{j}"] = float(sig)
     metrics[f"{name}.wbar_gap"] = model_star.wbar_gap
 
-    everything = _stack_all(splits)
     for tag, model in (("alpha_star", model_star), ("alpha_max", model_max)):
         variant = f"{name}_{tag}"
         mean, var_y, var_t = predict_batch(model, everything.x)
@@ -171,18 +175,14 @@ def _run_lml_method(name, config, splits, out_dir, metrics, trainer):
         if everything.n_x == 1:  # a dense curve over one input; no single axis exists otherwise
             grid = np.linspace(splits["test"].x.min(), splits["test"].x.max(), 400).reshape(-1, 1)
             _write_predictions(out_dir / f"curve_{variant}.csv", grid, *predict_batch(model, grid))
-    _write_alpha_sweep(
-        out_dir / f"alpha_sweep_{name}.csv", model_star, splits, search.span, config.sweep_points
-    )
 
 
-def _run_vi(config, train_cfg, spec, splits, out_dir, metrics):
+def _run_vi(config, train_cfg, spec, splits, everything, out_dir, metrics):
     model, history = vi_train(spec, splits["train"], train_cfg)
     metrics["vi.train_nlml"] = history.train_objective[history.best_epoch]
     for j, sig in enumerate(model.sigma_e):
         metrics[f"vi.sigma_e_{j}"] = float(sig)
 
-    everything = _stack_all(splits)
     rng = make_rng(config.seed + 7)
     means, noise_var = vi_predict_batch(model, everything.x, VI_PREDICT_SAMPLES, rng)
     for j, var in enumerate(noise_var):
@@ -207,6 +207,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     splits = load_splits(config)
+    everything = _stack_all(splits)
     write_splits_csv(out_dir / "dataset.csv", splits)
 
     spec = MlpSpec(
@@ -227,10 +228,13 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
 
     runners = {
         "bll": lambda: _run_lml_method(
-            "bll", config, splits, out_dir, metrics, lambda: train(spec, splits["train"], train_cfg)
+            "bll", config, splits, everything, out_dir, metrics,
+            lambda: train(spec, splits["train"], train_cfg),
         ),
-        "blr": lambda: _run_lml_method("blr", config, splits, out_dir, metrics, fit_blr),
-        "vi": lambda: _run_vi(config, train_cfg, spec, splits, out_dir, metrics),
+        "blr": lambda: _run_lml_method(
+            "blr", config, splits, everything, out_dir, metrics, fit_blr
+        ),
+        "vi": lambda: _run_vi(config, train_cfg, spec, splits, everything, out_dir, metrics),
     }
     for name, runner in runners.items():
         if name not in config.methods:
@@ -287,7 +291,7 @@ def toy_feature_demo(seed: int, out_dir) -> dict:
     for tag, mdl in variants.items():
         _write_predictions(out_dir / f"toy_predictions_{tag}.csv", x_grid, *predict_batch(mdl, x_grid))
 
-    _, feats_train = forward_batch(model.params, model.x_scaler.transform(splits["train"].x))
+    feats_train = model.phi[:, :-1]  # the three standardized training rows: no monitor split
     _, feats_grid = forward_batch(model.params, model.x_scaler.transform(x_grid))
     rows = [[splits["train"].x[i, 0], *feats_train[i], 1.0] for i in range(3)]
     rows += [[x_grid[i, 0], *feats_grid[i], 0.0] for i in range(x_grid.shape[0])]

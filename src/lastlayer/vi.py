@@ -19,6 +19,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .autodiff import mlp_backward
+from .calibration import LOG_2PI, gaussian_log_density
 from .data import Dataset, Standardizer
 from .mlp import MlpParams, MlpSpec, forward_batch, forward_layers, init_params
 from .rng import spawn_rngs
@@ -28,12 +29,10 @@ __all__ = [
     "ViModel",
     "ViParams",
     "gmm_log_density",
-    "kl_diag_gaussian",
     "vi_predict_batch",
     "vi_train",
 ]
 
-LOG_2PI = math.log(2.0 * math.pi)
 RHO_INIT = math.log(math.expm1(0.05))  # softplus(rho) = 0.05 at init
 HIDDEN_PRIOR_VAR = 0.5  # fixed zero-mean prior variance of the hidden-layer weights
 
@@ -63,16 +62,6 @@ class ViModel:
     def sigma_e(self) -> np.ndarray:
         """Noise scales in original target units."""
         return np.exp(self.params.log_sigma_e) * self.t_scaler.scale
-
-
-def kl_diag_gaussian(mu: np.ndarray, sigma: np.ndarray, prior_sigma) -> float:
-    """KL(N(mu, sigma^2) || N(0, prior_sigma^2)), summed over entries."""
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    prior_var = np.asarray(prior_sigma, dtype=float) ** 2
-    return float(
-        np.sum(0.5 * np.log(prior_var / sigma**2) + (sigma**2 + mu**2) / (2 * prior_var) - 0.5)
-    )
 
 
 def _unpack(leaves, activation: str) -> ViParams:
@@ -179,11 +168,7 @@ def vi_train(
             params = _unpack(vals, spec.activation)
             y, _ = forward_batch(MlpParams(params.mus, spec.activation), val_std.x)
             sig2 = np.exp(2.0 * params.log_sigma_e)
-            resid = val_std.t - y
-            per_output = 0.5 * (LOG_2PI + np.log(sig2)) + (resid**2).mean(axis=0) / (
-                2.0 * sig2
-            )
-            return float(per_output.sum())
+            return float(-gaussian_log_density(y, sig2, val_std.t).mean())
 
     best, history = fit_loop(
         leaves, loss_and_grads, cfg, monitor=monitor, post_step=clamp_hyper_tail
@@ -227,6 +212,5 @@ def gmm_log_density(means: np.ndarray, noise_var: np.ndarray, t: np.ndarray) -> 
     ``means`` holds the component means (n_components, m, n_y), ``t`` the
     targets (m, n_y); the outputs are independent given a component.
     """
-    comp = -0.5 * (LOG_2PI + np.log(noise_var) + (t - means) ** 2 / noise_var)
-    return logsumexp(comp.sum(axis=2), axis=0) - math.log(means.shape[0])
+    return logsumexp(gaussian_log_density(means, noise_var, t), axis=0) - math.log(means.shape[0])
 

@@ -4,7 +4,8 @@ Everything here recomputes expected values through routes the library does
 not use: finite differences instead of the tape, characteristic-polynomial
 eigenvalues instead of Cholesky, the m x m marginal Gaussian instead of the
 feature-space precision, and the unscaled noise/prior parameterization of
-the objective instead of the signal-to-noise form.
+the objective instead of the signal-to-noise form, and the per-entry
+Gaussian KL instead of the ELBO's inline sum.
 """
 
 import math
@@ -99,3 +100,13 @@ def nlml_sigma_parameterization(phi, t, wbar, sigma_w, sigma_e, flat_bias=True):
         + 0.5 * wpen / sigma_w**2
     )
     return total / m
+
+
+def kl_diag_gaussian(mu, sigma, prior_sigma) -> float:
+    """KL(N(mu, sigma^2) || N(0, prior_sigma^2)), summed over entries."""
+    mu = np.asarray(mu, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    prior_var = np.asarray(prior_sigma, dtype=float) ** 2
+    return float(
+        np.sum(0.5 * np.log(prior_var / sigma**2) + (sigma**2 + mu**2) / (2 * prior_var) - 0.5)
+    )

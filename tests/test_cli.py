@@ -2,12 +2,15 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lastlayer import cli
-from lastlayer.data import read_splits_csv, read_table_csv
+from lastlayer.data import SPLITS, read_splits_csv, read_table_csv
 
 
 def _small_config(tmp_path, **overrides):
@@ -193,6 +196,62 @@ def test_dataset_row_length_must_match_header(tmp_path, capsys):
         code, err = _run_on_dataset_text(tmp_path, name, header + good + bad, capsys)
         assert code == 1, name
         assert err.startswith("error: dataset line 20 has"), name
+
+
+def test_split_outside_train_val_test_is_config_error(tmp_path, capsys):
+    header = "x_0,t_0,split\n"
+    good = "".join(f"{i / 10},{i / 5},{s}\n" for s in ("train", "val", "test") for i in range(6))
+    text = header + good + "1.0,2.0,extra\n"
+    code, err = _run_on_dataset_text(tmp_path, "extra.csv", text, capsys)
+    assert code == 1
+    assert err.startswith("error: dataset line 20 has split 'extra'")
+
+
+def test_sweep_points_below_two_is_config_error(tmp_path, capsys):
+    for points in (0, 1):
+        config_path, _ = _small_config(tmp_path, sweep_points=points)
+        assert cli.main(["run", "--config", str(config_path)]) == 1, points
+        assert capsys.readouterr().err.startswith("error: sweep_points must be at least 2")
+    assert not (tmp_path / "out").exists()
+
+
+# Rows in any order: dataset.csv must read train, val, test, and every
+# per-row artifact must follow it row for row.
+_SHUFFLE_SPLITS = ["train"] * 10 + ["val"] * 4 + ["test"] * 5
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(order=st.permutations(range(len(_SHUFFLE_SPLITS))))
+def test_shuffled_dataset_rows_line_up_with_every_artifact(order):
+    lines = [f"{i / 7 - 1.3!r},{math.sin(i):.6f},{_SHUFFLE_SPLITS[i]}\n" for i in order]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = Path(tmp)
+        dataset = tmp_path / "shuffled.csv"
+        dataset.write_text("x_0,t_0,split\n" + "".join(lines))
+        config_path, _ = _small_config(
+            tmp_path,
+            methods=["bll", "blr", "vi"],
+            dataset_path=str(dataset),
+            hidden=[3],
+            train={"max_epochs": 20, "patience": 10, "lr": 0.005, "init_log_sigma_e": 0.0},
+            alpha_search={"max_evals": 10},
+            sweep_points=3,
+        )
+        assert cli.main(["run", "--config", str(config_path)]) == 0
+        out = tmp_path / "out"
+        with open(out / "dataset.csv") as fh:
+            rows = [line.rstrip("\n").split(",") for line in fh][1:]
+        assert [r[-1] for r in rows] == sorted(_SHUFFLE_SPLITS, key=SPLITS.index)
+        dataset_x = np.array([float(r[0]) for r in rows])
+        per_row = sorted(out.glob("predictions_*.csv")) + [out / "components_vi.csv"]
+        assert len(per_row) == 6
+        for path in per_row:
+            header, table = read_table_csv(path)
+            assert header[0] == "x_0"
+            np.testing.assert_array_equal(table[:, 0], dataset_x, err_msg=path.name)
+        for method in ("bll", "blr"):
+            sweep_header = (out / f"alpha_sweep_{method}.csv").read_text().splitlines()[0]
+            assert sweep_header == "log_alpha,nlml_train,lpd_train,lpd_val,lpd_test"
 
 
 def test_missing_metrics_report_is_config_error(tmp_path):

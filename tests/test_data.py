@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lastlayer.data import (
+    SPLITS,
     Dataset,
     fit_standardizer,
     read_splits_csv,
@@ -72,6 +73,17 @@ def test_splits_csv_round_trip_exact(tmp_path):
     for name in splits:
         np.testing.assert_array_equal(loaded[name].x, splits[name].x)
         np.testing.assert_array_equal(loaded[name].t, splits[name].t)
+
+
+def test_read_splits_csv_returns_splits_in_splits_order(tmp_path):
+    path = tmp_path / "data.csv"
+    order = ("test", "val", "train", "test", "val", "train")
+    path.write_text("x_0,t_0,split\n" + "".join(f"{i}.0,0.0,{s}\n" for i, s in enumerate(order)))
+    loaded = read_splits_csv(path)
+    assert tuple(loaded) == SPLITS
+    for name in SPLITS:
+        expected = [float(i) for i, s in enumerate(order) if s == name]
+        np.testing.assert_array_equal(loaded[name].x[:, 0], expected)
 
 
 def test_splits_csv_header_schema(tmp_path):

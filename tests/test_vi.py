@@ -12,12 +12,11 @@ from lastlayer.vi import (
     ViParams,
     _negative_elbo,
     gmm_log_density,
-    kl_diag_gaussian,
     vi_predict_batch,
     vi_train,
 )
 
-from oracles import finite_difference
+from oracles import finite_difference, kl_diag_gaussian
 
 FAST = TrainConfig(max_epochs=1500, patience=300, lr=5e-3, seed=0)
 
