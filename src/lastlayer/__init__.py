@@ -24,7 +24,7 @@ from .bll import (
 )
 from .calibration import AlphaSearchConfig, alpha_sweep, lpd, tune_alpha
 from .data import Dataset
-from .mlp import MlpParams, MlpSpec, features, forward, init_params
+from .mlp import MlpParams, MlpSpec, features, init_params
 from .training import TrainConfig, TrainHistory, train
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "closed_form_wbar",
     "features",
     "fit_posterior",
-    "forward",
     "init_params",
     "lpd",
     "negative_lml",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bll import BllModel, precision_bar, predict
 from .linalg import chol_spd, solve_pd
-from .mlp import forward
+from .mlp import forward_batch
 
 __all__ = [
     "AffineCostResult",
@@ -110,8 +110,8 @@ def bll_affine_equivalence(model: BllModel, x: np.ndarray) -> tuple[float, float
     cancels: both sides are evaluated in the model's feature space.
     """
     x = np.asarray(x, dtype=float).reshape(1, -1)
-    _, phi_tilde = forward(model.params, model.x_scaler.transform(x)[0])
-    lhs = affine_cost_closed(model.phi[:, :-1], phi_tilde, model.alpha)
+    _, phi_tilde = forward_batch(model.params, model.x_scaler.transform(x))
+    lhs = affine_cost_closed(model.phi[:, :-1], phi_tilde[0], model.alpha)
     dist = predict(model, x[0])
     rhs = float(dist.var_y[0] / model.sigma_e[0] ** 2)
     return lhs, rhs

@@ -38,7 +38,6 @@ def mlp_backward(
     acts: list[np.ndarray],
     d_out: np.ndarray,
     d_last_hidden: np.ndarray | None,
-    activation: str,
 ) -> list[np.ndarray]:
     """Reverse sweep through a network evaluated by ``mlp.forward_layers``.
 
@@ -48,7 +47,6 @@ def mlp_backward(
         d_out: gradient of the objective with respect to the outputs y.
         d_last_hidden: extra gradient with respect to h_L from a head that
             reads the features directly, or None.
-        activation: "tanh" or "relu", as in the forward pass.
 
     Returns:
         The gradient with respect to each weight matrix, in layer order.
@@ -64,5 +62,5 @@ def mlp_backward(
         if k == n_layers - 1 and d_last_hidden is not None:
             g = g + d_last_hidden
         h = acts[k]
-        g = g * (1.0 - h * h) if activation == "tanh" else g * (h > 0.0)
+        g = g * (1.0 - h * h)
     return grads

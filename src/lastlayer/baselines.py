@@ -29,11 +29,11 @@ def _mse_head(y: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
     return float((1.0 / t.size) * np.sum(resid * resid)), (-2.0 / t.size) * resid
 
 
-def _mse_grads(weights, activation: str, data: Dataset):
+def _mse_grads(weights, data: Dataset):
     """Mean squared error of the network on ``data`` and its weight gradients."""
-    acts = forward_layers(MlpParams(tuple(weights), activation), data.x)
+    acts = forward_layers(MlpParams(tuple(weights)), data.x)
     value, d_y = _mse_head(acts[-1], data.t)
-    return value, mlp_backward(weights, acts, d_y, None, activation)
+    return value, mlp_backward(weights, acts, d_y, None)
 
 
 def train_mse(
@@ -49,17 +49,17 @@ def train_mse(
     leaves = list(params0.weights)
 
     def loss_and_grads(vals):
-        return _mse_grads(vals, spec.activation, fit_std)
+        return _mse_grads(vals, fit_std)
 
     monitor = None
     if val_std is not None:
 
         def monitor(vals):
-            y, _ = forward_batch(MlpParams(tuple(vals), spec.activation), val_std.x)
+            y, _ = forward_batch(MlpParams(tuple(vals)), val_std.x)
             return _mse_head(y, val_std.t)[0]
 
     best, history = fit_loop(leaves, loss_and_grads, cfg, monitor=monitor)
-    return MlpParams(tuple(best), spec.activation), history
+    return MlpParams(tuple(best)), history
 
 
 def blr_fit(
@@ -78,7 +78,7 @@ def blr_fit(
         return None if data is None else Dataset(forward_batch(frozen, data.x)[1], data.t)
 
     _, hyper, history = fit_nlml(
-        (frozen.wbar,), frozen.activation, frozen_features(fit_std), frozen_features(val_std), cfg
+        (frozen.wbar,), frozen_features(fit_std), frozen_features(val_std), cfg
     )
     phi = features(frozen, fit_std.x)
     params = frozen.replace_wbar(closed_form_wbar(phi, fit_std.t, hyper.alpha))

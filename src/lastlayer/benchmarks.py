@@ -21,7 +21,6 @@ __all__ = ["BenchmarkFunction", "default_benchmark", "sample_benchmark", "toy_th
 class BenchmarkFunction:
     """Analytic target map plus sampling ranges and per-output noise."""
 
-    name: str
     fn: Callable[[np.ndarray], np.ndarray]
     noise: tuple[float, ...]
     train_range: tuple[float, float]
@@ -51,7 +50,6 @@ def _default_map(x: np.ndarray) -> np.ndarray:
 def default_benchmark() -> BenchmarkFunction:
     """Two-output problem with noise floors 0.05 and 0.2."""
     return BenchmarkFunction(
-        name="two_output",
         fn=_default_map,
         noise=(0.05, 0.2),
         train_range=(-2.0, 2.0),
@@ -83,7 +81,7 @@ def _toy_map(x: np.ndarray) -> np.ndarray:
     return (np.sin(1.4 * x[:, 0]) + 0.3 * x[:, 0]).reshape(-1, 1)
 
 
-def toy_three_point(seed: int = 0) -> tuple[dict[str, Dataset], Callable]:
+def toy_three_point(seed: int = 0) -> dict[str, Dataset]:
     """Three-sample univariate problem for the feature-space walkthrough.
 
     Training holds exactly three points; validation and test points extend
@@ -95,8 +93,7 @@ def toy_three_point(seed: int = 0) -> tuple[dict[str, Dataset], Callable]:
     t_train = _toy_map(x_train) + noise * rngs[0].standard_normal((3, 1))
     x_val = np.linspace(-3.5, 3.5, 25).reshape(-1, 1)
     t_val = _toy_map(x_val) + noise * rngs[1].standard_normal((25, 1))
-    splits = {
+    return {
         "train": Dataset(x_train, t_train),
         "val": Dataset(x_val, t_val),
     }
-    return splits, _toy_map

@@ -185,7 +185,7 @@ def negative_lml_grads(params: MlpParams, hyper: BllHyper, data: Dataset):
     acts = forward_layers(params, data.x)
     value, grad_fn = _nlml_head(acts[-2], acts[-1], params.wbar, data.t, hyper)
     d_y, d_a, d_wbar, d_log_alpha, d_log_sigma_e = grad_fn()
-    grads = ad.mlp_backward(params.weights, acts, d_y, d_a, params.activation)
+    grads = ad.mlp_backward(params.weights, acts, d_y, d_a)
     grads[-1] = grads[-1] + d_wbar
     return value, (grads, d_log_alpha, d_log_sigma_e)
 

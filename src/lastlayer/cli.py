@@ -79,11 +79,14 @@ def _cmd_toy(args) -> int:
 
 def _cmd_report(args) -> int:
     path = Path(args.out or "out") / "metrics.json"
-    if args.config:
-        path = Path(args.config)
     if not path.exists():
         raise ConfigError(f"metrics file not found: {path}")
-    metrics = json.loads(path.read_text())
+    try:
+        metrics = json.loads(path.read_text())
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"metrics file is not valid JSON: {err}") from err
+    if not isinstance(metrics, dict):
+        raise ConfigError(f"metrics file is not a JSON object: {path}")
     print(render_metrics_table(metrics))
     return 0
 
@@ -101,8 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("report", _cmd_report, "print the metrics table for a finished run"),
     ]:
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", help="JSON experiment config")
-        cmd.add_argument("--seed", type=int, help="seed override")
+        if name != "report":  # report reads only <out>/metrics.json
+            cmd.add_argument("--config", help="JSON experiment config")
+            cmd.add_argument("--seed", type=int, help="seed override")
         cmd.add_argument("--out", help="output directory override")
         if name == "run":
             cmd.add_argument("--methods", help="comma-separated subset of bll,blr,vi")

@@ -47,7 +47,6 @@ class ExperimentConfig:
     out_dir: str = "out"
     dataset_path: str | None = None  # generated on the fly when None
     hidden: tuple[int, ...] = (20, 20, 20)
-    activation: str = "tanh"
     train: TrainConfig = field(default_factory=benchmark_train_config)
     alpha_search: AlphaSearchConfig = field(default_factory=AlphaSearchConfig)
     sweep_points: int = 31
@@ -62,6 +61,8 @@ class ExperimentConfig:
             raise ValueError("at least one method must be selected")
         if self.sweep_points < 2:
             raise ValueError("sweep_points must be at least 2")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     def train_config(self) -> TrainConfig:
         """Loop settings with the experiment seed threaded through."""
@@ -204,18 +205,15 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
     Per-method failures are recorded under ``errors.<method>`` and the run
     continues; exit code 2 flags a partial failure.
     """
+    splits = load_splits(config)
+    spec = MlpSpec(
+        input_dim=splits["train"].n_x, hidden=config.hidden, output_dim=splits["train"].n_y
+    )
+    # Inputs are valid from here on, so a configuration error writes nothing.
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    splits = load_splits(config)
     everything = _stack_all(splits)
     write_splits_csv(out_dir / "dataset.csv", splits)
-
-    spec = MlpSpec(
-        input_dim=splits["train"].n_x,
-        hidden=config.hidden,
-        output_dim=splits["train"].n_y,
-        activation=config.activation,
-    )
     train_cfg = config.train_config()
     metrics: dict = {}
     errors: dict[str, str] = {}
@@ -270,7 +268,7 @@ def toy_feature_demo(seed: int, out_dir) -> dict:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    splits, _ = toy_three_point(seed)
+    splits = toy_three_point(seed)
     cfg = TrainConfig(
         max_epochs=6000,
         patience=5999,

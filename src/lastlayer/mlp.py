@@ -1,9 +1,9 @@
 """Feed-forward network: evaluation and feature extraction.
 
-Layers compute ``[a, 1] @ W`` followed by an activation; the bias lives in
-the last row of each weight matrix.  The output layer is always linear, so
-the activations of the last hidden layer act as a learned feature map and
-the final weight matrix is a linear regression on those features.
+Hidden layers compute ``tanh([a, 1] @ W)``; the bias lives in the last row
+of each weight matrix.  The output layer is always linear, so the
+activations of the last hidden layer act as a learned feature map and the
+final weight matrix is a linear regression on those features.
 """
 
 from dataclasses import dataclass
@@ -14,16 +14,10 @@ __all__ = [
     "MlpSpec",
     "MlpParams",
     "init_params",
-    "forward",
     "forward_batch",
     "forward_layers",
     "features",
 ]
-
-_ACTIVATIONS = {
-    "tanh": np.tanh,
-    "relu": lambda h: np.maximum(h, 0.0),
-}
 
 
 @dataclass(frozen=True)
@@ -33,6 +27,8 @@ class MlpSpec:
     input_dim: int
     hidden: tuple[int, ...]
     output_dim: int
+    # tanh is the only activation; the field stays because the acceptance
+    # tests build ``MlpParams(weights, spec.activation)``.
     activation: str = "tanh"
 
     def __post_init__(self):
@@ -41,8 +37,8 @@ class MlpSpec:
             raise ValueError("at least one hidden layer is required")
         if min(self.hidden) < 1 or self.input_dim < 1 or self.output_dim < 1:
             raise ValueError("all layer widths must be >= 1")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+        if self.activation != "tanh":
+            raise ValueError(f"unknown activation {self.activation!r}; tanh is the only one")
 
     def layer_shapes(self) -> list[tuple[int, int]]:
         dims = [self.input_dim, *self.hidden, self.output_dim]
@@ -54,7 +50,13 @@ class MlpParams:
     """Weight matrices, one per layer, each including its bias row."""
 
     weights: tuple[np.ndarray, ...]
+    # Nothing reads this field; it stays, fixed to tanh, because the
+    # acceptance tests pass ``spec.activation`` when they build params.
     activation: str = "tanh"
+
+    def __post_init__(self):
+        if self.activation != "tanh":
+            raise ValueError(f"unknown activation {self.activation!r}; tanh is the only one")
 
     @property
     def wbar(self) -> np.ndarray:
@@ -64,7 +66,7 @@ class MlpParams:
     def replace_wbar(self, wbar: np.ndarray) -> "MlpParams":
         if wbar.shape != self.weights[-1].shape:
             raise ValueError("output layer shape mismatch")
-        return MlpParams((*self.weights[:-1], wbar), self.activation)
+        return MlpParams((*self.weights[:-1], wbar))
 
 
 def init_params(spec: MlpSpec, rng: np.random.Generator) -> MlpParams:
@@ -76,7 +78,7 @@ def init_params(spec: MlpSpec, rng: np.random.Generator) -> MlpParams:
         w = np.zeros((rows, cols))
         w[:-1] = scale * rng.standard_normal((fan_in, cols))
         weights.append(w)
-    return MlpParams(tuple(weights), spec.activation)
+    return MlpParams(tuple(weights))
 
 
 def forward_layers(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
@@ -85,10 +87,9 @@ def forward_layers(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
     Returns [x, h_1, ..., h_L, y]: the inputs, each hidden activation and
     the linear outputs, as ``autodiff.mlp_backward`` expects them.
     """
-    act = _ACTIVATIONS[params.activation]
     acts = [np.asarray(x, dtype=float)]
     for w in params.weights[:-1]:
-        acts.append(act(acts[-1] @ w[:-1] + w[-1]))
+        acts.append(np.tanh(acts[-1] @ w[:-1] + w[-1]))
     w = params.weights[-1]
     acts.append(acts[-1] @ w[:-1] + w[-1])
     return acts
@@ -102,12 +103,6 @@ def forward_batch(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     """
     acts = forward_layers(params, x)
     return acts[-1], acts[-2]
-
-
-def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Single-point evaluation: returns (y, phi_tilde) as flat vectors."""
-    y, phi = forward_batch(params, np.asarray(x, dtype=float).reshape(1, -1))
-    return y[0], phi[0]
 
 
 def features(params: MlpParams, x: np.ndarray) -> np.ndarray:

@@ -130,7 +130,7 @@ def clamp_hyper_tail(leaves):
 
 
 def fit_nlml(
-    weights0, activation: str, fit_data: Dataset, val_data: Dataset | None, cfg: TrainConfig
+    weights0, fit_data: Dataset, val_data: Dataset | None, cfg: TrainConfig
 ) -> tuple[MlpParams, BllHyper, TrainHistory]:
     """Early-stopped Adam on the marginal-likelihood objective.
 
@@ -151,7 +151,7 @@ def fit_nlml(
     ]
 
     def unpack(vals):
-        params = MlpParams(tuple(vals[:n_w]), activation)
+        params = MlpParams(tuple(vals[:n_w]))
         hyper = BllHyper(float(vals[n_w]), vals[n_w + 1])
         return params, hyper
 
@@ -192,6 +192,6 @@ def train(
         raise ValueError("network spec does not match dataset dimensions")
     x_scaler, t_scaler, fit_std, val_std = standardized_splits(train_data, cfg)
     params0 = init_params(spec, make_rng(cfg.seed))
-    params, hyper, history = fit_nlml(params0.weights, spec.activation, fit_std, val_std, cfg)
+    params, hyper, history = fit_nlml(params0.weights, fit_std, val_std, cfg)
     model = fit_posterior(params, hyper, fit_std, x_scaler=x_scaler, t_scaler=t_scaler)
     return model, history

@@ -45,7 +45,6 @@ class ViParams:
     rhos: tuple[np.ndarray, ...]
     log_prior_spread: np.ndarray  # last-layer prior, one entry per output
     log_sigma_e: np.ndarray
-    activation: str = "tanh"
 
     @property
     def sigmas(self) -> tuple[np.ndarray, ...]:
@@ -64,7 +63,7 @@ class ViModel:
         return np.exp(self.params.log_sigma_e) * self.t_scaler.scale
 
 
-def _unpack(leaves, activation: str) -> ViParams:
+def _unpack(leaves) -> ViParams:
     """Read the leaf layout [mus..., rhos..., log_prior_spread, log_sigma_e]."""
     n_layers = (len(leaves) - 2) // 2
     return ViParams(
@@ -72,11 +71,10 @@ def _unpack(leaves, activation: str) -> ViParams:
         rhos=tuple(leaves[n_layers : 2 * n_layers]),
         log_prior_spread=leaves[2 * n_layers],
         log_sigma_e=leaves[2 * n_layers + 1],
-        activation=activation,
     )
 
 
-def _negative_elbo(leaves, eps, x, t, spec: MlpSpec):
+def _negative_elbo(leaves, eps, x, t):
     """Negative ELBO / m and its gradient at one Monte Carlo draw ``eps``.
 
     The draw evaluates the network at W = mu + sigma * eps, so the data
@@ -87,7 +85,7 @@ def _negative_elbo(leaves, eps, x, t, spec: MlpSpec):
     Returns:
         The value and one gradient array per leaf, in leaf order.
     """
-    params = _unpack(leaves, spec.activation)
+    params = _unpack(leaves)
     mus, rhos, sigmas = params.mus, params.rhos, params.sigmas
     log_prior_spread, log_sigma_e = params.log_prior_spread, params.log_sigma_e
     n_layers = len(mus)
@@ -114,11 +112,11 @@ def _negative_elbo(leaves, eps, x, t, spec: MlpSpec):
     # Monte Carlo negative log-likelihood at the one draw.
     inv_sig2 = np.exp(-2.0 * log_sigma_e)
     weights = [mu + sigma * e for mu, sigma, e in zip(mus, sigmas, eps)]
-    acts = forward_layers(MlpParams(tuple(weights), spec.activation), x)
+    acts = forward_layers(MlpParams(tuple(weights)), x)
     resid = t - acts[-1]
     misfit = np.sum(resid * resid, axis=0) * inv_sig2
     nll = 0.5 * m * n_y * LOG_2PI + m * np.sum(log_sigma_e) + 0.5 * np.sum(misfit)
-    d_weights = mlp_backward(weights, acts, -resid * inv_sig2, None, spec.activation)
+    d_weights = mlp_backward(weights, acts, -resid * inv_sig2, None)
     for k, (d_w, e) in enumerate(zip(d_weights, eps)):
         g_mus[k] += d_w
         g_sigmas[k] += d_w * e
@@ -158,29 +156,29 @@ def vi_train(
 
     def loss_and_grads(vals):
         eps = [noise_rng.standard_normal(s) for s in shapes]
-        return _negative_elbo(vals, eps, fit_std.x, fit_std.t, spec)
+        return _negative_elbo(vals, eps, fit_std.x, fit_std.t)
 
     monitor = None
     if val_std is not None:
 
         def monitor(vals):
             # Negative log-likelihood at the surrogate means.
-            params = _unpack(vals, spec.activation)
-            y, _ = forward_batch(MlpParams(params.mus, spec.activation), val_std.x)
+            params = _unpack(vals)
+            y, _ = forward_batch(MlpParams(params.mus), val_std.x)
             sig2 = np.exp(2.0 * params.log_sigma_e)
             return float(-gaussian_log_density(y, sig2, val_std.t).mean())
 
     best, history = fit_loop(
         leaves, loss_and_grads, cfg, monitor=monitor, post_step=clamp_hyper_tail
     )
-    return ViModel(_unpack(best, spec.activation), x_scaler, t_scaler), history
+    return ViModel(_unpack(best), x_scaler, t_scaler), history
 
 
 def _sample_forward(params: ViParams, x_std: np.ndarray, rng) -> np.ndarray:
     weights = tuple(
         mu + sigma * rng.standard_normal(mu.shape) for mu, sigma in zip(params.mus, params.sigmas)
     )
-    y, _ = forward_batch(MlpParams(weights, params.activation), x_std)
+    y, _ = forward_batch(MlpParams(weights), x_std)
     return y
 
 

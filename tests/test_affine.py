@@ -110,12 +110,11 @@ class TestCovarianceEquivalence:
     def test_one_sample_toy_both_sides_one(self):
         from lastlayer.mlp import MlpParams
 
-        params = MlpParams(
-            (np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])), activation="relu"
-        )
-        data = Dataset(np.array([[1.0]]), np.array([[1.0]]))
+        # tanh(0) = 0: the feature row is [0, 1] and the precision matrix is I
+        params = MlpParams((np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])))
+        data = Dataset(np.array([[0.0]]), np.array([[1.0]]))
         model = fit_posterior(params, BllHyper(0.0, np.array([0.0])), data)
-        lhs, rhs = bll_affine_equivalence(model, np.array([1.0]))
+        lhs, rhs = bll_affine_equivalence(model, np.array([0.0]))
         assert lhs == pytest.approx(1.0, abs=1e-10)
         assert rhs == pytest.approx(1.0, abs=1e-10)
 
@@ -139,15 +138,15 @@ class TestCovarianceEquivalence:
             assert abs(lhs - rhs) / (1.0 + abs(rhs)) < 1e-8
 
     def test_mismatched_gamma_breaks_equality(self):
-        from lastlayer.mlp import forward
+        from lastlayer.mlp import forward_batch
 
         model, _ = _random_model(seed=6)
         rng = np.random.default_rng(7)
         broken = 0
         for _ in range(20):
             x = rng.standard_normal(1) * 3.0
-            _, feats = forward(model.params, model.x_scaler.transform(x.reshape(1, -1))[0])
-            wrong = affine_cost_closed(model.phi[:, :-1], feats, model.alpha * 50.0)
+            _, feats = forward_batch(model.params, model.x_scaler.transform(x.reshape(1, -1)))
+            wrong = affine_cost_closed(model.phi[:, :-1], feats[0], model.alpha * 50.0)
             dist = predict(model, x)
             rhs = float(dist.var_y[0] / model.sigma_e[0] ** 2)
             if abs(wrong - rhs) / (1.0 + abs(rhs)) > 1e-6:

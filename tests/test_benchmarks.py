@@ -50,7 +50,6 @@ def test_noise_levels_recoverable_at_200_samples():
 def test_range_nesting_enforced():
     with pytest.raises(ValueError):
         BenchmarkFunction(
-            name="bad",
             fn=lambda x: x,
             noise=(0.1,),
             train_range=(-3.0, 3.0),
@@ -63,10 +62,10 @@ def test_range_nesting_enforced():
 
 
 def test_toy_three_point_layout():
-    splits, fn = toy_three_point(0)
+    splits = toy_three_point(0)
     assert splits["train"].m == 3
     assert splits["val"].m == 25
     assert splits["val"].x.min() < splits["train"].x.min()
     assert splits["val"].x.max() > splits["train"].x.max()
-    again, _ = toy_three_point(0)
+    again = toy_three_point(0)
     np.testing.assert_array_equal(splits["train"].t, again["train"].t)

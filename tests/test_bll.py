@@ -34,12 +34,13 @@ def _random_instance(rng, n_y=1, hidden=(3,)):
     return params, hyper, data
 
 
-def _one_sample_relu_toy():
-    """m=1 dataset whose feature row is exactly [1, 1]."""
-    params = MlpParams(
-        (np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])), activation="relu"
-    )
-    data = Dataset(np.array([[1.0]]), np.array([[1.0]]))
+def _one_sample_toy():
+    """m=1 dataset whose feature row is exactly [tanh(0), 1] = [0, 1].
+
+    At alpha = 1 with a flat bias prior the precision matrix is exactly I.
+    """
+    params = MlpParams((np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])))
+    data = Dataset(np.array([[0.0]]), np.array([[1.0]]))
     hyper = BllHyper(0.0, np.array([0.0]))  # alpha = 1, sigma_e = 1
     return params, hyper, data
 
@@ -163,10 +164,7 @@ class TestNegativeLml:
         rng = np.random.default_rng(5)
         params1, hyper1, data1 = _random_instance(rng)
         w = params1.wbar
-        params2 = MlpParams(
-            (*params1.weights[:-1], np.concatenate([w, w], axis=1)),
-            params1.activation,
-        )
+        params2 = MlpParams((*params1.weights[:-1], np.concatenate([w, w], axis=1)))
         hyper2 = BllHyper(hyper1.log_alpha, np.repeat(hyper1.log_sigma_e, 2))
         data2 = Dataset(data1.x, np.concatenate([data1.t, data1.t], axis=1))
         assert negative_lml(params2, hyper2, data2) == pytest.approx(
@@ -227,9 +225,9 @@ class TestMultivariatePrecision:
 
 class TestPredict:
     def test_one_sample_toy_unit_variance(self):
-        params, hyper, data = _one_sample_relu_toy()
+        params, hyper, data = _one_sample_toy()
         model = fit_posterior(params, hyper, data)
-        dist = predict(model, np.array([1.0]))
+        dist = predict(model, np.array([0.0]))
         assert dist.mean[0] == pytest.approx(1.0)
         assert dist.var_y[0] == pytest.approx(1.0, abs=1e-12)
         assert dist.var_t[0] == pytest.approx(2.0, abs=1e-12)
@@ -310,7 +308,7 @@ class TestFitPosterior:
         assert a.wbar_gap == b.wbar_gap
 
     def test_one_sample_toy_closed_form_weights(self):
-        params, hyper, data = _one_sample_relu_toy()
+        params, hyper, data = _one_sample_toy()
         model = fit_posterior(params, hyper, data)
         np.testing.assert_allclose(
             closed_form_wbar(model.phi, data.t, model.alpha), [[0.0], [1.0]], atol=1e-12

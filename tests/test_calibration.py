@@ -51,10 +51,9 @@ class TestLpd:
         )
 
     def test_one_sample_toy_value(self):
-        params = MlpParams(
-            (np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])), activation="relu"
-        )
-        data = Dataset(np.array([[1.0]]), np.array([[1.0]]))
+        # tanh(0) = 0: the feature row is [0, 1] and the precision matrix is I
+        params = MlpParams((np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])))
+        data = Dataset(np.array([[0.0]]), np.array([[1.0]]))
         model = fit_posterior(params, BllHyper(0.0, np.array([0.0])), data)
         assert lpd(model, data) == pytest.approx(-0.5 * math.log(4.0 * math.pi), abs=1e-10)
 

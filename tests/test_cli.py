@@ -215,6 +215,31 @@ def test_sweep_points_below_two_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _extra_split_dataset(tmp_path):
+    good = "".join(f"{i / 10},{i / 5},{s}\n" for s in ("train", "val", "test") for i in range(6))
+    path = tmp_path / "extra.csv"
+    path.write_text("x_0,t_0,split\n" + good + "1.0,2.0,extra\n")
+    return {"dataset_path": str(path)}
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        _extra_split_dataset,
+        lambda tmp_path: {"dataset_path": str(tmp_path / "absent.csv")},
+        lambda tmp_path: {"hidden": [0]},
+        lambda tmp_path: {"seed": -1},
+        lambda tmp_path: {"activation": "tanh"},
+    ],
+    ids=["extra_split", "missing_dataset", "zero_width_layer", "negative_seed", "activation"],
+)
+def test_config_error_writes_no_output_directory(tmp_path, capsys, overrides):
+    config_path, _ = _small_config(tmp_path, **overrides(tmp_path))
+    assert cli.main(["run", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 # Rows in any order: dataset.csv must read train, val, test, and every
 # per-row artifact must follow it row for row.
 _SHUFFLE_SPLITS = ["train"] * 10 + ["val"] * 4 + ["test"] * 5
@@ -256,6 +281,20 @@ def test_shuffled_dataset_rows_line_up_with_every_artifact(order):
 
 def test_missing_metrics_report_is_config_error(tmp_path):
     assert cli.main(["report", "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1]"])
+def test_non_json_metrics_report_is_config_error(tmp_path, capsys, text):
+    (tmp_path / "metrics.json").write_text(text)
+    assert cli.main(["report", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: metrics file is not ")
+
+
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--config", "metrics.json"]])
+def test_report_reads_only_out(tmp_path, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "--out", str(tmp_path), *flag])
+    assert exc.value.code == 2
 
 
 def test_retired_train_setting_is_config_error(tmp_path):

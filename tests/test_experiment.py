@@ -79,6 +79,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(methods=())
 
+    def test_readme_config_block_is_the_default_run(self):
+        # a stale or retired key in README's example fails to load here
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = readme.split("```json\n")[1:]
+        assert len(blocks) == 1
+        raw = json.loads(blocks[0].split("```")[0])
+        assert config_from_dict(raw) == ExperimentConfig()
+
     def test_hash_ignores_out_dir_but_not_seed(self):
         a = ExperimentConfig(seed=1, out_dir="a")
         b = ExperimentConfig(seed=1, out_dir="b")

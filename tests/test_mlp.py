@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lastlayer.mlp import MlpParams, MlpSpec, features, forward, forward_batch, init_params
+from lastlayer.mlp import MlpParams, MlpSpec, features, forward_batch, init_params
 from lastlayer.rng import make_rng
 
 
@@ -10,8 +10,17 @@ def test_spec_validation():
         MlpSpec(1, (), 1)
     with pytest.raises(ValueError):
         MlpSpec(1, (0,), 1)
-    with pytest.raises(ValueError):
-        MlpSpec(1, (3,), 1, activation="sigmoid")
+    for activation in ("relu", "sigmoid"):
+        with pytest.raises(ValueError, match="tanh is the only one"):
+            MlpSpec(1, (3,), 1, activation=activation)
+
+
+def test_params_accept_only_tanh():
+    spec = MlpSpec(1, (3,), 1)
+    weights = tuple(np.zeros(s) for s in spec.layer_shapes())
+    assert MlpParams(weights, spec.activation).activation == "tanh"
+    with pytest.raises(ValueError, match="tanh is the only one"):
+        MlpParams(weights, "relu")
 
 
 def test_init_deterministic_per_seed():
@@ -43,19 +52,19 @@ def test_init_scale_matches_glorot():
 def test_forward_zero_weights():
     spec = MlpSpec(2, (3,), 1)
     params = MlpParams(tuple(np.zeros(s) for s in spec.layer_shapes()))
-    y, phi = forward(params, np.array([1.0, -2.0]))
-    np.testing.assert_array_equal(y, [0.0])
-    np.testing.assert_array_equal(phi, np.zeros(3))
+    y, phi = forward_batch(params, np.array([[1.0, -2.0]]))
+    np.testing.assert_array_equal(y, [[0.0]])
+    np.testing.assert_array_equal(phi, np.zeros((1, 3)))
 
 
 def test_forward_single_neuron_hand_values():
     # one hidden tanh unit with unit weight, zero bias; unit output weight
     params = MlpParams((np.array([[1.0], [0.0]]), np.array([[1.0], [0.0]])))
-    y0, _ = forward(params, np.array([0.0]))
-    assert y0[0] == 0.0
-    y1, phi1 = forward(params, np.array([1.0]))
-    assert phi1[0] == pytest.approx(np.tanh(1.0))
-    assert y1[0] == pytest.approx(0.7615941559557649, abs=1e-10)
+    y0, _ = forward_batch(params, np.array([[0.0]]))
+    assert y0[0, 0] == 0.0
+    y1, phi1 = forward_batch(params, np.array([[1.0]]))
+    assert phi1[0, 0] == pytest.approx(np.tanh(1.0))
+    assert y1[0, 0] == pytest.approx(0.7615941559557649, abs=1e-10)
 
 
 def test_features_last_column_is_one():
@@ -76,8 +85,8 @@ def test_features_consistent_with_forward():
     x = np.random.default_rng(1).standard_normal((6, 3))
     phi = features(params, x)
     for i in range(6):
-        _, phi_i = forward(params, x[i])
-        np.testing.assert_allclose(phi[i, :-1], phi_i, rtol=1e-12)
+        _, phi_i = forward_batch(params, x[i : i + 1])
+        np.testing.assert_allclose(phi[i, :-1], phi_i[0], rtol=1e-12)
 
 
 def test_output_is_affine_in_features():
@@ -94,12 +103,3 @@ def test_output_is_affine_in_features():
     y2, _ = forward_batch(doubled, x)
     np.testing.assert_allclose(y2 - w[-1], 2.0 * (y_direct - w[-1]), rtol=1e-10)
 
-
-def test_relu_activation_supported():
-    params = MlpParams(
-        (np.array([[1.0], [0.0]]), np.array([[1.0], [0.0]])), activation="relu"
-    )
-    y, phi = forward(params, np.array([1.0]))
-    assert phi[0] == 1.0 and y[0] == 1.0
-    y_neg, _ = forward(params, np.array([-2.0]))
-    assert y_neg[0] == 0.0

@@ -64,7 +64,7 @@ class TestElboGraph:
         leaves = self._leaves(spec)
         shapes = spec.layer_shapes()
         eps = [np.zeros(s) for s in shapes]
-        value, _ = _negative_elbo(leaves, eps, data.x, data.t, spec)
+        value, _ = _negative_elbo(leaves, eps, data.x, data.t)
         # reference: deterministic forward at the means plus closed-form KL
         mus, rhos = leaves[:2], leaves[2:4]
         sig = [np.logaddexp(0.0, r) for r in rhos]
@@ -86,7 +86,7 @@ class TestElboGraph:
         leaves = self._leaves(spec, rho=-40.0)
         shapes = spec.layer_shapes()
         eps = [make_rng(4).standard_normal(s) for s in shapes]
-        _, grads = _negative_elbo(leaves, eps, data.x, data.t, spec)
+        _, grads = _negative_elbo(leaves, eps, data.x, data.t)
 
         def deterministic(ws):
             a = np.tanh(data.x @ ws[0][:-1] + ws[0][-1])
@@ -105,15 +105,14 @@ class TestElboGraph:
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**16),
-    activation=st.sampled_from(["tanh", "relu"]),
     n_y=st.integers(1, 2),
     depth=st.integers(1, 3),
 )
-def test_elbo_gradient_matches_finite_differences(seed, activation, n_y, depth):
+def test_elbo_gradient_matches_finite_differences(seed, n_y, depth):
     rng = np.random.default_rng(seed)
     n_x = int(rng.integers(1, 3))
     m = int(rng.integers(2, 7))
-    spec = MlpSpec(n_x, tuple(int(w) for w in rng.integers(1, 4, size=depth)), n_y, activation)
+    spec = MlpSpec(n_x, tuple(int(w) for w in rng.integers(1, 4, size=depth)), n_y)
     shapes = spec.layer_shapes()
     leaves = (
         [0.5 * rng.standard_normal(s) for s in shapes]
@@ -124,9 +123,9 @@ def test_elbo_gradient_matches_finite_differences(seed, activation, n_y, depth):
     data = Dataset(rng.standard_normal((m, n_x)), rng.standard_normal((m, n_y)))
 
     def value(arrays):
-        return _negative_elbo(arrays, eps, data.x, data.t, spec)[0]
+        return _negative_elbo(arrays, eps, data.x, data.t)[0]
 
-    _, grads = _negative_elbo(leaves, eps, data.x, data.t, spec)
+    _, grads = _negative_elbo(leaves, eps, data.x, data.t)
     for g, f in zip(grads, finite_difference(value, leaves)):
         np.testing.assert_allclose(g, f, rtol=1e-6, atol=1e-8)
 
