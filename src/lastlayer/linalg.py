@@ -3,13 +3,15 @@
 Everything in this package that touches a precision matrix goes through the
 Cholesky route below: factor once, then reuse the factor for log-determinants
 and solves.  Matrices are plain row-major ``numpy`` arrays; problem sizes are
-tiny (tens of rows), so no sparse or blocked code paths exist.
+tiny (tens of rows), so no sparse or blocked code paths exist.  At that size
+wrapper overhead outweighs the arithmetic, so ``chol_spd`` and ``solve_pd``
+call numpy and LAPACK directly, keeping the wrappers' checks and their bits.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 __all__ = [
     "CholeskyFactor",
@@ -68,6 +70,15 @@ def cholesky(a: np.ndarray, jitter: float = 0.0) -> CholeskyFactor:
     return CholeskyFactor(lower)
 
 
+def _jitter_ladder(a: np.ndarray):
+    """Diagonal jitters to try in turn: none, then trace/dim * 1e-12, 1e-10, ... 1."""
+    yield 0.0
+    jitter = max(np.trace(a) / max(a.shape[0], 1), 1e-30) * 1e-12
+    for _ in range(7):
+        yield jitter
+        jitter *= 100.0
+
+
 def chol_spd(a: np.ndarray) -> CholeskyFactor:
     """Factor with an escalating jitter ladder as a fallback.
 
@@ -75,15 +86,23 @@ def chol_spd(a: np.ndarray) -> CholeskyFactor:
     across code paths that are compared to each other at tight tolerances.
     Near-singular matrices (a log-det regularizer can drive the feature gram
     close to rank deficiency) get diagonal jitter scaled by trace/dim.
+
+    A matrix that is exactly symmetric (every caller in the package builds
+    one) is factored directly, without ``cholesky``'s tolerance scan; any
+    other matrix, and any failure there, takes the checked ladder.
     """
     a = np.asarray(a, dtype=float)
-    base = max(np.trace(a) / max(a.shape[0], 1), 1e-30)
-    jitter = 0.0
-    for _ in range(8):
+    ladder = _jitter_ladder(a)
+    if a.ndim == 2 and a.shape[0] == a.shape[1] and (a == a.T).all():
+        try:
+            return CholeskyFactor(np.linalg.cholesky(a))
+        except np.linalg.LinAlgError:
+            next(ladder)  # jitter 0 has just failed
+    for jitter in ladder:
         try:
             return cholesky(a, jitter=jitter)
         except NotPositiveDefinite:
-            jitter = base * 1e-12 if jitter == 0.0 else jitter * 100.0
+            pass
     raise NotPositiveDefinite("matrix not positive definite even with jitter")
 
 
@@ -95,12 +114,32 @@ def logdet_pd(factor: CholeskyFactor) -> float:
 def solve_pd(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
     """Solve A @ x = b given the Cholesky factor of A.
 
-    ``b`` may be a vector or a matrix of right-hand-side columns.
+    ``b`` may be a vector or a matrix of right-hand-side columns.  The two
+    triangular solves are the LAPACK calls ``solve_triangular`` makes for a
+    C-ordered factor L: L y = b and L.T x = y, both against the F-ordered
+    upper triangle L.T.
+
+    Raises:
+        DimensionMismatch: if ``b`` is not 1-D or 2-D with ``factor.dim`` rows.
+        ValueError: if the factor or ``b`` holds a NaN or infinity.
+        np.linalg.LinAlgError: if the factor is singular.
     """
     b = np.asarray(b, dtype=float)
-    if b.shape[0] != factor.dim:
+    if b.ndim not in (1, 2) or b.shape[0] != factor.dim:
         raise DimensionMismatch(
-            f"factor dim {factor.dim} does not match rhs rows {b.shape[0]}"
+            f"factor dim {factor.dim} does not match rhs of shape {b.shape}"
         )
-    y = solve_triangular(factor.lower, b, lower=True)
-    return solve_triangular(factor.lower.T, y, lower=False)
+    upper = factor.lower.T
+    if not np.isfinite(upper).all():
+        raise ValueError("Cholesky factor must not contain infs or NaNs")
+    return _trtrs(upper, _trtrs(upper, b, trans=1), trans=0)
+
+
+def _trtrs(upper: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
+    """One triangular solve with the upper triangle, transposed when ``trans``."""
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side must not contain infs or NaNs")
+    x, info = dtrtrs(upper, b, lower=0, trans=trans)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK info {info})")
+    return x

@@ -48,23 +48,33 @@ class TrainConfig:
 
 @dataclass
 class TrainHistory:
-    """Per-epoch objective curves and the early-stopping winner."""
+    """Per-epoch objective curves, the early-stopping winner and why the loop ended.
+
+    ``stop_reason`` is ``"patience"`` when the monitor stopped improving and
+    ``"max_epochs"`` when the epoch budget ran out; ``fit_loop`` sets it.
+    """
 
     train_objective: list[float] = field(default_factory=list)
     val_objective: list[float] | None = None
     best_epoch: int = 0
+    stop_reason: str | None = None
 
 
 def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=None):
     """Generic early-stopped Adam loop shared by every trainer in the package.
 
+    The parameters live in one flat vector that Adam updates as a single
+    array; the leaves handed to the callables are reshaped views into it,
+    built once and refreshed in place by every step.
+
     Args:
-        leaves: list of parameter arrays (updated functionally).
+        leaves: list of parameter arrays (not modified).
         loss_and_grads: leaves -> (value, grads) at the current leaves.
         cfg: loop hyperparameters.
         monitor: optional callable giving the early-stopping criterion value
             at the current leaves; defaults to the training objective.
-        post_step: optional projection applied to the leaves after each step.
+        post_step: optional projection applied in place to the leaves after
+            each step.
 
     Returns:
         (best_leaves, history).
@@ -73,10 +83,19 @@ def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=N
         NonFiniteLoss: naming the epoch, when the objective or the monitor is
             NaN or infinite.
     """
-    state = adam_init(leaves, cfg.lr)
+    bounds = np.cumsum([0, *(np.size(a) for a in leaves)]).tolist()
+    layout = list(zip(bounds[:-1], bounds[1:], [np.shape(a) for a in leaves]))
+
+    def views(flat):
+        return [flat[lo:hi].reshape(shape) for lo, hi, shape in layout]
+
+    flat = np.concatenate(leaves, axis=None, dtype=float)
+    leaves = views(flat)
+    state = adam_init([flat], cfg.lr)
     history = TrainHistory(val_objective=None if monitor is None else [])
     best_value = np.inf
-    best_leaves = [a.copy() for a in leaves]
+    best_flat = flat.copy()
+    history.stop_reason = "max_epochs"
     for epoch in range(cfg.max_epochs):
         try:
             value, grads = loss_and_grads(leaves)
@@ -93,13 +112,15 @@ def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=N
         if crit < best_value:
             best_value = crit
             history.best_epoch = epoch
-            best_leaves = [a.copy() for a in leaves]
+            best_flat = flat.copy()
         elif epoch - history.best_epoch > cfg.patience:
+            history.stop_reason = "patience"
             break
-        state, leaves = adam_step(state, leaves, grads)
+        state, (stepped,) = adam_step(state, [flat], [np.concatenate(grads, axis=None)])
+        flat[...] = stepped
         if post_step is not None:
-            leaves = post_step(leaves)
-    return best_leaves, history
+            post_step(leaves)
+    return views(best_flat), history
 
 
 def standardized_splits(
@@ -124,9 +145,10 @@ def standardized_splits(
     return x_scaler, t_scaler, standardize(fit_part), val_std
 
 
-def clamp_hyper_tail(leaves):
-    """Projection keeping the two trailing hyperparameter leaves in a safe box."""
-    return leaves[:-2] + [np.clip(a, -HYPER_CLAMP, HYPER_CLAMP) for a in leaves[-2:]]
+def clamp_hyper_tail(leaves) -> None:
+    """Projection keeping the two trailing hyperparameter leaves in a safe box, in place."""
+    for a in leaves[-2:]:
+        np.clip(a, -HYPER_CLAMP, HYPER_CLAMP, out=a)
 
 
 def fit_nlml(

@@ -4,13 +4,18 @@ Everything here recomputes expected values through routes the library does
 not use: finite differences instead of the tape, characteristic-polynomial
 eigenvalues instead of Cholesky, the m x m marginal Gaussian instead of the
 feature-space precision, and the unscaled noise/prior parameterization of
-the objective instead of the signal-to-noise form, and the per-entry
-Gaussian KL instead of the ELBO's inline sum.
+the objective instead of the signal-to-noise form, the per-entry
+Gaussian KL instead of the ELBO's inline sum, ``scipy.linalg.solve_triangular``
+instead of the direct LAPACK calls, and a per-leaf Adam loop instead of the
+flat parameter vector.
 """
 
 import math
 
 import numpy as np
+from scipy.linalg import solve_triangular
+
+from lastlayer.optim import adam_init, adam_step
 
 
 def finite_difference(fn, arrays, h=1e-5):
@@ -110,3 +115,35 @@ def kl_diag_gaussian(mu, sigma, prior_sigma) -> float:
     return float(
         np.sum(0.5 * np.log(prior_var / sigma**2) + (sigma**2 + mu**2) / (2 * prior_var) - 0.5)
     )
+
+
+def solve_pd_reference(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A @ x = b from the Cholesky factor through scipy's validated wrapper."""
+    y = solve_triangular(lower, b, lower=True)
+    return solve_triangular(lower.T, y, lower=False)
+
+
+def fit_loop_per_leaf(leaves, loss_and_grads, cfg, monitor=None, post_step=None):
+    """Early-stopped Adam with one optimizer entry per leaf and list snapshots.
+
+    The loop ``training.fit_loop`` ran before it moved to one flat
+    parameter vector; Adam is elementwise, so both must agree bit for bit.
+    """
+    state = adam_init(leaves, cfg.lr)
+    train_objective, val_objective = [], []
+    best_value, best_epoch = np.inf, 0
+    best_leaves = [a.copy() for a in leaves]
+    for epoch in range(cfg.max_epochs):
+        value, grads = loss_and_grads(leaves)
+        crit = value if monitor is None else monitor(leaves)
+        train_objective.append(value)
+        val_objective.append(crit)
+        if crit < best_value:
+            best_value, best_epoch = crit, epoch
+            best_leaves = [a.copy() for a in leaves]
+        elif epoch - best_epoch > cfg.patience:
+            break
+        state, leaves = adam_step(state, leaves, grads)
+        if post_step is not None:
+            leaves = post_step(leaves)
+    return best_leaves, train_objective, val_objective, best_epoch

@@ -16,6 +16,7 @@ from lastlayer.bll import (
     predict,
     predict_batch,
 )
+from lastlayer import autodiff
 from lastlayer.data import Dataset, fit_standardizer
 from lastlayer.linalg import chol_spd, solve_pd
 from lastlayer.mlp import MlpParams, MlpSpec, features, init_params
@@ -295,6 +296,37 @@ def test_predict_batch_shapes_noise_gap_and_single_rows(seed, n_x, n_y, rows):
             np.testing.assert_allclose(
                 single, batch[i], rtol=1e-12, atol=1e-12 * np.abs(batch).max()
             )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    m=st.integers(1, 60),
+    width=st.integers(1, 24),
+    log_alpha=st.floats(-10.0, 10.0),
+)
+def test_precision_bar_and_nlml_gram_are_exactly_symmetric(seed, m, width, log_alpha):
+    # chol_spd skips its tolerance scan only for exactly symmetric input;
+    # both precision matrices the package factors must be so by construction
+    rng = np.random.default_rng(seed)
+    params = init_params(MlpSpec(2, (width,), 2), make_rng(seed))
+    data = Dataset(rng.standard_normal((m, 2)), rng.standard_normal((m, 2)))
+    lam = precision_bar(features(params, data.x), math.exp(log_alpha))
+    assert np.array_equal(lam, lam.T)
+
+    grams = []
+    logdet_spd = autodiff.logdet_spd
+
+    def spy(a):
+        grams.append(a)
+        return logdet_spd(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(autodiff, "logdet_spd", spy)
+        negative_lml(params, BllHyper(log_alpha, np.zeros(2)), data)
+    (gram,) = grams
+    assert gram.shape == (width + 1, width + 1)
+    assert np.array_equal(gram, gram.T)
 
 
 class TestFitPosterior:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lastlayer import linalg
 from lastlayer.linalg import (
+    CholeskyFactor,
     DimensionMismatch,
     NotPositiveDefinite,
     cholesky,
@@ -13,7 +15,7 @@ from lastlayer.linalg import (
     solve_pd,
 )
 
-from oracles import charpoly_eigenvalues, random_spd
+from oracles import charpoly_eigenvalues, random_spd, solve_pd_reference
 
 
 class TestCholesky:
@@ -141,3 +143,87 @@ def test_chol_spd_factors_rank_deficient_grams(seed, m, k, log10_scale):
     assert np.isfinite(lower).all()
     assert (np.triu(lower, 1) == 0.0).all()
     assert np.abs(lower @ lower.T - a).max() <= 1e-10 * np.trace(a) / n
+
+
+class TestSolveChecks:
+    def test_zero_dim_rhs_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            solve_pd(cholesky(np.eye(2)), np.asarray(1.0))
+
+    def test_three_dim_rhs_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            solve_pd(cholesky(np.eye(2)), np.ones((2, 2, 2)))
+
+    def test_nan_rhs_raises(self):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_pd(cholesky(np.eye(2)), np.array([1.0, np.nan]))
+
+    def test_nan_factor_raises(self):
+        factor = CholeskyFactor(np.array([[1.0, 0.0], [np.nan, 1.0]]))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_pd(factor, np.ones(2))
+
+    def test_factor_of_a_nan_matrix_is_rejected_by_the_solve(self):
+        # np.linalg.cholesky returns a NaN factor for a NaN matrix without
+        # raising; the solve's finiteness check is what catches it
+        factor = chol_spd(np.full((2, 2), np.nan))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_pd(factor, np.ones(2))
+
+    def test_singular_factor_raises(self):
+        factor = CholeskyFactor(np.array([[1.0, 0.0], [1.0, 0.0]]))
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_pd(factor, np.ones(2))
+
+
+class TestCholSpdChecks:
+    def test_rejects_a_matrix_not_symmetric_within_tolerance(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            chol_spd(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    def test_factors_a_matrix_symmetric_within_tolerance_but_not_exactly(self):
+        a = np.array([[2.0, 1.0], [1.0 + 1e-13, 2.0]])
+        assert not (a == a.T).all()
+        np.testing.assert_array_equal(chol_spd(a).lower, np.linalg.cholesky(a))
+
+    def test_ladder_after_a_failed_fast_path_skips_jitter_zero(self, monkeypatch):
+        jitters = []
+        checked = linalg.cholesky
+
+        def spy(a, jitter=0.0):
+            jitters.append(jitter)
+            return checked(a, jitter=jitter)
+
+        monkeypatch.setattr(linalg, "cholesky", spy)
+        singular = np.array([[1.0, 1.0], [1.0, 1.0]])  # exactly symmetric
+        factor = chol_spd(singular)
+        assert jitters == [1e-12]  # trace / dim * 1e-12, no second jitter-0 try
+        np.testing.assert_array_equal(factor.lower, checked(singular, jitter=1e-12).lower)
+
+        jitters.clear()
+        chol_spd(np.array([[1.0, 1.0], [1.0 + 1e-14, 1.0]]))  # symmetric within tolerance
+        assert jitters == [0.0, 1e-12]  # the checked ladder still starts at jitter 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 29),
+    cols=st.integers(1, 5),
+    rhs=st.sampled_from(["vector", "matrix", "fortran", "transposed", "identity"]),
+)
+def test_solve_pd_is_bitwise_solve_triangular(seed, n, cols, rhs):
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal((n + 3, n))
+    factor = chol_spd(phi.T @ phi + np.eye(n))
+    b = {
+        "vector": lambda: rng.standard_normal(n),
+        "matrix": lambda: rng.standard_normal((n, cols)),
+        "fortran": lambda: np.asfortranarray(rng.standard_normal((n, cols))),
+        "transposed": lambda: rng.standard_normal((cols, n)).T,
+        "identity": lambda: np.eye(n),
+    }[rhs]()
+    x = solve_pd(factor, b)
+    expected = solve_pd_reference(factor.lower, b)
+    assert x.shape == expected.shape
+    np.testing.assert_array_equal(x, expected)

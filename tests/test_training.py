@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lastlayer.autodiff import NonFiniteLoss
 from lastlayer.baselines import blr_fit, train_mse
-from lastlayer.bll import closed_form_wbar
+from lastlayer.bll import HYPER_CLAMP, BllHyper, closed_form_wbar, negative_lml, negative_lml_grads
 from lastlayer.data import Dataset
-from lastlayer.mlp import MlpSpec, init_params
+from lastlayer.mlp import MlpParams, MlpSpec, init_params
 from lastlayer.rng import make_rng
-from lastlayer.training import TrainConfig, train, fit_loop
+from lastlayer.training import TrainConfig, clamp_hyper_tail, train, fit_loop
 from lastlayer.vi import vi_train
+
+from oracles import fit_loop_per_leaf
 
 
 def _linear_dataset(seed=0, m=40, slope=2.0, noise=0.1):
@@ -64,6 +67,34 @@ class TestFitLoop:
         assert len(history.val_objective) < 100  # patience cut the run short
         assert min(history.val_objective) == history.val_objective[5]
 
+    def test_stop_reason_max_epochs(self):
+        def loss_and_grads(leaves):
+            return float(leaves[0] ** 2), [2.0 * leaves[0]]
+
+        _, history = fit_loop(
+            [np.asarray(3.0)], loss_and_grads, TrainConfig(max_epochs=50, patience=10, lr=0.01)
+        )
+        assert len(history.train_objective) == 50
+        assert history.stop_reason == "max_epochs"
+
+    def test_stop_reason_patience(self):
+        # the monitor improves for five epochs, then stalls
+        crits = iter([5.0, 4.0, 3.0, 2.0, 1.0] + [7.0] * 95)
+
+        def loss_and_grads(leaves):
+            return 0.0, [np.zeros(())]
+
+        _, history = fit_loop(
+            [np.asarray(0.0)],
+            loss_and_grads,
+            TrainConfig(max_epochs=100, patience=10),
+            monitor=lambda leaves: next(crits),
+        )
+        assert history.best_epoch == 4
+        # epochs 5..15 do not improve; the one 11 epochs past the best stops it
+        assert len(history.train_objective) == 4 + 11 + 1
+        assert history.stop_reason == "patience"
+
     def test_non_finite_loss_reports_epoch(self):
         calls = {"n": 0}
 
@@ -103,6 +134,89 @@ class TestFitLoop:
         }[trainer]
         with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss, match="^epoch 1: "):
             run()
+
+
+def _clip_tail_copies(leaves):
+    """The functional form of clamp_hyper_tail, for the per-leaf reference loop."""
+    return leaves[:-2] + [np.clip(a, -HYPER_CLAMP, HYPER_CLAMP) for a in leaves[-2:]]
+
+
+def _assert_same_run(flat_run, reference_run):
+    best, history = flat_run
+    ref_best, ref_train, ref_val, ref_best_epoch = reference_run
+    assert len(best) == len(ref_best)
+    for got, want in zip(best, ref_best):
+        assert got.shape == np.shape(want)
+        np.testing.assert_array_equal(got, want)
+    assert history.train_objective == ref_train
+    if history.val_objective is not None:
+        assert history.val_objective == ref_val
+    assert history.best_epoch == ref_best_epoch
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    shapes=st.lists(st.sampled_from([(), (3,), (2, 4), (5, 1)]), max_size=4),
+    n_tail=st.integers(1, 3),
+    patience=st.integers(3, 39),
+    with_monitor=st.booleans(),
+)
+def test_flat_fit_loop_matches_the_per_leaf_loop(seed, shapes, n_tail, patience, with_monitor):
+    rng = np.random.default_rng(seed)
+    # a 0-d and a vector hyperparameter leaf last, as fit_nlml lays them out
+    leaves = [rng.standard_normal(s) for s in shapes]
+    leaves += [np.asarray(rng.standard_normal()), rng.standard_normal(n_tail)]
+    # optima far outside the clamp box, so clamp_hyper_tail has work to do
+    targets = [30.0 * rng.standard_normal(np.shape(a)) for a in leaves]
+
+    def loss_and_grads(vals):
+        diffs = [v - tgt for v, tgt in zip(vals, targets)]
+        value = float(sum(np.sum(np.sin(d) + 0.05 * d * d) for d in diffs))
+        return value, [np.cos(d) + 0.1 * d for d in diffs]
+
+    def monitor(vals):
+        return float(sum(np.sum(np.abs(np.sin(3.0 * (v - tgt)))) for v, tgt in zip(vals, targets)))
+
+    cfg = TrainConfig(max_epochs=40, patience=patience, lr=2.0)
+    kwargs = {"monitor": monitor if with_monitor else None}
+    flat_run = fit_loop(
+        [a.copy() for a in leaves], loss_and_grads, cfg, post_step=clamp_hyper_tail, **kwargs
+    )
+    reference_run = fit_loop_per_leaf(
+        leaves, loss_and_grads, cfg, post_step=_clip_tail_copies, **kwargs
+    )
+    _assert_same_run(flat_run, reference_run)
+
+
+def test_flat_fit_loop_matches_the_per_leaf_loop_on_the_nlml():
+    # the bll objective at the benchmark's shapes: 48 fit rows, hidden
+    # (20, 20, 20), two outputs; weights are views into the flat vector
+    rng = np.random.default_rng(5)
+    spec = MlpSpec(1, (20, 20, 20), 2)
+    fit = Dataset(rng.standard_normal((48, 1)), rng.standard_normal((48, 2)))
+    val = Dataset(rng.standard_normal((12, 1)), rng.standard_normal((12, 2)))
+    weights = init_params(spec, make_rng(3)).weights
+    leaves = [*weights, np.asarray(0.0), np.full(2, -1.0)]
+
+    def unpack(vals):
+        return MlpParams(tuple(vals[:-2])), BllHyper(float(vals[-2]), vals[-1])
+
+    def loss_and_grads(vals):
+        value, (w_grads, g_la, g_ls) = negative_lml_grads(*unpack(vals), fit)
+        return value, [*w_grads, g_la, g_ls]
+
+    def monitor(vals):
+        return negative_lml(*unpack(vals), val)
+
+    cfg = TrainConfig(max_epochs=30, patience=29, lr=1e-2)
+    flat_run = fit_loop(
+        [a.copy() for a in leaves], loss_and_grads, cfg, monitor, post_step=clamp_hyper_tail
+    )
+    reference_run = fit_loop_per_leaf(
+        leaves, loss_and_grads, cfg, monitor, post_step=_clip_tail_copies
+    )
+    _assert_same_run(flat_run, reference_run)
 
 
 class TestTrain:
