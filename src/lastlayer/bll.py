@@ -13,7 +13,6 @@ gradient descent on all weights and hyperparameters recovers the
 marginal-likelihood solution without a matrix inverse in the loss.
 """
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -74,14 +73,6 @@ def masked_identity(n_phi: int, flat_bias: bool = True) -> np.ndarray:
     return eye
 
 
-@functools.lru_cache(maxsize=8)
-def _prior_pattern(n_phi: int, flat_bias: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``masked_identity`` and its diagonal, built once per shape."""
-    prior = masked_identity(n_phi, flat_bias)
-    prior.flags.writeable = False
-    return prior, np.diag(prior)
-
-
 def precision_bar(phi: np.ndarray, alpha: float, flat_bias: bool = True) -> np.ndarray:
     """Noise-free posterior precision Phi^T Phi + alpha^-1 * I~.
 
@@ -134,13 +125,12 @@ def _nlml_head(
         NonFiniteLoss: if the value is NaN or infinite.
     """
     m, n_y = t.shape
-    n_phi = a.shape[1] + 1
-    phi = np.empty((m, n_phi))
-    phi[:, :-1] = a
-    phi[:, -1] = 1.0
+    phi = np.concatenate([a, np.ones((m, 1))], axis=1)
+    n_phi = phi.shape[1]
     log_alpha = np.asarray(hyper.log_alpha, dtype=float)
     inv_alpha = np.exp(-log_alpha)
-    prior, in_prior = _prior_pattern(n_phi, flat_bias)  # in_prior: 0 on a flat bias row
+    prior = masked_identity(n_phi, flat_bias)
+    in_prior = np.diag(prior)  # 0 on a flat bias row
     logdet, logdet_grad = ad.logdet_spd(phi.T @ phi + inv_alpha * prior)
 
     inv_sig2 = np.exp(-2.0 * hyper.log_sigma_e)

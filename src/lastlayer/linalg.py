@@ -4,8 +4,9 @@ Everything in this package that touches a precision matrix goes through the
 Cholesky route below: factor once, then reuse the factor for log-determinants
 and solves.  Matrices are plain row-major ``numpy`` arrays; problem sizes are
 tiny (tens of rows), so no sparse or blocked code paths exist.  At that size
-wrapper overhead outweighs the arithmetic, so ``chol_spd`` and ``solve_pd``
-call numpy and LAPACK directly, keeping the wrappers' checks and their bits.
+wrapper overhead outweighs the arithmetic, so ``cholesky`` skips its
+tolerance scan for an exactly symmetric matrix and ``solve_pd`` calls LAPACK
+directly, keeping the wrappers' checks and their bits.
 """
 
 from dataclasses import dataclass
@@ -47,7 +48,8 @@ def cholesky(a: np.ndarray, jitter: float = 0.0) -> CholeskyFactor:
     """Factor a symmetric positive-definite matrix as L @ L.T.
 
     Args:
-        a: square symmetric matrix (symmetric within 1e-10 relative tolerance).
+        a: square symmetric matrix (symmetric within 1e-10 relative tolerance;
+            an exactly symmetric one skips the tolerance scan).
         jitter: nonnegative value added to the diagonal before factoring.
 
     Raises:
@@ -58,9 +60,10 @@ def cholesky(a: np.ndarray, jitter: float = 0.0) -> CholeskyFactor:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    scale = np.abs(a).max() if a.size else 0.0
-    if np.abs(a - a.T).max(initial=0.0) > 1e-10 * (1.0 + scale):
-        raise ValueError("matrix is not symmetric within tolerance")
+    if not (a == a.T).all():
+        scale = np.abs(a).max() if a.size else 0.0
+        if np.abs(a - a.T).max(initial=0.0) > 1e-10 * (1.0 + scale):
+            raise ValueError("matrix is not symmetric within tolerance")
     if jitter != 0.0:
         a = a + jitter * np.eye(a.shape[0])
     try:
@@ -70,15 +73,6 @@ def cholesky(a: np.ndarray, jitter: float = 0.0) -> CholeskyFactor:
     return CholeskyFactor(lower)
 
 
-def _jitter_ladder(a: np.ndarray):
-    """Diagonal jitters to try in turn: none, then trace/dim * 1e-12, 1e-10, ... 1."""
-    yield 0.0
-    jitter = max(np.trace(a) / max(a.shape[0], 1), 1e-30) * 1e-12
-    for _ in range(7):
-        yield jitter
-        jitter *= 100.0
-
-
 def chol_spd(a: np.ndarray) -> CholeskyFactor:
     """Factor with an escalating jitter ladder as a fallback.
 
@@ -86,23 +80,17 @@ def chol_spd(a: np.ndarray) -> CholeskyFactor:
     across code paths that are compared to each other at tight tolerances.
     Near-singular matrices (a log-det regularizer can drive the feature gram
     close to rank deficiency) get diagonal jitter scaled by trace/dim.
-
-    A matrix that is exactly symmetric (every caller in the package builds
-    one) is factored directly, without ``cholesky``'s tolerance scan; any
-    other matrix, and any failure there, takes the checked ladder.
     """
     a = np.asarray(a, dtype=float)
-    ladder = _jitter_ladder(a)
-    if a.ndim == 2 and a.shape[0] == a.shape[1] and (a == a.T).all():
-        try:
-            return CholeskyFactor(np.linalg.cholesky(a))
-        except np.linalg.LinAlgError:
-            next(ladder)  # jitter 0 has just failed
-    for jitter in ladder:
+    jitter = 0.0
+    for _ in range(8):
         try:
             return cholesky(a, jitter=jitter)
         except NotPositiveDefinite:
-            pass
+            if jitter == 0.0:
+                jitter = max(np.trace(a) / max(a.shape[0], 1), 1e-30) * 1e-12
+            else:
+                jitter *= 100.0
     raise NotPositiveDefinite("matrix not positive definite even with jitter")
 
 

@@ -82,9 +82,12 @@ def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=N
     Raises:
         NonFiniteLoss: naming the epoch, when the objective or the monitor is
             NaN or infinite.
+        ValueError: when the gradients do not match the leaves in number and
+            shape.
     """
+    shapes = [np.shape(a) for a in leaves]
     bounds = np.cumsum([0, *(np.size(a) for a in leaves)]).tolist()
-    layout = list(zip(bounds[:-1], bounds[1:], [np.shape(a) for a in leaves]))
+    layout = list(zip(bounds[:-1], bounds[1:], shapes))
 
     def views(flat):
         return [flat[lo:hi].reshape(shape) for lo, hi, shape in layout]
@@ -116,6 +119,9 @@ def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=N
         elif epoch - history.best_epoch > cfg.patience:
             history.stop_reason = "patience"
             break
+        grad_shapes = [np.shape(g) for g in grads]
+        if grad_shapes != shapes:
+            raise ValueError(f"gradient shapes {grad_shapes} do not match the leaves {shapes}")
         state, (stepped,) = adam_step(state, [flat], [np.concatenate(grads, axis=None)])
         flat[...] = stepped
         if post_step is not None:

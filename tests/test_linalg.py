@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lastlayer import linalg
 from lastlayer.linalg import (
     CholeskyFactor,
     DimensionMismatch,
@@ -185,24 +184,6 @@ class TestCholSpdChecks:
         a = np.array([[2.0, 1.0], [1.0 + 1e-13, 2.0]])
         assert not (a == a.T).all()
         np.testing.assert_array_equal(chol_spd(a).lower, np.linalg.cholesky(a))
-
-    def test_ladder_after_a_failed_fast_path_skips_jitter_zero(self, monkeypatch):
-        jitters = []
-        checked = linalg.cholesky
-
-        def spy(a, jitter=0.0):
-            jitters.append(jitter)
-            return checked(a, jitter=jitter)
-
-        monkeypatch.setattr(linalg, "cholesky", spy)
-        singular = np.array([[1.0, 1.0], [1.0, 1.0]])  # exactly symmetric
-        factor = chol_spd(singular)
-        assert jitters == [1e-12]  # trace / dim * 1e-12, no second jitter-0 try
-        np.testing.assert_array_equal(factor.lower, checked(singular, jitter=1e-12).lower)
-
-        jitters.clear()
-        chol_spd(np.array([[1.0, 1.0], [1.0 + 1e-14, 1.0]]))  # symmetric within tolerance
-        assert jitters == [0.0, 1e-12]  # the checked ladder still starts at jitter 0
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

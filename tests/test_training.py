@@ -95,6 +95,20 @@ class TestFitLoop:
         assert len(history.train_objective) == 4 + 11 + 1
         assert history.stop_reason == "patience"
 
+    @pytest.mark.parametrize(
+        "grads",
+        [
+            [np.zeros((3, 2)), np.zeros(())],  # the weight gradient transposed
+            [np.zeros(()), np.zeros((2, 3))],  # the two gradients swapped
+            [np.zeros(6), np.zeros(())],  # same size, flattened
+            [np.zeros((2, 3))],  # one gradient missing
+        ],
+    )
+    def test_gradients_that_do_not_match_the_leaves_raise(self, grads):
+        leaves = [np.ones((2, 3)), np.asarray(0.0)]
+        with pytest.raises(ValueError, match="do not match the leaves"):
+            fit_loop(leaves, lambda leaves: (1.0, grads), TrainConfig(max_epochs=3, patience=2))
+
     def test_non_finite_loss_reports_epoch(self):
         calls = {"n": 0}
 
