@@ -119,7 +119,7 @@ def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=N
         elif epoch - history.best_epoch > cfg.patience:
             history.stop_reason = "patience"
             break
-        grad_shapes = [np.shape(g) for g in grads]
+        grad_shapes = [g.shape for g in grads]
         if grad_shapes != shapes:
             raise ValueError(f"gradient shapes {grad_shapes} do not match the leaves {shapes}")
         state, (stepped,) = adam_step(state, [flat], [np.concatenate(grads, axis=None)])
