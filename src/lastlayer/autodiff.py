@@ -12,6 +12,8 @@ callers pay for no reverse pass.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .linalg import chol_spd, logdet_pd, solve_pd
@@ -30,7 +32,15 @@ def logdet_spd(a: np.ndarray):
     Cholesky factor, so callers that need only the value skip the solve.
     """
     factor = chol_spd(a)
-    return logdet_pd(factor), lambda: solve_pd(factor, np.eye(factor.dim))
+    return logdet_pd(factor), lambda: solve_pd(factor, _identity(factor.dim))
+
+
+@lru_cache(maxsize=16)
+def _identity(dim: int) -> np.ndarray:
+    """Read-only identity, built once per dimension."""
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+    return eye
 
 
 def mlp_backward(
@@ -49,18 +59,22 @@ def mlp_backward(
             reads the features directly, or None.
 
     Returns:
-        The gradient with respect to each weight matrix, in layer order.
+        The gradient with respect to each weight matrix, in layer order,
+        each a fresh array the caller may update in place.
     """
     n_layers = len(weights)
     grads = [None] * n_layers
     g = d_out
     for k in range(n_layers - 1, -1, -1):
-        grads[k] = np.vstack([acts[k].T @ g, g.sum(axis=0)])
+        h = acts[k]
+        # [h.T @ g; column sums of g], written straight into one array.
+        gk = grads[k] = np.empty((h.shape[1] + 1, g.shape[1]))
+        np.matmul(h.T, g, out=gk[:-1])
+        g.sum(axis=0, out=gk[-1])
         if k == 0:
             break
         g = g @ weights[k][:-1].T
         if k == n_layers - 1 and d_last_hidden is not None:
-            g = g + d_last_hidden
-        h = acts[k]
-        g = g * (1.0 - h * h)
+            g += d_last_hidden
+        g *= 1.0 - h * h
     return grads

@@ -26,7 +26,7 @@ __all__ = ["blr_fit", "train_mse"]
 def _mse_head(y: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean squared error of the outputs and its gradient with respect to them."""
     resid = t - y
-    return float((1.0 / t.size) * np.sum(resid * resid)), (-2.0 / t.size) * resid
+    return float((1.0 / t.size) * (resid * resid).sum()), (-2.0 / t.size) * resid
 
 
 def _mse_grads(weights, data: Dataset):

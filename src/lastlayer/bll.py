@@ -15,6 +15,7 @@ marginal-likelihood solution without a matrix inverse in the loss.
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,10 +51,11 @@ class BllHyper:
     log_sigma_e: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "log_sigma_e", np.atleast_1d(np.asarray(self.log_sigma_e, dtype=float))
-        )
-        if not np.isfinite(self.log_alpha) or not np.isfinite(self.log_sigma_e).all():
+        log_sigma_e = np.asarray(self.log_sigma_e, dtype=float)
+        if log_sigma_e.ndim == 0:
+            log_sigma_e = log_sigma_e.reshape(1)
+        object.__setattr__(self, "log_sigma_e", log_sigma_e)
+        if not math.isfinite(self.log_alpha) or not np.isfinite(log_sigma_e).all():
             raise ValueError("hyperparameters must be finite")
 
     @property
@@ -73,6 +75,16 @@ def masked_identity(n_phi: int, flat_bias: bool = True) -> np.ndarray:
     return eye
 
 
+@lru_cache(maxsize=16)
+def _prior(n_phi: int, flat_bias: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``masked_identity`` and its diagonal, built once per shape."""
+    prior = masked_identity(n_phi, flat_bias)
+    in_prior = prior.diagonal().copy()  # 0 on a flat bias row
+    prior.flags.writeable = False
+    in_prior.flags.writeable = False
+    return prior, in_prior
+
+
 def precision_bar(phi: np.ndarray, alpha: float, flat_bias: bool = True) -> np.ndarray:
     """Noise-free posterior precision Phi^T Phi + alpha^-1 * I~.
 
@@ -83,7 +95,7 @@ def precision_bar(phi: np.ndarray, alpha: float, flat_bias: bool = True) -> np.n
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     phi = np.asarray(phi, dtype=float)
-    return phi.T @ phi + masked_identity(phi.shape[1], flat_bias) / alpha
+    return phi.T @ phi + _prior(phi.shape[1], flat_bias)[0] / alpha
 
 
 def closed_form_wbar(
@@ -125,40 +137,44 @@ def _nlml_head(
         NonFiniteLoss: if the value is NaN or infinite.
     """
     m, n_y = t.shape
-    phi = np.concatenate([a, np.ones((m, 1))], axis=1)
-    n_phi = phi.shape[1]
+    n_phi = a.shape[1] + 1
+    phi = np.empty((m, n_phi))
+    phi[:, :-1] = a
+    phi[:, -1] = 1.0
     log_alpha = np.asarray(hyper.log_alpha, dtype=float)
     inv_alpha = np.exp(-log_alpha)
-    prior = masked_identity(n_phi, flat_bias)
-    in_prior = np.diag(prior)  # 0 on a flat bias row
+    prior, in_prior = _prior(n_phi, flat_bias)
     logdet, logdet_grad = ad.logdet_spd(phi.T @ phi + inv_alpha * prior)
 
     inv_sig2 = np.exp(-2.0 * hyper.log_sigma_e)
     resid = t - y
-    misfit = np.sum(resid * resid, axis=0)
+    misfit = (resid * resid).sum(axis=0)
     wpen_rows = wbar * in_prior[:, None]
-    wpen = np.sum(wpen_rows * wpen_rows, axis=0)
+    wpen = (wpen_rows * wpen_rows).sum(axis=0)
+    wpen_sum = (wpen * inv_sig2).sum()
 
     value = float(
         0.5 * n_y * math.log(2.0 * math.pi)
         + (n_y * n_phi / (2.0 * m)) * log_alpha
         + (n_y / (2.0 * m)) * logdet
-        + np.sum(hyper.log_sigma_e)
-        + (0.5 / m) * np.sum(misfit * inv_sig2)
-        + (0.5 / m) * (inv_alpha * np.sum(wpen * inv_sig2))
+        + hyper.log_sigma_e.sum()
+        + (0.5 / m) * (misfit * inv_sig2).sum()
+        + (0.5 / m) * (inv_alpha * wpen_sum)
     )
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ad.NonFiniteLoss(f"objective evaluated to {value}")
 
     def grad_fn():
         lam_inv = logdet_grad()
-        d_y = (-1.0 / m) * resid * inv_sig2
+        d_y = (-1.0 / m) * resid
+        d_y *= inv_sig2
         d_a = (n_y / m) * (phi @ lam_inv)[:, :-1]
-        d_wbar = (inv_alpha / m) * wpen_rows * inv_sig2
+        d_wbar = (inv_alpha / m) * wpen_rows
+        d_wbar *= inv_sig2
         d_log_alpha = (
             n_y * n_phi / (2.0 * m)
-            - (n_y / (2.0 * m)) * inv_alpha * np.sum(np.diag(lam_inv) * in_prior)
-            - (0.5 / m) * inv_alpha * np.sum(wpen * inv_sig2)
+            - (n_y / (2.0 * m)) * inv_alpha * (lam_inv.diagonal() * in_prior).sum()
+            - (0.5 / m) * inv_alpha * wpen_sum
         )
         d_log_sigma_e = 1.0 - (misfit + inv_alpha * wpen) * inv_sig2 / m
         return d_y, d_a, d_wbar, d_log_alpha, d_log_sigma_e
@@ -186,7 +202,7 @@ def negative_lml_grads(params: MlpParams, hyper: BllHyper, data: Dataset):
     value, grad_fn = _nlml_head(acts[-2], acts[-1], params.wbar, data.t, hyper)
     d_y, d_a, d_wbar, d_log_alpha, d_log_sigma_e = grad_fn()
     grads = ad.mlp_backward(params.weights, acts, d_y, d_a)
-    grads[-1] = grads[-1] + d_wbar
+    grads[-1] += d_wbar
     return value, (grads, d_log_alpha, d_log_sigma_e)
 
 

@@ -27,7 +27,7 @@ from .calibration import AlphaSearchConfig, alpha_sweep, gaussian_log_density, l
 from .data import SPLITS, Dataset, read_splits_csv, write_splits_csv, write_table_csv
 from .mlp import MlpSpec, forward_batch
 from .rng import make_rng
-from .training import TrainConfig, train
+from .training import TrainConfig, check_integers, train
 from .vi import gmm_log_density, vi_predict_batch, vi_train
 
 __all__ = ["ExperimentConfig", "config_hash", "run_experiment", "toy_feature_demo"]
@@ -54,6 +54,9 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "hidden", tuple(self.hidden))
+        check_integers(seed=self.seed, sweep_points=self.sweep_points)
+        for width in self.hidden:
+            check_integers(hidden_width=width)
         unknown = set(self.methods) - {"bll", "blr", "vi"}
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")

@@ -96,7 +96,7 @@ def chol_spd(a: np.ndarray) -> CholeskyFactor:
 
 def logdet_pd(factor: CholeskyFactor) -> float:
     """Log-determinant of the factored matrix: 2 * sum(log(diag(L)))."""
-    return float(2.0 * np.sum(np.log(np.diag(factor.lower))))
+    return float(2.0 * np.log(factor.lower.diagonal()).sum())
 
 
 def solve_pd(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ data the training objective itself is monitored, which turns early
 stopping into a plain convergence check.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,13 @@ from .rng import make_rng
 __all__ = ["TrainConfig", "TrainHistory", "fit_nlml", "train"]
 
 
+def check_integers(**values) -> None:
+    """Raise TypeError unless every value is an int; bool (JSON true) is not one."""
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     max_epochs: int = 20000
@@ -40,8 +48,17 @@ class TrainConfig:
     init_log_sigma_e: float = 0.0
 
     def __post_init__(self):
+        check_integers(max_epochs=self.max_epochs, patience=self.patience)
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be at least 1")
+        if self.patience < 0:
+            raise ValueError("patience must be nonnegative")
         if self.patience >= self.max_epochs:
             raise ValueError("patience must be smaller than max_epochs")
+        if not math.isfinite(self.init_log_sigma_e):
+            raise ValueError("init_log_sigma_e must be finite")
         if self.val_fraction is not None and not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in (0, 1) when set")
 

@@ -95,27 +95,27 @@ def _negative_elbo(leaves, eps, x, t):
     # per-output spread on the last layer.
     inv_priors = [1.0 / HIDDEN_PRIOR_VAR] * (n_layers - 1) + [np.exp(-2.0 * log_prior_spread)]
     rows = mus[-1].shape[0]
-    kl = rows * np.sum(log_prior_spread) + 0.5 * math.log(HIDDEN_PRIOR_VAR) * sum(
+    kl = rows * log_prior_spread.sum() + 0.5 * math.log(HIDDEN_PRIOR_VAR) * sum(
         mu.size for mu in mus[:-1]
     )
     g_mus, g_sigmas = [], []
     for mu, sigma, inv_prior in zip(mus, sigmas, inv_priors):
         kl += (
-            -np.sum(np.log(sigma))
-            + 0.5 * np.sum((sigma * sigma + mu * mu) * inv_prior)
+            -np.log(sigma).sum()
+            + 0.5 * ((sigma * sigma + mu * mu) * inv_prior).sum()
             - 0.5 * mu.size
         )
         g_mus.append(mu * inv_prior)
         g_sigmas.append(sigma * inv_prior - 1.0 / sigma)
-    g_log_prior_spread = rows - np.sum(sigmas[-1] ** 2 + mus[-1] ** 2, axis=0) * inv_priors[-1]
+    g_log_prior_spread = rows - (sigmas[-1] ** 2 + mus[-1] ** 2).sum(axis=0) * inv_priors[-1]
 
     # Monte Carlo negative log-likelihood at the one draw.
     inv_sig2 = np.exp(-2.0 * log_sigma_e)
     weights = [mu + sigma * e for mu, sigma, e in zip(mus, sigmas, eps)]
     acts = forward_layers(MlpParams(tuple(weights)), x)
     resid = t - acts[-1]
-    misfit = np.sum(resid * resid, axis=0) * inv_sig2
-    nll = 0.5 * m * n_y * LOG_2PI + m * np.sum(log_sigma_e) + 0.5 * np.sum(misfit)
+    misfit = (resid * resid).sum(axis=0) * inv_sig2
+    nll = 0.5 * m * n_y * LOG_2PI + m * log_sigma_e.sum() + 0.5 * misfit.sum()
     d_weights = mlp_backward(weights, acts, -resid * inv_sig2, None)
     for k, (d_w, e) in enumerate(zip(d_weights, eps)):
         g_mus[k] += d_w
@@ -129,7 +129,9 @@ def _negative_elbo(leaves, eps, x, t):
         m - misfit,
     ]
     value = float((nll + kl) / m)
-    return value, [g / m for g in grads]
+    for g in grads:  # every entry is a fresh array
+        g /= m
+    return value, grads
 
 
 def vi_train(
@@ -146,6 +148,7 @@ def vi_train(
     init_rng, noise_rng = spawn_rngs(cfg.seed, 2)
     params0 = init_params(spec, init_rng)
     shapes = spec.layer_shapes()
+    bounds = np.cumsum([0, *(rows * cols for rows, cols in shapes)]).tolist()
     n_y = train_data.n_y
     leaves = [
         *[w.copy() for w in params0.weights],
@@ -155,7 +158,10 @@ def vi_train(
     ]
 
     def loss_and_grads(vals):
-        eps = [noise_rng.standard_normal(s) for s in shapes]
+        # One flat draw, viewed per layer: the generator fills it in the
+        # order the per-layer draws would take, so the values are the same.
+        flat = noise_rng.standard_normal(bounds[-1])
+        eps = [flat[lo:hi].reshape(s) for lo, hi, s in zip(bounds[:-1], bounds[1:], shapes)]
         return _negative_elbo(vals, eps, fit_std.x, fit_std.t)
 
     monitor = None

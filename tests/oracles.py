@@ -8,6 +8,11 @@ the objective instead of the signal-to-noise form, the per-entry
 Gaussian KL instead of the ELBO's inline sum, ``scipy.linalg.solve_triangular``
 instead of the direct LAPACK calls, and a per-leaf Adam loop instead of the
 flat parameter vector.
+
+The ``*_reference`` gradient heads at the end are the exception: they are
+the heads as they stood before their numpy wrappers were trimmed (``np.sum``,
+``np.diag``, a fresh ``np.eye`` and a ``np.vstack`` per call), kept verbatim
+so that the trimmed heads can be checked against them bit for bit.
 """
 
 import math
@@ -15,7 +20,13 @@ import math
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from lastlayer.autodiff import NonFiniteLoss
+from lastlayer.calibration import LOG_2PI
+from lastlayer.linalg import chol_spd, solve_pd
+from lastlayer.bll import masked_identity
+from lastlayer.mlp import MlpParams, forward_batch, forward_layers
 from lastlayer.optim import adam_init, adam_step
+from lastlayer.vi import HIDDEN_PRIOR_VAR, _unpack
 
 
 def finite_difference(fn, arrays, h=1e-5):
@@ -147,3 +158,141 @@ def fit_loop_per_leaf(leaves, loss_and_grads, cfg, monitor=None, post_step=None)
         if post_step is not None:
             leaves = post_step(leaves)
     return best_leaves, train_objective, val_objective, best_epoch
+
+
+def logdet_spd_reference(a: np.ndarray):
+    """Log-determinant and a function giving its gradient A^-1."""
+    factor = chol_spd(a)
+    logdet = float(2.0 * np.sum(np.log(np.diag(factor.lower))))
+    return logdet, lambda: solve_pd(factor, np.eye(factor.dim))
+
+
+def mlp_backward_reference(weights, acts, d_out, d_last_hidden):
+    """Reverse sweep through the network; one fresh array per step."""
+    n_layers = len(weights)
+    grads = [None] * n_layers
+    g = d_out
+    for k in range(n_layers - 1, -1, -1):
+        grads[k] = np.vstack([acts[k].T @ g, g.sum(axis=0)])
+        if k == 0:
+            break
+        g = g @ weights[k][:-1].T
+        if k == n_layers - 1 and d_last_hidden is not None:
+            g = g + d_last_hidden
+        h = acts[k]
+        g = g * (1.0 - h * h)
+    return grads
+
+
+def nlml_head_reference(a, y, wbar, t, hyper, flat_bias=True):
+    """Scaled negative LML on the last layer and a function giving its gradients."""
+    m, n_y = t.shape
+    phi = np.concatenate([a, np.ones((m, 1))], axis=1)
+    n_phi = phi.shape[1]
+    log_alpha = np.asarray(hyper.log_alpha, dtype=float)
+    inv_alpha = np.exp(-log_alpha)
+    prior = masked_identity(n_phi, flat_bias)
+    in_prior = np.diag(prior)  # 0 on a flat bias row
+    logdet, logdet_grad = logdet_spd_reference(phi.T @ phi + inv_alpha * prior)
+
+    inv_sig2 = np.exp(-2.0 * hyper.log_sigma_e)
+    resid = t - y
+    misfit = np.sum(resid * resid, axis=0)
+    wpen_rows = wbar * in_prior[:, None]
+    wpen = np.sum(wpen_rows * wpen_rows, axis=0)
+
+    value = float(
+        0.5 * n_y * math.log(2.0 * math.pi)
+        + (n_y * n_phi / (2.0 * m)) * log_alpha
+        + (n_y / (2.0 * m)) * logdet
+        + np.sum(hyper.log_sigma_e)
+        + (0.5 / m) * np.sum(misfit * inv_sig2)
+        + (0.5 / m) * (inv_alpha * np.sum(wpen * inv_sig2))
+    )
+    if not np.isfinite(value):
+        raise NonFiniteLoss(f"objective evaluated to {value}")
+
+    def grad_fn():
+        lam_inv = logdet_grad()
+        d_y = (-1.0 / m) * resid * inv_sig2
+        d_a = (n_y / m) * (phi @ lam_inv)[:, :-1]
+        d_wbar = (inv_alpha / m) * wpen_rows * inv_sig2
+        d_log_alpha = (
+            n_y * n_phi / (2.0 * m)
+            - (n_y / (2.0 * m)) * inv_alpha * np.sum(np.diag(lam_inv) * in_prior)
+            - (0.5 / m) * inv_alpha * np.sum(wpen * inv_sig2)
+        )
+        d_log_sigma_e = 1.0 - (misfit + inv_alpha * wpen) * inv_sig2 / m
+        return d_y, d_a, d_wbar, d_log_alpha, d_log_sigma_e
+
+    return value, grad_fn
+
+
+def negative_lml_reference(params, hyper, data, flat_bias=True) -> float:
+    y, a = forward_batch(params, data.x)
+    value, _ = nlml_head_reference(a, y, params.wbar, data.t, hyper, flat_bias)
+    return value
+
+
+def negative_lml_grads_reference(params, hyper, data):
+    acts = forward_layers(params, data.x)
+    value, grad_fn = nlml_head_reference(acts[-2], acts[-1], params.wbar, data.t, hyper)
+    d_y, d_a, d_wbar, d_log_alpha, d_log_sigma_e = grad_fn()
+    grads = mlp_backward_reference(params.weights, acts, d_y, d_a)
+    grads[-1] = grads[-1] + d_wbar
+    return value, (grads, d_log_alpha, d_log_sigma_e)
+
+
+def negative_elbo_reference(leaves, eps, x, t):
+    """Negative ELBO / m and one gradient per leaf at the draw ``eps``."""
+    params = _unpack(leaves)
+    mus, rhos, sigmas = params.mus, params.rhos, params.sigmas
+    log_prior_spread, log_sigma_e = params.log_prior_spread, params.log_sigma_e
+    n_layers = len(mus)
+    m, n_y = t.shape
+
+    inv_priors = [1.0 / HIDDEN_PRIOR_VAR] * (n_layers - 1) + [np.exp(-2.0 * log_prior_spread)]
+    rows = mus[-1].shape[0]
+    kl = rows * np.sum(log_prior_spread) + 0.5 * math.log(HIDDEN_PRIOR_VAR) * sum(
+        mu.size for mu in mus[:-1]
+    )
+    g_mus, g_sigmas = [], []
+    for mu, sigma, inv_prior in zip(mus, sigmas, inv_priors):
+        kl += (
+            -np.sum(np.log(sigma))
+            + 0.5 * np.sum((sigma * sigma + mu * mu) * inv_prior)
+            - 0.5 * mu.size
+        )
+        g_mus.append(mu * inv_prior)
+        g_sigmas.append(sigma * inv_prior - 1.0 / sigma)
+    g_log_prior_spread = rows - np.sum(sigmas[-1] ** 2 + mus[-1] ** 2, axis=0) * inv_priors[-1]
+
+    inv_sig2 = np.exp(-2.0 * log_sigma_e)
+    weights = [mu + sigma * e for mu, sigma, e in zip(mus, sigmas, eps)]
+    acts = forward_layers(MlpParams(tuple(weights)), x)
+    resid = t - acts[-1]
+    misfit = np.sum(resid * resid, axis=0) * inv_sig2
+    nll = 0.5 * m * n_y * LOG_2PI + m * np.sum(log_sigma_e) + 0.5 * np.sum(misfit)
+    d_weights = mlp_backward_reference(weights, acts, -resid * inv_sig2, None)
+    for k, (d_w, e) in enumerate(zip(d_weights, eps)):
+        g_mus[k] += d_w
+        g_sigmas[k] += d_w * e
+
+    sigmoids = [0.5 * (1.0 + np.tanh(0.5 * r)) for r in rhos]
+    grads = [
+        *g_mus,
+        *(g * sig for g, sig in zip(g_sigmas, sigmoids)),
+        g_log_prior_spread,
+        m - misfit,
+    ]
+    value = float((nll + kl) / m)
+    return value, [g / m for g in grads]
+
+
+def mse_grads_reference(weights, data):
+    """Mean squared error of the network and its weight gradients."""
+    acts = forward_layers(MlpParams(tuple(weights)), data.x)
+    resid = data.t - acts[-1]
+    value = float((1.0 / data.t.size) * np.sum(resid * resid))
+    d_y = (-2.0 / data.t.size) * resid
+    return value, mlp_backward_reference(weights, acts, d_y, None)

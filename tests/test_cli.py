@@ -240,6 +240,49 @@ def test_config_error_writes_no_output_directory(tmp_path, capsys, overrides):
     assert not (tmp_path / "out").exists()
 
 
+def _train_block(**overrides):
+    return {"max_epochs": 400, "patience": 200, "lr": 0.005, "init_log_sigma_e": 0.0, **overrides}
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"seed": 1.5},
+        {"seed": True},
+        {"sweep_points": 31.5},
+        {"hidden": [20.7]},
+        {"train": _train_block(lr=-0.002)},
+        {"train": _train_block(lr=0.0)},
+        {"train": _train_block(lr=math.inf)},
+        {"train": _train_block(patience=-3)},
+        {"train": _train_block(max_epochs=0, patience=-1)},
+        {"train": _train_block(max_epochs=400.5)},
+        {"train": _train_block(patience=200.5)},
+        {"train": _train_block(init_log_sigma_e=math.nan)},
+    ],
+    ids=[
+        "fractional_seed",
+        "boolean_seed",
+        "fractional_sweep_points",
+        "fractional_width",
+        "negative_lr",
+        "zero_lr",
+        "infinite_lr",
+        "negative_patience",
+        "zero_max_epochs",
+        "fractional_max_epochs",
+        "fractional_patience",
+        "nan_init_log_sigma_e",
+    ],
+)
+def test_malformed_numeric_setting_is_config_error(tmp_path, capsys, overrides):
+    # json writes NaN and Infinity literals, which json.loads reads back.
+    config_path, _ = _small_config(tmp_path, **overrides)
+    assert cli.main(["run", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 # Rows in any order: dataset.csv must read train, val, test, and every
 # per-row artifact must follow it row for row.
 _SHUFFLE_SPLITS = ["train"] * 10 + ["val"] * 4 + ["test"] * 5
