@@ -20,15 +20,10 @@ from lastlayer.mlp import MlpSpec
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def _load_tracing():
+def test_every_traced_binding_resolves():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return tracing
-
-
-def test_every_traced_binding_resolves():
-    tracing = _load_tracing()
     # instrument() looks up every "module:attr" binding it patches (an
     # AttributeError names a missing one) and restores them on exit.
     fit_loop = training.fit_loop
@@ -48,18 +43,20 @@ def test_spans_are_attributed_to_their_trainer():
     # Every epoch of every trainer is one objective span and one monitor
     # span under that trainer's label, and the marginal-likelihood monitors
     # (bll and blr) go through the public negative_lml.
-    tracing = _load_tracing()
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
     rng = np.random.default_rng(0)
     x = rng.uniform(-1.0, 1.0, size=(20, 1))
     data = Dataset(x, np.sin(2.0 * x) + 0.1 * rng.standard_normal((20, 1)))
-    spec = MlpSpec(1, (4,), 1)
+    net = MlpSpec(1, (4,), 1)
     cfg = training.TrainConfig(max_epochs=5, patience=4)
     tracer = tracing.Tracer()
     with tracing.instrument(tracer):
-        training.train(spec, data, cfg)
-        frozen, _ = baselines.train_mse(spec, data, cfg)
+        training.train(net, data, cfg)
+        frozen, _ = baselines.train_mse(net, data, cfg)
         baselines.blr_fit(frozen, data, cfg)
-        vi.vi_train(spec, data, cfg)
+        vi.vi_train(net, data, cfg)
     spans = Counter(span[0] for span in tracer.spans)
     for label in tracing.TRAINER_LABELS:
         assert tracer.counts[f"training.epochs.{label}"] == cfg.max_epochs, label
