@@ -34,9 +34,11 @@ __all__ = [
     "negative_lml",
     "negative_lml_grads",
     "negative_lml_marginalized",
+    "nlml_head",
     "precision_bar",
     "predict",
     "predict_batch",
+    "predictive",
     "with_alpha",
 ]
 
@@ -110,7 +112,7 @@ def closed_form_wbar(
     return solve_pd(factor, np.asarray(phi, dtype=float).T @ np.asarray(t, dtype=float))
 
 
-def _nlml_head(
+def nlml_head(
     a: np.ndarray,
     y: np.ndarray,
     wbar: np.ndarray,
@@ -192,14 +194,14 @@ def negative_lml(
     pass is paid.
     """
     y, a = forward_batch(params, data.x)
-    value, _ = _nlml_head(a, y, params.wbar, data.t, hyper, flat_bias)
+    value, _ = nlml_head(a, y, params.wbar, data.t, hyper, flat_bias)
     return value
 
 
 def negative_lml_grads(params: MlpParams, hyper: BllHyper, data: Dataset):
     """Objective value and gradients for (weights, log_alpha, log_sigma_e)."""
     acts = forward_layers(params, data.x)
-    value, grad_fn = _nlml_head(acts[-2], acts[-1], params.wbar, data.t, hyper)
+    value, grad_fn = nlml_head(acts[-2], acts[-1], params.wbar, data.t, hyper)
     d_y, d_a, d_wbar, d_log_alpha, d_log_sigma_e = grad_fn()
     grads = ad.mlp_backward(params.weights, acts, d_y, d_a)
     grads[-1] += d_wbar
@@ -303,7 +305,17 @@ def predict_batch(model: BllModel, x: np.ndarray):
     Returns arrays (mean, var_y, var_t), each of shape (m, n_y).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    y_std, phi_t = forward_batch(model.params, model.x_scaler.transform(x))
+    return predictive(model, *forward_batch(model.params, model.x_scaler.transform(x)))
+
+
+def predictive(model: BllModel, y_std: np.ndarray, phi_t: np.ndarray):
+    """Predictive means and variances (original units) from network outputs.
+
+    ``y_std`` and ``phi_t`` are what ``forward_batch`` returns for the
+    standardized inputs.  Only the variances depend on alpha, so a caller
+    that varies alpha alone can run the network once and call this per
+    alpha.  Returns arrays (mean, var_y, var_t), each of shape (m, n_y).
+    """
     phi = np.concatenate([phi_t, np.ones((phi_t.shape[0], 1))], axis=1)
     quad = np.einsum("ij,ij->i", phi, solve_pd(model.chol, phi.T).T)
     sig2_std = np.exp(2.0 * model.hyper.log_sigma_e)

@@ -13,8 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bll import BllModel, negative_lml, predict_batch, with_alpha
+from .bll import negative_lml  # noqa: F401 - perfbench's tracer patches calibration:negative_lml
+from .bll import BllModel, nlml_head, predict_batch, predictive, with_alpha
 from .data import Dataset
+from .mlp import forward_batch
+from .training import check_integers
 
 __all__ = ["AlphaSearchConfig", "alpha_sweep", "gaussian_log_density", "lpd", "tune_alpha"]
 
@@ -30,10 +33,12 @@ class AlphaSearchConfig:
     tol: float = 1e-3
 
     def __post_init__(self):
+        check_integers(max_evals=self.max_evals)
         if self.max_evals < 10:
             raise ValueError("max_evals must be at least 10")
-        if self.span <= 0.0 or self.tol <= 0.0:
-            raise ValueError("span and tol must be positive")
+        for name, value in (("span", self.span), ("tol", self.tol)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def gaussian_log_density(mean: np.ndarray, var_t: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -104,19 +109,26 @@ def alpha_sweep(
     """Objective and LPD columns over a grid of log(alpha).
 
     Each row holds the training negative LML at that alpha (all other
-    parameters fixed) and the LPD of every dataset in ``eval_sets``.
+    parameters fixed) and the LPD of every dataset in ``eval_sets``.  Alpha
+    moves neither the network nor its features, so each row set goes
+    through the network once; every alpha rebuilds only the precision
+    factor, the objective's last-layer head and the predictive variances.
     """
-    x_std = model.x_scaler.transform(train_data.x)
+    y_train, a_train = forward_batch(model.params, model.x_scaler.transform(train_data.x))
     t_std = model.t_scaler.transform(train_data.t)
-    train_std = Dataset(x_std, t_std)
+    eval_out = {
+        name: forward_batch(model.params, model.x_scaler.transform(data.x))
+        for name, data in eval_sets.items()
+    }
     rows = []
     for log_alpha in np.asarray(log_alpha_grid, dtype=float):
         tuned = with_alpha(model, math.exp(log_alpha))
         row = {
             "log_alpha": float(log_alpha),
-            "nlml_train": negative_lml(tuned.params, tuned.hyper, train_std),
+            "nlml_train": nlml_head(a_train, y_train, tuned.wbar, t_std, tuned.hyper)[0],
         }
         for name, data in eval_sets.items():
-            row[f"lpd_{name}"] = lpd(tuned, data)
+            mean, _, var_t = predictive(tuned, *eval_out[name])
+            row[f"lpd_{name}"] = float(gaussian_log_density(mean, var_t, data.t).mean())
         rows.append(row)
     return rows

@@ -12,7 +12,10 @@ flat parameter vector.
 The ``*_reference`` gradient heads at the end are the exception: they are
 the heads as they stood before their numpy wrappers were trimmed (``np.sum``,
 ``np.diag``, a fresh ``np.eye`` and a ``np.vstack`` per call), kept verbatim
-so that the trimmed heads can be checked against them bit for bit.
+so that the trimmed heads can be checked against them bit for bit.  So are
+``predict_batch_reference`` and ``alpha_sweep_reference``: the one-pass
+prediction and the sweep that ran the network again at every alpha, from
+before the sweep cached each row set's network outputs.
 """
 
 import math
@@ -21,9 +24,10 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from lastlayer.autodiff import NonFiniteLoss
-from lastlayer.calibration import LOG_2PI
+from lastlayer.calibration import LOG_2PI, gaussian_log_density
+from lastlayer.data import Dataset
 from lastlayer.linalg import chol_spd, solve_pd
-from lastlayer.bll import masked_identity
+from lastlayer.bll import masked_identity, negative_lml, with_alpha
 from lastlayer.mlp import MlpParams, forward_batch, forward_layers
 from lastlayer.optim import adam_init, adam_step
 from lastlayer.vi import HIDDEN_PRIOR_VAR, _unpack
@@ -296,3 +300,40 @@ def mse_grads_reference(weights, data):
     value = float((1.0 / data.t.size) * np.sum(resid * resid))
     d_y = (-2.0 / data.t.size) * resid
     return value, mlp_backward_reference(weights, acts, d_y, None)
+
+
+def predict_batch_reference(model, x):
+    """Predictive means and variances (original units) for rows of ``x``."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y_std, phi_t = forward_batch(model.params, model.x_scaler.transform(x))
+    phi = np.concatenate([phi_t, np.ones((phi_t.shape[0], 1))], axis=1)
+    quad = np.einsum("ij,ij->i", phi, solve_pd(model.chol, phi.T).T)
+    sig2_std = np.exp(2.0 * model.hyper.log_sigma_e)
+    t_scale2 = model.t_scaler.scale**2
+    var_y = np.outer(quad, sig2_std) * t_scale2
+    var_t = var_y + sig2_std * t_scale2
+    mean = model.t_scaler.inverse(y_std)
+    return mean, var_y, var_t
+
+
+def lpd_reference(model, data) -> float:
+    mean, _, var_t = predict_batch_reference(model, data.x)
+    return float(gaussian_log_density(mean, var_t, data.t).mean())
+
+
+def alpha_sweep_reference(model, train_data, eval_sets, log_alpha_grid):
+    """Training negative LML and per-set LPD, forward passes redone per alpha."""
+    x_std = model.x_scaler.transform(train_data.x)
+    t_std = model.t_scaler.transform(train_data.t)
+    train_std = Dataset(x_std, t_std)
+    rows = []
+    for log_alpha in np.asarray(log_alpha_grid, dtype=float):
+        tuned = with_alpha(model, math.exp(log_alpha))
+        row = {
+            "log_alpha": float(log_alpha),
+            "nlml_train": negative_lml(tuned.params, tuned.hyper, train_std),
+        }
+        for name, data in eval_sets.items():
+            row[f"lpd_{name}"] = lpd_reference(tuned, data)
+        rows.append(row)
+    return rows

@@ -2,28 +2,44 @@
 
 Each head returns exactly the doubles its reference in ``oracles`` returns:
 the value and every gradient, over random networks, data and
-hyperparameters.  Equality is ``array_equal``, not a tolerance.
+hyperparameters.  The alpha sweep, which runs the network once per row set,
+and ``predict_batch`` are held to the per-alpha loop and the one-pass
+prediction they replaced.  Equality is ``array_equal``, not a tolerance.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lastlayer import autodiff
 from lastlayer.autodiff import mlp_backward
 from lastlayer.baselines import _mse_grads
-from lastlayer.bll import BllHyper, _prior, masked_identity, negative_lml, negative_lml_grads
-from lastlayer.data import Dataset
+from lastlayer.autodiff import NonFiniteLoss
+from lastlayer.bll import (
+    HYPER_CLAMP,
+    BllHyper,
+    _prior,
+    fit_posterior,
+    masked_identity,
+    negative_lml,
+    negative_lml_grads,
+    predict_batch,
+    with_alpha,
+)
+from lastlayer.calibration import alpha_sweep
+from lastlayer.data import Dataset, fit_standardizer
 from lastlayer.linalg import NotPositiveDefinite
 from lastlayer.mlp import MlpParams, forward_layers
 from lastlayer.vi import _negative_elbo
 
 from oracles import (
+    alpha_sweep_reference,
     mlp_backward_reference,
     mse_grads_reference,
     negative_elbo_reference,
     negative_lml_grads_reference,
     negative_lml_reference,
+    predict_batch_reference,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -182,3 +198,72 @@ def test_masked_identity_is_a_fresh_writable_copy():
     assert second.flags.writeable
     np.testing.assert_array_equal(second, np.diag([1.0, 1.0, 0.0]))
     np.testing.assert_array_equal(_prior(3, True)[0], np.diag([1.0, 1.0, 0.0]))
+
+
+@st.composite
+def sweep_problems(draw):
+    """A posterior in original units, 0-3 eval sets and a log-alpha grid.
+
+    The grid runs from the trained log alpha to a top that is at most
+    ``HYPER_CLAMP + 15``, where the prior term is far below the gram's.
+    """
+    params, hyper, data, rng = draw(problems())
+    x_raw = rng.uniform(0.5, 3.0, size=data.n_x) * data.x + rng.standard_normal(data.n_x)
+    t_raw = rng.uniform(0.5, 3.0, size=data.n_y) * data.t + rng.standard_normal(data.n_y)
+    x_scaler, t_scaler = fit_standardizer(x_raw), fit_standardizer(t_raw)
+    std = Dataset(x_scaler.transform(x_raw), t_scaler.transform(t_raw))
+    try:
+        model = fit_posterior(params, hyper, std, x_scaler, t_scaler)
+    except NotPositiveDefinite:
+        assume(False)
+    eval_sets = {}
+    for k in range(draw(st.integers(0, 3))):
+        m = draw(st.integers(1, 60))
+        x = 2.0 * rng.standard_normal((m, data.n_x))
+        eval_sets[f"set{k}"] = Dataset(x, rng.standard_normal((m, data.n_y)))
+    top = draw(st.one_of(st.just(HYPER_CLAMP + 15.0), st.floats(-HYPER_CLAMP, HYPER_CLAMP + 15.0)))
+    grid = np.linspace(hyper.log_alpha, top, draw(st.integers(1, 8)))
+    return model, Dataset(x_raw, t_raw), eval_sets, grid
+
+
+def _raises_alike(fn, reference):
+    """Both results, or None when both raise the same kind of error."""
+    try:
+        expected = reference()
+    except (NotPositiveDefinite, NonFiniteLoss, np.linalg.LinAlgError, ValueError) as err:
+        with pytest.raises(type(err)):
+            fn()
+        return None
+    return fn(), expected
+
+
+@SETTINGS
+@given(problem=sweep_problems())
+def test_alpha_sweep_matches_the_per_alpha_loop(problem):
+    model, train_data, eval_sets, grid = problem
+    outcome = _raises_alike(
+        lambda: alpha_sweep(model, train_data, eval_sets, grid),
+        lambda: alpha_sweep_reference(model, train_data, eval_sets, grid),
+    )
+    if outcome is not None:
+        rows, expected = outcome
+        assert [list(row) for row in rows] == [list(row) for row in expected]
+        assert rows == expected
+
+
+@SETTINGS
+@given(problem=sweep_problems())
+def test_predict_batch_matches_the_one_pass_prediction(problem):
+    model, train_data, eval_sets, grid = problem
+    for log_alpha in grid:
+        try:
+            tuned = with_alpha(model, float(np.exp(log_alpha)))
+        except NotPositiveDefinite:
+            continue
+        for data in (train_data, *eval_sets.values()):
+            outcome = _raises_alike(
+                lambda: predict_batch(tuned, data.x),
+                lambda: predict_batch_reference(tuned, data.x),
+            )
+            if outcome is not None:
+                _assert_arrays_equal(*outcome)

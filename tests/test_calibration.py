@@ -152,3 +152,49 @@ class TestAlphaSweep:
         rows = alpha_sweep(model, data, {"train": data}, grid)
         col = np.array([r["lpd_train"] for r in rows])
         assert col.max() - col.min() < 0.1
+
+
+@pytest.mark.parametrize("n_sets", [0, 1, 3])
+def test_sweep_runs_the_network_once_per_row_set(monkeypatch, n_sets):
+    # forward_batch looks forward_layers up in mlp's namespace, so the
+    # wrapper counts every forward pass, whoever makes it.
+    from lastlayer import mlp
+
+    model, data = _trained_toy(seed=8)
+    calls = []
+    forward_layers = mlp.forward_layers
+
+    def counted(params, x):
+        calls.append(len(x))
+        return forward_layers(params, x)
+
+    monkeypatch.setattr(mlp, "forward_layers", counted)
+    eval_sets = {f"set{k}": data.subset(np.arange(k + 1)) for k in range(n_sets)}
+    grid = np.linspace(model.hyper.log_alpha, model.hyper.log_alpha + 15.0, 7)
+    rows = alpha_sweep(model, data, eval_sets, grid)
+    assert len(rows) == 7
+    assert len(calls) == n_sets + 1
+
+
+@pytest.mark.parametrize(
+    "kwargs, error",
+    [
+        ({"max_evals": 20.5}, TypeError),
+        ({"max_evals": math.inf}, TypeError),
+        ({"span": math.nan}, ValueError),
+        ({"span": math.inf}, ValueError),
+        ({"tol": math.nan}, ValueError),
+        ({"tol": math.inf}, ValueError),
+    ],
+    ids=[
+        "fractional_max_evals",
+        "infinite_max_evals",
+        "nan_span",
+        "infinite_span",
+        "nan_tol",
+        "infinite_tol",
+    ],
+)
+def test_alpha_search_config_rejects_malformed_values(kwargs, error):
+    with pytest.raises(error):
+        AlphaSearchConfig(**kwargs)

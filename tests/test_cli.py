@@ -283,6 +283,18 @@ def test_malformed_numeric_setting_is_config_error(tmp_path, capsys, overrides):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "alpha_search",
+    [{"max_evals": 20.5}, {"span": math.nan}, {"tol": math.inf}],
+    ids=["fractional_max_evals", "nan_span", "infinite_tol"],
+)
+def test_malformed_alpha_search_is_config_error(tmp_path, capsys, alpha_search):
+    config_path, _ = _small_config(tmp_path, alpha_search=alpha_search)
+    assert cli.main(["run", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 # Rows in any order: dataset.csv must read train, val, test, and every
 # per-row artifact must follow it row for row.
 _SHUFFLE_SPLITS = ["train"] * 10 + ["val"] * 4 + ["test"] * 5
