@@ -8,6 +8,10 @@ d(log det A) = trace(A^-1 dA) is read off a Cholesky solve instead of
 differentiating the factorization itself.  Heads and primitives return
 their value together with a function for the gradient, so value-only
 callers pay for no reverse pass.
+
+Gradients are written in place: ``mlp_backward`` fills arrays the caller
+supplies, so a training objective hands it views into the one flat
+gradient that ``training.fit_loop`` allocates and Adam reads.
 """
 
 from __future__ import annotations
@@ -48,27 +52,36 @@ def mlp_backward(
     acts: list[np.ndarray],
     d_out: np.ndarray,
     d_last_hidden: np.ndarray | None,
-) -> list[np.ndarray]:
+    out,
+) -> None:
     """Reverse sweep through a network evaluated by ``mlp.forward_layers``.
 
     Args:
         weights: one matrix per layer, bias in the last row.
         acts: the forward activations [x, h_1, ..., h_L, y].
-        d_out: gradient of the objective with respect to the outputs y.
+        d_out: gradient of the objective with respect to the outputs y
+            (left unchanged).
         d_last_hidden: extra gradient with respect to h_L from a head that
             reads the features directly, or None.
+        out: one array per layer, each the shape of its weight matrix; the
+            gradient with respect to layer k overwrites ``out[k]``.
 
-    Returns:
-        The gradient with respect to each weight matrix, in layer order,
-        each a fresh array the caller may update in place.
+    Raises:
+        ValueError: when ``out`` does not hold one array of each weight's shape.
     """
     n_layers = len(weights)
-    grads = [None] * n_layers
+    if len(out) != n_layers:
+        raise ValueError(f"{len(out)} gradient destinations for {n_layers} layers")
     g = d_out
     for k in range(n_layers - 1, -1, -1):
         h = acts[k]
-        # [h.T @ g; column sums of g], written straight into one array.
-        gk = grads[k] = np.empty((h.shape[1] + 1, g.shape[1]))
+        gk = out[k]
+        if gk.shape != weights[k].shape:
+            raise ValueError(
+                f"layer {k} gradient destination has shape {gk.shape}, "
+                f"its weights {weights[k].shape}"
+            )
+        # [h.T @ g; column sums of g], written straight into the caller's array.
         np.matmul(h.T, g, out=gk[:-1])
         g.sum(axis=0, out=gk[-1])
         if k == 0:
@@ -77,4 +90,3 @@ def mlp_backward(
         if k == n_layers - 1 and d_last_hidden is not None:
             g += d_last_hidden
         g *= 1.0 - h * h
-    return grads

@@ -29,11 +29,12 @@ def _mse_head(y: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
     return float((1.0 / t.size) * (resid * resid).sum()), (-2.0 / t.size) * resid
 
 
-def _mse_grads(weights, data: Dataset):
-    """Mean squared error of the network on ``data`` and its weight gradients."""
+def _mse_grads(weights, data: Dataset, out) -> float:
+    """Mean squared error of the network on ``data``; its weight gradients overwrite ``out``."""
     acts = forward_layers(MlpParams(tuple(weights)), data.x)
     value, d_y = _mse_head(acts[-1], data.t)
-    return value, mlp_backward(weights, acts, d_y, None)
+    mlp_backward(weights, acts, d_y, None, out)
+    return value
 
 
 def train_mse(
@@ -48,8 +49,8 @@ def train_mse(
     params0 = init_params(spec, make_rng(cfg.seed))
     leaves = list(params0.weights)
 
-    def loss_and_grads(vals):
-        return _mse_grads(vals, fit_std)
+    def loss_and_grads(vals, grads):
+        return _mse_grads(vals, fit_std, grads)
 
     monitor = None
     if val_std is not None:

@@ -33,12 +33,14 @@ __all__ = [
     "masked_identity",
     "negative_lml",
     "negative_lml_grads",
+    "negative_lml_grads_into",
     "negative_lml_marginalized",
     "nlml_head",
     "precision_bar",
     "predict",
     "predict_batch",
     "predictive",
+    "predictive_variances",
     "with_alpha",
 ]
 
@@ -200,12 +202,37 @@ def negative_lml(
 
 def negative_lml_grads(params: MlpParams, hyper: BllHyper, data: Dataset):
     """Objective value and gradients for (weights, log_alpha, log_sigma_e)."""
+    out = [np.empty(w.shape) for w in params.weights]
+    out += [np.empty(()), np.empty(hyper.log_sigma_e.shape)]
+    value = negative_lml_grads_into(params, hyper, data, out)
+    return value, (out[:-2], out[-2][()], out[-1])
+
+
+def negative_lml_grads_into(params: MlpParams, hyper: BllHyper, data: Dataset, out) -> float:
+    """Objective value, with its gradient written into ``out``.
+
+    ``out`` holds one array per weight matrix, then a 0-d array for
+    log_alpha and one shaped like log_sigma_e: the leaf layout
+    ``training.fit_nlml`` trains.  Every entry is overwritten.
+
+    Raises:
+        ValueError: when ``out`` does not match that layout.
+    """
+    n_w = len(params.weights)
+    if (
+        len(out) != n_w + 2
+        or out[n_w].shape != ()
+        or out[n_w + 1].shape != hyper.log_sigma_e.shape
+    ):
+        raise ValueError("gradient destinations do not match the parameters")
     acts = forward_layers(params, data.x)
     value, grad_fn = nlml_head(acts[-2], acts[-1], params.wbar, data.t, hyper)
     d_y, d_a, d_wbar, d_log_alpha, d_log_sigma_e = grad_fn()
-    grads = ad.mlp_backward(params.weights, acts, d_y, d_a)
-    grads[-1] += d_wbar
-    return value, (grads, d_log_alpha, d_log_sigma_e)
+    ad.mlp_backward(params.weights, acts, d_y, d_a, out[:n_w])
+    out[n_w - 1] += d_wbar
+    out[n_w][...] = d_log_alpha
+    out[n_w + 1][...] = d_log_sigma_e
+    return value
 
 
 def negative_lml_marginalized(phi: np.ndarray, t: np.ndarray, hyper: BllHyper) -> float:
@@ -312,9 +339,18 @@ def predictive(model: BllModel, y_std: np.ndarray, phi_t: np.ndarray):
     """Predictive means and variances (original units) from network outputs.
 
     ``y_std`` and ``phi_t`` are what ``forward_batch`` returns for the
-    standardized inputs.  Only the variances depend on alpha, so a caller
-    that varies alpha alone can run the network once and call this per
-    alpha.  Returns arrays (mean, var_y, var_t), each of shape (m, n_y).
+    standardized inputs.  Returns arrays (mean, var_y, var_t), each of
+    shape (m, n_y).
+    """
+    var_y, var_t = predictive_variances(model, phi_t)
+    return model.t_scaler.inverse(y_std), var_y, var_t
+
+
+def predictive_variances(model: BllModel, phi_t: np.ndarray):
+    """The alpha-dependent part of ``predictive``: arrays (var_y, var_t).
+
+    A caller that varies alpha alone can run the network and compute the
+    means once, then call this per alpha.
     """
     phi = np.concatenate([phi_t, np.ones((phi_t.shape[0], 1))], axis=1)
     quad = np.einsum("ij,ij->i", phi, solve_pd(model.chol, phi.T).T)
@@ -322,8 +358,7 @@ def predictive(model: BllModel, y_std: np.ndarray, phi_t: np.ndarray):
     t_scale2 = model.t_scaler.scale**2
     var_y = np.outer(quad, sig2_std) * t_scale2
     var_t = var_y + sig2_std * t_scale2
-    mean = model.t_scaler.inverse(y_std)
-    return mean, var_y, var_t
+    return var_y, var_t
 
 
 def predict(model: BllModel, x: np.ndarray) -> PredictiveDistribution:

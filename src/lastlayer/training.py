@@ -21,7 +21,7 @@ from .bll import (
     BllModel,
     fit_posterior,
     negative_lml,
-    negative_lml_grads,
+    negative_lml_grads_into,
 )
 from .data import Dataset, Standardizer, fit_standardizer, split_train_val
 from .mlp import MlpParams, MlpSpec, init_params
@@ -81,12 +81,16 @@ def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=N
     """Generic early-stopped Adam loop shared by every trainer in the package.
 
     The parameters live in one flat vector that Adam updates as a single
-    array; the leaves handed to the callables are reshaped views into it,
-    built once and refreshed in place by every step.
+    array, and their gradient in a second one of the same layout.  The
+    leaves and the gradients handed to the callables are reshaped views
+    into those two vectors, built once: every step refreshes the leaves in
+    place, and the objective overwrites every gradient entry in place.
 
     Args:
         leaves: list of parameter arrays (not modified).
-        loss_and_grads: leaves -> (value, grads) at the current leaves.
+        loss_and_grads: (leaves, grads) -> value at the current leaves; it
+            writes the gradient with respect to ``leaves[i]`` into
+            ``grads[i]``, which has that leaf's shape.
         cfg: loop hyperparameters.
         monitor: optional callable giving the early-stopping criterion value
             at the current leaves; defaults to the training objective.
@@ -99,18 +103,16 @@ def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=N
     Raises:
         NonFiniteLoss: naming the epoch, when the objective or the monitor is
             NaN or infinite.
-        ValueError: when the gradients do not match the leaves in number and
-            shape.
     """
-    shapes = [np.shape(a) for a in leaves]
     bounds = np.cumsum([0, *(np.size(a) for a in leaves)]).tolist()
-    layout = list(zip(bounds[:-1], bounds[1:], shapes))
+    layout = list(zip(bounds[:-1], bounds[1:], (np.shape(a) for a in leaves)))
 
     def views(flat):
         return [flat[lo:hi].reshape(shape) for lo, hi, shape in layout]
 
     flat = np.concatenate(leaves, axis=None, dtype=float)
-    leaves = views(flat)
+    grad = np.full_like(flat, np.nan)  # an entry the objective skips poisons the step
+    leaves, grads = views(flat), views(grad)
     state = adam_init([flat], cfg.lr)
     history = TrainHistory(val_objective=None if monitor is None else [])
     best_value = np.inf
@@ -118,7 +120,7 @@ def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=N
     history.stop_reason = "max_epochs"
     for epoch in range(cfg.max_epochs):
         try:
-            value, grads = loss_and_grads(leaves)
+            value = loss_and_grads(leaves, grads)
             if not np.isfinite(value):
                 raise NonFiniteLoss(f"objective evaluated to {value}")
             crit = value if monitor is None else monitor(leaves)
@@ -136,10 +138,7 @@ def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=N
         elif epoch - history.best_epoch > cfg.patience:
             history.stop_reason = "patience"
             break
-        grad_shapes = [g.shape for g in grads]
-        if grad_shapes != shapes:
-            raise ValueError(f"gradient shapes {grad_shapes} do not match the leaves {shapes}")
-        state, (stepped,) = adam_step(state, [flat], [np.concatenate(grads, axis=None)])
+        state, (stepped,) = adam_step(state, [flat], [grad])
         flat[...] = stepped
         if post_step is not None:
             post_step(leaves)
@@ -169,9 +168,14 @@ def standardized_splits(
 
 
 def clamp_hyper_tail(leaves) -> None:
-    """Projection keeping the two trailing hyperparameter leaves in a safe box, in place."""
+    """Projection keeping the two trailing hyperparameter leaves in a safe box, in place.
+
+    ``np.maximum`` then ``np.minimum`` is exactly ``np.clip``, NaN included,
+    without its slower dispatch.
+    """
     for a in leaves[-2:]:
-        np.clip(a, -HYPER_CLAMP, HYPER_CLAMP, out=a)
+        np.maximum(a, -HYPER_CLAMP, out=a)
+        np.minimum(a, HYPER_CLAMP, out=a)
 
 
 def fit_nlml(
@@ -200,10 +204,9 @@ def fit_nlml(
         hyper = BllHyper(float(vals[n_w]), vals[n_w + 1])
         return params, hyper
 
-    def loss_and_grads(vals):
+    def loss_and_grads(vals, grads):
         params, hyper = unpack(vals)
-        value, (w_grads, g_la, g_ls) = negative_lml_grads(params, hyper, fit_data)
-        return value, [*w_grads, g_la, g_ls]
+        return negative_lml_grads_into(params, hyper, fit_data, grads)
 
     monitor = None
     if val_data is not None:

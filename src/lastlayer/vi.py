@@ -63,75 +63,77 @@ class ViModel:
         return np.exp(self.params.log_sigma_e) * self.t_scaler.scale
 
 
-def _unpack(leaves) -> ViParams:
-    """Read the leaf layout [mus..., rhos..., log_prior_spread, log_sigma_e]."""
-    n_layers = (len(leaves) - 2) // 2
-    return ViParams(
-        mus=tuple(leaves[:n_layers]),
-        rhos=tuple(leaves[n_layers : 2 * n_layers]),
-        log_prior_spread=leaves[2 * n_layers],
-        log_sigma_e=leaves[2 * n_layers + 1],
-    )
+def _layers(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Per-layer views of a flat vector holding the layer matrices in order."""
+    views, lo = [], 0
+    for rows, cols in shapes:
+        views.append(flat[lo : lo + rows * cols].reshape(rows, cols))
+        lo += rows * cols
+    return views
 
 
-def _negative_elbo(leaves, eps, x, t):
-    """Negative ELBO / m and its gradient at one Monte Carlo draw ``eps``.
+def _negative_elbo(leaves, grads, eps, x, t, shapes) -> float:
+    """Negative ELBO / m at one Monte Carlo draw ``eps``; its gradient overwrites ``grads``.
 
-    The draw evaluates the network at W = mu + sigma * eps, so the data
-    term's weight gradient dW reaches mu as is and rho as dW * eps *
-    sigmoid(rho) (Bayes by Backprop).  The KL term against the priors is
-    closed form, and so is its gradient.
+    The leaves are [mu, rho, log_prior_spread, log_sigma_e], where mu, rho
+    and the draw are flat, holding every layer's matrix in order (viewed
+    per layer by ``_layers``); ``grads`` has the same layout.  The draw
+    evaluates the network at W = mu + sigma * eps, so the data term's
+    weight gradient dW reaches mu as is and rho as dW * eps * sigmoid(rho)
+    (Bayes by Backprop).  The KL term against the priors is closed form,
+    and so is its gradient.  Elementwise steps run once over the flat
+    vectors; the KL sums run per layer.
 
-    Returns:
-        The value and one gradient array per leaf, in leaf order.
+    Raises:
+        ValueError: when ``grads`` does not match the leaves.
     """
-    params = _unpack(leaves)
-    mus, rhos, sigmas = params.mus, params.rhos, params.sigmas
-    log_prior_spread, log_sigma_e = params.log_prior_spread, params.log_sigma_e
-    n_layers = len(mus)
+    mu, rho, log_prior_spread, log_sigma_e = leaves
+    g_mu, g_rho, g_log_prior_spread, g_log_sigma_e = grads
+    if (g_mu.shape, g_rho.shape, g_log_prior_spread.shape, g_log_sigma_e.shape) != (
+        mu.shape,
+        rho.shape,
+        log_prior_spread.shape,
+        log_sigma_e.shape,
+    ):
+        raise ValueError("gradient destinations do not match the leaves")
     m, n_y = t.shape
+    rows = shapes[-1][0]
+    hidden = mu.size - rows * n_y  # entries before the output layer's
 
     # KL(q || prior): fixed zero-mean prior on hidden layers, learned
     # per-output spread on the last layer.
-    inv_priors = [1.0 / HIDDEN_PRIOR_VAR] * (n_layers - 1) + [np.exp(-2.0 * log_prior_spread)]
-    rows = mus[-1].shape[0]
-    kl = rows * log_prior_spread.sum() + 0.5 * math.log(HIDDEN_PRIOR_VAR) * sum(
-        mu.size for mu in mus[:-1]
-    )
-    g_mus, g_sigmas = [], []
-    for mu, sigma, inv_prior in zip(mus, sigmas, inv_priors):
-        kl += (
-            -np.log(sigma).sum()
-            + 0.5 * ((sigma * sigma + mu * mu) * inv_prior).sum()
-            - 0.5 * mu.size
-        )
-        g_mus.append(mu * inv_prior)
-        g_sigmas.append(sigma * inv_prior - 1.0 / sigma)
-    g_log_prior_spread = rows - (sigmas[-1] ** 2 + mus[-1] ** 2).sum(axis=0) * inv_priors[-1]
+    sigma = np.logaddexp(0.0, rho)
+    out_inv_prior = np.exp(-2.0 * log_prior_spread)
+    inv_prior = np.empty(mu.size)
+    inv_prior[:hidden] = 1.0 / HIDDEN_PRIOR_VAR
+    inv_prior[hidden:].reshape(rows, n_y)[...] = out_inv_prior
+    log_sigma = np.log(sigma)
+    quad = sigma * sigma + mu * mu
+    prior_quad = quad * inv_prior
+    kl = rows * log_prior_spread.sum() + 0.5 * math.log(HIDDEN_PRIOR_VAR) * hidden
+    lo = 0
+    for r, c in shapes:
+        hi = lo + r * c
+        kl += -log_sigma[lo:hi].sum() + 0.5 * prior_quad[lo:hi].sum() - 0.5 * (r * c)
+        lo = hi
+    g_log_prior_spread[...] = rows - quad[hidden:].reshape(rows, n_y).sum(axis=0) * out_inv_prior
 
-    # Monte Carlo negative log-likelihood at the one draw.
+    # Monte Carlo negative log-likelihood at the one draw; dW lands in g_mu.
     inv_sig2 = np.exp(-2.0 * log_sigma_e)
-    weights = [mu + sigma * e for mu, sigma, e in zip(mus, sigmas, eps)]
+    weights = _layers(mu + sigma * eps, shapes)
     acts = forward_layers(MlpParams(tuple(weights)), x)
     resid = t - acts[-1]
     misfit = (resid * resid).sum(axis=0) * inv_sig2
     nll = 0.5 * m * n_y * LOG_2PI + m * log_sigma_e.sum() + 0.5 * misfit.sum()
-    d_weights = mlp_backward(weights, acts, -resid * inv_sig2, None)
-    for k, (d_w, e) in enumerate(zip(d_weights, eps)):
-        g_mus[k] += d_w
-        g_sigmas[k] += d_w * e
-
-    sigmoids = [0.5 * (1.0 + np.tanh(0.5 * r)) for r in rhos]
-    grads = [
-        *g_mus,
-        *(g * sig for g, sig in zip(g_sigmas, sigmoids)),
-        g_log_prior_spread,
-        m - misfit,
-    ]
-    value = float((nll + kl) / m)
-    for g in grads:  # every entry is a fresh array
+    mlp_backward(weights, acts, -resid * inv_sig2, None, _layers(g_mu, shapes))
+    g_sigma = sigma * inv_prior - 1.0 / sigma
+    g_sigma += g_mu * eps
+    g_mu += mu * inv_prior  # dW + mu / prior: addition commutes exactly
+    np.multiply(g_sigma, 0.5 * (1.0 + np.tanh(0.5 * rho)), out=g_rho)
+    g_log_sigma_e[...] = m - misfit
+    for g in grads:
         g /= m
-    return value, grads
+    return float((nll + kl) / m)
 
 
 def vi_train(
@@ -148,36 +150,39 @@ def vi_train(
     init_rng, noise_rng = spawn_rngs(cfg.seed, 2)
     params0 = init_params(spec, init_rng)
     shapes = spec.layer_shapes()
-    bounds = np.cumsum([0, *(rows * cols for rows, cols in shapes)]).tolist()
+    n_weights = sum(rows * cols for rows, cols in shapes)
     n_y = train_data.n_y
     leaves = [
-        *[w.copy() for w in params0.weights],
-        *[np.full(s, RHO_INIT) for s in shapes],
+        np.concatenate(params0.weights, axis=None),
+        np.full(n_weights, RHO_INIT),
         np.full(n_y, 0.5 * math.log(HIDDEN_PRIOR_VAR)),
         np.full(n_y, cfg.init_log_sigma_e, dtype=float),
     ]
 
-    def loss_and_grads(vals):
-        # One flat draw, viewed per layer: the generator fills it in the
-        # order the per-layer draws would take, so the values are the same.
-        flat = noise_rng.standard_normal(bounds[-1])
-        eps = [flat[lo:hi].reshape(s) for lo, hi, s in zip(bounds[:-1], bounds[1:], shapes)]
-        return _negative_elbo(vals, eps, fit_std.x, fit_std.t)
+    def loss_and_grads(vals, grads):
+        # One flat draw: the generator fills it in the order per-layer
+        # draws would take, so the values are the same.
+        eps = noise_rng.standard_normal(n_weights)
+        return _negative_elbo(vals, grads, eps, fit_std.x, fit_std.t, shapes)
 
     monitor = None
     if val_std is not None:
 
         def monitor(vals):
             # Negative log-likelihood at the surrogate means.
-            params = _unpack(vals)
-            y, _ = forward_batch(MlpParams(params.mus), val_std.x)
-            sig2 = np.exp(2.0 * params.log_sigma_e)
+            mu, _, _, log_sigma_e = vals
+            y, _ = forward_batch(MlpParams(tuple(_layers(mu, shapes))), val_std.x)
+            sig2 = np.exp(2.0 * log_sigma_e)
             return float(-gaussian_log_density(y, sig2, val_std.t).mean())
 
     best, history = fit_loop(
         leaves, loss_and_grads, cfg, monitor=monitor, post_step=clamp_hyper_tail
     )
-    return ViModel(_unpack(best), x_scaler, t_scaler), history
+    mu, rho, log_prior_spread, log_sigma_e = best
+    params = ViParams(
+        tuple(_layers(mu, shapes)), tuple(_layers(rho, shapes)), log_prior_spread, log_sigma_e
+    )
+    return ViModel(params, x_scaler, t_scaler), history
 
 
 def _sample_forward(params: ViParams, x_std: np.ndarray, rng) -> np.ndarray:

@@ -30,7 +30,7 @@ from lastlayer.linalg import chol_spd, solve_pd
 from lastlayer.bll import masked_identity, negative_lml, with_alpha
 from lastlayer.mlp import MlpParams, forward_batch, forward_layers
 from lastlayer.optim import adam_init, adam_step
-from lastlayer.vi import HIDDEN_PRIOR_VAR, _unpack
+from lastlayer.vi import HIDDEN_PRIOR_VAR, ViParams
 
 
 def finite_difference(fn, arrays, h=1e-5):
@@ -164,6 +164,33 @@ def fit_loop_per_leaf(leaves, loss_and_grads, cfg, monitor=None, post_step=None)
     return best_leaves, train_objective, val_objective, best_epoch
 
 
+def returning(loss_and_grads):
+    """The objective ``fit_loop_per_leaf`` takes, from one that writes in place.
+
+    ``loss_and_grads(leaves, grads) -> value`` is the protocol of
+    ``training.fit_loop``; the result returns (value, grads) with the
+    gradients in fresh arrays, every entry NaN until the objective writes it.
+    """
+
+    def returns(leaves):
+        grads = [np.full(np.shape(a), np.nan) for a in leaves]
+        return loss_and_grads(leaves, grads), grads
+
+    return returns
+
+
+def writing(loss_and_grads):
+    """The in-place objective ``training.fit_loop`` takes, from one returning (value, grads)."""
+
+    def writes(leaves, grads):
+        value, new = loss_and_grads(leaves)
+        for g, src in zip(grads, new, strict=True):
+            g[...] = src
+        return value
+
+    return writes
+
+
 def logdet_spd_reference(a: np.ndarray):
     """Log-determinant and a function giving its gradient A^-1."""
     factor = chol_spd(a)
@@ -245,6 +272,21 @@ def negative_lml_grads_reference(params, hyper, data):
     grads = mlp_backward_reference(params.weights, acts, d_y, d_a)
     grads[-1] = grads[-1] + d_wbar
     return value, (grads, d_log_alpha, d_log_sigma_e)
+
+
+def _unpack(leaves) -> ViParams:
+    """Read the per-layer leaf layout [mus..., rhos..., log_prior_spread, log_sigma_e].
+
+    The layout vi trained before its means and spreads became two flat
+    vectors; ``negative_elbo_reference`` reads it.
+    """
+    n_layers = (len(leaves) - 2) // 2
+    return ViParams(
+        mus=tuple(leaves[:n_layers]),
+        rhos=tuple(leaves[n_layers : 2 * n_layers]),
+        log_prior_spread=leaves[2 * n_layers],
+        log_sigma_e=leaves[2 * n_layers + 1],
+    )
 
 
 def negative_elbo_reference(leaves, eps, x, t):

@@ -1,0 +1,123 @@
+"""Ten-seed reproduction report: the default run on seeds 0-9, written as JSON.
+
+Runs ``run_experiment`` at the default configuration for each seed.  For
+each seed and method the report holds every variant's LPD and MSE on each
+split, the noise scales, alpha* and alpha_max, whether alpha_max sits at its
+search bound, the best test LPD on the alpha-sweep grid, and the sha256 of
+every artifact file.  A summary gives the per-variant medians of the test
+LPD over the seeds.  Nothing in it depends on the wall clock, so two
+checkouts that train the same floats write the same report.
+
+Usage, from the repository root:
+
+    PYTHONPATH=src python tests/seed_report.py SEEDS.json
+
+pytest does not collect this file.
+"""
+
+import argparse
+import csv
+import hashlib
+import json
+import statistics
+import sys
+import tempfile
+from pathlib import Path
+
+from lastlayer.data import SPLITS
+from lastlayer.experiment import ExperimentConfig, run_experiment
+
+SEEDS = range(10)
+
+
+def _scores(metrics: dict, variant: str) -> dict:
+    return {
+        f"{split}_{kind}": metrics[f"{variant}.{split}_{kind}"]
+        for split in SPLITS
+        for kind in ("lpd", "mse")
+    }
+
+
+def _sigma_e(metrics: dict, method: str) -> list[float]:
+    sigmas, j = [], 0
+    while f"{method}.sigma_e_{j}" in metrics:
+        sigmas.append(metrics[f"{method}.sigma_e_{j}"])
+        j += 1
+    return sigmas
+
+
+def _best_sweep_lpd_test(path: Path) -> float:
+    with open(path, newline="") as fh:
+        return max(float(row["lpd_test"]) for row in csv.DictReader(fh))
+
+
+def seed_entry(seed: int, out_dir: Path) -> dict:
+    """One default run and what the report keeps of it."""
+    metrics, _ = run_experiment(ExperimentConfig(seed=seed, out_dir=str(out_dir)))
+    entry = {}
+    for method in ("bll", "blr"):
+        if f"{method}.alpha_star" not in metrics:
+            continue
+        entry[method] = {
+            "variants": {
+                tag: _scores(metrics, f"{method}_{tag}") for tag in ("alpha_star", "alpha_max")
+            },
+            "sigma_e": _sigma_e(metrics, method),
+            "alpha_star": metrics[f"{method}.alpha_star"],
+            "alpha_max": metrics[f"{method}.alpha_max"],
+            "alpha_max_at_bound": metrics[f"{method}.alpha_max_at_bound"] == 1.0,
+            "best_sweep_lpd_test": _best_sweep_lpd_test(out_dir / f"alpha_sweep_{method}.csv"),
+        }
+    if "vi.test_lpd" in metrics:
+        entry["vi"] = {
+            "variants": {"vi": _scores(metrics, "vi")},
+            "sigma_e": _sigma_e(metrics, "vi"),
+        }
+    entry["errors"] = {k: v for k, v in metrics.items() if k.startswith("errors.")}
+    entry["artifacts"] = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out_dir.iterdir())
+    }
+    return entry
+
+
+def summary(seeds: dict) -> dict:
+    """Medians over the seeds of the figures acceptance criterion 5 reports on seeds 0-2.
+
+    Those are each variant's test LPD, bll's test-LPD gain from alpha* to
+    alpha_max and bll's noise scales.
+    """
+    columns = {}
+    for entry in seeds.values():
+        for method in ("bll", "blr", "vi"):
+            for tag, scores in entry.get(method, {}).get("variants", {}).items():
+                name = tag if method == "vi" else f"{method}_{tag}"
+                columns.setdefault(f"{name}.test_lpd", []).append(scores["test_lpd"])
+        if "bll" in entry:
+            bll = entry["bll"]
+            lpds = {tag: scores["test_lpd"] for tag, scores in bll["variants"].items()}
+            gain = lpds["alpha_max"] - lpds["alpha_star"]
+            columns.setdefault("bll.gain", []).append(gain)
+            for j, sigma in enumerate(bll["sigma_e"]):
+                columns.setdefault(f"bll.sigma_e_{j}", []).append(sigma)
+    return {f"{name}_median": statistics.median(v) for name, v in columns.items()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", help="path of the JSON report to write")
+    args = parser.parse_args(argv)
+    seeds = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in SEEDS:
+            seeds[str(seed)] = seed_entry(seed, Path(tmp) / f"seed{seed}")
+    report = {"config": "ExperimentConfig() defaults", "seeds": seeds, "summary": summary(seeds)}
+    with open(args.out, "w") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(json.dumps(report["summary"], indent=2, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

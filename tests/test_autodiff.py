@@ -6,7 +6,7 @@ from lastlayer.linalg import cholesky, logdet_pd
 from lastlayer.mlp import MlpParams, forward_layers
 from lastlayer.training import TrainConfig, fit_loop
 
-from oracles import finite_difference, random_spd
+from oracles import finite_difference, random_spd, writing
 
 
 def test_linear_chain_matches_hand_derivative():
@@ -17,7 +17,8 @@ def test_linear_chain_matches_hand_derivative():
     acts = forward_layers(MlpParams(weights), np.array([[x]]))
     a = np.tanh(w1 * x)
     dy = w2 * a - t
-    grads = ad.mlp_backward(weights, acts, np.array([[dy]]), None)
+    grads = [np.empty(w.shape) for w in weights]
+    ad.mlp_backward(weights, acts, np.array([[dy]]), None, grads)
     np.testing.assert_allclose(grads[1], [[dy * a], [dy]], rtol=1e-12)
     dh = dy * w2 * (1 - a**2)
     np.testing.assert_allclose(grads[0], [[dh * x], [dh]], rtol=1e-12)
@@ -39,7 +40,8 @@ def test_matmul_transpose_affine_ones():
     acts = forward_layers(MlpParams(tuple(weights)), x)
     phi = np.concatenate([acts[-2], np.ones((6, 1))], axis=1)
     d_phi = 4.0 * phi @ (phi.T @ phi)
-    grads = ad.mlp_backward(weights, acts, np.ones((6, 2)), d_phi[:, :-1])
+    grads = [np.empty(w.shape) for w in weights]
+    ad.mlp_backward(weights, acts, np.ones((6, 2)), d_phi[:, :-1], grads)
     for g, f in zip(grads, finite_difference(loss, weights)):
         np.testing.assert_allclose(g, f, rtol=1e-5, atol=1e-6)
 
@@ -76,4 +78,6 @@ def test_non_finite_loss_raises():
             return float(np.exp(leaves[0])), [np.zeros(())]
 
     with pytest.raises(ad.NonFiniteLoss, match="epoch 0: objective evaluated to inf"):
-        fit_loop([np.asarray(1000.0)], loss_and_grads, TrainConfig(max_epochs=10, patience=5))
+        fit_loop(
+            [np.asarray(1000.0)], writing(loss_and_grads), TrainConfig(max_epochs=10, patience=5)
+        )

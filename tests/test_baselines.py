@@ -16,7 +16,7 @@ from lastlayer.mlp import MlpSpec, forward_batch, init_params
 from lastlayer.rng import make_rng
 from lastlayer.training import TrainConfig, TrainHistory, standardized_splits
 
-from oracles import finite_difference
+from oracles import finite_difference, returning
 
 FAST = TrainConfig(max_epochs=3000, patience=400, lr=5e-3, seed=0)
 
@@ -81,8 +81,9 @@ def test_mse_gradient_matches_finite_differences(seed, n_y, depth):
         w + 0.1 * rng.standard_normal(w.shape) for w in init_params(spec, make_rng(seed)).weights
     ]
     data = Dataset(rng.standard_normal((m, n_x)), rng.standard_normal((m, n_y)))
-    _, grads = _mse_grads(weights, data)
-    fd = finite_difference(lambda arrays: _mse_grads(arrays, data)[0], weights)
+    mse = returning(lambda arrays, out: _mse_grads(arrays, data, out))
+    _, grads = mse(weights)
+    fd = finite_difference(lambda arrays: mse(arrays)[0], weights)
     for g, f in zip(grads, fd):
         np.testing.assert_allclose(g, f, rtol=1e-6, atol=1e-8)
 
@@ -142,7 +143,7 @@ class TestBlrFit:
             wbar = frozen.wbar + 0.3 * rng.standard_normal(frozen.wbar.shape)
             hyper = BllHyper(float(rng.uniform(-1.0, 2.0)), rng.uniform(-1.0, 0.5, size=1))
             leaves = [wbar, np.asarray(hyper.log_alpha), hyper.log_sigma_e]
-            value, grads = captured["loss_and_grads"](leaves)
+            value, grads = returning(captured["loss_and_grads"])(leaves)
             joint, (w_grads, g_la, g_ls) = negative_lml_grads(
                 frozen.replace_wbar(wbar), hyper, fit_std
             )

@@ -2,7 +2,9 @@
 
 Each head returns exactly the doubles its reference in ``oracles`` returns:
 the value and every gradient, over random networks, data and
-hyperparameters.  The alpha sweep, which runs the network once per row set,
+hyperparameters.  The heads that write in place get one NaN-filled gradient
+buffer, viewed per leaf as ``training.fit_loop`` views it, and must write
+every entry.  The alpha sweep, which runs the network once per row set,
 and ``predict_batch`` are held to the per-alpha loop and the one-pass
 prediction they replaced.  Equality is ``array_equal``, not a tolerance.
 """
@@ -22,6 +24,7 @@ from lastlayer.bll import (
     masked_identity,
     negative_lml,
     negative_lml_grads,
+    negative_lml_grads_into,
     predict_batch,
     with_alpha,
 )
@@ -74,6 +77,14 @@ def _same_outcome(fn, reference):
     return fn(), expected
 
 
+def _nan_buffer(shapes):
+    """One flat NaN gradient buffer and its per-leaf views, laid out as fit_loop lays them."""
+    sizes = [int(np.prod(s)) for s in shapes]
+    buffer = np.full(sum(sizes), np.nan)
+    bounds = np.cumsum([0, *sizes])
+    return buffer, [buffer[lo:hi].reshape(s) for lo, hi, s in zip(bounds, bounds[1:], shapes)]
+
+
 def _assert_arrays_equal(got, expected):
     assert len(got) == len(expected)
     for g, e in zip(got, expected):
@@ -98,17 +109,23 @@ def test_negative_lml_matches_its_reference(problem, flat_bias):
 @given(problem=problems())
 def test_negative_lml_grads_match_their_reference(problem):
     params, hyper, data, _ = problem
+    buffer, out = _nan_buffer([*(w.shape for w in params.weights), (), hyper.log_sigma_e.shape])
     outcome = _same_outcome(
-        lambda: negative_lml_grads(params, hyper, data),
+        lambda: (
+            negative_lml_grads(params, hyper, data),
+            negative_lml_grads_into(params, hyper, data, out),
+        ),
         lambda: negative_lml_grads_reference(params, hyper, data),
     )
     if outcome is None:
         return
-    (value, (w_grads, g_la, g_ls)), (ref_value, (ref_w, ref_la, ref_ls)) = outcome
-    assert value == ref_value
+    ((value, (w_grads, g_la, g_ls)), in_place), (ref_value, (ref_w, ref_la, ref_ls)) = outcome
+    assert value == in_place == ref_value
     _assert_arrays_equal(w_grads, ref_w)
     assert np.array_equal(g_la, ref_la)
     assert np.array_equal(g_ls, ref_ls)
+    assert not np.isnan(buffer).any()
+    _assert_arrays_equal(out, [*ref_w, ref_la, ref_ls])
 
 
 @SETTINGS
@@ -119,7 +136,9 @@ def test_mlp_backward_matches_its_reference(problem, with_hidden_grad):
     d_out = rng.standard_normal(acts[-1].shape)
     d_hidden = rng.standard_normal(acts[-2].shape) if with_hidden_grad else None
     before = d_out.copy()
-    got = mlp_backward(params.weights, acts, d_out, d_hidden)
+    buffer, got = _nan_buffer([w.shape for w in params.weights])
+    mlp_backward(params.weights, acts, d_out, d_hidden, got)
+    assert not np.isnan(buffer).any()
     _assert_arrays_equal(got, mlp_backward_reference(params.weights, acts, d_out, d_hidden))
     assert np.array_equal(d_out, before)  # the caller's gradient is left alone
 
@@ -128,18 +147,22 @@ def test_mlp_backward_matches_its_reference(problem, with_hidden_grad):
 @given(problem=problems())
 def test_mse_grads_match_their_reference(problem):
     params, _, data, _ = problem
-    value, grads = _mse_grads(params.weights, data)
+    buffer, out = _nan_buffer([w.shape for w in params.weights])
+    value = _mse_grads(params.weights, data, out)
     ref_value, ref_grads = mse_grads_reference(params.weights, data)
     assert value == ref_value
-    _assert_arrays_equal(grads, ref_grads)
+    assert not np.isnan(buffer).any()
+    _assert_arrays_equal(out, ref_grads)
 
 
 @SETTINGS
 @given(problem=problems())
 def test_negative_elbo_matches_its_reference(problem):
+    # vi trains its means, spreads and draw as flat vectors over every layer;
+    # the reference takes them per layer
     params, _, data, rng = problem
     shapes = [w.shape for w in params.weights]
-    n_y = data.n_y
+    n_layers, n_y = len(shapes), data.n_y
     leaves = [
         *params.weights,
         *(rng.uniform(-6.0, 0.0, size=s) for s in shapes),
@@ -147,10 +170,17 @@ def test_negative_elbo_matches_its_reference(problem):
         rng.uniform(-2.0, 1.0, size=n_y),
     ]
     eps = [rng.standard_normal(s) for s in shapes]
-    value, grads = _negative_elbo(leaves, eps, data.x, data.t)
+    flat = [
+        np.concatenate(leaves[:n_layers], axis=None),
+        np.concatenate(leaves[n_layers : 2 * n_layers], axis=None),
+        *leaves[2 * n_layers :],
+    ]
+    buffer, out = _nan_buffer([a.shape for a in flat])
+    value = _negative_elbo(flat, out, np.concatenate(eps, axis=None), data.x, data.t, shapes)
     ref_value, ref_grads = negative_elbo_reference(leaves, eps, data.x, data.t)
     assert value == ref_value
-    _assert_arrays_equal(grads, ref_grads)
+    assert not np.isnan(buffer).any()
+    assert np.array_equal(buffer, np.concatenate(ref_grads, axis=None))
 
 
 @SETTINGS
@@ -159,7 +189,7 @@ def test_negative_elbo_matches_its_reference(problem):
     shapes=st.lists(st.tuples(st.integers(1, 25), st.integers(1, 24)), min_size=1, max_size=4),
 )
 def test_one_flat_draw_equals_the_per_layer_draws(seed, shapes):
-    # vi_train draws each step's noise as one flat vector viewed per layer.
+    # vi_train draws each step's noise as one flat vector over every layer.
     rng = np.random.default_rng(seed)
     per_layer = [rng.standard_normal(s) for s in shapes]
     flat = np.random.default_rng(seed).standard_normal(sum(r * c for r, c in shapes))

@@ -176,6 +176,37 @@ def test_sweep_runs_the_network_once_per_row_set(monkeypatch, n_sets):
     assert len(calls) == n_sets + 1
 
 
+def test_sweep_reuses_the_training_pass_and_computes_each_sets_means_once(monkeypatch):
+    from lastlayer import calibration
+    from lastlayer.data import Standardizer
+
+    model, data = _trained_toy(seed=9)
+    passes, inverses = [], []
+    forward_batch, inverse = calibration.forward_batch, Standardizer.inverse
+
+    def counted_forward(params, x):
+        passes.append(len(x))
+        return forward_batch(params, x)
+
+    def counted_inverse(self, values):
+        inverses.append(len(values))
+        return inverse(self, values)
+
+    monkeypatch.setattr(calibration, "forward_batch", counted_forward)
+    monkeypatch.setattr(Standardizer, "inverse", counted_inverse)
+    grid = np.linspace(model.hyper.log_alpha, model.hyper.log_alpha + 15.0, 7)
+    held_out = {"val": data.subset(np.arange(4)), "test": data.subset(np.arange(4, 9))}
+    rows = alpha_sweep(model, data, {"train": data, **held_out}, grid)
+    # the train rows go through the network once, for the objective and their LPD
+    assert passes == [data.m, 4, 5]
+    assert inverses == [data.m, 4, 5]
+    # an equal copy of the train rows is another row set and gets its own pass
+    passes.clear()
+    copy = Dataset(data.x.copy(), data.t.copy())
+    assert alpha_sweep(model, data, {"train": copy, **held_out}, grid) == rows
+    assert passes == [data.m, data.m, 4, 5]
+
+
 @pytest.mark.parametrize(
     "kwargs, error",
     [

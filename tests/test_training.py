@@ -2,16 +2,29 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lastlayer.autodiff import NonFiniteLoss
-from lastlayer.baselines import blr_fit, train_mse
-from lastlayer.bll import HYPER_CLAMP, BllHyper, closed_form_wbar, negative_lml, negative_lml_grads
+from lastlayer.autodiff import NonFiniteLoss, mlp_backward
+from lastlayer.baselines import _mse_grads, _mse_head, blr_fit, train_mse
+from lastlayer.bll import (
+    HYPER_CLAMP,
+    BllHyper,
+    closed_form_wbar,
+    negative_lml,
+    negative_lml_grads_into,
+)
 from lastlayer.data import Dataset
-from lastlayer.mlp import MlpParams, MlpSpec, init_params
+from lastlayer.mlp import MlpParams, MlpSpec, forward_batch, forward_layers, init_params
 from lastlayer.rng import make_rng
 from lastlayer.training import TrainConfig, clamp_hyper_tail, train, fit_loop
-from lastlayer.vi import vi_train
+from lastlayer.vi import RHO_INIT, _negative_elbo, vi_train
 
-from oracles import fit_loop_per_leaf
+from oracles import (
+    fit_loop_per_leaf,
+    mse_grads_reference,
+    negative_elbo_reference,
+    negative_lml_grads_reference,
+    returning,
+    writing,
+)
 
 
 def _linear_dataset(seed=0, m=40, slope=2.0, noise=0.1):
@@ -40,7 +53,9 @@ class TestFitLoop:
             return float(leaves[0] ** 2), [2.0 * leaves[0]]
 
         best, history = fit_loop(
-            [np.asarray(3.0)], loss_and_grads, TrainConfig(max_epochs=3000, patience=2999, lr=0.05)
+            [np.asarray(3.0)],
+            writing(loss_and_grads),
+            TrainConfig(max_epochs=3000, patience=2999, lr=0.05),
         )
         assert abs(best[0]) < 1e-2
         assert history.train_objective[-1] < history.train_objective[0]
@@ -59,7 +74,7 @@ class TestFitLoop:
 
         best, history = fit_loop(
             [np.asarray(1.0)],
-            loss_and_grads,
+            writing(loss_and_grads),
             TrainConfig(max_epochs=100, patience=10, lr=0.1),
             monitor=monitor,
         )
@@ -72,7 +87,9 @@ class TestFitLoop:
             return float(leaves[0] ** 2), [2.0 * leaves[0]]
 
         _, history = fit_loop(
-            [np.asarray(3.0)], loss_and_grads, TrainConfig(max_epochs=50, patience=10, lr=0.01)
+            [np.asarray(3.0)],
+            writing(loss_and_grads),
+            TrainConfig(max_epochs=50, patience=10, lr=0.01),
         )
         assert len(history.train_objective) == 50
         assert history.stop_reason == "max_epochs"
@@ -86,7 +103,7 @@ class TestFitLoop:
 
         _, history = fit_loop(
             [np.asarray(0.0)],
-            loss_and_grads,
+            writing(loss_and_grads),
             TrainConfig(max_epochs=100, patience=10),
             monitor=lambda leaves: next(crits),
         )
@@ -98,16 +115,30 @@ class TestFitLoop:
     @pytest.mark.parametrize(
         "grads",
         [
-            [np.zeros((3, 2)), np.zeros(())],  # the weight gradient transposed
-            [np.zeros(()), np.zeros((2, 3))],  # the two gradients swapped
-            [np.zeros(6), np.zeros(())],  # same size, flattened
-            [np.zeros((2, 3))],  # one gradient missing
+            [np.empty((3, 2)), np.empty((4, 1))],  # the first layer's gradient transposed
+            [np.empty((4, 1)), np.empty((2, 3))],  # the two gradients swapped
+            [np.empty(6), np.empty((4, 1))],  # same size, flattened
+            [np.empty((4, 1))],  # one gradient missing
         ],
     )
     def test_gradients_that_do_not_match_the_leaves_raise(self, grads):
-        leaves = [np.ones((2, 3)), np.asarray(0.0)]
-        with pytest.raises(ValueError, match="do not match the leaves"):
-            fit_loop(leaves, lambda leaves: (1.0, grads), TrainConfig(max_epochs=3, patience=2))
+        # fit_loop hands the objective views shaped like the leaves, and the
+        # reverse sweep every head runs refuses destinations of other shapes
+        weights = init_params(MlpSpec(1, (3,), 1), make_rng(0)).weights  # (2, 3), (4, 1)
+        acts = forward_layers(MlpParams(weights), np.linspace(-1.0, 1.0, 5).reshape(-1, 1))
+        with pytest.raises(ValueError, match="gradient destination"):
+            mlp_backward(weights, acts, np.ones((5, 1)), None, grads)
+
+    def test_an_entry_the_objective_leaves_unwritten_stops_the_run(self):
+        # the gradient starts as NaN, so a skipped entry poisons the step
+        def loss_and_grads(leaves, grads):
+            grads[0][...] = 0.0
+            return float(np.sum(leaves[1]))
+
+        with pytest.raises(NonFiniteLoss, match="^epoch 1: objective evaluated to nan"):
+            fit_loop(
+                [np.zeros(2), np.zeros(3)], loss_and_grads, TrainConfig(max_epochs=5, patience=4)
+            )
 
     def test_non_finite_loss_reports_epoch(self):
         calls = {"n": 0}
@@ -119,7 +150,9 @@ class TestFitLoop:
             return 1.0, [np.zeros(())]
 
         with pytest.raises(NonFiniteLoss, match="epoch 3"):
-            fit_loop([np.asarray(0.0)], loss_and_grads, TrainConfig(max_epochs=10, patience=5))
+            fit_loop(
+                [np.asarray(0.0)], writing(loss_and_grads), TrainConfig(max_epochs=10, patience=5)
+            )
 
     def test_non_finite_monitor_reports_epoch(self):
         def loss_and_grads(leaves):
@@ -129,7 +162,7 @@ class TestFitLoop:
         with pytest.raises(NonFiniteLoss, match="^epoch 2: monitor evaluated to nan"):
             fit_loop(
                 [np.asarray(0.0)],
-                loss_and_grads,
+                writing(loss_and_grads),
                 TrainConfig(max_epochs=10, patience=5),
                 monitor=lambda leaves: next(values),
             )
@@ -148,6 +181,55 @@ class TestFitLoop:
         }[trainer]
         with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss, match="^epoch 1: "):
             run()
+
+
+def _destination_case(case):
+    """A head given one wrong-shaped gradient destination."""
+    rng = np.random.default_rng(0)
+    weights = init_params(MlpSpec(1, (3,), 2), make_rng(0)).weights  # (2, 3) and (4, 2)
+    data = Dataset(rng.standard_normal((6, 1)), rng.standard_normal((6, 2)))
+    hyper = BllHyper(0.0, np.zeros(2))
+    mu, rho = np.concatenate(weights, axis=None), np.full(14, -3.0)
+    elbo_leaves = [mu, rho, np.zeros(2), np.zeros(2)]
+    eps = rng.standard_normal(14)
+    shapes = [(2, 3), (4, 2)]
+
+    def nlml(tail):
+        return lambda: negative_lml_grads_into(
+            MlpParams(weights), hyper, data, [np.empty(w.shape) for w in weights] + tail
+        )
+
+    def elbo(grads):
+        return lambda: _negative_elbo(elbo_leaves, grads, eps, data.x, data.t, shapes)
+
+    return {
+        "nlml vector log alpha": nlml([np.empty(1), np.empty(2)]),
+        "nlml broadcast log sigma_e": nlml([np.empty(()), np.empty((3, 2))]),
+        "nlml tail missing": nlml([np.empty(())]),
+        "mse swapped": lambda: _mse_grads(
+            weights, data, [np.empty((4, 2)), np.empty((2, 3))]
+        ),
+        "elbo short mu": elbo([np.empty(13), np.empty(14), np.empty(2), np.empty(2)]),
+        "elbo broadcast prior spread": elbo(
+            [np.empty(14), np.empty(14), np.empty((3, 2)), np.empty(2)]
+        ),
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "nlml vector log alpha",
+        "nlml broadcast log sigma_e",
+        "nlml tail missing",
+        "mse swapped",
+        "elbo short mu",
+        "elbo broadcast prior spread",
+    ],
+)
+def test_a_head_given_a_wrong_shaped_destination_raises(case):
+    with pytest.raises(ValueError):
+        _destination_case(case)()
 
 
 def _clip_tail_copies(leaves):
@@ -195,7 +277,11 @@ def test_flat_fit_loop_matches_the_per_leaf_loop(seed, shapes, n_tail, patience,
     cfg = TrainConfig(max_epochs=40, patience=patience, lr=2.0)
     kwargs = {"monitor": monitor if with_monitor else None}
     flat_run = fit_loop(
-        [a.copy() for a in leaves], loss_and_grads, cfg, post_step=clamp_hyper_tail, **kwargs
+        [a.copy() for a in leaves],
+        writing(loss_and_grads),
+        cfg,
+        post_step=clamp_hyper_tail,
+        **kwargs,
     )
     reference_run = fit_loop_per_leaf(
         leaves, loss_and_grads, cfg, post_step=_clip_tail_copies, **kwargs
@@ -203,21 +289,33 @@ def test_flat_fit_loop_matches_the_per_leaf_loop(seed, shapes, n_tail, patience,
     _assert_same_run(flat_run, reference_run)
 
 
-def test_flat_fit_loop_matches_the_per_leaf_loop_on_the_nlml():
-    # the bll objective at the benchmark's shapes: 48 fit rows, hidden
-    # (20, 20, 20), two outputs; weights are views into the flat vector
-    rng = np.random.default_rng(5)
-    spec = MlpSpec(1, (20, 20, 20), 2)
+# The real objectives at the benchmark's shapes: 48 fit rows, hidden
+# (20, 20, 20), two outputs.  The flat loop runs each head writing into views
+# of its one gradient vector; the per-leaf loop runs the verbatim reference
+# head, returning fresh arrays.
+BENCH_SPEC = MlpSpec(1, (20, 20, 20), 2)
+
+
+def _bench_data(seed):
+    rng = np.random.default_rng(seed)
     fit = Dataset(rng.standard_normal((48, 1)), rng.standard_normal((48, 2)))
     val = Dataset(rng.standard_normal((12, 1)), rng.standard_normal((12, 2)))
-    weights = init_params(spec, make_rng(3)).weights
+    return fit, val
+
+
+def test_flat_fit_loop_matches_the_per_leaf_loop_on_the_nlml():
+    fit, val = _bench_data(5)
+    weights = init_params(BENCH_SPEC, make_rng(3)).weights
     leaves = [*weights, np.asarray(0.0), np.full(2, -1.0)]
 
     def unpack(vals):
         return MlpParams(tuple(vals[:-2])), BllHyper(float(vals[-2]), vals[-1])
 
-    def loss_and_grads(vals):
-        value, (w_grads, g_la, g_ls) = negative_lml_grads(*unpack(vals), fit)
+    def loss_and_grads(vals, grads):
+        return negative_lml_grads_into(*unpack(vals), fit, grads)
+
+    def reference(vals):
+        value, (w_grads, g_la, g_ls) = negative_lml_grads_reference(*unpack(vals), fit)
         return value, [*w_grads, g_la, g_ls]
 
     def monitor(vals):
@@ -227,10 +325,65 @@ def test_flat_fit_loop_matches_the_per_leaf_loop_on_the_nlml():
     flat_run = fit_loop(
         [a.copy() for a in leaves], loss_and_grads, cfg, monitor, post_step=clamp_hyper_tail
     )
+    reference_run = fit_loop_per_leaf(leaves, reference, cfg, monitor, post_step=_clip_tail_copies)
+    _assert_same_run(flat_run, reference_run)
+
+
+def test_flat_fit_loop_matches_the_per_leaf_loop_on_the_mse():
+    fit, val = _bench_data(6)
+    leaves = list(init_params(BENCH_SPEC, make_rng(4)).weights)
+
+    def monitor(vals):
+        return _mse_head(forward_batch(MlpParams(tuple(vals)), val.x)[0], val.t)[0]
+
+    cfg = TrainConfig(max_epochs=30, patience=29, lr=1e-2)
+    flat_run = fit_loop(
+        [a.copy() for a in leaves],
+        lambda vals, grads: _mse_grads(vals, fit, grads),
+        cfg,
+        monitor,
+    )
     reference_run = fit_loop_per_leaf(
-        leaves, loss_and_grads, cfg, monitor, post_step=_clip_tail_copies
+        leaves, lambda vals: mse_grads_reference(vals, fit), cfg, monitor
     )
     _assert_same_run(flat_run, reference_run)
+
+
+def test_flat_fit_loop_matches_the_per_leaf_loop_on_the_elbo():
+    # vi trains flat means and spreads; the reference reads them per layer
+    fit, _ = _bench_data(7)
+    shapes = BENCH_SPEC.layer_shapes()
+    weights = init_params(BENCH_SPEC, make_rng(5)).weights
+    tail = [np.full(2, -0.3), np.full(2, -1.0)]
+    n_layers = len(shapes)
+
+    flat_rng, layer_rng = np.random.default_rng(8), np.random.default_rng(8)
+
+    def loss_and_grads(vals, grads):
+        eps = flat_rng.standard_normal(vals[0].size)
+        return _negative_elbo(vals, grads, eps, fit.x, fit.t, shapes)
+
+    def reference(vals):
+        eps = [layer_rng.standard_normal(s) for s in shapes]
+        return negative_elbo_reference(vals, eps, fit.x, fit.t)
+
+    cfg = TrainConfig(max_epochs=30, patience=29, lr=1e-2)
+    flat_leaves = [
+        np.concatenate(weights, axis=None),
+        np.full(sum(w.size for w in weights), RHO_INIT),
+        *tail,
+    ]
+    best, history = fit_loop(flat_leaves, loss_and_grads, cfg, post_step=clamp_hyper_tail)
+    layer_leaves = [*weights, *(np.full(s, RHO_INIT) for s in shapes), *tail]
+    ref_best, *ref_rest = fit_loop_per_leaf(
+        layer_leaves, reference, cfg, post_step=_clip_tail_copies
+    )
+    as_flat = [
+        np.concatenate(ref_best[:n_layers], axis=None),
+        np.concatenate(ref_best[n_layers : 2 * n_layers], axis=None),
+        *ref_best[2 * n_layers :],
+    ]
+    _assert_same_run((best, history), (as_flat, *ref_rest))
 
 
 class TestTrain:

@@ -16,9 +16,34 @@ from lastlayer.vi import (
     vi_train,
 )
 
-from oracles import finite_difference, kl_diag_gaussian
+from oracles import finite_difference, kl_diag_gaussian, returning
 
 FAST = TrainConfig(max_epochs=1500, patience=300, lr=5e-3, seed=0)
+
+
+def _elbo(leaves, eps, x, t):
+    """``_negative_elbo`` on per-layer leaves and draws: the value and per-layer gradients.
+
+    The leaves are [mus..., rhos..., log_prior_spread, log_sigma_e]; vi
+    trains the means and spreads as two flat vectors.
+    """
+    n_layers = (len(leaves) - 2) // 2
+    shapes = [np.shape(mu) for mu in leaves[:n_layers]]
+    flat = [
+        np.concatenate(leaves[:n_layers], axis=None),
+        np.concatenate(leaves[n_layers : 2 * n_layers], axis=None),
+        *leaves[2 * n_layers :],
+    ]
+    draw = np.concatenate(eps, axis=None)
+    value, grads = returning(
+        lambda vals, out: _negative_elbo(vals, out, draw, x, t, shapes)
+    )(flat)
+    cuts = np.cumsum([np.size(mu) for mu in leaves[:n_layers]])[:-1]
+
+    def per_layer(g):
+        return [part.reshape(s) for part, s in zip(np.split(g, cuts), shapes)]
+
+    return value, [*per_layer(grads[0]), *per_layer(grads[1]), *grads[2:]]
 
 
 def _dataset(seed=0, m=30):
@@ -64,7 +89,7 @@ class TestElboGraph:
         leaves = self._leaves(spec)
         shapes = spec.layer_shapes()
         eps = [np.zeros(s) for s in shapes]
-        value, _ = _negative_elbo(leaves, eps, data.x, data.t)
+        value, _ = _elbo(leaves, eps, data.x, data.t)
         # reference: deterministic forward at the means plus closed-form KL
         mus, rhos = leaves[:2], leaves[2:4]
         sig = [np.logaddexp(0.0, r) for r in rhos]
@@ -86,7 +111,7 @@ class TestElboGraph:
         leaves = self._leaves(spec, rho=-40.0)
         shapes = spec.layer_shapes()
         eps = [make_rng(4).standard_normal(s) for s in shapes]
-        _, grads = _negative_elbo(leaves, eps, data.x, data.t)
+        _, grads = _elbo(leaves, eps, data.x, data.t)
 
         def deterministic(ws):
             a = np.tanh(data.x @ ws[0][:-1] + ws[0][-1])
@@ -123,9 +148,9 @@ def test_elbo_gradient_matches_finite_differences(seed, n_y, depth):
     data = Dataset(rng.standard_normal((m, n_x)), rng.standard_normal((m, n_y)))
 
     def value(arrays):
-        return _negative_elbo(arrays, eps, data.x, data.t)[0]
+        return _elbo(arrays, eps, data.x, data.t)[0]
 
-    _, grads = _negative_elbo(leaves, eps, data.x, data.t)
+    _, grads = _elbo(leaves, eps, data.x, data.t)
     for g, f in zip(grads, finite_difference(value, leaves)):
         np.testing.assert_allclose(g, f, rtol=1e-6, atol=1e-8)
 
