@@ -183,8 +183,8 @@ class TestFitLoop:
             run()
 
 
-def _destination_case(case):
-    """A head given one wrong-shaped gradient destination."""
+def _wrong_destinations():
+    """Calls of each head given one wrong-shaped gradient destination, by name."""
     rng = np.random.default_rng(0)
     weights = init_params(MlpSpec(1, (3,), 2), make_rng(0)).weights  # (2, 3) and (4, 2)
     data = Dataset(rng.standard_normal((6, 1)), rng.standard_normal((6, 2)))
@@ -206,30 +206,18 @@ def _destination_case(case):
         "nlml vector log alpha": nlml([np.empty(1), np.empty(2)]),
         "nlml broadcast log sigma_e": nlml([np.empty(()), np.empty((3, 2))]),
         "nlml tail missing": nlml([np.empty(())]),
-        "mse swapped": lambda: _mse_grads(
-            weights, data, [np.empty((4, 2)), np.empty((2, 3))]
-        ),
+        "mse swapped": lambda: _mse_grads(weights, data, [np.empty((4, 2)), np.empty((2, 3))]),
         "elbo short mu": elbo([np.empty(13), np.empty(14), np.empty(2), np.empty(2)]),
         "elbo broadcast prior spread": elbo(
             [np.empty(14), np.empty(14), np.empty((3, 2)), np.empty(2)]
         ),
-    }[case]
+    }
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        "nlml vector log alpha",
-        "nlml broadcast log sigma_e",
-        "nlml tail missing",
-        "mse swapped",
-        "elbo short mu",
-        "elbo broadcast prior spread",
-    ],
-)
+@pytest.mark.parametrize("case", list(_wrong_destinations()))
 def test_a_head_given_a_wrong_shaped_destination_raises(case):
     with pytest.raises(ValueError):
-        _destination_case(case)()
+        _wrong_destinations()[case]()
 
 
 def _clip_tail_copies(leaves):
