@@ -19,7 +19,7 @@ import numpy as np
 
 from .bll import BllModel, precision_bar, predict
 from .linalg import chol_spd, solve_pd
-from .mlp import forward_batch
+from .mlp import affine_rows, forward_batch
 
 __all__ = [
     "AffineCostResult",
@@ -49,13 +49,12 @@ def affine_cost_closed(
     """Affine cost via the closed form phi^T (Phi^T Phi + gamma^-1 I~)^-1 phi.
 
     ``phi_tilde_train`` holds one training feature row per sample; the bias
-    coordinate is appended internally.
+    coordinate is appended internally (``mlp.affine_rows``).
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    train = np.atleast_2d(np.asarray(phi_tilde_train, dtype=float))
-    phi = np.append(np.asarray(phi_tilde, dtype=float), 1.0)
-    full = np.concatenate([train, np.ones((train.shape[0], 1))], axis=1)
+    full = affine_rows(np.atleast_2d(np.asarray(phi_tilde_train, dtype=float)))
+    phi = affine_rows(np.asarray(phi_tilde, dtype=float))
     return float(phi @ solve_pd(chol_spd(precision_bar(full, gamma)), phi))
 
 

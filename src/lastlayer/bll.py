@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import Dataset, Standardizer, identity_standardizer
 from .linalg import CholeskyFactor, chol_spd, logdet_pd, solve_pd
-from .mlp import MlpParams, features, forward_batch, forward_layers
+from .mlp import MlpParams, affine_rows, features, forward_batch, forward_layers
 
 __all__ = [
     "BllHyper",
@@ -39,7 +39,6 @@ __all__ = [
     "precision_bar",
     "predict",
     "predict_batch",
-    "predictive",
     "predictive_variances",
     "with_alpha",
 ]
@@ -141,10 +140,8 @@ def nlml_head(
         NonFiniteLoss: if the value is NaN or infinite.
     """
     m, n_y = t.shape
-    n_phi = a.shape[1] + 1
-    phi = np.empty((m, n_phi))
-    phi[:, :-1] = a
-    phi[:, -1] = 1.0
+    phi = affine_rows(a)
+    n_phi = phi.shape[1]
     log_alpha = np.asarray(hyper.log_alpha, dtype=float)
     inv_alpha = np.exp(-log_alpha)
     prior, in_prior = _prior(n_phi, flat_bias)
@@ -332,27 +329,16 @@ def predict_batch(model: BllModel, x: np.ndarray):
     Returns arrays (mean, var_y, var_t), each of shape (m, n_y).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    return predictive(model, *forward_batch(model.params, model.x_scaler.transform(x)))
+    y_std, a = forward_batch(model.params, model.x_scaler.transform(x))
+    return (model.t_scaler.inverse(y_std), *predictive_variances(model, affine_rows(a)))
 
 
-def predictive(model: BllModel, y_std: np.ndarray, phi_t: np.ndarray):
-    """Predictive means and variances (original units) from network outputs.
+def predictive_variances(model: BllModel, phi: np.ndarray):
+    """The alpha-dependent part of ``predict_batch``: arrays (var_y, var_t).
 
-    ``y_std`` and ``phi_t`` are what ``forward_batch`` returns for the
-    standardized inputs.  Returns arrays (mean, var_y, var_t), each of
-    shape (m, n_y).
+    ``phi`` holds the ``affine_rows`` of the standardized inputs' features;
+    a caller that varies alpha alone builds them once and calls this per alpha.
     """
-    var_y, var_t = predictive_variances(model, phi_t)
-    return model.t_scaler.inverse(y_std), var_y, var_t
-
-
-def predictive_variances(model: BllModel, phi_t: np.ndarray):
-    """The alpha-dependent part of ``predictive``: arrays (var_y, var_t).
-
-    A caller that varies alpha alone can run the network and compute the
-    means once, then call this per alpha.
-    """
-    phi = np.concatenate([phi_t, np.ones((phi_t.shape[0], 1))], axis=1)
     quad = np.einsum("ij,ij->i", phi, solve_pd(model.chol, phi.T).T)
     sig2_std = np.exp(2.0 * model.hyper.log_sigma_e)
     t_scale2 = model.t_scaler.scale**2

@@ -16,7 +16,7 @@ import numpy as np
 from .bll import negative_lml  # noqa: F401 - perfbench's tracer patches calibration:negative_lml
 from .bll import BllModel, nlml_head, predict_batch, predictive_variances, with_alpha
 from .data import Dataset
-from .mlp import forward_batch
+from .mlp import affine_rows, forward_batch
 from .training import check_integers
 
 __all__ = ["AlphaSearchConfig", "alpha_sweep", "gaussian_log_density", "lpd", "tune_alpha"]
@@ -112,21 +112,21 @@ def alpha_sweep(
     parameters fixed) and the LPD of every dataset in ``eval_sets``.  Alpha
     moves neither the network nor its features, so each row set goes
     through the network once (an eval set that is ``train_data`` reuses the
-    training pass) and each set's means are computed once; every alpha
-    rebuilds only the precision factor, the objective's last-layer head and
-    the predictive variances.
+    training pass) and each set's means and affine feature rows are built
+    once; every alpha rebuilds only the precision factor, the objective's
+    last-layer head and the predictive variances.
     """
     train_out = forward_batch(model.params, model.x_scaler.transform(train_data.x))
     y_train, a_train = train_out
     t_std = model.t_scaler.transform(train_data.t)
-    means, features = {}, {}
+    means, phis = {}, {}
     for name, data in eval_sets.items():
-        y, phi_t = (
+        y, a = (
             train_out
             if data is train_data
             else forward_batch(model.params, model.x_scaler.transform(data.x))
         )
-        means[name], features[name] = model.t_scaler.inverse(y), phi_t
+        means[name], phis[name] = model.t_scaler.inverse(y), affine_rows(a)
     rows = []
     for log_alpha in np.asarray(log_alpha_grid, dtype=float):
         tuned = with_alpha(model, math.exp(log_alpha))
@@ -135,7 +135,7 @@ def alpha_sweep(
             "nlml_train": nlml_head(a_train, y_train, tuned.wbar, t_std, tuned.hyper)[0],
         }
         for name, data in eval_sets.items():
-            _, var_t = predictive_variances(tuned, features[name])
+            _, var_t = predictive_variances(tuned, phis[name])
             row[f"lpd_{name}"] = float(gaussian_log_density(means[name], var_t, data.t).mean())
         rows.append(row)
     return rows

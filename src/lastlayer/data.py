@@ -138,7 +138,14 @@ def read_splits_csv(path) -> dict[str, Dataset]:
                     f"dataset line {reader.line_num} has split {row[-1]!r}; "
                     f"the split must be one of {', '.join(SPLITS)}"
                 )
-            buckets[row[-1]].append([float(v) for v in row[:-1]])
+            cells = []
+            for name, cell in zip(header, row[:-1]):
+                try:
+                    cells.append(float(cell))
+                except ValueError:
+                    line = reader.line_num
+                    raise ValueError(f"dataset line {line} has {cell!r} in column {name}") from None
+            buckets[row[-1]].append(cells)
     out = {}
     for name, rows in buckets.items():
         if rows:

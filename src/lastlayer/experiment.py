@@ -75,7 +75,13 @@ class ExperimentConfig:
 def config_from_dict(raw: dict) -> ExperimentConfig:
     raw = dict(raw)
     if "train" in raw:
-        raw["train"] = replace(benchmark_train_config(), **raw["train"])
+        train = raw["train"]
+        raw["train"] = replace(benchmark_train_config(), **train)
+        seed = raw.get("seed", ExperimentConfig.seed)
+        if train.get("seed", seed) != seed:
+            raise ValueError(
+                f"train.seed differs from the run seed {seed}; use the top-level seed or --seed"
+            )
     if "alpha_search" in raw:
         raw["alpha_search"] = AlphaSearchConfig(**raw["alpha_search"])
     return ExperimentConfig(**raw)

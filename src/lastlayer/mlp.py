@@ -16,6 +16,7 @@ __all__ = [
     "init_params",
     "forward_batch",
     "forward_layers",
+    "affine_rows",
     "features",
 ]
 
@@ -105,7 +106,17 @@ def forward_batch(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     return acts[-1], acts[-2]
 
 
+def affine_rows(a: np.ndarray) -> np.ndarray:
+    """Rows ``[a_i, 1]``, or one row ``[a, 1]`` for a 1-D ``a``.
+
+    The only place the bias column of an affine feature matrix is written.
+    """
+    out = np.empty((*a.shape[:-1], a.shape[-1] + 1))
+    out[..., :-1] = a
+    out[..., -1] = 1.0
+    return out
+
+
 def features(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Affine feature matrix: one row [phi_tilde(x_i), 1] per sample."""
-    _, phi = forward_batch(params, x)
-    return np.concatenate([phi, np.ones((phi.shape[0], 1))], axis=1)
+    return affine_rows(forward_batch(params, x)[1])

@@ -185,34 +185,23 @@ def vi_train(
     return ViModel(params, x_scaler, t_scaler), history
 
 
-def _sample_forward(params: ViParams, x_std: np.ndarray, rng) -> np.ndarray:
-    weights = tuple(
-        mu + sigma * rng.standard_normal(mu.shape) for mu, sigma in zip(params.mus, params.sigmas)
-    )
-    y, _ = forward_batch(MlpParams(weights), x_std)
-    return y
-
-
 def vi_predict_batch(
     model: ViModel, x: np.ndarray, n_samples: int, rng
 ) -> tuple[np.ndarray, np.ndarray]:
     """Component means (n_samples, m, n_y) in original units plus noise variance.
 
-    One weight set is drawn per component and evaluated at every query row,
-    so all points share the same mixture components.
+    One weight set is drawn per component, layer by layer, and evaluated at
+    every query row, so all points share the same mixture components.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    x_std = model.x_scaler.transform(x)
-    means = np.stack(
-        [
-            model.t_scaler.inverse(_sample_forward(model.params, x_std, rng))
-            for _ in range(n_samples)
-        ]
-    )
-    noise_var = (np.exp(model.params.log_sigma_e) * model.t_scaler.scale) ** 2
-    return means, noise_var
+    x_std = model.x_scaler.transform(np.atleast_2d(np.asarray(x, dtype=float)))
+    layers = tuple(zip(model.params.mus, model.params.sigmas))
+    means = []
+    for _ in range(n_samples):
+        weights = tuple(mu + sigma * rng.standard_normal(mu.shape) for mu, sigma in layers)
+        means.append(model.t_scaler.inverse(forward_batch(MlpParams(weights), x_std)[0]))
+    return np.stack(means), model.sigma_e**2
 
 
 def gmm_log_density(means: np.ndarray, noise_var: np.ndarray, t: np.ndarray) -> np.ndarray:

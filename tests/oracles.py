@@ -15,7 +15,9 @@ the heads as they stood before their numpy wrappers were trimmed (``np.sum``,
 so that the trimmed heads can be checked against them bit for bit.  So are
 ``predict_batch_reference`` and ``alpha_sweep_reference``: the one-pass
 prediction and the sweep that ran the network again at every alpha, from
-before the sweep cached each row set's network outputs.
+before the sweep cached each row set's network outputs; and
+``vi_predict_batch_reference``, the mixture prediction that drew each
+component through its own sampling helper, recomputing the spreads each time.
 """
 
 import math
@@ -379,3 +381,26 @@ def alpha_sweep_reference(model, train_data, eval_sets, log_alpha_grid):
             row[f"lpd_{name}"] = lpd_reference(tuned, data)
         rows.append(row)
     return rows
+
+
+def vi_predict_batch_reference(model, x, n_samples, rng):
+    """Component means (n_samples, m, n_y) in original units plus noise variance."""
+
+    def _sample_forward(params, x_std, rng):
+        weights = tuple(
+            mu + sigma * rng.standard_normal(mu.shape)
+            for mu, sigma in zip(params.mus, params.sigmas)
+        )
+        y, _ = forward_batch(MlpParams(weights), x_std)
+        return y
+
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x_std = model.x_scaler.transform(x)
+    means = np.stack(
+        [
+            model.t_scaler.inverse(_sample_forward(model.params, x_std, rng))
+            for _ in range(n_samples)
+        ]
+    )
+    noise_var = (np.exp(model.params.log_sigma_e) * model.t_scaler.scale) ** 2
+    return means, noise_var

@@ -6,7 +6,8 @@ hyperparameters.  The heads that write in place get one NaN-filled gradient
 buffer, viewed per leaf as ``training.fit_loop`` views it, and must write
 every entry.  The alpha sweep, which runs the network once per row set,
 and ``predict_batch`` are held to the per-alpha loop and the one-pass
-prediction they replaced.  Equality is ``array_equal``, not a tolerance.
+prediction they replaced, and ``vi_predict_batch`` to its per-component
+sampling helper.  Equality is ``array_equal``, not a tolerance.
 """
 
 import numpy as np
@@ -32,7 +33,7 @@ from lastlayer.calibration import alpha_sweep
 from lastlayer.data import Dataset, fit_standardizer
 from lastlayer.linalg import NotPositiveDefinite
 from lastlayer.mlp import MlpParams, forward_layers
-from lastlayer.vi import _negative_elbo
+from lastlayer.vi import ViModel, ViParams, _negative_elbo, vi_predict_batch
 
 from oracles import (
     alpha_sweep_reference,
@@ -42,6 +43,7 @@ from oracles import (
     negative_lml_grads_reference,
     negative_lml_reference,
     predict_batch_reference,
+    vi_predict_batch_reference,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -285,3 +287,26 @@ def test_predict_batch_matches_the_one_pass_prediction(problem):
             )
             if outcome is not None:
                 _assert_arrays_equal(*outcome)
+
+
+@SETTINGS
+@given(problem=problems(), n_samples=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_vi_predict_batch_matches_the_per_component_sampler(problem, n_samples, seed):
+    # the same generator state on both sides: the draws must come in the same order
+    params, _, data, rng = problem
+    x_raw = rng.uniform(0.5, 3.0, size=data.n_x) * data.x + rng.standard_normal(data.n_x)
+    t_raw = rng.uniform(0.5, 3.0, size=data.n_y) * data.t + rng.standard_normal(data.n_y)
+    vi_params = ViParams(
+        params.weights,
+        tuple(rng.uniform(-6.0, 0.0, size=w.shape) for w in params.weights),
+        rng.uniform(-1.0, 1.0, size=data.n_y),
+        rng.uniform(-2.0, 1.0, size=data.n_y),
+    )
+    model = ViModel(vi_params, fit_standardizer(x_raw), fit_standardizer(t_raw))
+    means, noise_var = vi_predict_batch(model, x_raw, n_samples, np.random.default_rng(seed))
+    ref_means, ref_noise_var = vi_predict_batch_reference(
+        model, x_raw, n_samples, np.random.default_rng(seed)
+    )
+    assert means.shape == (n_samples, data.m, data.n_y)
+    assert np.array_equal(means, ref_means)
+    assert np.array_equal(noise_var, ref_noise_var)

@@ -207,6 +207,26 @@ def test_sweep_reuses_the_training_pass_and_computes_each_sets_means_once(monkey
     assert passes == [data.m, data.m, 4, 5]
 
 
+@pytest.mark.parametrize("points", [1, 7, 31])
+def test_sweep_builds_each_sets_affine_rows_once(monkeypatch, points):
+    from lastlayer import calibration
+
+    model, data = _trained_toy(seed=10)
+    builds = []
+    affine_rows = calibration.affine_rows
+
+    def counted(a):
+        builds.append(len(a))
+        return affine_rows(a)
+
+    monkeypatch.setattr(calibration, "affine_rows", counted)
+    grid = np.linspace(model.hyper.log_alpha, model.hyper.log_alpha + 15.0, points)
+    held_out = {"val": data.subset(np.arange(4)), "test": data.subset(np.arange(4, 9))}
+    rows = alpha_sweep(model, data, {"train": data, **held_out}, grid)
+    assert len(rows) == points
+    assert builds == [data.m, 4, 5]
+
+
 @pytest.mark.parametrize(
     "kwargs, error",
     [

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from lastlayer import cli
 from lastlayer.data import SPLITS, read_splits_csv, read_table_csv
+from lastlayer.experiment import config_from_dict
 
 
 def _small_config(tmp_path, **overrides):
@@ -207,6 +208,21 @@ def test_split_outside_train_val_test_is_config_error(tmp_path, capsys):
     assert err.startswith("error: dataset line 20 has split 'extra'")
 
 
+def test_non_numeric_dataset_cell_names_its_line_and_column(tmp_path, capsys):
+    header = "x_0,x_1,t_0,split\n"
+    good = "".join(
+        f"{i / 10},{i / 7},{i / 5},{s}\n" for s in ("train", "val", "test") for i in range(6)
+    )
+    for name, bad, cell, column in (
+        ("x.csv", "1.0,abc,2.0,train\n", "abc", "x_1"),
+        ("t.csv", "1.0,0.5,,test\n", "", "t_0"),
+    ):
+        code, err = _run_on_dataset_text(tmp_path, name, header + good + bad, capsys)
+        assert code == 1, name
+        assert err.startswith(f"error: dataset line 20 has {cell!r} in column {column}"), err
+        assert not (tmp_path / f"out_{name}").exists()
+
+
 def test_sweep_points_below_two_is_config_error(tmp_path, capsys):
     for points in (0, 1):
         config_path, _ = _small_config(tmp_path, sweep_points=points)
@@ -359,6 +375,23 @@ def test_retired_train_setting_is_config_error(tmp_path):
     )
     assert cli.main(["run", "--config", str(config_path)]) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_train_seed_other_than_the_run_seed_is_config_error(tmp_path, capsys):
+    # the run seed seeds training; a train block naming another is rejected, not ignored
+    train = {"max_epochs": 400, "patience": 200, "seed": 7}
+    config_path, _ = _small_config(tmp_path, train=train)
+    assert cli.main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: train.seed differs from the run seed 3;"), err
+    assert "use the top-level seed or --seed" in err
+    assert not (tmp_path / "out").exists()
+    # a train seed equal to the run seed (the default one included) is accepted
+    assert config_from_dict({"seed": 7, "train": train}).train_config().seed == 7
+    assert config_from_dict({"train": {"seed": 0}}).train_config().seed == 0
+    # a train block that is not a mapping is still rejected before the seed is read
+    with pytest.raises(TypeError):
+        config_from_dict({"train": [7]})
 
 
 def test_two_input_run_writes_every_input_and_no_curves(tmp_path):
