@@ -16,7 +16,7 @@ from .autodiff import mlp_backward
 from .bll import BllModel, closed_form_wbar, fit_posterior
 from .bll import negative_lml  # noqa: F401 - perfbench's tracer patches baselines:negative_lml
 from .data import Dataset
-from .mlp import MlpParams, MlpSpec, features, forward_batch, forward_layers, init_params
+from .mlp import MlpParams, MlpSpec, affine_rows, forward_batch, forward_layers, init_params
 from .training import TrainConfig, TrainHistory, fit_loop, fit_nlml, standardized_splits
 from .rng import make_rng
 
@@ -78,10 +78,9 @@ def blr_fit(
     def frozen_features(data):
         return None if data is None else Dataset(forward_batch(frozen, data.x)[1], data.t)
 
-    _, hyper, history = fit_nlml(
-        (frozen.wbar,), frozen_features(fit_std), frozen_features(val_std), cfg
-    )
-    phi = features(frozen, fit_std.x)
+    fit_features = frozen_features(fit_std)
+    _, hyper, history = fit_nlml((frozen.wbar,), fit_features, frozen_features(val_std), cfg)
+    phi = affine_rows(fit_features.x)
     params = frozen.replace_wbar(closed_form_wbar(phi, fit_std.t, hyper.alpha))
     model = fit_posterior(params, hyper, fit_std, x_scaler=x_scaler, t_scaler=t_scaler)
     return model, history

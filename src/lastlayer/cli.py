@@ -27,16 +27,25 @@ class ConfigError(Exception):
     pass
 
 
+def _read_json(path: Path, what: str) -> dict:
+    """The JSON object in ``path``; a missing, unreadable or malformed file is a ConfigError."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read {what} {path}: {err}") from err
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"{what} is not valid JSON: {err}") from err
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} is not a JSON object: {path}")
+    return value
+
+
 def _load_config(args) -> ExperimentConfig:
     raw = {}
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            raw = json.loads(path.read_text())
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config is not valid JSON: {err}") from err
+        raw = _read_json(Path(args.config), "config file")
     if args.seed is not None:
         raw["seed"] = args.seed
     if args.out is not None:
@@ -79,14 +88,7 @@ def _cmd_toy(args) -> int:
 
 def _cmd_report(args) -> int:
     path = Path(args.out or "out") / "metrics.json"
-    if not path.exists():
-        raise ConfigError(f"metrics file not found: {path}")
-    try:
-        metrics = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"metrics file is not valid JSON: {err}") from err
-    if not isinstance(metrics, dict):
-        raise ConfigError(f"metrics file is not a JSON object: {path}")
+    metrics = _read_json(path, "metrics file")
     print(render_metrics_table(metrics))
     return 0
 

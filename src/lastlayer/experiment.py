@@ -105,7 +105,10 @@ def load_splits(config: ExperimentConfig) -> dict[str, Dataset]:
         path = Path(config.dataset_path)
         if not path.exists():
             raise FileNotFoundError(f"dataset file not found: {path}")
-        splits = read_splits_csv(path)
+        try:
+            splits = read_splits_csv(path)
+        except (OSError, UnicodeDecodeError) as err:
+            raise ValueError(f"cannot read dataset file {path}: {err}") from err
     else:
         splits = sample_benchmark(default_benchmark(), config.seed)
     for required in SPLITS:
@@ -332,30 +335,30 @@ def toy_feature_demo(seed: int, out_dir) -> dict:
 
 
 def render_metrics_table(metrics: dict) -> str:
-    """Human-readable summary of a metrics dict, Table-style."""
+    """Human-readable summary of a metrics dict; a missing or non-numeric value prints ``-``."""
+
+    def number(key, spec):
+        value = metrics.get(key)
+        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+        return format(value, spec) if numeric else "-"
+
     groups = sorted(
         {k.split(".")[0] for k in metrics if "." in k and not k.startswith(("provenance", "errors"))}
     )
-    lines = [
-        f"{'method':<18}{'train_lpd':>12}{'val_lpd':>12}{'test_lpd':>12}{'test_mse':>12}"
-    ]
+    columns = ("train_lpd", "val_lpd", "test_lpd", "test_mse")
+    lines = [f"{'method':<18}" + "".join(f"{c:>12}" for c in columns)]
     for name in groups:
         if f"{name}.test_lpd" not in metrics:
             continue  # hyperparameter-only groups have their own line below
-
-        def get(metric):
-            value = metrics.get(f"{name}.{metric}")
-            return f"{value:>12.3f}" if isinstance(value, float) else f"{'-':>12}"
-
-        lines.append(f"{name:<18}{get('train_lpd')}{get('val_lpd')}{get('test_lpd')}{get('test_mse')}")
+        cells = (f"{number(f'{name}.{c}', '.3f'):>12}" for c in columns)
+        lines.append(f"{name:<18}" + "".join(cells))
     for name in groups:
         if f"{name}.alpha_star" in metrics:
-            sigmas = [
-                f"{metrics[k]:.3f}" for k in sorted(metrics) if k.startswith(f"{name}.sigma_e_")
-            ]
+            sigma_keys = (k for k in sorted(metrics) if k.startswith(f"{name}.sigma_e_"))
+            sigmas = ", ".join(number(k, ".3f") for k in sigma_keys)
             lines.append(
-                f"{name}: alpha*={metrics[f'{name}.alpha_star']:.3g} "
-                f"alpha_max={metrics[f'{name}.alpha_max']:.3g} sigma_e=({', '.join(sigmas)})"
+                f"{name}: alpha*={number(f'{name}.alpha_star', '.3g')} "
+                f"alpha_max={number(f'{name}.alpha_max', '.3g')} sigma_e=({sigmas})"
             )
     for key in sorted(metrics):
         if key.startswith("errors."):

@@ -1,7 +1,8 @@
 """Adam optimizer with bias correction, at its published constants.
 
-Functional style: a step returns fresh parameter arrays and a new state,
-so snapshots of past parameters (for early stopping) stay valid.
+Functional style: a step returns a fresh parameter array and a new state,
+so snapshots of past parameters (for early stopping) stay valid.  The
+parameters are one array; ``training.fit_loop`` keeps them flat.
 """
 
 from dataclasses import dataclass
@@ -18,32 +19,25 @@ EPS = 1e-8
 @dataclass(frozen=True)
 class AdamState:
     step: int
-    m: tuple[np.ndarray, ...]
-    v: tuple[np.ndarray, ...]
+    m: np.ndarray
+    v: np.ndarray
     lr: float
 
 
-def adam_init(params: list[np.ndarray], lr: float = 1e-3) -> AdamState:
-    zeros = tuple(np.zeros_like(p) for p in params)
-    return AdamState(0, zeros, tuple(np.zeros_like(p) for p in params), lr)
+def adam_init(params: np.ndarray, lr: float = 1e-3) -> AdamState:
+    return AdamState(0, np.zeros_like(params), np.zeros_like(params), lr)
 
 
 def adam_step(
-    state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]
-) -> tuple[AdamState, list[np.ndarray]]:
+    state: AdamState, params: np.ndarray, grads: np.ndarray
+) -> tuple[AdamState, np.ndarray]:
     """One update: m, v moment tracking, bias correction, then the step."""
-    if len(params) != len(state.m) or len(grads) != len(params):
-        raise ValueError("parameter/gradient count mismatch")
+    if params.shape != grads.shape:
+        raise ValueError("gradient shape mismatch")
     t = state.step + 1
     c1 = 1.0 - BETA1**t
     c2 = 1.0 - BETA2**t
-    new_m, new_v, new_p = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ValueError("gradient shape mismatch")
-        m = BETA1 * m + (1.0 - BETA1) * g
-        v = BETA2 * v + (1.0 - BETA2) * g * g
-        new_m.append(m)
-        new_v.append(v)
-        new_p.append(p - state.lr * (m / c1) / (np.sqrt(v / c2) + EPS))
-    return AdamState(t, tuple(new_m), tuple(new_v), state.lr), new_p
+    m = BETA1 * state.m + (1.0 - BETA1) * grads
+    v = BETA2 * state.v + (1.0 - BETA2) * grads * grads
+    new_params = params - state.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
+    return AdamState(t, m, v, state.lr), new_params

@@ -77,6 +77,16 @@ class TrainHistory:
     stop_reason: str | None = None
 
 
+def flat_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of ``flat``, one reshaped to each of ``shapes`` in order."""
+    views, lo = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[lo : lo + size].reshape(shape))
+        lo += size
+    return views
+
+
 def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=None):
     """Generic early-stopped Adam loop shared by every trainer in the package.
 
@@ -104,16 +114,11 @@ def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=N
         NonFiniteLoss: naming the epoch, when the objective or the monitor is
             NaN or infinite.
     """
-    bounds = np.cumsum([0, *(np.size(a) for a in leaves)]).tolist()
-    layout = list(zip(bounds[:-1], bounds[1:], (np.shape(a) for a in leaves)))
-
-    def views(flat):
-        return [flat[lo:hi].reshape(shape) for lo, hi, shape in layout]
-
     flat = np.concatenate(leaves, axis=None, dtype=float)
     grad = np.full_like(flat, np.nan)  # an entry the objective skips poisons the step
-    leaves, grads = views(flat), views(grad)
-    state = adam_init([flat], cfg.lr)
+    shapes = [np.shape(a) for a in leaves]
+    leaves, grads = flat_views(flat, shapes), flat_views(grad, shapes)
+    state = adam_init(flat, cfg.lr)
     history = TrainHistory(val_objective=None if monitor is None else [])
     best_value = np.inf
     best_flat = flat.copy()
@@ -138,11 +143,11 @@ def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=N
         elif epoch - history.best_epoch > cfg.patience:
             history.stop_reason = "patience"
             break
-        state, (stepped,) = adam_step(state, [flat], [grad])
+        state, stepped = adam_step(state, flat, grad)
         flat[...] = stepped
         if post_step is not None:
             post_step(leaves)
-    return views(best_flat), history
+    return flat_views(best_flat, shapes), history
 
 
 def standardized_splits(

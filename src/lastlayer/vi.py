@@ -23,7 +23,14 @@ from .calibration import LOG_2PI, gaussian_log_density
 from .data import Dataset, Standardizer
 from .mlp import MlpParams, MlpSpec, forward_batch, forward_layers, init_params
 from .rng import spawn_rngs
-from .training import TrainConfig, TrainHistory, clamp_hyper_tail, fit_loop, standardized_splits
+from .training import (
+    TrainConfig,
+    TrainHistory,
+    clamp_hyper_tail,
+    fit_loop,
+    flat_views,
+    standardized_splits,
+)
 
 __all__ = [
     "ViModel",
@@ -63,21 +70,12 @@ class ViModel:
         return np.exp(self.params.log_sigma_e) * self.t_scaler.scale
 
 
-def _layers(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Per-layer views of a flat vector holding the layer matrices in order."""
-    views, lo = [], 0
-    for rows, cols in shapes:
-        views.append(flat[lo : lo + rows * cols].reshape(rows, cols))
-        lo += rows * cols
-    return views
-
-
 def _negative_elbo(leaves, grads, eps, x, t, shapes) -> float:
     """Negative ELBO / m at one Monte Carlo draw ``eps``; its gradient overwrites ``grads``.
 
     The leaves are [mu, rho, log_prior_spread, log_sigma_e], where mu, rho
     and the draw are flat, holding every layer's matrix in order (viewed
-    per layer by ``_layers``); ``grads`` has the same layout.  The draw
+    per layer by ``flat_views``); ``grads`` has the same layout.  The draw
     evaluates the network at W = mu + sigma * eps, so the data term's
     weight gradient dW reaches mu as is and rho as dW * eps * sigmoid(rho)
     (Bayes by Backprop).  The KL term against the priors is closed form,
@@ -111,21 +109,20 @@ def _negative_elbo(leaves, grads, eps, x, t, shapes) -> float:
     quad = sigma * sigma + mu * mu
     prior_quad = quad * inv_prior
     kl = rows * log_prior_spread.sum() + 0.5 * math.log(HIDDEN_PRIOR_VAR) * hidden
-    lo = 0
-    for r, c in shapes:
-        hi = lo + r * c
-        kl += -log_sigma[lo:hi].sum() + 0.5 * prior_quad[lo:hi].sum() - 0.5 * (r * c)
-        lo = hi
+    for layer_log_sigma, layer_prior_quad in zip(
+        flat_views(log_sigma, shapes), flat_views(prior_quad, shapes)
+    ):
+        kl += -layer_log_sigma.sum() + 0.5 * layer_prior_quad.sum() - 0.5 * layer_log_sigma.size
     g_log_prior_spread[...] = rows - quad[hidden:].reshape(rows, n_y).sum(axis=0) * out_inv_prior
 
     # Monte Carlo negative log-likelihood at the one draw; dW lands in g_mu.
     inv_sig2 = np.exp(-2.0 * log_sigma_e)
-    weights = _layers(mu + sigma * eps, shapes)
+    weights = flat_views(mu + sigma * eps, shapes)
     acts = forward_layers(MlpParams(tuple(weights)), x)
     resid = t - acts[-1]
     misfit = (resid * resid).sum(axis=0) * inv_sig2
     nll = 0.5 * m * n_y * LOG_2PI + m * log_sigma_e.sum() + 0.5 * misfit.sum()
-    mlp_backward(weights, acts, -resid * inv_sig2, None, _layers(g_mu, shapes))
+    mlp_backward(weights, acts, -resid * inv_sig2, None, flat_views(g_mu, shapes))
     g_sigma = sigma * inv_prior - 1.0 / sigma
     g_sigma += g_mu * eps
     g_mu += mu * inv_prior  # dW + mu / prior: addition commutes exactly
@@ -171,7 +168,7 @@ def vi_train(
         def monitor(vals):
             # Negative log-likelihood at the surrogate means.
             mu, _, _, log_sigma_e = vals
-            y, _ = forward_batch(MlpParams(tuple(_layers(mu, shapes))), val_std.x)
+            y, _ = forward_batch(MlpParams(tuple(flat_views(mu, shapes))), val_std.x)
             sig2 = np.exp(2.0 * log_sigma_e)
             return float(-gaussian_log_density(y, sig2, val_std.t).mean())
 
@@ -179,9 +176,8 @@ def vi_train(
         leaves, loss_and_grads, cfg, monitor=monitor, post_step=clamp_hyper_tail
     )
     mu, rho, log_prior_spread, log_sigma_e = best
-    params = ViParams(
-        tuple(_layers(mu, shapes)), tuple(_layers(rho, shapes)), log_prior_spread, log_sigma_e
-    )
+    mus, rhos = flat_views(mu, shapes), flat_views(rho, shapes)
+    params = ViParams(tuple(mus), tuple(rhos), log_prior_spread, log_sigma_e)
     return ViModel(params, x_scaler, t_scaler), history
 
 

@@ -141,12 +141,12 @@ def solve_pd_reference(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def fit_loop_per_leaf(leaves, loss_and_grads, cfg, monitor=None, post_step=None):
-    """Early-stopped Adam with one optimizer entry per leaf and list snapshots.
+    """Early-stopped Adam with one optimizer state per leaf and list snapshots.
 
     The loop ``training.fit_loop`` ran before it moved to one flat
     parameter vector; Adam is elementwise, so both must agree bit for bit.
     """
-    state = adam_init(leaves, cfg.lr)
+    states = [adam_init(a, cfg.lr) for a in leaves]
     train_objective, val_objective = [], []
     best_value, best_epoch = np.inf, 0
     best_leaves = [a.copy() for a in leaves]
@@ -160,7 +160,8 @@ def fit_loop_per_leaf(leaves, loss_and_grads, cfg, monitor=None, post_step=None)
             best_leaves = [a.copy() for a in leaves]
         elif epoch - best_epoch > cfg.patience:
             break
-        state, leaves = adam_step(state, leaves, grads)
+        steps = [adam_step(*args) for args in zip(states, leaves, grads, strict=True)]
+        states, leaves = [s for s, _ in steps], [a for _, a in steps]
         if post_step is not None:
             leaves = post_step(leaves)
     return best_leaves, train_objective, val_objective, best_epoch

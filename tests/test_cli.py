@@ -256,6 +256,82 @@ def test_config_error_writes_no_output_directory(tmp_path, capsys, overrides):
     assert not (tmp_path / "out").exists()
 
 
+def _config_directory(tmp_path):
+    (tmp_path / "config_dir").mkdir()
+    return ["run", "--config", str(tmp_path / "config_dir"), "--out", str(tmp_path / "out")]
+
+
+def _config_not_utf8(tmp_path):
+    path, _ = _small_config(tmp_path)
+    path.write_bytes(b"\xff" + path.read_bytes())
+    return ["run", "--config", str(path)]
+
+
+def _config_not_an_object(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text("[1]")
+    return ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+
+
+def _dataset_directory(tmp_path):
+    (tmp_path / "dataset_dir").mkdir()
+    path, _ = _small_config(tmp_path, dataset_path=str(tmp_path / "dataset_dir"))
+    return ["run", "--config", str(path)]
+
+
+def _metrics_directory(tmp_path):
+    (tmp_path / "finished" / "metrics.json").mkdir(parents=True)
+    return ["report", "--out", str(tmp_path / "finished")]
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        _config_directory,
+        _config_not_utf8,
+        _config_not_an_object,
+        _dataset_directory,
+        _metrics_directory,
+    ],
+    ids=["config_dir", "config_not_utf8", "config_not_object", "dataset_dir", "metrics_dir"],
+)
+def test_unreadable_input_is_one_error_line(tmp_path, make_argv):
+    result = subprocess.run(
+        [sys.executable, "-m", "lastlayer.cli", *make_argv(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "metrics, line",
+    [
+        ({"bll.alpha_star": 1.0}, "bll: alpha*=1 alpha_max=- sigma_e=()"),
+        ({"bll.alpha_star": "big", "bll.alpha_max": 2.0}, "bll: alpha*=- alpha_max=2 sigma_e=()"),
+        (
+            {
+                "bll.alpha_star": 1.0,
+                "bll.alpha_max": 2,
+                "bll.sigma_e_0": None,
+                "bll.sigma_e_1": 0.2,
+            },
+            "bll: alpha*=1 alpha_max=2 sigma_e=(-, 0.200)",
+        ),
+    ],
+    ids=["missing_alpha_max", "string_alpha_star", "null_sigma_e"],
+)
+def test_report_prints_a_dash_for_a_missing_or_non_numeric_hyperparameter(
+    tmp_path, capsys, metrics, line
+):
+    (tmp_path / "metrics.json").write_text(json.dumps(metrics))
+    assert cli.main(["report", "--out", str(tmp_path)]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
 def _train_block(**overrides):
     return {"max_epochs": 400, "patience": 200, "lr": 0.005, "init_log_sigma_e": 0.0, **overrides}
 

@@ -14,7 +14,7 @@ from lastlayer.bll import (
 from lastlayer.data import Dataset
 from lastlayer.mlp import MlpParams, MlpSpec, forward_batch, forward_layers, init_params
 from lastlayer.rng import make_rng
-from lastlayer.training import TrainConfig, clamp_hyper_tail, train, fit_loop
+from lastlayer.training import TrainConfig, clamp_hyper_tail, fit_loop, flat_views, train
 from lastlayer.vi import RHO_INIT, _negative_elbo, vi_train
 
 from oracles import (
@@ -45,6 +45,17 @@ class TestConfig:
     def test_val_fraction_bounds(self):
         with pytest.raises(ValueError):
             TrainConfig(val_fraction=1.5)
+
+
+def test_flat_views_tile_the_flat_vector_in_order():
+    flat = np.arange(11.0)
+    shapes = [(3, 2), (), (4,)]
+    views = flat_views(flat, shapes)
+    assert [v.shape for v in views] == shapes
+    np.testing.assert_array_equal(np.concatenate(views, axis=None), np.arange(11.0))
+    for view in views:
+        view[...] = -view  # views, not copies: the writes land in flat
+    np.testing.assert_array_equal(flat, -np.arange(11.0))
 
 
 class TestFitLoop:
