@@ -32,6 +32,7 @@ from .vi import gmm_log_density, vi_predict_batch, vi_train
 
 __all__ = ["ExperimentConfig", "config_hash", "run_experiment", "toy_feature_demo"]
 
+METHODS = ("bll", "blr", "vi")  # the order every run takes
 VI_PREDICT_SAMPLES = 100
 
 
@@ -42,7 +43,7 @@ def benchmark_train_config() -> TrainConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    methods: tuple[str, ...] = ("bll", "blr", "vi")
+    methods: tuple[str, ...] = METHODS  # stored in METHODS order, without repeats
     seed: int = 0
     out_dir: str = "out"
     dataset_path: str | None = None  # generated on the fly when None
@@ -52,16 +53,24 @@ class ExperimentConfig:
     sweep_points: int = 31
 
     def __post_init__(self):
-        object.__setattr__(self, "methods", tuple(self.methods))
+        if not isinstance(self.methods, (list, tuple)) or not all(
+            isinstance(name, str) for name in self.methods
+        ):
+            raise TypeError(f"methods must be a list of method names, got {self.methods!r}")
+        if not isinstance(self.out_dir, str):
+            raise TypeError(f"out_dir must be a string, got {self.out_dir!r}")
+        if not isinstance(self.dataset_path, (str, type(None))):
+            raise TypeError(f"dataset_path must be a string, got {self.dataset_path!r}")
         object.__setattr__(self, "hidden", tuple(self.hidden))
         check_integers(seed=self.seed, sweep_points=self.sweep_points)
         for width in self.hidden:
             check_integers(hidden_width=width)
-        unknown = set(self.methods) - {"bll", "blr", "vi"}
+        unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
         if not self.methods:
             raise ValueError("at least one method must be selected")
+        object.__setattr__(self, "methods", tuple(m for m in METHODS if m in self.methods))
         if self.sweep_points < 2:
             raise ValueError("sweep_points must be at least 2")
         if self.seed < 0:
@@ -75,13 +84,14 @@ class ExperimentConfig:
 def config_from_dict(raw: dict) -> ExperimentConfig:
     raw = dict(raw)
     if "train" in raw:
-        train = raw["train"]
-        raw["train"] = replace(benchmark_train_config(), **train)
+        train = {**raw["train"]}  # a block that is not a mapping is a TypeError here
         seed = raw.get("seed", ExperimentConfig.seed)
-        if train.get("seed", seed) != seed:
+        # The run seed seeds training, so a train seed equal to it is not stored.
+        if train.pop("seed", seed) != seed:
             raise ValueError(
                 f"train.seed differs from the run seed {seed}; use the top-level seed or --seed"
             )
+        raw["train"] = replace(benchmark_train_config(), **train)
     if "alpha_search" in raw:
         raw["alpha_search"] = AlphaSearchConfig(**raw["alpha_search"])
     return ExperimentConfig(**raw)
@@ -160,9 +170,16 @@ def _score(tag, splits, mean, log_density, metrics) -> None:
         metrics[f"{tag}.{name}_mse"] = float(np.mean((splits[name].t - mean[seg]) ** 2))
 
 
-def _run_lml_method(name, config, splits, everything, out_dir, metrics, trainer):
-    """Shared flow for the two marginal-likelihood methods (joint and frozen)."""
-    model_star, _ = trainer()
+def _run_lml_method(name, config, train_cfg, spec, splits, everything, out_dir, metrics):
+    """Shared flow for the two marginal-likelihood methods (joint and frozen).
+
+    Trainers are looked up in this module at call time, so they can be replaced on it.
+    """
+    if name == "bll":
+        model_star, _ = train(spec, splits["train"], train_cfg)
+    else:  # blr: Bayesian linear regression on the frozen features of an mse network
+        mse_params, _ = train_mse(spec, splits["train"], train_cfg)
+        model_star, _ = blr_fit(mse_params, splits["train"], train_cfg)
     search = config.alpha_search
     alpha_max, model_max = tune_alpha(model_star, splits["val"], search)
     metrics[f"{name}.alpha_star"] = model_star.alpha
@@ -230,28 +247,13 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
     metrics: dict = {}
     errors: dict[str, str] = {}
 
-    # Trainers are looked up in this module at call time, so they can be
-    # replaced on it.
-    def fit_blr():
-        mse_params, _ = train_mse(spec, splits["train"], train_cfg)
-        return blr_fit(mse_params, splits["train"], train_cfg)
-
-    runners = {
-        "bll": lambda: _run_lml_method(
-            "bll", config, splits, everything, out_dir, metrics,
-            lambda: train(spec, splits["train"], train_cfg),
-        ),
-        "blr": lambda: _run_lml_method(
-            "blr", config, splits, everything, out_dir, metrics, fit_blr
-        ),
-        "vi": lambda: _run_vi(config, train_cfg, spec, splits, everything, out_dir, metrics),
-    }
-    for name, runner in runners.items():
-        if name not in config.methods:
-            continue
+    for name in config.methods:
         started = time.perf_counter()
         try:
-            runner()
+            if name == "vi":
+                _run_vi(config, train_cfg, spec, splits, everything, out_dir, metrics)
+            else:
+                _run_lml_method(name, config, train_cfg, spec, splits, everything, out_dir, metrics)
             print(f"{name} finished in {time.perf_counter() - started:.1f}s")
         except Exception as err:  # noqa: BLE001 - failures become report entries
             errors[name] = f"{type(err).__name__}: {err}"
@@ -290,7 +292,8 @@ def toy_feature_demo(seed: int, out_dir) -> dict:
     )
     spec = MlpSpec(input_dim=1, hidden=(8, 2), output_dim=1)
     model, _ = train(spec, splits["train"], cfg)
-    alpha_max, model_max = tune_alpha(model, splits["val"])
+    search = AlphaSearchConfig()
+    alpha_max, model_max = tune_alpha(model, splits["val"], search)
 
     x_grid = np.linspace(-3.5, 3.5, 281).reshape(-1, 1)
     variants = {
@@ -326,7 +329,7 @@ def toy_feature_demo(seed: int, out_dir) -> dict:
         )
     write_table_csv(out_dir / "toy_affine_grid.csv", ["phi_0", "phi_1", "cost"], cost_rows)
 
-    _write_alpha_sweep(out_dir / "toy_alpha_sweep.csv", model, splits, 15.0, 41)
+    _write_alpha_sweep(out_dir / "toy_alpha_sweep.csv", model, splits, search.span, 41)
     return {
         "alpha_star": model.alpha,
         "alpha_max": alpha_max,

@@ -34,7 +34,6 @@ from .training import (
 
 __all__ = [
     "ViModel",
-    "ViParams",
     "gmm_log_density",
     "vi_predict_batch",
     "vi_train",
@@ -45,29 +44,21 @@ HIDDEN_PRIOR_VAR = 0.5  # fixed zero-mean prior variance of the hidden-layer wei
 
 
 @dataclass(frozen=True)
-class ViParams:
-    """Surrogate means/spreads per layer plus learned last-layer scales."""
+class ViModel:
+    """The trained leaves: flat ``mu`` and ``rho`` hold every layer's matrix, in ``shapes`` order."""
 
-    mus: tuple[np.ndarray, ...]
-    rhos: tuple[np.ndarray, ...]
+    mu: np.ndarray
+    rho: np.ndarray  # spreads are softplus(rho)
     log_prior_spread: np.ndarray  # last-layer prior, one entry per output
     log_sigma_e: np.ndarray
-
-    @property
-    def sigmas(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.logaddexp(0.0, r) for r in self.rhos)
-
-
-@dataclass(frozen=True)
-class ViModel:
-    params: ViParams
+    shapes: tuple[tuple[int, int], ...]
     x_scaler: Standardizer
     t_scaler: Standardizer
 
     @property
     def sigma_e(self) -> np.ndarray:
         """Noise scales in original target units."""
-        return np.exp(self.params.log_sigma_e) * self.t_scaler.scale
+        return np.exp(self.log_sigma_e) * self.t_scaler.scale
 
 
 def _negative_elbo(leaves, grads, eps, x, t, shapes) -> float:
@@ -175,10 +166,7 @@ def vi_train(
     best, history = fit_loop(
         leaves, loss_and_grads, cfg, monitor=monitor, post_step=clamp_hyper_tail
     )
-    mu, rho, log_prior_spread, log_sigma_e = best
-    mus, rhos = flat_views(mu, shapes), flat_views(rho, shapes)
-    params = ViParams(tuple(mus), tuple(rhos), log_prior_spread, log_sigma_e)
-    return ViModel(params, x_scaler, t_scaler), history
+    return ViModel(*best, tuple(shapes), x_scaler, t_scaler), history
 
 
 def vi_predict_batch(
@@ -186,17 +174,18 @@ def vi_predict_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Component means (n_samples, m, n_y) in original units plus noise variance.
 
-    One weight set is drawn per component, layer by layer, and evaluated at
-    every query row, so all points share the same mixture components.
+    One weight set is drawn per component, as one flat draw over every
+    layer, and evaluated at every query row, so all points share the same
+    mixture components.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     x_std = model.x_scaler.transform(np.atleast_2d(np.asarray(x, dtype=float)))
-    layers = tuple(zip(model.params.mus, model.params.sigmas))
+    sigma = np.logaddexp(0.0, model.rho)
     means = []
     for _ in range(n_samples):
-        weights = tuple(mu + sigma * rng.standard_normal(mu.shape) for mu, sigma in layers)
-        means.append(model.t_scaler.inverse(forward_batch(MlpParams(weights), x_std)[0]))
+        weights = flat_views(model.mu + sigma * rng.standard_normal(model.mu.size), model.shapes)
+        means.append(model.t_scaler.inverse(forward_batch(MlpParams(tuple(weights)), x_std)[0]))
     return np.stack(means), model.sigma_e**2
 
 

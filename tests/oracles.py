@@ -32,7 +32,7 @@ from lastlayer.linalg import chol_spd, solve_pd
 from lastlayer.bll import masked_identity, negative_lml, with_alpha
 from lastlayer.mlp import MlpParams, forward_batch, forward_layers
 from lastlayer.optim import adam_init, adam_step
-from lastlayer.vi import HIDDEN_PRIOR_VAR, ViParams
+from lastlayer.vi import HIDDEN_PRIOR_VAR
 
 
 def finite_difference(fn, arrays, h=1e-5):
@@ -277,27 +277,17 @@ def negative_lml_grads_reference(params, hyper, data):
     return value, (grads, d_log_alpha, d_log_sigma_e)
 
 
-def _unpack(leaves) -> ViParams:
-    """Read the per-layer leaf layout [mus..., rhos..., log_prior_spread, log_sigma_e].
+def negative_elbo_reference(leaves, eps, x, t):
+    """Negative ELBO / m and one gradient per leaf at the draw ``eps``.
 
-    The layout vi trained before its means and spreads became two flat
-    vectors; ``negative_elbo_reference`` reads it.
+    The leaves are per layer, [mus..., rhos..., log_prior_spread,
+    log_sigma_e]: the layout vi trained before its means and spreads became
+    two flat vectors.
     """
     n_layers = (len(leaves) - 2) // 2
-    return ViParams(
-        mus=tuple(leaves[:n_layers]),
-        rhos=tuple(leaves[n_layers : 2 * n_layers]),
-        log_prior_spread=leaves[2 * n_layers],
-        log_sigma_e=leaves[2 * n_layers + 1],
-    )
-
-
-def negative_elbo_reference(leaves, eps, x, t):
-    """Negative ELBO / m and one gradient per leaf at the draw ``eps``."""
-    params = _unpack(leaves)
-    mus, rhos, sigmas = params.mus, params.rhos, params.sigmas
-    log_prior_spread, log_sigma_e = params.log_prior_spread, params.log_sigma_e
-    n_layers = len(mus)
+    mus, rhos = leaves[:n_layers], leaves[n_layers : 2 * n_layers]
+    log_prior_spread, log_sigma_e = leaves[2 * n_layers :]
+    sigmas = [np.logaddexp(0.0, r) for r in rhos]
     m, n_y = t.shape
 
     inv_priors = [1.0 / HIDDEN_PRIOR_VAR] * (n_layers - 1) + [np.exp(-2.0 * log_prior_spread)]
@@ -387,10 +377,16 @@ def alpha_sweep_reference(model, train_data, eval_sets, log_alpha_grid):
 def vi_predict_batch_reference(model, x, n_samples, rng):
     """Component means (n_samples, m, n_y) in original units plus noise variance."""
 
-    def _sample_forward(params, x_std, rng):
+    mus, sigmas, lo = [], [], 0
+    for shape in model.shapes:
+        hi = lo + shape[0] * shape[1]
+        mus.append(model.mu[lo:hi].reshape(shape))
+        sigmas.append(np.logaddexp(0.0, model.rho[lo:hi]).reshape(shape))
+        lo = hi
+
+    def _sample_forward(x_std, rng):
         weights = tuple(
-            mu + sigma * rng.standard_normal(mu.shape)
-            for mu, sigma in zip(params.mus, params.sigmas)
+            mu + sigma * rng.standard_normal(mu.shape) for mu, sigma in zip(mus, sigmas)
         )
         y, _ = forward_batch(MlpParams(weights), x_std)
         return y
@@ -398,10 +394,7 @@ def vi_predict_batch_reference(model, x, n_samples, rng):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     x_std = model.x_scaler.transform(x)
     means = np.stack(
-        [
-            model.t_scaler.inverse(_sample_forward(model.params, x_std, rng))
-            for _ in range(n_samples)
-        ]
+        [model.t_scaler.inverse(_sample_forward(x_std, rng)) for _ in range(n_samples)]
     )
-    noise_var = (np.exp(model.params.log_sigma_e) * model.t_scaler.scale) ** 2
+    noise_var = (np.exp(model.log_sigma_e) * model.t_scaler.scale) ** 2
     return means, noise_var

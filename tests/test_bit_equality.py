@@ -33,7 +33,7 @@ from lastlayer.calibration import alpha_sweep
 from lastlayer.data import Dataset, fit_standardizer
 from lastlayer.linalg import NotPositiveDefinite
 from lastlayer.mlp import MlpParams, forward_layers
-from lastlayer.vi import ViModel, ViParams, _negative_elbo, vi_predict_batch
+from lastlayer.vi import ViModel, _negative_elbo, vi_predict_batch
 
 from oracles import (
     alpha_sweep_reference,
@@ -296,13 +296,16 @@ def test_vi_predict_batch_matches_the_per_component_sampler(problem, n_samples, 
     params, _, data, rng = problem
     x_raw = rng.uniform(0.5, 3.0, size=data.n_x) * data.x + rng.standard_normal(data.n_x)
     t_raw = rng.uniform(0.5, 3.0, size=data.n_y) * data.t + rng.standard_normal(data.n_y)
-    vi_params = ViParams(
-        params.weights,
-        tuple(rng.uniform(-6.0, 0.0, size=w.shape) for w in params.weights),
+    mu = np.concatenate(params.weights, axis=None)
+    model = ViModel(
+        mu,
+        rng.uniform(-6.0, 0.0, size=mu.size),
         rng.uniform(-1.0, 1.0, size=data.n_y),
         rng.uniform(-2.0, 1.0, size=data.n_y),
+        tuple(w.shape for w in params.weights),
+        fit_standardizer(x_raw),
+        fit_standardizer(t_raw),
     )
-    model = ViModel(vi_params, fit_standardizer(x_raw), fit_standardizer(t_raw))
     means, noise_var = vi_predict_batch(model, x_raw, n_samples, np.random.default_rng(seed))
     ref_means, ref_noise_var = vi_predict_batch_reference(
         model, x_raw, n_samples, np.random.default_rng(seed)

@@ -256,6 +256,24 @@ def test_config_error_writes_no_output_directory(tmp_path, capsys, overrides):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{"dataset_path": 5}, {"out_dir": 5}, {"methods": "bll"}],
+    ids=["dataset_path_int", "out_dir_int", "methods_str"],
+)
+def test_config_field_of_the_wrong_type_is_one_error_line(
+    tmp_path, capsys, monkeypatch, overrides
+):
+    # no path is built from a number, and a string of methods is not split into letters
+    monkeypatch.chdir(tmp_path)
+    config_path, _ = _small_config(tmp_path, **overrides)
+    assert cli.main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {next(iter(overrides))} must be "), err
+    assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def _config_directory(tmp_path):
     (tmp_path / "config_dir").mkdir()
     return ["run", "--config", str(tmp_path / "config_dir"), "--out", str(tmp_path / "out")]

@@ -13,6 +13,7 @@ from lastlayer.experiment import (
     _write_predictions,
     config_from_dict,
     config_hash,
+    run_experiment,
     toy_feature_demo,
 )
 
@@ -112,6 +113,39 @@ class TestConfig:
         # the README example names three keys; the rest keep the run's values
         raw = {"train": {"max_epochs": 20000, "patience": 1000, "lr": 0.002}}
         assert config_from_dict(raw).train == ExperimentConfig().train
+
+
+def _small_run(out_dir, methods):
+    config = config_from_dict(
+        {
+            "methods": methods,
+            "seed": 3,
+            "out_dir": str(out_dir),
+            "hidden": [6],
+            "train": {"max_epochs": 400, "patience": 200, "lr": 0.005},
+            "alpha_search": {"max_evals": 20},
+            "sweep_points": 5,
+        }
+    )
+    run_experiment(config)
+    return {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+
+def test_method_order_and_repeats_do_not_change_a_run(tmp_path):
+    # every run takes bll, blr, vi in that order, so the order named is not
+    # part of the config, nor of its hash
+    in_order = _small_run(tmp_path / "in_order", ["bll", "vi"])
+    assert {"metrics.json", "alpha_sweep_bll.csv", "components_vi.csv"} <= set(in_order)
+    assert _small_run(tmp_path / "reversed", ["vi", "bll"]) == in_order
+    assert config_from_dict({"methods": ["bll", "vi", "vi"]}).methods == ("bll", "vi")
+
+
+def test_train_seed_equal_to_the_run_seed_does_not_change_the_hash():
+    # the train block's seed is checked against the run seed, then not stored;
+    # ec35d7e82b8d is the hash these configs had before the check existed
+    named = config_from_dict({"seed": 3, "train": {"seed": 3}})
+    assert named == config_from_dict({"seed": 3})
+    assert config_hash(named) == "ec35d7e82b8d"
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -9,7 +9,6 @@ from lastlayer.mlp import MlpSpec
 from lastlayer.rng import make_rng
 from lastlayer.training import TrainConfig
 from lastlayer.vi import (
-    ViParams,
     _negative_elbo,
     gmm_log_density,
     vi_predict_batch,
@@ -197,8 +196,8 @@ class TestViTraining:
         m1, h1 = vi_train(MlpSpec(1, (3,), 1), data, cfg)
         m2, h2 = vi_train(MlpSpec(1, (3,), 1), data, cfg)
         assert h1.train_objective == h2.train_objective
-        for a, b in zip(m1.params.mus, m2.params.mus):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(m1.mu, m2.mu)
+        np.testing.assert_array_equal(m1.rho, m2.rho)
 
     def test_fits_and_predicts(self):
         data = _dataset(seed=7)
@@ -230,15 +229,9 @@ class TestViTraining:
     def test_collapsed_spreads_make_identical_components(self):
         data = _dataset(seed=10, m=12)
         model, _ = vi_train(MlpSpec(1, (3,), 1), data, FAST)
-        collapsed = ViParams(
-            mus=model.params.mus,
-            rhos=tuple(np.full_like(r, -60.0) for r in model.params.rhos),
-            log_prior_spread=model.params.log_prior_spread,
-            log_sigma_e=model.params.log_sigma_e,
-        )
         from dataclasses import replace
 
-        frozen_model = replace(model, params=collapsed)
+        frozen_model = replace(model, rho=np.full_like(model.rho, -60.0))
         means, _ = vi_predict_batch(frozen_model, data.x[:1], 10, make_rng(3))
         assert np.abs(means - means[0]).max() < 1e-12
 
