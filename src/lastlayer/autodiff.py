@@ -16,11 +16,9 @@ gradient that ``training.fit_loop`` allocates and Adam reads.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .linalg import chol_spd, logdet_pd, solve_pd
+from .linalg import chol_spd, identity, logdet_pd, solve_pd
 
 __all__ = ["NonFiniteLoss", "logdet_spd", "mlp_backward"]
 
@@ -36,15 +34,7 @@ def logdet_spd(a: np.ndarray):
     Cholesky factor, so callers that need only the value skip the solve.
     """
     factor = chol_spd(a)
-    return logdet_pd(factor), lambda: solve_pd(factor, _identity(factor.dim))
-
-
-@lru_cache(maxsize=16)
-def _identity(dim: int) -> np.ndarray:
-    """Read-only identity, built once per dimension."""
-    eye = np.eye(dim)
-    eye.flags.writeable = False
-    return eye
+    return logdet_pd(factor), lambda: solve_pd(factor, identity(factor.dim))
 
 
 def mlp_backward(

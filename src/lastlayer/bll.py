@@ -15,13 +15,12 @@ marginal-likelihood solution without a matrix inverse in the loss.
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
 from . import autodiff as ad
 from .data import Dataset, Standardizer, identity_standardizer
-from .linalg import CholeskyFactor, chol_spd, logdet_pd, solve_pd
+from .linalg import CholeskyFactor, chol_spd, identity, logdet_pd, solve_pd
 from .mlp import MlpParams, affine_rows, features, forward_batch, forward_layers
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "PredictiveDistribution",
     "closed_form_wbar",
     "fit_posterior",
-    "masked_identity",
     "negative_lml",
     "negative_lml_grads",
     "negative_lml_grads_into",
@@ -70,24 +68,6 @@ class BllHyper:
         return np.exp(self.log_sigma_e)
 
 
-def masked_identity(n_phi: int, flat_bias: bool = True) -> np.ndarray:
-    """Prior precision pattern: identity, bias entry zeroed when flat."""
-    eye = np.eye(n_phi)
-    if flat_bias:
-        eye[-1, -1] = 0.0
-    return eye
-
-
-@lru_cache(maxsize=16)
-def _prior(n_phi: int, flat_bias: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``masked_identity`` and its diagonal, built once per shape."""
-    prior = masked_identity(n_phi, flat_bias)
-    in_prior = prior.diagonal().copy()  # 0 on a flat bias row
-    prior.flags.writeable = False
-    in_prior.flags.writeable = False
-    return prior, in_prior
-
-
 def precision_bar(phi: np.ndarray, alpha: float, flat_bias: bool = True) -> np.ndarray:
     """Noise-free posterior precision Phi^T Phi + alpha^-1 * I~.
 
@@ -98,7 +78,7 @@ def precision_bar(phi: np.ndarray, alpha: float, flat_bias: bool = True) -> np.n
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     phi = np.asarray(phi, dtype=float)
-    return phi.T @ phi + _prior(phi.shape[1], flat_bias)[0] / alpha
+    return phi.T @ phi + identity(phi.shape[1], flat_bias) / alpha
 
 
 def closed_form_wbar(
@@ -144,7 +124,8 @@ def nlml_head(
     n_phi = phi.shape[1]
     log_alpha = np.asarray(hyper.log_alpha, dtype=float)
     inv_alpha = np.exp(-log_alpha)
-    prior, in_prior = _prior(n_phi, flat_bias)
+    prior = identity(n_phi, flat_bias)
+    in_prior = prior.diagonal()  # 0 on a flat bias row
     logdet, logdet_grad = ad.logdet_spd(phi.T @ phi + inv_alpha * prior)
 
     inv_sig2 = np.exp(-2.0 * hyper.log_sigma_e)

@@ -17,7 +17,7 @@ from .bll import negative_lml  # noqa: F401 - perfbench's tracer patches calibra
 from .bll import BllModel, nlml_head, predict_batch, predictive_variances, with_alpha
 from .data import Dataset
 from .mlp import affine_rows, forward_batch
-from .training import check_integers
+from .training import check_integers, check_numbers
 
 __all__ = ["AlphaSearchConfig", "alpha_sweep", "gaussian_log_density", "lpd", "tune_alpha"]
 
@@ -34,6 +34,7 @@ class AlphaSearchConfig:
 
     def __post_init__(self):
         check_integers(max_evals=self.max_evals)
+        check_numbers(span=self.span, tol=self.tol)
         if self.max_evals < 10:
             raise ValueError("max_evals must be at least 10")
         for name, value in (("span", self.span), ("tol", self.tol)):

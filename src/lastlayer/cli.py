@@ -3,8 +3,9 @@
 Subcommands: ``generate`` (write a benchmark dataset), ``run`` (train the
 selected methods and emit metrics, prediction and alpha-sweep artifacts),
 ``toy`` (the three-sample feature-space demo), ``report`` (print a metrics
-table).  Exit codes: 0 on success, 2 when some methods failed but the run
-completed, 1 on configuration errors.
+table).  Only ``run`` reads a config file.  Exit codes: 0 on success, 2 when
+some methods failed but the run completed, 1 on a configuration or
+file-system error, which ``main`` prints as one ``error:`` line.
 """
 
 import argparse
@@ -12,11 +13,11 @@ import json
 import sys
 from pathlib import Path
 
-from .benchmarks import default_benchmark, sample_benchmark
 from .data import write_splits_csv
 from .experiment import (
     ExperimentConfig,
     config_from_dict,
+    load_splits,
     render_metrics_table,
     run_experiment,
     toy_feature_demo,
@@ -44,13 +45,13 @@ def _read_json(path: Path, what: str) -> dict:
 
 def _load_config(args) -> ExperimentConfig:
     raw = {}
-    if args.config:
+    if getattr(args, "config", None) is not None:
         raw = _read_json(Path(args.config), "config file")
     if args.seed is not None:
         raw["seed"] = args.seed
     if args.out is not None:
         raw["out_dir"] = args.out
-    if getattr(args, "methods", None):
+    if getattr(args, "methods", None) is not None:
         raw["methods"] = tuple(args.methods.split(","))
     try:
         return config_from_dict(raw)
@@ -60,9 +61,9 @@ def _load_config(args) -> ExperimentConfig:
 
 def _cmd_generate(args) -> int:
     config = _load_config(args)
+    splits = load_splits(config)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    splits = sample_benchmark(default_benchmark(), config.seed)
     write_splits_csv(out_dir / "dataset.csv", splits)
     print(f"wrote {out_dir / 'dataset.csv'}")
     return 0
@@ -72,7 +73,7 @@ def _cmd_run(args) -> int:
     config = _load_config(args)
     try:
         metrics, code = run_experiment(config)
-    except (FileNotFoundError, ValueError) as err:
+    except ValueError as err:
         raise ConfigError(str(err)) from err
     print(render_metrics_table(metrics))
     return code
@@ -87,7 +88,7 @@ def _cmd_toy(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    path = Path(args.out or "out") / "metrics.json"
+    path = Path(args.out or ExperimentConfig.out_dir) / "metrics.json"
     metrics = _read_json(path, "metrics file")
     print(render_metrics_table(metrics))
     return 0
@@ -106,12 +107,12 @@ def build_parser() -> argparse.ArgumentParser:
         ("report", _cmd_report, "print the metrics table for a finished run"),
     ]:
         cmd = sub.add_parser(name, help=help_text)
-        if name != "report":  # report reads only <out>/metrics.json
+        if name == "run":  # generate and toy read only the seed and the output directory
             cmd.add_argument("--config", help="JSON experiment config")
+            cmd.add_argument("--methods", help="comma-separated subset of bll,blr,vi")
+        if name != "report":  # report reads only <out>/metrics.json
             cmd.add_argument("--seed", type=int, help="seed override")
         cmd.add_argument("--out", help="output directory override")
-        if name == "run":
-            cmd.add_argument("--methods", help="comma-separated subset of bll,blr,vi")
         cmd.set_defaults(fn=fn)
     return parser
 
@@ -120,7 +121,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as err:
+    except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -61,6 +61,8 @@ class ExperimentConfig:
             raise TypeError(f"out_dir must be a string, got {self.out_dir!r}")
         if not isinstance(self.dataset_path, (str, type(None))):
             raise TypeError(f"dataset_path must be a string, got {self.dataset_path!r}")
+        if not isinstance(self.hidden, (list, tuple)):
+            raise TypeError(f"hidden must be a list of layer widths, got {self.hidden!r}")
         object.__setattr__(self, "hidden", tuple(self.hidden))
         check_integers(seed=self.seed, sweep_points=self.sweep_points)
         for width in self.hidden:

@@ -10,6 +10,7 @@ directly, keeping the wrappers' checks and their bits.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -20,6 +21,7 @@ __all__ = [
     "NotPositiveDefinite",
     "cholesky",
     "chol_spd",
+    "identity",
     "logdet_pd",
     "solve_pd",
 ]
@@ -92,6 +94,16 @@ def chol_spd(a: np.ndarray) -> CholeskyFactor:
             else:
                 jitter *= 100.0
     raise NotPositiveDefinite("matrix not positive definite even with jitter")
+
+
+@lru_cache(maxsize=16)
+def identity(dim: int, zero_last: bool = False) -> np.ndarray:
+    """Read-only ``np.eye(dim)``, last diagonal entry zeroed (a flat bias prior) if ``zero_last``."""
+    eye = np.eye(dim)
+    if zero_last:
+        eye[-1, -1] = 0.0
+    eye.flags.writeable = False
+    return eye
 
 
 def logdet_pd(factor: CholeskyFactor) -> float:

@@ -38,6 +38,13 @@ def check_integers(**values) -> None:
             raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
+def check_numbers(**values) -> None:
+    """Raise TypeError unless every value is an int or a float; bool (JSON true) is neither."""
+    for name, value in values.items():
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise TypeError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     max_epochs: int = 20000
@@ -49,6 +56,9 @@ class TrainConfig:
 
     def __post_init__(self):
         check_integers(max_epochs=self.max_epochs, patience=self.patience)
+        check_numbers(lr=self.lr, init_log_sigma_e=self.init_log_sigma_e)
+        if self.val_fraction is not None:
+            check_numbers(val_fraction=self.val_fraction)
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
         if self.max_epochs < 1:

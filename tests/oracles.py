@@ -29,7 +29,7 @@ from lastlayer.autodiff import NonFiniteLoss
 from lastlayer.calibration import LOG_2PI, gaussian_log_density
 from lastlayer.data import Dataset
 from lastlayer.linalg import chol_spd, solve_pd
-from lastlayer.bll import masked_identity, negative_lml, with_alpha
+from lastlayer.bll import negative_lml, with_alpha
 from lastlayer.mlp import MlpParams, forward_batch, forward_layers
 from lastlayer.optim import adam_init, adam_step
 from lastlayer.vi import HIDDEN_PRIOR_VAR
@@ -225,7 +225,9 @@ def nlml_head_reference(a, y, wbar, t, hyper, flat_bias=True):
     n_phi = phi.shape[1]
     log_alpha = np.asarray(hyper.log_alpha, dtype=float)
     inv_alpha = np.exp(-log_alpha)
-    prior = masked_identity(n_phi, flat_bias)
+    prior = np.eye(n_phi)
+    if flat_bias:
+        prior[-1, -1] = 0.0
     in_prior = np.diag(prior)  # 0 on a flat bias row
     logdet, logdet_grad = logdet_spd_reference(phi.T @ phi + inv_alpha * prior)
 

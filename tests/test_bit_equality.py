@@ -14,15 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lastlayer import autodiff
 from lastlayer.autodiff import mlp_backward
 from lastlayer.baselines import _mse_grads
 from lastlayer.bll import (
     HYPER_CLAMP,
     BllHyper,
-    _prior,
     fit_posterior,
-    masked_identity,
     negative_lml,
     negative_lml_grads,
     negative_lml_grads_into,
@@ -31,7 +28,7 @@ from lastlayer.bll import (
 )
 from lastlayer.calibration import alpha_sweep
 from lastlayer.data import Dataset, fit_standardizer
-from lastlayer.linalg import NotPositiveDefinite
+from lastlayer.linalg import NotPositiveDefinite, identity
 from lastlayer.mlp import MlpParams, forward_layers
 from lastlayer.vi import ViModel, _negative_elbo, vi_predict_batch
 
@@ -202,33 +199,18 @@ def test_one_flat_draw_equals_the_per_layer_draws(seed, shapes):
         offset += size
 
 
-@pytest.mark.parametrize("flat_bias", [True, False])
-def test_cached_prior_is_read_only(flat_bias):
-    prior, in_prior = _prior(4, flat_bias)
-    np.testing.assert_array_equal(prior, masked_identity(4, flat_bias))
-    np.testing.assert_array_equal(in_prior, np.diag(masked_identity(4, flat_bias)))
+@pytest.mark.parametrize("zero_last", [True, False])
+def test_cached_prior_is_read_only(zero_last):
+    prior = identity(4, zero_last)
+    np.testing.assert_array_equal(prior, np.diag([1.0, 1.0, 1.0, 0.0 if zero_last else 1.0]))
     with pytest.raises(ValueError):
         prior[0, 0] = 2.0
     with pytest.raises(ValueError):
-        in_prior[0] = 2.0
-    assert _prior(4, flat_bias)[0][0, 0] == 1.0
-
-
-def test_cached_identity_is_read_only():
-    eye = autodiff._identity(3)
+        prior.diagonal()[0] = 2.0
     with pytest.raises(ValueError):
-        eye[0, 1] = 1.0
-    np.testing.assert_array_equal(autodiff._identity(3), np.eye(3))
-
-
-def test_masked_identity_is_a_fresh_writable_copy():
-    first = masked_identity(3)
-    first[0, 0] = 5.0
-    second = masked_identity(3)
-    assert second is not first
-    assert second.flags.writeable
-    np.testing.assert_array_equal(second, np.diag([1.0, 1.0, 0.0]))
-    np.testing.assert_array_equal(_prior(3, True)[0], np.diag([1.0, 1.0, 0.0]))
+        prior[0, 1] = 1.0
+    assert identity(4, zero_last) is prior
+    assert prior[0, 0] == 1.0
 
 
 @st.composite

@@ -8,7 +8,6 @@ from lastlayer.bll import (
     BllHyper,
     closed_form_wbar,
     fit_posterior,
-    masked_identity,
     negative_lml,
     negative_lml_grads,
     negative_lml_marginalized,
@@ -361,7 +360,8 @@ class TestBllHyper:
             BllHyper(float("nan"), np.array([0.0]))
 
     def test_masked_identity_pattern(self):
+        # With zero features the precision is the prior pattern alone.
         np.testing.assert_array_equal(
-            masked_identity(3), np.diag([1.0, 1.0, 0.0])
+            precision_bar(np.zeros((1, 3)), 1.0), np.diag([1.0, 1.0, 0.0])
         )
-        np.testing.assert_array_equal(masked_identity(2, flat_bias=False), np.eye(2))
+        np.testing.assert_array_equal(precision_bar(np.zeros((1, 2)), 1.0, flat_bias=False), np.eye(2))

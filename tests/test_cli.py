@@ -258,8 +258,8 @@ def test_config_error_writes_no_output_directory(tmp_path, capsys, overrides):
 
 @pytest.mark.parametrize(
     "overrides",
-    [{"dataset_path": 5}, {"out_dir": 5}, {"methods": "bll"}],
-    ids=["dataset_path_int", "out_dir_int", "methods_str"],
+    [{"dataset_path": 5}, {"out_dir": 5}, {"methods": "bll"}, {"hidden": "20"}, {"hidden": 20}],
+    ids=["dataset_path_int", "out_dir_int", "methods_str", "hidden_str", "hidden_int"],
 )
 def test_config_field_of_the_wrong_type_is_one_error_line(
     tmp_path, capsys, monkeypatch, overrides
@@ -277,6 +277,11 @@ def test_config_field_of_the_wrong_type_is_one_error_line(
 def _config_directory(tmp_path):
     (tmp_path / "config_dir").mkdir()
     return ["run", "--config", str(tmp_path / "config_dir"), "--out", str(tmp_path / "out")]
+
+
+def _config_empty(tmp_path):
+    # an empty path names the working directory; it is not read as "no config"
+    return ["run", "--config", "", "--out", str(tmp_path / "out")]
 
 
 def _config_not_utf8(tmp_path):
@@ -306,12 +311,13 @@ def _metrics_directory(tmp_path):
     "make_argv",
     [
         _config_directory,
+        _config_empty,
         _config_not_utf8,
         _config_not_an_object,
         _dataset_directory,
         _metrics_directory,
     ],
-    ids=["config_dir", "config_not_utf8", "config_not_object", "dataset_dir", "metrics_dir"],
+    ids=["config_dir", "config_empty", "config_not_utf8", "config_not_object", "dataset_dir", "metrics_dir"],
 )
 def test_unreadable_input_is_one_error_line(tmp_path, make_argv):
     result = subprocess.run(
@@ -460,6 +466,63 @@ def test_report_reads_only_out(tmp_path, flag):
     with pytest.raises(SystemExit) as exc:
         cli.main(["report", "--out", str(tmp_path), *flag])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "block, name, value",
+    [
+        (block, name, value)
+        for block, name in [
+            ("train", "lr"),
+            ("train", "init_log_sigma_e"),
+            ("train", "val_fraction"),
+            ("alpha_search", "span"),
+            ("alpha_search", "tol"),
+        ]
+        for value in (True, "0.1", None)
+        if not (name == "val_fraction" and value is None)  # null turns validation off
+    ],
+)
+def test_number_setting_of_another_type_names_its_field(tmp_path, capsys, block, name, value):
+    # JSON true is not 1.0, and a string or null is not a number
+    config_path, config = _small_config(tmp_path)
+    config[block] = {**config[block], name: value}
+    config_path.write_text(json.dumps(config))
+    assert cli.main(["run", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"error: {name} must be a number, got {value!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_methods_flag_is_config_error(tmp_path, capsys):
+    config_path, _ = _small_config(tmp_path)
+    assert cli.main(["run", "--config", str(config_path), "--methods", ""]) == 1
+    assert capsys.readouterr().err == "error: unknown methods: ['']\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "toy"])
+def test_only_run_takes_a_config_file(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", str(tmp_path / "config.json")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["run", "--methods", "bll"], ["toy"], ["generate"]], ids=["run", "toy", "generate"]
+)
+def test_output_path_naming_a_file_is_one_error_line(tmp_path, argv):
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "lastlayer.cli", *argv, "--out", str(taken)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
+    assert taken.read_text() == "keep me\n"
 
 
 def test_retired_train_setting_is_config_error(tmp_path):
