@@ -199,6 +199,13 @@ def test_one_flat_draw_equals_the_per_layer_draws(seed, shapes):
         offset += size
 
 
+def test_cached_identity_is_read_only():
+    eye = identity(3)
+    with pytest.raises(ValueError):
+        eye[0, 1] = 1.0
+    np.testing.assert_array_equal(identity(3), np.eye(3))
+
+
 @pytest.mark.parametrize("zero_last", [True, False])
 def test_cached_prior_is_read_only(zero_last):
     prior = identity(4, zero_last)
