@@ -8,22 +8,34 @@ every artifact file.  A summary gives the per-variant medians of the test
 LPD over the seeds.  Nothing in it depends on the wall clock, so two
 checkouts that train the same floats write the same report.
 
+With ``--nudge`` each seed runs a second time with every initial weight moved
+one ulp up (``np.nextafter``).  The entry's ``nudge_spread`` holds how far
+that moved each judged figure: every variant's test LPD, the noise scales,
+and log alpha* and log alpha_max.  ``band`` holds each figure's largest
+spread over the seeds, the float-order noise a float-moving change's
+per-seed drift is read against.
+
 Usage, from the repository root:
 
-    PYTHONPATH=src python tests/seed_report.py SEEDS.json
+    PYTHONPATH=src python tests/seed_report.py SEEDS.json [--nudge]
 
 pytest does not collect this file.
 """
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
+import math
 import statistics
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
+from lastlayer import mlp
 from lastlayer.data import SPLITS
 from lastlayer.experiment import ExperimentConfig, run_experiment
 
@@ -81,6 +93,46 @@ def seed_entry(seed: int, out_dir: Path) -> dict:
     return entry
 
 
+def judged_figures(entry: dict) -> dict:
+    """The figures a float-moving change's drift is judged on, flat; alphas as their logs."""
+    figures = {}
+    for method in ("bll", "blr", "vi"):
+        if method not in entry:
+            continue
+        for tag, scores in entry[method]["variants"].items():
+            name = tag if method == "vi" else f"{method}_{tag}"
+            figures[f"{name}.test_lpd"] = scores["test_lpd"]
+        for j, sigma in enumerate(entry[method]["sigma_e"]):
+            figures[f"{method}.sigma_e_{j}"] = sigma
+        for tag in ("alpha_star", "alpha_max"):
+            if tag in entry[method]:
+                figures[f"{method}.log_{tag}"] = math.log(entry[method][tag])
+    return figures
+
+
+@contextlib.contextmanager
+def nudged_init():
+    """Every ``lastlayer`` module that binds ``mlp.init_params`` gets weights one ulp up."""
+    original = mlp.init_params
+
+    def init_params(spec, rng):
+        params = original(spec, rng)
+        return mlp.MlpParams(tuple(np.nextafter(w, np.inf) for w in params.weights))
+
+    modules = [
+        module
+        for name, module in sys.modules.items()
+        if name.startswith("lastlayer") and getattr(module, "init_params", None) is original
+    ]
+    for module in modules:
+        module.init_params = init_params
+    try:
+        yield
+    finally:
+        for module in modules:
+            module.init_params = original
+
+
 def summary(seeds: dict) -> dict:
     """Medians over the seeds of the figures acceptance criterion 5 reports on seeds 0-2.
 
@@ -106,12 +158,27 @@ def summary(seeds: dict) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", help="path of the JSON report to write")
+    parser.add_argument(
+        "--nudge", action="store_true", help="rerun each seed one ulp off and record the spread"
+    )
     args = parser.parse_args(argv)
     seeds = {}
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
-            seeds[str(seed)] = seed_entry(seed, Path(tmp) / f"seed{seed}")
+            entry = seed_entry(seed, Path(tmp) / f"seed{seed}")
+            if args.nudge:
+                with nudged_init():
+                    nudged = judged_figures(seed_entry(seed, Path(tmp) / f"nudged{seed}"))
+                entry["nudge_spread"] = {
+                    name: abs(nudged[name] - value) for name, value in judged_figures(entry).items()
+                }
+            seeds[str(seed)] = entry
     report = {"config": "ExperimentConfig() defaults", "seeds": seeds, "summary": summary(seeds)}
+    if args.nudge:
+        report["band"] = {
+            name: max(entry["nudge_spread"][name] for entry in seeds.values())
+            for name in seeds["0"]["nudge_spread"]
+        }
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
