@@ -88,7 +88,8 @@ def _cmd_toy(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    path = Path(args.out or ExperimentConfig.out_dir) / "metrics.json"
+    out = ExperimentConfig.out_dir if args.out is None else args.out  # "" is the working directory
+    path = Path(out) / "metrics.json"
     metrics = _read_json(path, "metrics file")
     print(render_metrics_table(metrics))
     return 0

@@ -450,6 +450,15 @@ def test_shuffled_dataset_rows_line_up_with_every_artifact(order):
             assert sweep_header == "log_alpha,nlml_train,lpd_train,lpd_val,lpd_test"
 
 
+def test_empty_out_reports_the_working_directory(tmp_path, monkeypatch, capsys):
+    # run, generate and toy write into the working directory for an empty
+    # --out, because Path("") is "."; report reads from the same place
+    monkeypatch.chdir(tmp_path)
+    Path("metrics.json").write_text(json.dumps({"bll.alpha_star": 1.0, "bll.alpha_max": 2.0}))
+    assert cli.main(["report", "--out", ""]) == 0
+    assert "bll: alpha*=1 alpha_max=2 sigma_e=()" in capsys.readouterr().out.splitlines()
+
+
 def test_missing_metrics_report_is_config_error(tmp_path):
     assert cli.main(["report", "--out", str(tmp_path)]) == 1
 
