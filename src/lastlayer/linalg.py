@@ -5,15 +5,15 @@ Cholesky route below: factor once, then reuse the factor for log-determinants
 and solves.  Matrices are plain row-major ``numpy`` arrays; problem sizes are
 tiny (tens of rows), so no sparse or blocked code paths exist.  At that size
 wrapper overhead outweighs the arithmetic, so ``cholesky`` skips its
-tolerance scan for an exactly symmetric matrix and ``solve_pd`` calls LAPACK
-directly, keeping the wrappers' checks and their bits.
+tolerance scan for an exactly symmetric matrix, and a factor computes the
+inverse of L once, on its first solve, so that every solve is two matrix
+products.  numpy's LAPACK is the only one loaded.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 __all__ = [
     "CholeskyFactor",
@@ -44,6 +44,13 @@ class CholeskyFactor:
     @property
     def dim(self) -> int:
         return self.lower.shape[0]
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """L⁻¹, computed once: ValueError for a non-finite factor, LinAlgError for a singular one."""
+        if not np.isfinite(self.lower).all():
+            raise ValueError("Cholesky factor must not contain infs or NaNs")
+        return np.linalg.inv(self.lower)
 
 
 def cholesky(a: np.ndarray, jitter: float = 0.0) -> CholeskyFactor:
@@ -114,10 +121,8 @@ def logdet_pd(factor: CholeskyFactor) -> float:
 def solve_pd(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
     """Solve A @ x = b given the Cholesky factor of A.
 
-    ``b`` may be a vector or a matrix of right-hand-side columns.  The two
-    triangular solves are the LAPACK calls ``solve_triangular`` makes for a
-    C-ordered factor L: L y = b and L.T x = y, both against the F-ordered
-    upper triangle L.T.
+    ``b`` may be a vector or a matrix of right-hand-side columns.  The
+    solution is L⁻ᵀ (L⁻¹ b), through the factor's cached inverse.
 
     Raises:
         DimensionMismatch: if ``b`` is not 1-D or 2-D with ``factor.dim`` rows.
@@ -129,17 +134,7 @@ def solve_pd(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"factor dim {factor.dim} does not match rhs of shape {b.shape}"
         )
-    upper = factor.lower.T
-    if not np.isfinite(upper).all():
-        raise ValueError("Cholesky factor must not contain infs or NaNs")
-    return _trtrs(upper, _trtrs(upper, b, trans=1), trans=0)
-
-
-def _trtrs(upper: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
-    """One triangular solve with the upper triangle, transposed when ``trans``."""
+    inverse = factor.inverse
     if not np.isfinite(b).all():
         raise ValueError("right-hand side must not contain infs or NaNs")
-    x, info = dtrtrs(upper, b, lower=0, trans=trans)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK info {info})")
-    return x
+    return inverse.T @ (inverse @ b)

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .autodiff import mlp_backward
 from .calibration import LOG_2PI, gaussian_log_density
@@ -190,10 +189,12 @@ def vi_predict_batch(
 
 
 def gmm_log_density(means: np.ndarray, noise_var: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Per-point log density of uniform Gaussian mixtures, via log-sum-exp.
+    """Per-point log density of uniform Gaussian mixtures, via a max-shifted log-sum-exp.
 
     ``means`` holds the component means (n_components, m, n_y), ``t`` the
     targets (m, n_y); the outputs are independent given a component.
     """
-    return logsumexp(gaussian_log_density(means, noise_var, t), axis=0) - math.log(means.shape[0])
+    logp = gaussian_log_density(means, noise_var, t)
+    peak = logp.max(axis=0)
+    return peak + np.log(np.exp(logp - peak).sum(axis=0)) - math.log(means.shape[0])
 

@@ -50,6 +50,13 @@ def test_generate_console_script(tmp_path):
     assert (tmp_path / "dataset.csv").exists()
 
 
+def test_cli_import_loads_no_scipy():
+    probe = "import sys, lastlayer.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def test_run_emits_metrics_and_predictions(tmp_path):
     config_path, config = _small_config(tmp_path)
     assert cli.main(["run", "--config", str(config_path)]) == 0

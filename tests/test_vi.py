@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 
 from lastlayer.data import Dataset
 from lastlayer.mlp import MlpSpec
@@ -187,6 +188,32 @@ class TestGmmLpd:
         base = gmm_log_density(means, var, t)[0]
         shuffled = gmm_log_density(means[::-1].copy(), var, t)[0]
         assert base == pytest.approx(shuffled)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    n_comp=st.integers(1, 30),
+    m=st.integers(1, 8),
+    n_y=st.integers(1, 3),
+    far=st.booleans(),
+)
+def test_gmm_log_density_matches_scipy_logsumexp(seed, n_comp, m, n_y, far):
+    rng = np.random.default_rng(seed)
+    noise_var = rng.uniform(0.5, 2.0, n_y)
+    t = rng.standard_normal((m, n_y))
+    means = t + rng.standard_normal((n_comp, m, n_y))
+    if far:  # every component's log density near -1e3, where exp underflows to 0
+        means = t + np.sqrt(2000.0 * noise_var / n_y) + 0.01 * rng.standard_normal(means.shape)
+    logp = -0.5 * (math.log(2 * math.pi) + np.log(noise_var) + (t - means) ** 2 / noise_var)
+    logp = logp.sum(axis=2)
+    if far:
+        assert np.abs(logp + 1e3).max() < 10.0
+        assert (np.exp(logp).sum(axis=0) == 0.0).all()
+    expected = logsumexp(logp, axis=0) - math.log(n_comp)
+    value = gmm_log_density(means, noise_var, t)
+    assert value.shape == expected.shape == (m,)
+    assert np.abs(value - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 class TestViTraining:
