@@ -60,18 +60,17 @@ def _blas_build() -> str:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy < 1.25 prints its config only
         return "unknown"
-    return f"{blas.get('name')} {blas.get('version')} ({blas.get('openblas configuration', '')})"
+    return f"{blas.get('name')} {blas.get('version')} {blas.get('openblas configuration', '')}"
+
+
+def _by_path(runs: dict) -> dict:
+    return {f"{run}/{name}": sha for run, files in runs.items() for name, sha in files.items()}
 
 
 def test_artifacts_match_their_pinned_digests(tmp_path):
-    pinned = json.loads(DIGESTS.read_text())
-    actual = compute_digests(tmp_path)
-    changed = sorted(
-        f"{run}/{name}"
-        for run in pinned.keys() | actual.keys()
-        for name in pinned.get(run, {}).keys() | actual.get(run, {}).keys()
-        if pinned.get(run, {}).get(name) != actual.get(run, {}).get(name)
-    )
+    pinned = _by_path(json.loads(DIGESTS.read_text()))
+    actual = _by_path(compute_digests(tmp_path))
+    changed = sorted(p for p in pinned.keys() | actual.keys() if pinned.get(p) != actual.get(p))
     assert not changed, (
         f"artifact digests differ from {DIGESTS.name} on numpy {np.__version__}, "
         f"BLAS {_blas_build()}: {changed}"
