@@ -196,5 +196,7 @@ def gmm_log_density(means: np.ndarray, noise_var: np.ndarray, t: np.ndarray) -> 
     """
     logp = gaussian_log_density(means, noise_var, t)
     peak = logp.max(axis=0)
-    return peak + np.log(np.exp(logp - peak).sum(axis=0)) - math.log(means.shape[0])
+    peak = np.where(np.isfinite(peak), peak, 0.0)  # a row all -inf sums to log 0 = -inf
+    with np.errstate(divide="ignore"):
+        return peak + np.log(np.exp(logp - peak).sum(axis=0)) - math.log(means.shape[0])
 

@@ -8,16 +8,16 @@ every artifact file.  A summary gives the per-variant medians of the test
 LPD over the seeds.  Nothing in it depends on the wall clock, so two
 checkouts that train the same floats write the same report.
 
-With ``--nudge`` each seed runs a second time with every initial weight moved
-one ulp up (``np.nextafter``).  The entry's ``nudge_spread`` holds how far
-that moved each judged figure: every variant's test LPD, the noise scales,
-and log alpha* and log alpha_max.  ``band`` holds each figure's largest
-spread over the seeds, the float-order noise a float-moving change's
-per-seed drift is read against.
+Each seed runs a second time with every initial weight moved one ulp up
+(``np.nextafter``).  The entry's ``nudge_spread`` holds how far that moved
+each judged figure: every variant's test LPD, the noise scales, and log
+alpha* and log alpha_max.  ``band`` holds each figure's largest spread over
+the seeds, the float-order noise a float-moving change's per-seed drift is
+read against.
 
 Usage, from the repository root:
 
-    PYTHONPATH=src python tests/seed_report.py SEEDS.json [--nudge]
+    PYTHONPATH=src python tests/seed_report.py SEEDS.json
 
 pytest does not collect this file.
 """
@@ -158,27 +158,27 @@ def summary(seeds: dict) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", help="path of the JSON report to write")
-    parser.add_argument(
-        "--nudge", action="store_true", help="rerun each seed one ulp off and record the spread"
-    )
     args = parser.parse_args(argv)
     seeds = {}
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
             entry = seed_entry(seed, Path(tmp) / f"seed{seed}")
-            if args.nudge:
-                with nudged_init():
-                    nudged = judged_figures(seed_entry(seed, Path(tmp) / f"nudged{seed}"))
-                entry["nudge_spread"] = {
-                    name: abs(nudged[name] - value) for name, value in judged_figures(entry).items()
-                }
+            with nudged_init():
+                nudged = judged_figures(seed_entry(seed, Path(tmp) / f"nudged{seed}"))
+            entry["nudge_spread"] = {
+                name: abs(nudged[name] - value) for name, value in judged_figures(entry).items()
+            }
             seeds[str(seed)] = entry
-    report = {"config": "ExperimentConfig() defaults", "seeds": seeds, "summary": summary(seeds)}
-    if args.nudge:
-        report["band"] = {
-            name: max(entry["nudge_spread"][name] for entry in seeds.values())
-            for name in seeds["0"]["nudge_spread"]
-        }
+    band = {
+        name: max(entry["nudge_spread"][name] for entry in seeds.values())
+        for name in seeds["0"]["nudge_spread"]
+    }
+    report = {
+        "config": "ExperimentConfig() defaults",
+        "seeds": seeds,
+        "summary": summary(seeds),
+        "band": band,
+    }
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lastlayer.bll import precision_bar
 from lastlayer.linalg import (
     CholeskyFactor,
     DimensionMismatch,
@@ -13,6 +14,7 @@ from lastlayer.linalg import (
     logdet_pd,
     solve_pd,
 )
+from lastlayer.mlp import affine_rows
 
 from oracles import charpoly_eigenvalues, random_spd, solve_pd_reference
 
@@ -209,6 +211,42 @@ def test_solve_pd_matches_solve_triangular_to_1e_12(seed, n, cols, rhs):
     assert x.shape == expected.shape
     # the inverse route rounds differently from two triangular solves
     assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    n_hidden=st.integers(1, 28),
+    m=st.integers(2, 200),
+    log_spread=st.integers(-3, 0),
+    log_alpha=st.integers(0, 25),
+    rhs=st.sampled_from(["features", "targets", "identity"]),
+)
+def test_solve_pd_on_bll_precisions_stays_within_the_forward_error_bound(
+    seed, n_hidden, m, log_spread, log_alpha, rhs
+):
+    # bll's precision at a large alpha: tanh features of one input, nearly
+    # collinear for a small spread, a flat bias entry and a prior up to e^25
+    # weaker than the data, past the top of the alpha search
+    rng = np.random.default_rng(seed)
+    spread = 10.0**log_spread
+    a = rng.uniform(-1.0, 1.0, (m, 1)) @ rng.standard_normal((1, n_hidden)) * spread
+    phi = affine_rows(np.tanh(a + spread * rng.standard_normal(n_hidden)))
+    factor = chol_spd(precision_bar(phi, math.exp(log_alpha)))
+    n = factor.dim
+    b = {
+        "features": lambda: phi.T,
+        "targets": lambda: phi.T @ rng.standard_normal((m, 2)),
+        "identity": lambda: np.eye(n),
+    }[rhs]()
+    x = solve_pd(factor, b)
+    expected = solve_pd_reference(factor.lower, b)
+    assert x.shape == expected.shape
+    # both routes meet n * cond(A) * eps; the gap between them grows with
+    # cond(A) = cond(L)^2 and passes 1e-12 from about cond(A) = 1e4
+    cond = np.linalg.cond(factor.lower) ** 2
+    bound = n * cond * np.finfo(float).eps
+    assert np.abs(x - expected).max() <= bound * np.abs(expected).max()
 
 
 def test_two_solves_on_one_factor_invert_it_once(monkeypatch):

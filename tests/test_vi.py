@@ -197,23 +197,31 @@ class TestGmmLpd:
     m=st.integers(1, 8),
     n_y=st.integers(1, 3),
     far=st.booleans(),
+    diverged=st.booleans(),
 )
-def test_gmm_log_density_matches_scipy_logsumexp(seed, n_comp, m, n_y, far):
+def test_gmm_log_density_matches_scipy_logsumexp(seed, n_comp, m, n_y, far, diverged):
     rng = np.random.default_rng(seed)
     noise_var = rng.uniform(0.5, 2.0, n_y)
     t = rng.standard_normal((m, n_y))
     means = t + rng.standard_normal((n_comp, m, n_y))
     if far:  # every component's log density near -1e3, where exp underflows to 0
         means = t + np.sqrt(2000.0 * noise_var / n_y) + 0.01 * rng.standard_normal(means.shape)
-    logp = -0.5 * (math.log(2 * math.pi) + np.log(noise_var) + (t - means) ** 2 / noise_var)
+    if diverged:  # row 0's squared error overflows in every component: all at -inf
+        means[:, 0] = 1e200
+    with np.errstate(over="ignore"):
+        logp = -0.5 * (math.log(2 * math.pi) + np.log(noise_var) + (t - means) ** 2 / noise_var)
+        value = gmm_log_density(means, noise_var, t)
     logp = logp.sum(axis=2)
-    if far:
-        assert np.abs(logp + 1e3).max() < 10.0
-        assert (np.exp(logp).sum(axis=0) == 0.0).all()
     expected = logsumexp(logp, axis=0) - math.log(n_comp)
-    value = gmm_log_density(means, noise_var, t)
+    finite = np.isfinite(expected)
+    assert finite.all() != diverged
+    if far:
+        assert np.abs(logp[:, finite] + 1e3).max(initial=0.0) < 10.0
+        assert (np.exp(logp).sum(axis=0) == 0.0).all()
     assert value.shape == expected.shape == (m,)
-    assert np.abs(value - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert (value[~finite] == -np.inf).all()
+    gap = np.abs(value[finite] - expected[finite]).max(initial=0.0)
+    assert gap <= 1e-12 * np.abs(expected[finite]).max(initial=0.0)
 
 
 class TestViTraining:
