@@ -6,6 +6,18 @@ signal-to-noise ratio alpha, the posterior precision of the output weights
 factors as sigma_e^-2 * (Phi^T Phi + alpha^-1 * I~), where I~ is the
 identity with a zero in the bias position (the bias carries a flat prior).
 
+Predictions read that precision through the eigenbasis of the centred
+feature gram, computed once per trained network (MacKay's evidence
+framework, 1992).  The flat bias prior lets the bias coordinate be
+eliminated exactly (a Schur complement), so for a row phi = [phi~, 1]
+
+    phi^T (Phi^T Phi + alpha^-1 I~)^-1 phi
+        = 1/m + sum_k ((phi~ - mu) . v_k)^2 / (lambda_k + alpha^-1),
+
+where mu is the mean training feature row and (lambda_k, v_k) are the
+eigenpairs of the centred gram.  alpha only shifts that spectrum, so
+retuning it factors nothing.
+
 Training minimizes the scaled negative log-marginal likelihood with the
 output weights reintroduced as free variables; its stationary point in
 those weights coincides with the closed-form posterior mean, so plain
@@ -20,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Dataset, Standardizer, identity_standardizer
-from .linalg import CholeskyFactor, chol_spd, identity, logdet_pd, solve_pd
+from .linalg import chol_spd, identity, logdet_pd, solve_pd
 from .mlp import MlpParams, affine_rows, features, forward_batch, forward_layers
 
 __all__ = [
@@ -42,6 +54,9 @@ __all__ = [
 ]
 
 HYPER_CLAMP = 15.0
+# predict_batch works through this many rows at a time: larger temporaries
+# come from fresh pages that fault on first touch in every call.
+PREDICT_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -253,14 +268,20 @@ class BllModel:
 
     ``params`` and ``hyper`` live in standardized data space; the scalers
     map predictions back to original units.  ``phi`` retains the training
-    feature matrix for diagnostics and extrapolation scoring, and
-    ``wbar_gap`` records how far the trained output weights sit from their
-    closed-form stationary value (a convergence diagnostic, not an error).
+    feature matrix for diagnostics and extrapolation scoring.  The posterior
+    covariance is held in a form no alpha changes: ``feature_mean`` is the
+    mean training feature row without its bias entry, and ``basis`` and
+    ``spectrum`` are the eigenvectors (columns) and eigenvalues, clipped at
+    0, of the gram of the centred feature rows.  ``wbar_gap`` records how
+    far the trained output weights sit from their closed-form stationary
+    value (a convergence diagnostic, not an error).
     """
 
     params: MlpParams
     hyper: BllHyper
-    chol: CholeskyFactor
+    feature_mean: np.ndarray
+    basis: np.ndarray
+    spectrum: np.ndarray
     phi: np.ndarray
     x_scaler: Standardizer
     t_scaler: Standardizer
@@ -287,16 +308,25 @@ def fit_posterior(
     x_scaler: Standardizer | None = None,
     t_scaler: Standardizer | None = None,
 ) -> BllModel:
-    """Cache the posterior pieces for a trained network on its training data."""
+    """Cache the posterior pieces for a trained network on its training data.
+
+    Raises:
+        ValueError: if the network's features on ``data`` are not finite.
+    """
     phi = features(params, data.x)
     factor = chol_spd(precision_bar(phi, hyper.alpha))
     wbar = params.wbar
     closed = solve_pd(factor, phi.T @ data.t)
     gap = float(np.max(np.abs(wbar - closed)))
+    mean = phi[:, :-1].mean(axis=0)
+    centred = phi[:, :-1] - mean
+    spectrum, basis = np.linalg.eigh(centred.T @ centred)
     return BllModel(
         params=params,
         hyper=hyper,
-        chol=factor,
+        feature_mean=mean,
+        basis=basis,
+        spectrum=np.maximum(spectrum, 0.0),
         phi=phi,
         x_scaler=x_scaler or identity_standardizer(data.n_x),
         t_scaler=t_scaler or identity_standardizer(data.n_y),
@@ -307,9 +337,26 @@ def fit_posterior(
 def predict_batch(model: BllModel, x: np.ndarray):
     """Predictive means and variances (original units) for rows of ``x``.
 
+    Rows go through in blocks of ``PREDICT_BLOCK``; each block's result is
+    the one a call on that block alone returns.
+
     Returns arrays (mean, var_y, var_t), each of shape (m, n_y).
+
+    Raises:
+        ValueError: if ``x`` holds a NaN or infinity.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
+    if not np.isfinite(x).all():
+        raise ValueError("query rows must not contain infs or NaNs")
+    if len(x) <= PREDICT_BLOCK:
+        return _predict_rows(model, x)
+    starts = range(0, len(x), PREDICT_BLOCK)
+    blocks = [_predict_rows(model, x[i : i + PREDICT_BLOCK]) for i in starts]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def _predict_rows(model: BllModel, x: np.ndarray):
+    """``predict_batch`` on rows already checked, in one pass."""
     y_std, a = forward_batch(model.params, model.x_scaler.transform(x))
     return (model.t_scaler.inverse(y_std), *predictive_variances(model, affine_rows(a)))
 
@@ -317,10 +364,13 @@ def predict_batch(model: BllModel, x: np.ndarray):
 def predictive_variances(model: BllModel, phi: np.ndarray):
     """The alpha-dependent part of ``predict_batch``: arrays (var_y, var_t).
 
-    ``phi`` holds the ``affine_rows`` of the standardized inputs' features;
-    a caller that varies alpha alone builds them once and calls this per alpha.
+    ``phi`` holds the ``affine_rows`` of the standardized inputs' features
+    (its last column is the bias column of ones); a caller that varies alpha
+    alone builds them once and calls this per alpha.
     """
-    quad = np.einsum("ij,ij->i", phi, solve_pd(model.chol, phi.T).T)
+    proj = (phi[:, :-1] - model.feature_mean) @ model.basis
+    weights = 1.0 / (model.spectrum + 1.0 / model.alpha)
+    quad = (proj * proj) @ weights + 1.0 / model.phi.shape[0]
     sig2_std = np.exp(2.0 * model.hyper.log_sigma_e)
     t_scale2 = model.t_scaler.scale**2
     var_y = np.outer(quad, sig2_std) * t_scale2
@@ -335,7 +385,11 @@ def predict(model: BllModel, x: np.ndarray) -> PredictiveDistribution:
 
 
 def with_alpha(model: BllModel, alpha: float) -> BllModel:
-    """Same model with a new alpha; only the precision factor is rebuilt."""
-    hyper = BllHyper(math.log(alpha), model.hyper.log_sigma_e)
-    factor = chol_spd(precision_bar(model.phi, alpha))
-    return replace(model, hyper=hyper, chol=factor)
+    """Same model with a new alpha; the eigenbasis is shared, nothing is factored.
+
+    Raises:
+        ValueError: unless ``alpha`` is finite and positive.
+    """
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
+    return replace(model, hyper=BllHyper(math.log(alpha), model.hyper.log_sigma_e))

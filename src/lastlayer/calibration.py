@@ -4,8 +4,8 @@ Training picks the signal-to-noise ratio alpha that maximizes the marginal
 likelihood, but the training features never leave their own affine hull, so
 that alpha says nothing about how fast uncertainty should grow off-hull.
 ``tune_alpha`` re-selects alpha to maximize the log-predictive density on
-validation data while keeping every other parameter fixed; only the cached
-precision factor is rebuilt.
+validation data while keeping every other parameter fixed; every alpha
+reuses the model's eigenbasis, so nothing is factored per alpha.
 """
 
 import math
@@ -114,8 +114,8 @@ def alpha_sweep(
     moves neither the network nor its features, so each row set goes
     through the network once (an eval set that is ``train_data`` reuses the
     training pass) and each set's means and affine feature rows are built
-    once; every alpha rebuilds only the precision factor, the objective's
-    last-layer head and the predictive variances.
+    once; every alpha recomputes only the objective's last-layer head and
+    the predictive variances.
     """
     train_out = forward_batch(model.params, model.x_scaler.transform(train_data.x))
     y_train, a_train = train_out

@@ -1,8 +1,10 @@
 """Dense linear algebra for small symmetric positive-definite systems.
 
-Everything in this package that touches a precision matrix goes through the
-Cholesky route below: factor once, then reuse the factor for log-determinants
-and solves.  Matrices are plain row-major ``numpy`` arrays; problem sizes are
+Training, the closed-form weights and the affine cost factor their precision
+matrices through the Cholesky route below: factor once, then reuse the
+factor for log-determinants and solves.  Predictions instead read a trained
+network's posterior through ``bll``'s eigenbasis, which no alpha refactors.
+Matrices are plain row-major ``numpy`` arrays; problem sizes are
 tiny (tens of rows), so no sparse or blocked code paths exist.  At that size
 wrapper overhead outweighs the arithmetic, so ``cholesky`` skips its
 tolerance scan for an exactly symmetric matrix, and a factor computes the

@@ -15,7 +15,8 @@ the heads as they stood before their numpy wrappers were trimmed (``np.sum``,
 so that the trimmed heads can be checked against them bit for bit.  So are
 ``predict_batch_reference`` and ``alpha_sweep_reference``: the one-pass
 prediction and the sweep that ran the network again at every alpha, from
-before the sweep cached each row set's network outputs; and
+before the sweep cached each row set's network outputs (the prediction
+reads the model's eigenbasis as ``bll.predictive_variances`` does); and
 ``vi_predict_batch_reference``, the mixture prediction that drew each
 component through its own sampling helper, recomputing the spreads each time.
 """
@@ -344,7 +345,9 @@ def predict_batch_reference(model, x):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y_std, phi_t = forward_batch(model.params, model.x_scaler.transform(x))
     phi = np.concatenate([phi_t, np.ones((phi_t.shape[0], 1))], axis=1)
-    quad = np.einsum("ij,ij->i", phi, solve_pd(model.chol, phi.T).T)
+    proj = (phi[:, :-1] - model.feature_mean) @ model.basis
+    weights = 1.0 / (model.spectrum + 1.0 / model.alpha)
+    quad = (proj * proj) @ weights + 1.0 / model.phi.shape[0]
     sig2_std = np.exp(2.0 * model.hyper.log_sigma_e)
     t_scale2 = model.t_scaler.scale**2
     var_y = np.outer(quad, sig2_std) * t_scale2

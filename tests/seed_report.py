@@ -15,9 +15,13 @@ alpha* and log alpha_max.  ``band`` holds each figure's largest spread over
 the seeds, the float-order noise a float-moving change's per-seed drift is
 read against.
 
+Given the report of a parent commit, it also prints each judged figure's
+drift (this report minus the parent's) per seed as a Markdown table, with
+the largest absolute drift and both reports' bands.
+
 Usage, from the repository root:
 
-    PYTHONPATH=src python tests/seed_report.py SEEDS.json
+    PYTHONPATH=src python tests/seed_report.py SEEDS.json [--parent PARENT.json]
 
 pytest does not collect this file.
 """
@@ -155,10 +159,67 @@ def summary(seeds: dict) -> dict:
     return {f"{name}_median": statistics.median(v) for name, v in columns.items()}
 
 
+def _figure_label(name: str) -> str:
+    """``bll_alpha_max.test_lpd`` -> ``bll test LPD, α_max``, and so on."""
+    head, _, figure = name.partition(".")
+    method, _, tag = head.partition("_")
+    tags = {"alpha_star": "α*", "alpha_max": "α_max"}
+    if figure == "test_lpd":
+        return f"{method} test LPD" + (f", {tags[tag]}" if tag else "")
+    if figure.startswith("sigma_e_"):
+        return f"{method} σ_e,{figure.removeprefix('sigma_e_')}"
+    if figure.startswith("log_"):
+        return f"{method} ln {tags[figure.removeprefix('log_')]}"
+    return name
+
+
+def _signed(value: float) -> str:
+    """A drift at three decimals, in exponent form when it rounds to zero; 0 only when exact."""
+    if value == 0.0:
+        return "0"
+    size = abs(value)
+    return ("−" if value < 0 else "+") + (f"{size:.3f}" if size >= 5e-4 else f"{size:.1e}")
+
+
+def drift_table(parent: dict, change: dict) -> str:
+    """The per-seed drift (change − parent) of every judged figure as a Markdown table."""
+    seeds = [s for s in change["seeds"] if s in parent["seeds"]]
+    drifts = {}
+    for seed in seeds:
+        old = judged_figures(parent["seeds"][seed])
+        for name, value in judged_figures(change["seeds"][seed]).items():
+            if name in old:
+                drifts.setdefault(name, {})[seed] = value - old[name]
+
+    def rank(name):
+        """Test LPDs, then noise scales, then alphas; bll, blr, vi; alpha* before alpha_max."""
+        head, _, figure = name.partition(".")
+        kind = next(i for i, k in enumerate(("test_lpd", "sigma_e", "log_alpha")) if k in figure)
+        return kind, ("bll", "blr", "vi").index(head.partition("_")[0]), "alpha_max" in name, name
+
+    order = sorted(drifts, key=rank)
+    lines = [
+        "| drift (change − parent) | " + " | ".join(seeds) + " | max abs | band, parent | band, change |",
+        "| --- |" + " --- |" * (len(seeds) + 3),
+    ]
+    for name in order:
+        row = [_signed(drifts[name][s]) if s in drifts[name] else "—" for s in seeds]
+        worst = max(abs(d) for d in drifts[name].values())
+        bands = [report.get("band", {}).get(name) for report in (parent, change)]
+        row += [_signed(worst).lstrip("+")] + ["—" if b is None else f"{b:.3f}" for b in bands]
+        lines.append(f"| {_figure_label(name)} | " + " | ".join(row) + " |")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", help="path of the JSON report to write")
+    parser.add_argument("--parent", help="a parent commit's report to print the drift against")
     args = parser.parse_args(argv)
+    parent = None
+    if args.parent:
+        with open(args.parent) as fh:
+            parent = json.load(fh)
     seeds = {}
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
@@ -183,6 +244,8 @@ def main(argv=None) -> int:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(json.dumps(report["summary"], indent=2, sort_keys=True))
+    if parent is not None:
+        print(drift_table(parent, report))
     return 0
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lastlayer.bll import (
+    PREDICT_BLOCK,
     BllHyper,
     closed_form_wbar,
     fit_posterior,
@@ -14,10 +15,12 @@ from lastlayer.bll import (
     precision_bar,
     predict,
     predict_batch,
+    predictive_variances,
+    with_alpha,
 )
 from lastlayer import autodiff
 from lastlayer.data import Dataset, fit_standardizer
-from lastlayer.linalg import chol_spd, solve_pd
+from lastlayer.linalg import NotPositiveDefinite, chol_spd, cholesky, solve_pd
 from lastlayer.mlp import MlpParams, MlpSpec, features, init_params
 from lastlayer.rng import make_rng
 
@@ -334,8 +337,8 @@ class TestFitPosterior:
         params, hyper, data = _random_instance(rng)
         a = fit_posterior(params, hyper, data)
         b = fit_posterior(params, hyper, data)
-        np.testing.assert_array_equal(a.chol.lower, b.chol.lower)
-        np.testing.assert_array_equal(a.phi, b.phi)
+        for field in ("feature_mean", "basis", "spectrum", "phi"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
         assert a.wbar_gap == b.wbar_gap
 
     def test_one_sample_toy_closed_form_weights(self):
@@ -345,13 +348,115 @@ class TestFitPosterior:
             closed_form_wbar(model.phi, data.t, model.alpha), [[0.0], [1.0]], atol=1e-12
         )
 
-    def test_precision_reconstructible_from_factor(self):
+    def test_centred_gram_reconstructible_from_eigenbasis(self):
         rng = np.random.default_rng(14)
-        params, hyper, data = _random_instance(rng)
+        params, hyper, data = _random_instance(rng, hidden=(6,))
         model = fit_posterior(params, hyper, data)
-        rebuilt = model.chol.lower @ model.chol.lower.T
-        target = precision_bar(model.phi, model.alpha)
-        assert np.abs(rebuilt - target).max() < 1e-8 * (1 + np.abs(target).max())
+        centred = model.phi[:, :-1] - model.phi[:, :-1].mean(axis=0)
+        target = centred.T @ centred
+        np.testing.assert_array_equal(model.feature_mean, model.phi[:, :-1].mean(axis=0))
+        assert (model.spectrum >= 0.0).all()
+        np.testing.assert_allclose(model.basis.T @ model.basis, np.eye(6), atol=1e-12)
+        rebuilt = (model.basis * model.spectrum) @ model.basis.T
+        assert np.abs(rebuilt - target).max() < 1e-12 * (1 + np.abs(target).max())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_features(self, bad):
+        params, hyper, data = _random_instance(np.random.default_rng(15))
+        weights = [w.copy() for w in params.weights]
+        weights[0][0, 0] = bad
+        data = Dataset(np.zeros((data.m, data.n_x)), data.t)  # 0 * inf is NaN
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            fit_posterior(MlpParams(tuple(weights)), hyper, data)
+
+
+class TestWithAlpha:
+    def test_moves_alpha_alone(self):
+        params, hyper, data = _random_instance(np.random.default_rng(16))
+        model = fit_posterior(params, hyper, data)
+        tuned = with_alpha(model, 7.5)
+        assert tuned.alpha == pytest.approx(7.5, rel=1e-15)
+        np.testing.assert_array_equal(tuned.hyper.log_sigma_e, model.hyper.log_sigma_e)
+        for field in ("params", "feature_mean", "basis", "spectrum", "phi", "wbar_gap"):
+            assert getattr(tuned, field) is getattr(model, field)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, -np.inf, np.inf, np.nan])
+    def test_rejects_non_positive_or_non_finite_alpha(self, alpha):
+        params, hyper, data = _random_instance(np.random.default_rng(17))
+        model = fit_posterior(params, hyper, data)
+        with pytest.raises(ValueError, match="alpha"):
+            with_alpha(model, alpha)
+
+
+class TestPredictBatchInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_query_row(self, bad):
+        params, hyper, data = _random_instance(np.random.default_rng(18))
+        model = fit_posterior(params, hyper, data)
+        x = np.zeros((4, data.n_x))
+        x[2, -1] = bad
+        with pytest.raises(ValueError, match="query rows"):
+            predict_batch(model, x)
+        with pytest.raises(ValueError, match="query rows"):
+            predict(model, x[2])
+
+    def test_long_call_is_its_blocks_concatenated(self):
+        rng = np.random.default_rng(19)
+        params, hyper, data = _random_instance(rng, n_y=2, hidden=(5,))
+        model = fit_posterior(params, hyper, data)
+        x = 3.0 * rng.standard_normal((2500, data.n_x))
+        assert PREDICT_BLOCK < 2500
+        whole = predict_batch(model, x)
+        blocks = [predict_batch(model, x[i : i + PREDICT_BLOCK]) for i in range(0, 2500, PREDICT_BLOCK)]
+        for got, parts in zip(whole, zip(*blocks)):
+            assert got.shape == (2500, 2)
+            assert np.array_equal(got, np.concatenate(parts))
+
+
+@st.composite
+def eigenbasis_problems(draw):
+    """A one-layer network whose features may be rank-deficient, and a log alpha.
+
+    Units can repeat one another or have no input weights, so that their
+    feature columns coincide or are constant, and ``m`` can be below the width.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_x = draw(st.integers(1, 3))
+    width = draw(st.integers(1, 20))
+    m = draw(st.integers(1, 30))
+    w = rng.standard_normal((n_x + 1, width))
+    for j in range(width):
+        kind = draw(st.sampled_from(["free", "repeat", "dead"]))
+        if kind == "repeat" and j > 0:
+            w[:, j] = w[:, draw(st.integers(0, j - 1))]
+        elif kind == "dead":
+            w[:-1, j] = 0.0
+    wbar = rng.standard_normal((width + 1, 1))
+    data = Dataset(rng.standard_normal((m, n_x)), rng.standard_normal((m, 1)))
+    model = fit_posterior(MlpParams((w, wbar)), BllHyper(0.0, np.zeros(1)), data)
+    queries = np.concatenate([data.x, 2.0 * rng.standard_normal((8, n_x))])
+    return model, features(model.params, queries), draw(st.floats(-15.0, 30.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(problem=eigenbasis_problems())
+def test_eigenbasis_quad_matches_the_factor_solve(problem):
+    # Both routes are backward stable, so each quad is within c * n * eps *
+    # cond(P) of phi^T P^-1 phi in relative terms (the Schur complement on
+    # the bias is no worse conditioned than P itself).
+    model, phi, log_alpha = problem
+    tuned = with_alpha(model, math.exp(log_alpha))
+    var_y, _ = predictive_variances(tuned, phi)
+    quad = var_y[:, 0] / tuned.hyper.sigma_e[0] ** 2
+    assert np.isfinite(quad).all() and (quad > 0.0).all()
+    lam = precision_bar(model.phi, tuned.alpha)
+    try:
+        factor = cholesky(lam)
+    except NotPositiveDefinite:
+        return  # the factor route needs jitter here; the eigenbasis does not
+    expected = np.einsum("ij,ij->i", phi, solve_pd(factor, phi.T).T)
+    bound = 16 * lam.shape[0] * np.finfo(float).eps * np.linalg.cond(lam)
+    assert (np.abs(quad - expected) <= bound * np.abs(expected)).all()
 
 
 class TestBllHyper:
