@@ -30,11 +30,12 @@ class NonFiniteLoss(ArithmeticError):
 def logdet_spd(a: np.ndarray):
     """Log-determinant of a symmetric positive-definite matrix.
 
-    Returns the value and a function giving its gradient A^-1 from the same
-    Cholesky factor, so callers that need only the value skip the solve.
+    Returns the value and a function giving its gradient A^-1, solved from
+    the same lower-triangular Cholesky factor, so callers that need only the
+    value skip the solve.
     """
-    factor = chol_spd(a)
-    return logdet_pd(factor), lambda: solve_pd(factor, identity(factor.dim))
+    lower = chol_spd(a)
+    return logdet_pd(lower), lambda: solve_pd(lower, identity(len(lower)))
 
 
 def mlp_backward(

@@ -26,6 +26,7 @@ marginal-likelihood solution without a matrix inverse in the loss.
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,6 +55,8 @@ __all__ = [
 ]
 
 HYPER_CLAMP = 15.0
+# Largest |log alpha| at which alpha and 1/alpha are both finite and positive.
+LOG_ALPHA_MAX = math.log(sys.float_info.max)
 # predict_batch works through this many rows at a time: larger temporaries
 # come from fresh pages that fault on first touch in every call.
 PREDICT_BLOCK = 1024
@@ -73,6 +76,8 @@ class BllHyper:
         object.__setattr__(self, "log_sigma_e", log_sigma_e)
         if not math.isfinite(self.log_alpha) or not np.isfinite(log_sigma_e).all():
             raise ValueError("hyperparameters must be finite")
+        if abs(self.log_alpha) > LOG_ALPHA_MAX:
+            raise ValueError(f"|log_alpha| exceeds {LOG_ALPHA_MAX}: {self.log_alpha!r}")
 
     @property
     def alpha(self) -> float:
@@ -104,8 +109,8 @@ def closed_form_wbar(
     The noise scale cancels between the precision and the data term, so the
     result depends only on alpha.  ``t`` may hold several target columns.
     """
-    factor = chol_spd(precision_bar(phi, alpha, flat_bias))
-    return solve_pd(factor, np.asarray(phi, dtype=float).T @ np.asarray(t, dtype=float))
+    lower = chol_spd(precision_bar(phi, alpha, flat_bias))
+    return solve_pd(lower, np.asarray(phi, dtype=float).T @ np.asarray(t, dtype=float))
 
 
 def nlml_head(
@@ -240,14 +245,14 @@ def negative_lml_marginalized(phi: np.ndarray, t: np.ndarray, hyper: BllHyper) -
         t = t.T
     m, n_y = t.shape
     n_phi = phi.shape[1]
-    factor = chol_spd(precision_bar(phi, hyper.alpha))
-    wbar = solve_pd(factor, phi.T @ t)
+    lower = chol_spd(precision_bar(phi, hyper.alpha))
+    wbar = solve_pd(lower, phi.T @ t)
     quad = np.einsum("ij,ij->j", t, t) - np.einsum("ij,ij->j", phi.T @ t, wbar)
     inv_sig2 = np.exp(-2.0 * hyper.log_sigma_e)
     return float(
         0.5 * n_y * math.log(2.0 * math.pi)
         + (n_y * n_phi / (2.0 * m)) * hyper.log_alpha
-        + (n_y / (2.0 * m)) * logdet_pd(factor)
+        + (n_y / (2.0 * m)) * logdet_pd(lower)
         + np.sum(hyper.log_sigma_e)
         + (0.5 / m) * np.sum(quad * inv_sig2)
     )
@@ -314,10 +319,8 @@ def fit_posterior(
         ValueError: if the network's features on ``data`` are not finite.
     """
     phi = features(params, data.x)
-    factor = chol_spd(precision_bar(phi, hyper.alpha))
-    wbar = params.wbar
-    closed = solve_pd(factor, phi.T @ data.t)
-    gap = float(np.max(np.abs(wbar - closed)))
+    closed = closed_form_wbar(phi, data.t, hyper.alpha)
+    gap = float(np.max(np.abs(params.wbar - closed)))
     mean = phi[:, :-1].mean(axis=0)
     centred = phi[:, :-1] - mean
     spectrum, basis = np.linalg.eigh(centred.T @ centred)

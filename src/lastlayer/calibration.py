@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bll import negative_lml  # noqa: F401 - perfbench's tracer patches calibration:negative_lml
-from .bll import BllModel, nlml_head, predict_batch, predictive_variances, with_alpha
+from .bll import HYPER_CLAMP, LOG_ALPHA_MAX, BllModel, nlml_head, predict_batch
+from .bll import predictive_variances, with_alpha
 from .data import Dataset
 from .mlp import affine_rows, forward_batch
 from .training import check_integers, check_numbers
@@ -22,6 +23,9 @@ from .training import check_integers, check_numbers
 __all__ = ["AlphaSearchConfig", "alpha_sweep", "gaussian_log_density", "lpd", "tune_alpha"]
 
 LOG_2PI = math.log(2.0 * math.pi)
+# A trained log alpha lies within HYPER_CLAMP of 0, so a search above it
+# keeps exp(log alpha) finite up to this span.
+MAX_SPAN = LOG_ALPHA_MAX - HYPER_CLAMP
 
 
 @dataclass(frozen=True)
@@ -40,6 +44,8 @@ class AlphaSearchConfig:
         for name, value in (("span", self.span), ("tol", self.tol)):
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if self.span > MAX_SPAN:
+            raise ValueError(f"span must be at most {MAX_SPAN}, got {self.span!r}")
 
 
 def gaussian_log_density(mean: np.ndarray, var_t: np.ndarray, t: np.ndarray) -> np.ndarray:

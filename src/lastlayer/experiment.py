@@ -314,21 +314,9 @@ def toy_feature_demo(seed: int, out_dir) -> dict:
 
     span0 = feats_grid[:, 0].min() - 0.5, feats_grid[:, 0].max() + 0.5
     span1 = feats_grid[:, 1].min() - 0.5, feats_grid[:, 1].max() + 0.5
-    grid0 = np.linspace(*span0, 40)
-    grid1 = np.linspace(*span1, 40)
-    cost_rows = []
-    for g1 in grid1:
-        for g0 in grid0:
-            cost = affine_cost_closed(feats_train, np.array([g0, g1]), model.alpha)
-            cost_rows.append([g0, g1, cost])
-    for i in range(3):
-        cost_rows.append(
-            [
-                feats_train[i, 0],
-                feats_train[i, 1],
-                affine_cost_closed(feats_train, feats_train[i], model.alpha),
-            ]
-        )
+    g0, g1 = np.meshgrid(np.linspace(*span0, 40), np.linspace(*span1, 40))
+    queries = np.concatenate([np.column_stack([g0.ravel(), g1.ravel()]), feats_train])
+    cost_rows = [[*q, affine_cost_closed(feats_train, q, model.alpha)] for q in queries]
     write_table_csv(out_dir / "toy_affine_grid.csv", ["phi_0", "phi_1", "cost"], cost_rows)
 
     _write_alpha_sweep(out_dir / "toy_alpha_sweep.csv", model, splits, search.span, 41)

@@ -1,24 +1,22 @@
 """Dense linear algebra for small symmetric positive-definite systems.
 
 Training, the closed-form weights and the affine cost factor their precision
-matrices through the Cholesky route below: factor once, then reuse the
-factor for log-determinants and solves.  Predictions instead read a trained
-network's posterior through ``bll``'s eigenbasis, which no alpha refactors.
-Matrices are plain row-major ``numpy`` arrays; problem sizes are
-tiny (tens of rows), so no sparse or blocked code paths exist.  At that size
-wrapper overhead outweighs the arithmetic, so ``cholesky`` skips its
-tolerance scan for an exactly symmetric matrix, and a factor computes the
-inverse of L once, on its first solve, so that every solve is two matrix
-products.  numpy's LAPACK is the only one loaded.
+matrices through the Cholesky route below: factor once, then read the
+log-determinant and the solve off that one factor.  Predictions instead
+read a trained network's posterior through ``bll``'s eigenbasis, which no
+alpha refactors.  Matrices are plain row-major ``numpy`` arrays, and a
+factor is just its lower-triangular array L; problem sizes are tiny (tens
+of rows), so no sparse or blocked code paths exist.  At that size wrapper
+overhead outweighs the arithmetic, so ``cholesky`` skips its tolerance scan
+for an exactly symmetric matrix, and a solve inverts L and applies two
+matrix products.  numpy's LAPACK is the only one loaded.
 """
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "CholeskyFactor",
     "DimensionMismatch",
     "NotPositiveDefinite",
     "cholesky",
@@ -37,26 +35,8 @@ class DimensionMismatch(ValueError):
     """Operand shapes are incompatible."""
 
 
-@dataclass(frozen=True)
-class CholeskyFactor:
-    """Lower-triangular factor L with A = L @ L.T."""
-
-    lower: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        """L⁻¹, computed once: ValueError for a non-finite factor, LinAlgError for a singular one."""
-        if not np.isfinite(self.lower).all():
-            raise ValueError("Cholesky factor must not contain infs or NaNs")
-        return np.linalg.inv(self.lower)
-
-
-def cholesky(a: np.ndarray, jitter: float = 0.0) -> CholeskyFactor:
-    """Factor a symmetric positive-definite matrix as L @ L.T.
+def cholesky(a: np.ndarray, jitter: float = 0.0) -> np.ndarray:
+    """Factor a symmetric positive-definite matrix as L @ L.T and return L.
 
     Args:
         a: square symmetric matrix (symmetric within 1e-10 relative tolerance;
@@ -78,13 +58,12 @@ def cholesky(a: np.ndarray, jitter: float = 0.0) -> CholeskyFactor:
     if jitter != 0.0:
         a = a + jitter * np.eye(a.shape[0])
     try:
-        lower = np.linalg.cholesky(a)
+        return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as err:
         raise NotPositiveDefinite(str(err)) from err
-    return CholeskyFactor(lower)
 
 
-def chol_spd(a: np.ndarray) -> CholeskyFactor:
+def chol_spd(a: np.ndarray) -> np.ndarray:
     """Factor with an escalating jitter ladder as a fallback.
 
     The first attempt uses no jitter so that factorizations stay consistent
@@ -115,28 +94,30 @@ def identity(dim: int, zero_last: bool = False) -> np.ndarray:
     return eye
 
 
-def logdet_pd(factor: CholeskyFactor) -> float:
-    """Log-determinant of the factored matrix: 2 * sum(log(diag(L)))."""
-    return float(2.0 * np.log(factor.lower.diagonal()).sum())
+def logdet_pd(lower: np.ndarray) -> float:
+    """Log-determinant of L @ L.T from its Cholesky factor L: 2 * sum(log(diag(L)))."""
+    return float(2.0 * np.log(lower.diagonal()).sum())
 
 
-def solve_pd(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
-    """Solve A @ x = b given the Cholesky factor of A.
+def solve_pd(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A @ x = b given the Cholesky factor L of A.
 
     ``b`` may be a vector or a matrix of right-hand-side columns.  The
-    solution is L⁻ᵀ (L⁻¹ b), through the factor's cached inverse.
+    solution is L⁻ᵀ (L⁻¹ b).
 
     Raises:
-        DimensionMismatch: if ``b`` is not 1-D or 2-D with ``factor.dim`` rows.
-        ValueError: if the factor or ``b`` holds a NaN or infinity.
-        np.linalg.LinAlgError: if the factor is singular.
+        DimensionMismatch: if ``b`` is not 1-D or 2-D with as many rows as ``lower``.
+        ValueError: if ``lower`` or ``b`` holds a NaN or infinity.
+        np.linalg.LinAlgError: if ``lower`` is singular.
     """
     b = np.asarray(b, dtype=float)
-    if b.ndim not in (1, 2) or b.shape[0] != factor.dim:
+    if b.ndim not in (1, 2) or b.shape[0] != len(lower):
         raise DimensionMismatch(
-            f"factor dim {factor.dim} does not match rhs of shape {b.shape}"
+            f"factor dim {len(lower)} does not match rhs of shape {b.shape}"
         )
-    inverse = factor.inverse
+    if not np.isfinite(lower).all():
+        raise ValueError("Cholesky factor must not contain infs or NaNs")
+    inverse = np.linalg.inv(lower)
     if not np.isfinite(b).all():
         raise ValueError("right-hand side must not contain infs or NaNs")
     return inverse.T @ (inverse @ b)

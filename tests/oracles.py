@@ -197,9 +197,9 @@ def writing(loss_and_grads):
 
 def logdet_spd_reference(a: np.ndarray):
     """Log-determinant and a function giving its gradient A^-1."""
-    factor = chol_spd(a)
-    logdet = float(2.0 * np.sum(np.log(np.diag(factor.lower))))
-    return logdet, lambda: solve_pd(factor, np.eye(factor.dim))
+    lower = chol_spd(a)
+    logdet = float(2.0 * np.sum(np.log(np.diag(lower))))
+    return logdet, lambda: solve_pd(lower, np.eye(len(lower)))
 
 
 def mlp_backward_reference(weights, acts, d_out, d_last_hidden):

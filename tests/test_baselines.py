@@ -108,7 +108,7 @@ class TestBlrFit:
             model.phi, model.t_scaler.transform(data.t)[_fit_indices(data, FAST)], model.alpha
         )
         np.testing.assert_allclose(model.wbar, expected, atol=1e-12)
-        assert model.wbar_gap == pytest.approx(0.0, abs=1e-12)
+        assert model.wbar_gap == 0.0
 
     def test_hidden_layers_never_move(self):
         data = _linear_dataset(seed=7)

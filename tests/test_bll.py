@@ -464,6 +464,16 @@ class TestBllHyper:
         with pytest.raises(ValueError):
             BllHyper(float("nan"), np.array([0.0]))
 
+    @pytest.mark.parametrize("log_alpha", [710.0, -710.0])
+    def test_rejects_log_alpha_whose_alpha_or_inverse_overflows(self, log_alpha):
+        with pytest.raises(ValueError):
+            BllHyper(log_alpha, np.array([0.0]))
+
+    @pytest.mark.parametrize("log_alpha", [709.0, -709.0])
+    def test_accepts_log_alpha_with_finite_alpha_and_inverse(self, log_alpha):
+        hyper = BllHyper(log_alpha, np.array([0.0]))
+        assert 0.0 < hyper.alpha < math.inf and 0.0 < 1.0 / hyper.alpha < math.inf
+
     def test_masked_identity_pattern(self):
         # With zero features the precision is the prior pattern alone.
         np.testing.assert_array_equal(

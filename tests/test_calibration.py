@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lastlayer.bll import BllHyper, fit_posterior, with_alpha
-from lastlayer.calibration import AlphaSearchConfig, alpha_sweep, lpd, tune_alpha
+from lastlayer.bll import HYPER_CLAMP, BllHyper, fit_posterior, with_alpha
+from lastlayer.calibration import MAX_SPAN, AlphaSearchConfig, alpha_sweep, lpd, tune_alpha
 from lastlayer.data import Dataset
 from lastlayer.mlp import MlpParams, MlpSpec
 from lastlayer.rng import make_rng
@@ -236,6 +236,7 @@ def test_sweep_builds_each_sets_affine_rows_once(monkeypatch, points):
         ({"span": math.inf}, ValueError),
         ({"tol": math.nan}, ValueError),
         ({"tol": math.inf}, ValueError),
+        ({"span": 800.0}, ValueError),
     ],
     ids=[
         "fractional_max_evals",
@@ -244,8 +245,15 @@ def test_sweep_builds_each_sets_affine_rows_once(monkeypatch, points):
         "infinite_span",
         "nan_tol",
         "infinite_tol",
+        "overflowing_span",
     ],
 )
 def test_alpha_search_config_rejects_malformed_values(kwargs, error):
     with pytest.raises(error):
         AlphaSearchConfig(**kwargs)
+
+
+def test_largest_span_keeps_alpha_finite_above_the_clamped_log_alpha():
+    top = HYPER_CLAMP + AlphaSearchConfig(span=MAX_SPAN).span
+    assert math.isfinite(math.exp(top))
+    assert BllHyper(top, np.zeros(1)).alpha == math.exp(top)

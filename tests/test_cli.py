@@ -408,8 +408,8 @@ def test_malformed_numeric_setting_is_config_error(tmp_path, capsys, overrides):
 
 @pytest.mark.parametrize(
     "alpha_search",
-    [{"max_evals": 20.5}, {"span": math.nan}, {"tol": math.inf}],
-    ids=["fractional_max_evals", "nan_span", "infinite_tol"],
+    [{"max_evals": 20.5}, {"span": math.nan}, {"tol": math.inf}, {"span": 800.0}],
+    ids=["fractional_max_evals", "nan_span", "infinite_tol", "overflowing_span"],
 )
 def test_malformed_alpha_search_is_config_error(tmp_path, capsys, alpha_search):
     config_path, _ = _small_config(tmp_path, alpha_search=alpha_search)
