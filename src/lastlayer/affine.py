@@ -13,12 +13,13 @@ form coincides with the predictive function variance divided by the noise
 variance, which is what makes the score a calibration handle.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bll import BllModel, precision_bar, predict
-from .linalg import chol_spd, solve_pd
+from .linalg import DimensionMismatch, chol_spd
 from .mlp import affine_rows, forward_batch
 
 __all__ = [
@@ -43,19 +44,35 @@ class AffineCostResult:
     e: np.ndarray
 
 
+def _check_inputs(train: np.ndarray, phi_tilde: np.ndarray, gamma: float) -> None:
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
+    if phi_tilde.shape != train.shape[1:]:
+        raise DimensionMismatch(f"query of shape {phi_tilde.shape} for {train.shape[1]} features")
+
+
 def affine_cost_closed(
     phi_tilde_train: np.ndarray, phi_tilde: np.ndarray, gamma: float
 ) -> float:
     """Affine cost via the closed form phi^T (Phi^T Phi + gamma^-1 I~)^-1 phi.
 
     ``phi_tilde_train`` holds one training feature row per sample; the bias
-    coordinate is appended internally (``mlp.affine_rows``).
+    coordinate is appended internally (``mlp.affine_rows``).  The cost is
+    ||z||^2 for L z = phi, L the Cholesky factor of that precision.
+
+    Raises:
+        ValueError: unless ``gamma`` is finite and positive, or if the factor
+            or the query holds a NaN or infinity.
+        DimensionMismatch: if the query's length is not the features'.
     """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    full = affine_rows(np.atleast_2d(np.asarray(phi_tilde_train, dtype=float)))
-    phi = affine_rows(np.asarray(phi_tilde, dtype=float))
-    return float(phi @ solve_pd(chol_spd(precision_bar(full, gamma)), phi))
+    train = np.atleast_2d(np.asarray(phi_tilde_train, dtype=float))
+    phi_tilde = np.asarray(phi_tilde, dtype=float)
+    _check_inputs(train, phi_tilde, gamma)
+    lower = chol_spd(precision_bar(affine_rows(train), gamma))
+    if not (np.isfinite(lower).all() and np.isfinite(phi_tilde).all()):
+        raise ValueError("Cholesky factor and query must not contain infs or NaNs")
+    z = np.linalg.solve(lower, affine_rows(phi_tilde))
+    return float(z @ z)
 
 
 def affine_cost_kkt(
@@ -67,11 +84,17 @@ def affine_cost_kkt(
     symmetric indefinite linear system in (nu, e, multipliers); a dense
     partial-pivoting solve is exact at these problem sizes and shares no
     code with the closed-form route above.
+
+    Raises:
+        ValueError, DimensionMismatch: as ``affine_cost_closed``, the
+            training features standing in for the factor.
+        SingularKkt: if the KKT system is numerically singular.
     """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
     train = np.atleast_2d(np.asarray(phi_tilde_train, dtype=float))
     phi_tilde = np.asarray(phi_tilde, dtype=float)
+    _check_inputs(train, phi_tilde, gamma)
+    if not (np.isfinite(train).all() and np.isfinite(phi_tilde).all()):
+        raise ValueError("features and query must not contain infs or NaNs")
     m, k = train.shape
 
     # Constraints: [Phi~^T, I; 1^T, 0] [nu; e] = [phi~; 1]

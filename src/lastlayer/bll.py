@@ -95,8 +95,8 @@ def precision_bar(phi: np.ndarray, alpha: float, flat_bias: bool = True) -> np.n
     column of ones; with a flat bias prior that diagonal entry receives no
     prior contribution.
     """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
     phi = np.asarray(phi, dtype=float)
     return phi.T @ phi + identity(phi.shape[1], flat_bias) / alpha
 
@@ -361,22 +361,24 @@ def predict_batch(model: BllModel, x: np.ndarray):
 def _predict_rows(model: BllModel, x: np.ndarray):
     """``predict_batch`` on rows already checked, in one pass."""
     y_std, a = forward_batch(model.params, model.x_scaler.transform(x))
-    return (model.t_scaler.inverse(y_std), *predictive_variances(model, affine_rows(a)))
+    return (model.t_scaler.inverse(y_std), *predictive_variances(model, affine_rows(a), model.alpha))
 
 
-def predictive_variances(model: BllModel, phi: np.ndarray):
+def predictive_variances(model: BllModel, phi: np.ndarray, alpha):
     """The alpha-dependent part of ``predict_batch``: arrays (var_y, var_t).
 
     ``phi`` holds the ``affine_rows`` of the standardized inputs' features
-    (its last column is the bias column of ones); a caller that varies alpha
-    alone builds them once and calls this per alpha.
+    (its last column is the bias column of ones).  ``alpha`` is a finite
+    positive float, giving arrays of shape (m, n_y), or a 1-D array of them,
+    giving (m, len(alpha), n_y): a caller that varies alpha alone builds
+    the rows once and reads a whole grid of alphas from one product.
     """
     proj = (phi[:, :-1] - model.feature_mean) @ model.basis
-    weights = 1.0 / (model.spectrum + 1.0 / model.alpha)
+    weights = 1.0 / np.add.outer(model.spectrum, 1.0 / alpha)
     quad = (proj * proj) @ weights + 1.0 / model.phi.shape[0]
     sig2_std = np.exp(2.0 * model.hyper.log_sigma_e)
     t_scale2 = model.t_scaler.scale**2
-    var_y = np.outer(quad, sig2_std) * t_scale2
+    var_y = quad[..., None] * sig2_std * t_scale2
     var_t = var_y + sig2_std * t_scale2
     return var_y, var_t
 

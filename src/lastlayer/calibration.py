@@ -51,8 +51,9 @@ class AlphaSearchConfig:
 def gaussian_log_density(mean: np.ndarray, var_t: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Per-row log density of the targets ``t`` under independent Gaussians.
 
-    The arrays broadcast to (..., m, n_y); the per-output log densities are
-    summed over the last axis because the outputs are independent.
+    The arrays broadcast to (..., n_y), such as (m, n_y) or, for a grid of
+    alphas, (m, n_alpha, n_y); the per-output log densities are summed over
+    the last axis because the outputs are independent.
     """
     logp = -0.5 * (LOG_2PI + np.log(var_t) + (t - mean) ** 2 / var_t)
     return logp.sum(axis=-1)
@@ -120,29 +121,30 @@ def alpha_sweep(
     moves neither the network nor its features, so each row set goes
     through the network once (an eval set that is ``train_data`` reuses the
     training pass) and each set's means and affine feature rows are built
-    once; every alpha recomputes only the objective's last-layer head and
-    the predictive variances.
+    once.  Every alpha recomputes the objective's last-layer head; each
+    set's LPD column comes from one ``predictive_variances`` call over the
+    whole grid.
     """
     train_out = forward_batch(model.params, model.x_scaler.transform(train_data.x))
     y_train, a_train = train_out
     t_std = model.t_scaler.transform(train_data.t)
-    means, phis = {}, {}
+    rows, alphas = [], []
+    for log_alpha in np.asarray(log_alpha_grid, dtype=float):
+        tuned = with_alpha(model, math.exp(log_alpha))
+        alphas.append(tuned.alpha)
+        rows.append({
+            "log_alpha": float(log_alpha),
+            "nlml_train": nlml_head(a_train, y_train, tuned.wbar, t_std, tuned.hyper)[0],
+        })
     for name, data in eval_sets.items():
         y, a = (
             train_out
             if data is train_data
             else forward_batch(model.params, model.x_scaler.transform(data.x))
         )
-        means[name], phis[name] = model.t_scaler.inverse(y), affine_rows(a)
-    rows = []
-    for log_alpha in np.asarray(log_alpha_grid, dtype=float):
-        tuned = with_alpha(model, math.exp(log_alpha))
-        row = {
-            "log_alpha": float(log_alpha),
-            "nlml_train": nlml_head(a_train, y_train, tuned.wbar, t_std, tuned.hyper)[0],
-        }
-        for name, data in eval_sets.items():
-            _, var_t = predictive_variances(tuned, phis[name])
-            row[f"lpd_{name}"] = float(gaussian_log_density(means[name], var_t, data.t).mean())
-        rows.append(row)
+        _, var_t = predictive_variances(model, affine_rows(a), np.array(alphas))
+        mean = model.t_scaler.inverse(y)[:, None]
+        lpds = gaussian_log_density(mean, var_t, data.t[:, None]).mean(axis=0)
+        for row, value in zip(rows, lpds):
+            row[f"lpd_{name}"] = float(value)
     return rows

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from lastlayer.affine import (
 )
 from lastlayer.bll import BllHyper, fit_posterior, predict
 from lastlayer.data import Dataset
+from lastlayer.linalg import DimensionMismatch
 from lastlayer.mlp import MlpSpec, init_params
 from lastlayer.rng import make_rng
 
@@ -96,6 +99,32 @@ class TestProperties:
             affine_cost_closed([[0.0]], [0.0], 0.0)
         with pytest.raises(ValueError):
             affine_cost_kkt([[0.0]], [0.0], -1.0)
+
+
+def _bad_inputs():
+    rng = np.random.default_rng(8)
+    train, query = rng.standard_normal((5, 3)), rng.standard_normal(3)
+    nan_train = train.copy()
+    nan_train[1, 1] = np.nan
+    return {
+        "nan gamma": ((train, query, float("nan")), ValueError, "finite and positive"),
+        "inf gamma": ((train, query, float("inf")), ValueError, "finite and positive"),
+        "nan train feature": ((nan_train, query, 2.0), ValueError, "infs or NaNs"),
+        "nan query": ((train, np.array([0.0, np.nan, 0.0]), 2.0), ValueError, "infs or NaNs"),
+        "short query": ((train, query[:2], 2.0), DimensionMismatch, "query of shape"),
+        "long query": ((train, np.append(query, 1.0), 2.0), DimensionMismatch, "query of shape"),
+    }
+
+
+@pytest.mark.parametrize("route", [affine_cost_closed, affine_cost_kkt])
+@pytest.mark.parametrize("case", list(_bad_inputs()))
+def test_bad_input_raises_its_documented_error(route, case):
+    args, error, message = _bad_inputs()[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message) as raised:
+            route(*args)
+    assert type(raised.value) is error
 
 
 class TestCovarianceEquivalence:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lastlayer.bll import (
+    HYPER_CLAMP,
     PREDICT_BLOCK,
     BllHyper,
     closed_form_wbar,
@@ -19,6 +20,7 @@ from lastlayer.bll import (
     with_alpha,
 )
 from lastlayer import autodiff
+from lastlayer.calibration import AlphaSearchConfig
 from lastlayer.data import Dataset, fit_standardizer
 from lastlayer.linalg import NotPositiveDefinite, chol_spd, cholesky, solve_pd
 from lastlayer.mlp import MlpParams, MlpSpec, features, init_params
@@ -79,6 +81,11 @@ class TestPrecisionBar:
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError):
             precision_bar(np.eye(2), 0.0)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_alpha_must_be_finite(self, alpha):
+        with pytest.raises(ValueError, match="finite and positive"):
+            precision_bar(np.eye(2), alpha)
 
 
 class TestClosedFormWbar:
@@ -446,7 +453,7 @@ def test_eigenbasis_quad_matches_the_factor_solve(problem):
     # the bias is no worse conditioned than P itself).
     model, phi, log_alpha = problem
     tuned = with_alpha(model, math.exp(log_alpha))
-    var_y, _ = predictive_variances(tuned, phi)
+    var_y, _ = predictive_variances(model, phi, tuned.alpha)
     quad = var_y[:, 0] / tuned.hyper.sigma_e[0] ** 2
     assert np.isfinite(quad).all() and (quad > 0.0).all()
     lam = precision_bar(model.phi, tuned.alpha)
@@ -457,6 +464,29 @@ def test_eigenbasis_quad_matches_the_factor_solve(problem):
     expected = np.einsum("ij,ij->i", phi, solve_pd(factor, phi.T).T)
     bound = 16 * lam.shape[0] * np.finfo(float).eps * np.linalg.cond(lam)
     assert (np.abs(quad - expected) <= bound * np.abs(expected)).all()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    problem=eigenbasis_problems(),
+    log_alphas=st.lists(
+        st.floats(-HYPER_CLAMP, HYPER_CLAMP + AlphaSearchConfig().span), min_size=1, max_size=8
+    ),
+)
+def test_alpha_array_matches_the_stacked_single_alpha_calls(problem, log_alphas):
+    # Each quad sums n_phi - 1 positive terms, then 1/m: any two summation
+    # orders agree within about 2 * n_phi * u = n_phi * eps relative, and the
+    # products with sigma_e^2 and the target scale, and the positive noise
+    # term added for var_t, add at most a few more roundings.
+    model, phi, _ = problem
+    alphas = np.exp(log_alphas)
+    var_y, var_t = predictive_variances(model, phi, alphas)
+    assert var_y.shape == var_t.shape == (len(phi), len(alphas), 1)
+    singles = [predictive_variances(model, phi, float(alpha)) for alpha in alphas]
+    bound = (model.phi.shape[1] + 4) * np.finfo(float).eps
+    for got, expected in zip((var_y, var_t), zip(*singles)):
+        expected = np.stack(expected, axis=1)
+        assert (np.abs(got - expected) <= bound * expected).all()
 
 
 class TestBllHyper:
