@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bll import BllModel, precision_bar, predict
-from .linalg import DimensionMismatch, chol_spd
+from .linalg import DimensionMismatch
+from .linalg import chol_spd  # noqa: F401 - perfbench's tracer patches affine:chol_spd
 from .mlp import affine_rows, forward_batch
 
 __all__ = [
@@ -49,6 +50,8 @@ def _check_inputs(train: np.ndarray, phi_tilde: np.ndarray, gamma: float) -> Non
         raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
     if phi_tilde.shape != train.shape[1:]:
         raise DimensionMismatch(f"query of shape {phi_tilde.shape} for {train.shape[1]} features")
+    if not (np.isfinite(train).all() and np.isfinite(phi_tilde).all()):
+        raise ValueError("features and query must not contain infs or NaNs")
 
 
 def affine_cost_closed(
@@ -57,22 +60,21 @@ def affine_cost_closed(
     """Affine cost via the closed form phi^T (Phi^T Phi + gamma^-1 I~)^-1 phi.
 
     ``phi_tilde_train`` holds one training feature row per sample; the bias
-    coordinate is appended internally (``mlp.affine_rows``).  The cost is
-    ||z||^2 for L z = phi, L the Cholesky factor of that precision.
+    coordinate is appended internally (``mlp.affine_rows``).  For finite
+    gamma > 0 the precision is positive definite (its Schur complement on
+    the bias is the centred feature gram plus gamma^-1 I), so one LU solve
+    reads the cost and nothing is factored.
 
     Raises:
-        ValueError: unless ``gamma`` is finite and positive, or if the factor
-            or the query holds a NaN or infinity.
+        ValueError: unless ``gamma`` is finite and positive, or if the
+            training features or the query hold a NaN or infinity.
         DimensionMismatch: if the query's length is not the features'.
     """
     train = np.atleast_2d(np.asarray(phi_tilde_train, dtype=float))
     phi_tilde = np.asarray(phi_tilde, dtype=float)
     _check_inputs(train, phi_tilde, gamma)
-    lower = chol_spd(precision_bar(affine_rows(train), gamma))
-    if not (np.isfinite(lower).all() and np.isfinite(phi_tilde).all()):
-        raise ValueError("Cholesky factor and query must not contain infs or NaNs")
-    z = np.linalg.solve(lower, affine_rows(phi_tilde))
-    return float(z @ z)
+    phi = affine_rows(phi_tilde)
+    return float(phi @ np.linalg.solve(precision_bar(affine_rows(train), gamma), phi))
 
 
 def affine_cost_kkt(
@@ -86,15 +88,12 @@ def affine_cost_kkt(
     code with the closed-form route above.
 
     Raises:
-        ValueError, DimensionMismatch: as ``affine_cost_closed``, the
-            training features standing in for the factor.
+        ValueError, DimensionMismatch: as ``affine_cost_closed``.
         SingularKkt: if the KKT system is numerically singular.
     """
     train = np.atleast_2d(np.asarray(phi_tilde_train, dtype=float))
     phi_tilde = np.asarray(phi_tilde, dtype=float)
     _check_inputs(train, phi_tilde, gamma)
-    if not (np.isfinite(train).all() and np.isfinite(phi_tilde).all()):
-        raise ValueError("features and query must not contain infs or NaNs")
     m, k = train.shape
 
     # Constraints: [Phi~^T, I; 1^T, 0] [nu; e] = [phi~; 1]

@@ -16,7 +16,9 @@ eliminated exactly (a Schur complement), so for a row phi = [phi~, 1]
 
 where mu is the mean training feature row and (lambda_k, v_k) are the
 eigenpairs of the centred gram.  alpha only shifts that spectrum, so
-retuning it factors nothing.
+retuning it factors nothing, and the same elimination reads the
+objective's log-determinant at a whole grid of alphas off one spectrum
+(``nlml_head_grid``).
 
 Training minimizes the scaled negative log-marginal likelihood with the
 output weights reintroduced as free variables; its stationary point in
@@ -33,13 +35,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Dataset, Standardizer, identity_standardizer
-from .linalg import chol_spd, identity, logdet_pd, solve_pd
+from .linalg import DimensionMismatch, chol_spd, identity, logdet_pd, solve_pd
 from .mlp import MlpParams, affine_rows, features, forward_batch, forward_layers
 
 __all__ = [
     "BllHyper",
     "BllModel",
     "PredictiveDistribution",
+    "check_rows",
     "closed_form_wbar",
     "fit_posterior",
     "negative_lml",
@@ -47,6 +50,7 @@ __all__ = [
     "negative_lml_grads_into",
     "negative_lml_marginalized",
     "nlml_head",
+    "nlml_head_grid",
     "precision_bar",
     "predict",
     "predict_batch",
@@ -182,6 +186,62 @@ def nlml_head(
         return d_y, d_a, d_wbar, d_log_alpha, d_log_sigma_e
 
     return value, grad_fn
+
+
+def nlml_head_grid(
+    a: np.ndarray,
+    y: np.ndarray,
+    wbar: np.ndarray,
+    t: np.ndarray,
+    log_sigma_e: np.ndarray,
+    log_alphas: np.ndarray,
+) -> np.ndarray:
+    """``nlml_head``'s value, flat bias prior, at every log alpha of a grid.
+
+    Entry i equals ``nlml_head(a, y, wbar, t, BllHyper(log_alphas[i],
+    log_sigma_e))[0]`` up to rounding, with no factor per alpha: eliminating
+    the flat-prior bias (a Schur complement) gives
+
+        log det(Phi^T Phi + alpha^-1 I~) = log m + sum_k log(lambda_k + alpha^-1)
+
+    on the spectrum lambda of the centred gram of ``a``, found once, and the
+    misfit and the weight penalty do not depend on alpha.  lambda is read
+    as the squared singular values of the centred rows, so a small
+    lambda_k is off by about eps * sigma_max * sigma_k rather than the
+    eps * lambda_max an eigensolver on the gram leaves; the largest alphas
+    divide that error by a small lambda_k + 1/alpha.
+
+    Raises:
+        ValueError: unless ``log_alphas`` is 1-D and finite with every
+            |log alpha| at most ``LOG_ALPHA_MAX``.
+        NonFiniteLoss: if a value is NaN or infinite.
+    """
+    log_alphas = np.asarray(log_alphas, dtype=float)
+    if log_alphas.ndim != 1 or not (np.abs(log_alphas) <= LOG_ALPHA_MAX).all():
+        raise ValueError(f"log alphas must be a 1-D grid of finite values within {LOG_ALPHA_MAX}")
+    m, n_y = t.shape
+    n_phi = a.shape[1] + 1
+    singular = np.linalg.svd(a - a.mean(axis=0), compute_uv=False)
+    spectrum = np.zeros(a.shape[1])
+    spectrum[: len(singular)] = singular * singular
+    inv_alpha = np.exp(-log_alphas)
+    logdet = math.log(m) + np.log(np.add.outer(inv_alpha, spectrum)).sum(axis=1)
+
+    inv_sig2 = np.exp(-2.0 * log_sigma_e)
+    resid = t - y
+    misfit = (resid * resid).sum(axis=0)
+    wpen = (wbar[:-1] * wbar[:-1]).sum(axis=0)
+    values = (
+        0.5 * n_y * math.log(2.0 * math.pi)
+        + log_sigma_e.sum()
+        + (0.5 / m) * (misfit * inv_sig2).sum()
+        + (n_y * n_phi / (2.0 * m)) * log_alphas
+        + (n_y / (2.0 * m)) * logdet
+        + (0.5 / m) * (wpen * inv_sig2).sum() * inv_alpha
+    )
+    if not np.isfinite(values).all():
+        raise ad.NonFiniteLoss("objective evaluated to a non-finite value on the alpha grid")
+    return values
 
 
 def negative_lml(
@@ -346,9 +406,11 @@ def predict_batch(model: BllModel, x: np.ndarray):
     Returns arrays (mean, var_y, var_t), each of shape (m, n_y).
 
     Raises:
+        DimensionMismatch: if the rows of ``x`` are not the network's input width.
         ValueError: if ``x`` holds a NaN or infinity.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
+    check_rows(model, x)
     if not np.isfinite(x).all():
         raise ValueError("query rows must not contain infs or NaNs")
     if len(x) <= PREDICT_BLOCK:
@@ -358,22 +420,29 @@ def predict_batch(model: BllModel, x: np.ndarray):
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
+def check_rows(model: BllModel, x: np.ndarray, t: np.ndarray | None = None) -> None:
+    """Raise DimensionMismatch unless ``x`` (and ``t``) are 2-D rows of the network's widths."""
+    n_x, n_y = model.params.weights[0].shape[0] - 1, model.wbar.shape[1]
+    for name, rows, width in (("inputs", x, n_x), ("targets", t, n_y)):
+        if rows is not None and (rows.ndim != 2 or rows.shape[1] != width):
+            raise DimensionMismatch(f"{name} of shape {rows.shape} for a network of width {width}")
+
+
 def _predict_rows(model: BllModel, x: np.ndarray):
     """``predict_batch`` on rows already checked, in one pass."""
     y_std, a = forward_batch(model.params, model.x_scaler.transform(x))
-    return (model.t_scaler.inverse(y_std), *predictive_variances(model, affine_rows(a), model.alpha))
+    return (model.t_scaler.inverse(y_std), *predictive_variances(model, a, model.alpha))
 
 
-def predictive_variances(model: BllModel, phi: np.ndarray, alpha):
+def predictive_variances(model: BllModel, a: np.ndarray, alpha):
     """The alpha-dependent part of ``predict_batch``: arrays (var_y, var_t).
 
-    ``phi`` holds the ``affine_rows`` of the standardized inputs' features
-    (its last column is the bias column of ones).  ``alpha`` is a finite
-    positive float, giving arrays of shape (m, n_y), or a 1-D array of them,
-    giving (m, len(alpha), n_y): a caller that varies alpha alone builds
-    the rows once and reads a whole grid of alphas from one product.
+    ``a`` holds the standardized inputs' feature rows, without the bias
+    column.  ``alpha`` is a finite positive float, giving arrays of shape
+    (m, n_y), or a 1-D array of them, giving (m, len(alpha), n_y): a caller
+    that varies alpha alone reads a whole grid of alphas from one product.
     """
-    proj = (phi[:, :-1] - model.feature_mean) @ model.basis
+    proj = (a - model.feature_mean) @ model.basis
     weights = 1.0 / np.add.outer(model.spectrum, 1.0 / alpha)
     quad = (proj * proj) @ weights + 1.0 / model.phi.shape[0]
     sig2_std = np.exp(2.0 * model.hyper.log_sigma_e)

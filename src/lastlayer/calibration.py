@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bll import negative_lml  # noqa: F401 - perfbench's tracer patches calibration:negative_lml
-from .bll import HYPER_CLAMP, LOG_ALPHA_MAX, BllModel, nlml_head, predict_batch
+from .bll import HYPER_CLAMP, LOG_ALPHA_MAX, BllModel, check_rows, nlml_head_grid, predict_batch
 from .bll import predictive_variances, with_alpha
 from .data import Dataset
-from .mlp import affine_rows, forward_batch
+from .mlp import forward_batch
 from .training import check_integers, check_numbers
 
 __all__ = ["AlphaSearchConfig", "alpha_sweep", "gaussian_log_density", "lpd", "tune_alpha"]
@@ -59,8 +59,20 @@ def gaussian_log_density(mean: np.ndarray, var_t: np.ndarray, t: np.ndarray) -> 
     return logp.sum(axis=-1)
 
 
+def _check_scored(model: BllModel, data: Dataset) -> None:
+    if data.m == 0:
+        raise ValueError("a scored dataset needs at least one row")
+    check_rows(model, data.x, data.t)
+
+
 def lpd(model: BllModel, data: Dataset) -> float:
-    """Mean log-predictive density of the targets, averaged over samples."""
+    """Mean log-predictive density of the targets, averaged over samples.
+
+    Raises:
+        ValueError: if ``data`` has no rows.
+        DimensionMismatch: if its inputs or targets are not the network's widths.
+    """
+    _check_scored(model, data)
     mean, _, var_t = predict_batch(model, data.x)
     return float(gaussian_log_density(mean, var_t, data.t).mean())
 
@@ -120,29 +132,34 @@ def alpha_sweep(
     parameters fixed) and the LPD of every dataset in ``eval_sets``.  Alpha
     moves neither the network nor its features, so each row set goes
     through the network once (an eval set that is ``train_data`` reuses the
-    training pass) and each set's means and affine feature rows are built
-    once.  Every alpha recomputes the objective's last-layer head; each
-    set's LPD column comes from one ``predictive_variances`` call over the
-    whole grid.
+    training pass).  The objective column comes from one
+    ``nlml_head_grid`` call, and each set's LPD column from one
+    ``predictive_variances`` call, over the whole grid: nothing is factored.
+
+    Raises:
+        ValueError: unless the grid is 1-D and finite with every |log alpha|
+            at most ``LOG_ALPHA_MAX``, or if a dataset has no rows.
+        DimensionMismatch: if a dataset's inputs or targets are not the
+            network's widths.
     """
+    for data in (train_data, *eval_sets.values()):
+        _check_scored(model, data)
     train_out = forward_batch(model.params, model.x_scaler.transform(train_data.x))
     y_train, a_train = train_out
     t_std = model.t_scaler.transform(train_data.t)
-    rows, alphas = [], []
-    for log_alpha in np.asarray(log_alpha_grid, dtype=float):
-        tuned = with_alpha(model, math.exp(log_alpha))
-        alphas.append(tuned.alpha)
-        rows.append({
-            "log_alpha": float(log_alpha),
-            "nlml_train": nlml_head(a_train, y_train, tuned.wbar, t_std, tuned.hyper)[0],
-        })
+    grid = np.asarray(log_alpha_grid, dtype=float)
+    nlml = nlml_head_grid(a_train, y_train, model.wbar, t_std, model.hyper.log_sigma_e, grid)
+    rows = [{"log_alpha": float(v), "nlml_train": float(n)} for v, n in zip(grid, nlml)]
+    # Each LPD column reads the alpha with_alpha(model, e^v) would hold, as
+    # BllHyper stores log(e^v) and returns its exp.
+    alphas = np.array([math.exp(math.log(math.exp(v))) for v in grid])
     for name, data in eval_sets.items():
         y, a = (
             train_out
             if data is train_data
             else forward_batch(model.params, model.x_scaler.transform(data.x))
         )
-        _, var_t = predictive_variances(model, affine_rows(a), np.array(alphas))
+        _, var_t = predictive_variances(model, a, alphas)
         mean = model.t_scaler.inverse(y)[:, None]
         lpds = gaussian_log_density(mean, var_t, data.t[:, None]).mean(axis=0)
         for row, value in zip(rows, lpds):

@@ -1,10 +1,11 @@
 """Dense linear algebra for small symmetric positive-definite systems.
 
-Training, the closed-form weights and the affine cost factor their precision
-matrices through the Cholesky route below: factor once, then read the
-log-determinant and the solve off that one factor.  Predictions instead
-read a trained network's posterior through ``bll``'s eigenbasis, which no
-alpha refactors.  Matrices are plain row-major ``numpy`` arrays, and a
+Training and the closed-form weights factor their precision matrices
+through the Cholesky route below: factor once, then read the
+log-determinant and the solve off that one factor.  Predictions and the
+alpha sweep's objective instead read a trained network's posterior through
+``bll``'s eigenbasis, which no alpha refactors, and the affine cost solves
+its precision once by LU.  Matrices are plain row-major ``numpy`` arrays, and a
 factor is just its lower-triangular array L; problem sizes are tiny (tens
 of rows), so no sparse or blocked code paths exist.  At that size wrapper
 overhead outweighs the arithmetic, so ``cholesky`` skips its tolerance scan

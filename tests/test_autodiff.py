@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lastlayer import autodiff as ad
-from lastlayer.linalg import cholesky, logdet_pd
+from lastlayer.linalg import chol_spd, cholesky, identity, logdet_pd, solve_pd
 from lastlayer.mlp import MlpParams, forward_layers
 from lastlayer.training import TrainConfig, fit_loop
 
@@ -51,6 +51,19 @@ def test_logdet_gradient_is_inverse():
     a, _ = random_spd(rng, 4)
     _, grad = ad.logdet_spd(a)
     np.testing.assert_allclose(grad(), np.linalg.inv(a), rtol=1e-8, atol=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("log_cond", [0, 4, 8, 12, 15])
+def test_logdet_gradient_is_the_identity_solve_bit_for_bit(seed, log_cond):
+    # L^-T L^-1 must stay on gemm: numpy's syrk for A^T A rounds differently.
+    rng = np.random.default_rng(seed)
+    for dim in (1, 2, 5, 13, 21):
+        a, _ = random_spd(rng, dim, eig_low=10.0**-log_cond, eig_high=1.0)
+        a = np.triu(a) + np.triu(a, 1).T  # exactly symmetric
+        _, grad = ad.logdet_spd(a)
+        lower = chol_spd(a)
+        assert np.array_equal(grad(), solve_pd(lower, identity(dim)))
 
 
 def test_logdet_value_matches_cholesky():

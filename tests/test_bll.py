@@ -453,7 +453,7 @@ def test_eigenbasis_quad_matches_the_factor_solve(problem):
     # the bias is no worse conditioned than P itself).
     model, phi, log_alpha = problem
     tuned = with_alpha(model, math.exp(log_alpha))
-    var_y, _ = predictive_variances(model, phi, tuned.alpha)
+    var_y, _ = predictive_variances(model, phi[:, :-1], tuned.alpha)
     quad = var_y[:, 0] / tuned.hyper.sigma_e[0] ** 2
     assert np.isfinite(quad).all() and (quad > 0.0).all()
     lam = precision_bar(model.phi, tuned.alpha)
@@ -480,9 +480,10 @@ def test_alpha_array_matches_the_stacked_single_alpha_calls(problem, log_alphas)
     # term added for var_t, add at most a few more roundings.
     model, phi, _ = problem
     alphas = np.exp(log_alphas)
-    var_y, var_t = predictive_variances(model, phi, alphas)
-    assert var_y.shape == var_t.shape == (len(phi), len(alphas), 1)
-    singles = [predictive_variances(model, phi, float(alpha)) for alpha in alphas]
+    a = phi[:, :-1]
+    var_y, var_t = predictive_variances(model, a, alphas)
+    assert var_y.shape == var_t.shape == (len(a), len(alphas), 1)
+    singles = [predictive_variances(model, a, float(alpha)) for alpha in alphas]
     bound = (model.phi.shape[1] + 4) * np.finfo(float).eps
     for got, expected in zip((var_y, var_t), zip(*singles)):
         expected = np.stack(expected, axis=1)

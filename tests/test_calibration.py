@@ -2,13 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lastlayer.bll import HYPER_CLAMP, BllHyper, fit_posterior, with_alpha
+from lastlayer import affine, autodiff, bll
+from lastlayer.affine import affine_cost_closed
+from lastlayer.bll import (
+    HYPER_CLAMP,
+    BllHyper,
+    fit_posterior,
+    nlml_head,
+    precision_bar,
+    predict,
+    predict_batch,
+    with_alpha,
+)
 from lastlayer.calibration import MAX_SPAN, AlphaSearchConfig, alpha_sweep, lpd, tune_alpha
 from lastlayer.data import Dataset
-from lastlayer.mlp import MlpParams, MlpSpec
+from lastlayer.linalg import DimensionMismatch, NotPositiveDefinite, cholesky
+from lastlayer.mlp import MlpParams, MlpSpec, affine_rows, forward_batch, init_params
 from lastlayer.rng import make_rng
 from lastlayer.training import TrainConfig, train
+
+from oracles import nlml_grid_bound
 
 
 def _constant_model(m=4, c=1.5, sigma2=None):
@@ -208,23 +223,148 @@ def test_sweep_reuses_the_training_pass_and_computes_each_sets_means_once(monkey
 
 
 @pytest.mark.parametrize("points", [1, 7, 31])
-def test_sweep_builds_each_sets_affine_rows_once(monkeypatch, points):
+def test_sweep_runs_each_row_set_through_the_network_once_at_any_grid_size(monkeypatch, points):
     from lastlayer import calibration
 
     model, data = _trained_toy(seed=10)
-    builds = []
-    affine_rows = calibration.affine_rows
+    passes = []
+    forward_batch = calibration.forward_batch
 
-    def counted(a):
-        builds.append(len(a))
-        return affine_rows(a)
+    def counted(params, x):
+        passes.append(len(x))
+        return forward_batch(params, x)
 
-    monkeypatch.setattr(calibration, "affine_rows", counted)
+    monkeypatch.setattr(calibration, "forward_batch", counted)
     grid = np.linspace(model.hyper.log_alpha, model.hyper.log_alpha + 15.0, points)
     held_out = {"val": data.subset(np.arange(4)), "test": data.subset(np.arange(4, 9))}
     rows = alpha_sweep(model, data, {"train": data, **held_out}, grid)
     assert len(rows) == points
-    assert builds == [data.m, 4, 5]
+    assert passes == [data.m, 4, 5]
+
+
+@st.composite
+def sweep_objective_problems(draw):
+    """A posterior fit on some rows, other rows for the sweep's objective, and a grid.
+
+    Units can repeat one another or have no input weights, so that the
+    features are rank-deficient, and the grid reaches the top of the widest
+    search above a clamped log alpha.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_x, n_y = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    width = draw(st.integers(1, 20))
+    w = rng.standard_normal((n_x + 1, width))
+    for j in range(width):
+        kind = draw(st.sampled_from(["free", "repeat", "dead"]))
+        if kind == "repeat" and j > 0:
+            w[:, j] = w[:, draw(st.integers(0, j - 1))]
+        elif kind == "dead":
+            w[:-1, j] = 0.0
+    params = MlpParams((w, rng.standard_normal((width + 1, n_y))))
+    hyper = BllHyper(draw(st.floats(-HYPER_CLAMP, HYPER_CLAMP)), rng.uniform(-3.0, 1.0, n_y))
+    fit_rows = draw(st.integers(1, 40))
+    fit = Dataset(rng.standard_normal((fit_rows, n_x)), rng.standard_normal((fit_rows, n_y)))
+    model = fit_posterior(params, hyper, fit)
+    m = draw(st.integers(1, 60))
+    train_data = Dataset(2.0 * rng.standard_normal((m, n_x)), rng.standard_normal((m, n_y)))
+    top = HYPER_CLAMP + AlphaSearchConfig().span
+    grid = draw(st.lists(st.floats(-HYPER_CLAMP, top), min_size=1, max_size=8))
+    return model, train_data, np.array(grid + [top])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(problem=sweep_objective_problems())
+def test_sweep_objective_matches_the_factored_head_within_its_bound(problem):
+    model, train_data, grid = problem
+    rows = alpha_sweep(model, train_data, {}, grid)
+    y, a = forward_batch(model.params, train_data.x)
+    log_sigma_e = model.hyper.log_sigma_e
+    for row, log_alpha in zip(rows, grid):
+        hyper = BllHyper(log_alpha, log_sigma_e)
+        try:
+            cholesky(precision_bar(affine_rows(a), hyper.alpha))
+        except NotPositiveDefinite:
+            continue  # the head's factor needs jitter here, which moves its value
+        expected, _ = nlml_head(a, y, model.wbar, train_data.t, hyper)
+        bound = nlml_grid_bound(a, y, model.wbar, train_data.t, log_sigma_e, log_alpha)
+        assert abs(row["nlml_train"] - expected) <= bound
+
+
+def test_sweep_and_affine_cost_factor_nothing(monkeypatch):
+    model, data = _trained_toy(seed=11)
+    factors = []
+
+    def spy(factor):
+        def counted(a, *args, **kwargs):
+            factors.append(a.shape)
+            return factor(a, *args, **kwargs)
+
+        return counted
+
+    for module in (bll, affine, autodiff):
+        monkeypatch.setattr(module, "chol_spd", spy(module.chol_spd))
+    monkeypatch.setattr(np.linalg, "cholesky", spy(np.linalg.cholesky))
+    grid = np.linspace(model.hyper.log_alpha, model.hyper.log_alpha + 15.0, 31)
+    rows = alpha_sweep(model, data, {"train": data}, grid)
+    cost = affine_cost_closed(model.phi[:, :-1], model.phi[0, :-1], model.alpha)
+    assert len(rows) == 31 and cost > 0.0
+    assert factors == []
+
+
+def _two_output_model():
+    rng = np.random.default_rng(0)
+    params = init_params(MlpSpec(1, (6,), 2), rng)
+    data = Dataset(rng.standard_normal((8, 1)), rng.standard_normal((8, 2)))
+    return fit_posterior(params, BllHyper(0.0, np.zeros(2)), data), data
+
+
+def _one_target(data):
+    return Dataset(data.x, data.t[:, :1])
+
+
+def _no_rows(data):
+    return data.subset(np.arange(0))
+
+
+def _sweep_over(data, grid=(0.0, 1.0)):
+    return lambda model, train: alpha_sweep(model, train, {"val": data}, np.array(grid))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda model, data: predict_batch(model, np.ones((3, 2))), DimensionMismatch),
+        (lambda model, data: predict(model, np.ones(2)), DimensionMismatch),
+        (lambda model, data: lpd(model, _one_target(data)), DimensionMismatch),
+        (lambda model, data: tune_alpha(model, _one_target(data)), DimensionMismatch),
+        (lambda model, data: alpha_sweep(model, _one_target(data), {}, [0.0]), DimensionMismatch),
+        (lambda model, data: _sweep_over(_one_target(data))(model, data), DimensionMismatch),
+        (lambda model, data: lpd(model, _no_rows(data)), ValueError),
+        (lambda model, data: tune_alpha(model, _no_rows(data)), ValueError),
+        (lambda model, data: _sweep_over(_no_rows(data))(model, data), ValueError),
+        (lambda model, data: _sweep_over(data, (0.0, 800.0))(model, data), ValueError),
+        (lambda model, data: _sweep_over(data, (0.0, math.nan))(model, data), ValueError),
+        (lambda model, data: alpha_sweep(model, data, {}, np.zeros((2, 2))), ValueError),
+    ],
+    ids=[
+        "predict_batch wide rows",
+        "predict wide row",
+        "lpd one target",
+        "tune_alpha one target",
+        "alpha_sweep one train target",
+        "alpha_sweep one eval target",
+        "lpd no rows",
+        "tune_alpha no rows",
+        "alpha_sweep no eval rows",
+        "alpha_sweep overflowing grid point",
+        "alpha_sweep nan grid point",
+        "alpha_sweep 2-d grid",
+    ],
+)
+def test_malformed_read_input_raises_its_documented_error(call, error):
+    model, data = _two_output_model()
+    with pytest.raises(error):
+        call(model, data)
 
 
 @pytest.mark.parametrize(
