@@ -8,17 +8,19 @@ identity with a zero in the bias position (the bias carries a flat prior).
 
 Predictions read that precision through the eigenbasis of the centred
 feature gram, computed once per trained network (MacKay's evidence
-framework, 1992).  The flat bias prior lets the bias coordinate be
+framework, 1992) by ``centred_spectrum`` from one SVD of the centred
+feature rows.  The flat bias prior lets the bias coordinate be
 eliminated exactly (a Schur complement), so for a row phi = [phi~, 1]
 
     phi^T (Phi^T Phi + alpha^-1 I~)^-1 phi
         = 1/m + sum_k ((phi~ - mu) . v_k)^2 / (lambda_k + alpha^-1),
 
 where mu is the mean training feature row and (lambda_k, v_k) are the
-eigenpairs of the centred gram.  alpha only shifts that spectrum, so
-retuning it factors nothing, and the same elimination reads the
-objective's log-determinant at a whole grid of alphas off one spectrum
-(``nlml_head_grid``).
+eigenpairs of the centred gram: v_k a right singular vector of the
+centred rows and lambda_k its squared singular value.  alpha only shifts
+that spectrum, so retuning it factors nothing, and the same elimination
+reads the objective's log-determinant at a whole grid of alphas off one
+spectrum (``nlml_head_grid``).
 
 Training minimizes the scaled negative log-marginal likelihood with the
 output weights reintroduced as free variables; its stationary point in
@@ -42,6 +44,7 @@ __all__ = [
     "BllHyper",
     "BllModel",
     "PredictiveDistribution",
+    "centred_spectrum",
     "check_rows",
     "closed_form_wbar",
     "fit_posterior",
@@ -188,6 +191,26 @@ def nlml_head(
     return value, grad_fn
 
 
+def centred_spectrum(a: np.ndarray):
+    """Mean row, eigenbasis and spectrum of the gram of the centred rows of ``a``.
+
+    Returns (mean, basis, spectrum): ``basis`` is square, its columns the
+    right singular vectors of a - mean, and ``spectrum`` their squared
+    singular values, zero past min(m, width), so (a - mean)^T (a - mean) =
+    basis @ diag(spectrum) @ basis^T.  Read off the SVD of the centred rows,
+    a small lambda_k is off by about eps * sigma_max * sigma_k rather than
+    the eps * lambda_max an eigensolver on the gram leaves; the largest
+    alphas divide that error by a small lambda_k + 1/alpha.  U is computed
+    in full only when there are fewer rows than columns, the one case where
+    V would otherwise not be square.
+    """
+    mean = a.mean(axis=0)
+    _, singular, vt = np.linalg.svd(a - mean, full_matrices=len(a) < a.shape[1])
+    spectrum = np.zeros(a.shape[1])
+    spectrum[: len(singular)] = singular * singular
+    return mean, vt.T, spectrum
+
+
 def nlml_head_grid(
     a: np.ndarray,
     y: np.ndarray,
@@ -204,12 +227,9 @@ def nlml_head_grid(
 
         log det(Phi^T Phi + alpha^-1 I~) = log m + sum_k log(lambda_k + alpha^-1)
 
-    on the spectrum lambda of the centred gram of ``a``, found once, and the
-    misfit and the weight penalty do not depend on alpha.  lambda is read
-    as the squared singular values of the centred rows, so a small
-    lambda_k is off by about eps * sigma_max * sigma_k rather than the
-    eps * lambda_max an eigensolver on the gram leaves; the largest alphas
-    divide that error by a small lambda_k + 1/alpha.
+    on the spectrum lambda of the centred gram of ``a``, read once by
+    ``centred_spectrum``, and the misfit and the weight penalty do not
+    depend on alpha.
 
     Raises:
         ValueError: unless ``log_alphas`` is 1-D and finite with every
@@ -221,9 +241,7 @@ def nlml_head_grid(
         raise ValueError(f"log alphas must be a 1-D grid of finite values within {LOG_ALPHA_MAX}")
     m, n_y = t.shape
     n_phi = a.shape[1] + 1
-    singular = np.linalg.svd(a - a.mean(axis=0), compute_uv=False)
-    spectrum = np.zeros(a.shape[1])
-    spectrum[: len(singular)] = singular * singular
+    spectrum = centred_spectrum(a)[2]
     inv_alpha = np.exp(-log_alphas)
     logdet = math.log(m) + np.log(np.add.outer(inv_alpha, spectrum)).sum(axis=1)
 
@@ -336,10 +354,10 @@ class BllModel:
     feature matrix for diagnostics and extrapolation scoring.  The posterior
     covariance is held in a form no alpha changes: ``feature_mean`` is the
     mean training feature row without its bias entry, and ``basis`` and
-    ``spectrum`` are the eigenvectors (columns) and eigenvalues, clipped at
-    0, of the gram of the centred feature rows.  ``wbar_gap`` records how
-    far the trained output weights sit from their closed-form stationary
-    value (a convergence diagnostic, not an error).
+    ``spectrum`` are the eigenvectors (columns) and eigenvalues of the gram
+    of the centred feature rows, as ``centred_spectrum`` reads them.
+    ``wbar_gap`` records how far the trained output weights sit from their
+    closed-form stationary value (a convergence diagnostic, not an error).
     """
 
     params: MlpParams
@@ -379,17 +397,17 @@ def fit_posterior(
         ValueError: if the network's features on ``data`` are not finite.
     """
     phi = features(params, data.x)
+    if not np.isfinite(phi).all():
+        raise ValueError("features of the training rows must not contain infs or NaNs")
     closed = closed_form_wbar(phi, data.t, hyper.alpha)
     gap = float(np.max(np.abs(params.wbar - closed)))
-    mean = phi[:, :-1].mean(axis=0)
-    centred = phi[:, :-1] - mean
-    spectrum, basis = np.linalg.eigh(centred.T @ centred)
+    mean, basis, spectrum = centred_spectrum(phi[:, :-1])
     return BllModel(
         params=params,
         hyper=hyper,
         feature_mean=mean,
         basis=basis,
-        spectrum=np.maximum(spectrum, 0.0),
+        spectrum=spectrum,
         phi=phi,
         x_scaler=x_scaler or identity_standardizer(data.n_x),
         t_scaler=t_scaler or identity_standardizer(data.n_y),

@@ -3,10 +3,11 @@
 Training and the closed-form weights factor their precision matrices
 through the Cholesky route below: factor once, then read the
 log-determinant and the solve off that one factor.  Predictions and the
-alpha sweep's objective instead read a trained network's posterior through
-``bll``'s eigenbasis, which no alpha refactors, and the affine cost solves
-its precision once by LU.  Matrices are plain row-major ``numpy`` arrays, and a
-factor is just its lower-triangular array L; problem sizes are tiny (tens
+alpha sweep's objective instead read the centred feature spectrum that
+``bll.centred_spectrum`` takes from one SVD of the centred feature rows,
+which no alpha refactors, and the affine cost solves its precision once by
+LU.  Matrices are plain row-major ``numpy`` arrays, and a factor is just
+its lower-triangular array L; problem sizes are tiny (tens
 of rows), so no sparse or blocked code paths exist.  At that size wrapper
 overhead outweighs the arithmetic, so ``cholesky`` skips its tolerance scan
 for an exactly symmetric matrix, and a solve inverts L and applies two

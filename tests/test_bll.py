@@ -1,5 +1,7 @@
 import math
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,12 +21,15 @@ from lastlayer.bll import (
     predictive_variances,
     with_alpha,
 )
-from lastlayer import autodiff
-from lastlayer.calibration import AlphaSearchConfig
+from lastlayer import autodiff, bll
+from lastlayer.benchmarks import default_benchmark, sample_benchmark
+from lastlayer.calibration import AlphaSearchConfig, alpha_sweep
 from lastlayer.data import Dataset, fit_standardizer
+from lastlayer.experiment import benchmark_train_config
 from lastlayer.linalg import NotPositiveDefinite, chol_spd, cholesky, solve_pd
-from lastlayer.mlp import MlpParams, MlpSpec, features, init_params
+from lastlayer.mlp import MlpParams, MlpSpec, affine_rows, features, forward_batch, init_params
 from lastlayer.rng import make_rng
+from lastlayer.training import train
 
 from oracles import marginal_gaussian_nll, nlml_sigma_parameterization
 
@@ -355,14 +360,19 @@ class TestFitPosterior:
             closed_form_wbar(model.phi, data.t, model.alpha), [[0.0], [1.0]], atol=1e-12
         )
 
-    def test_centred_gram_reconstructible_from_eigenbasis(self):
+    @pytest.mark.parametrize("m", [1, 3, 10])
+    def test_centred_gram_reconstructible_from_eigenbasis(self, m):
+        # width 6: with fewer rows than features the basis must still be square
         rng = np.random.default_rng(14)
-        params, hyper, data = _random_instance(rng, hidden=(6,))
-        model = fit_posterior(params, hyper, data)
+        params = init_params(MlpSpec(2, (6,), 1), make_rng(m))
+        data = Dataset(rng.standard_normal((m, 2)), rng.standard_normal((m, 1)))
+        model = fit_posterior(params, BllHyper(0.0, np.zeros(1)), data)
         centred = model.phi[:, :-1] - model.phi[:, :-1].mean(axis=0)
         target = centred.T @ centred
         np.testing.assert_array_equal(model.feature_mean, model.phi[:, :-1].mean(axis=0))
+        assert model.basis.shape == (6, 6)
         assert (model.spectrum >= 0.0).all()
+        assert (model.spectrum[min(m, 6) :] == 0.0).all()
         np.testing.assert_allclose(model.basis.T @ model.basis, np.eye(6), atol=1e-12)
         rebuilt = (model.basis * model.spectrum) @ model.basis.T
         assert np.abs(rebuilt - target).max() < 1e-12 * (1 + np.abs(target).max())
@@ -373,8 +383,71 @@ class TestFitPosterior:
         weights = [w.copy() for w in params.weights]
         weights[0][0, 0] = bad
         data = Dataset(np.zeros((data.m, data.n_x)), data.t)  # 0 * inf is NaN
-        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="features"), np.errstate(invalid="ignore"):
             fit_posterior(MlpParams(tuple(weights)), hyper, data)
+
+    def test_one_spectrum_route(self, monkeypatch):
+        # fit_posterior and the sweep's objective read the centred spectrum
+        # from one helper; nothing eigendecomposes a gram
+        params, hyper, data = _random_instance(np.random.default_rng(20))
+        calls = []
+        centred_spectrum = bll.centred_spectrum
+
+        def counted(a):
+            calls.append(a.shape)
+            return centred_spectrum(a)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("no eigendecomposition expected")
+
+        monkeypatch.setattr(bll, "centred_spectrum", counted)
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        model = fit_posterior(params, hyper, data)
+        grid = np.linspace(model.hyper.log_alpha, model.hyper.log_alpha + 15.0, 7)
+        assert len(alpha_sweep(model, data, {"train": data}, grid)) == 7
+        assert calls == [(data.m, 3), (data.m, 3)]
+
+
+def _mp_quads(phi, alpha, rows):
+    """phi^T (Phi^T Phi + alpha^-1 I~)^-1 phi per row of ``rows``, at 50 digits.
+
+    The precision is built exactly from the float entries of ``phi`` and
+    ``alpha``, factored once, and each row solved by forward substitution.
+    """
+    with mpmath.workdps(50):
+        n = phi.shape[1]
+        gram = mpmath.matrix(phi.tolist())
+        precision = gram.T * gram
+        for i in range(n - 1):  # the bias keeps its flat prior
+            precision[i, i] += 1 / mpmath.mpf(alpha)
+        lower = mpmath.cholesky(precision)
+        quads = []
+        for row in rows:
+            z = []
+            for i in range(n):
+                partial = mpmath.fsum(lower[i, j] * z[j] for j in range(i))
+                z.append((mpmath.mpf(float(row[i])) - partial) / lower[i, i])
+            quads.append(float(mpmath.fsum(zi * zi for zi in z)))
+    return np.array(quads)
+
+
+def test_predictive_variances_at_the_top_of_the_search_match_a_50_digit_solve():
+    # A 400-epoch bll network on the seed-0 benchmark, read at log alpha* + 15,
+    # the top of tune_alpha's span: 1/(lambda_k + 1/alpha) magnifies the
+    # absolute error of a small lambda_k, which an eigensolver on the gram
+    # leaves at about eps * lambda_max (1e-8 relative here).
+    splits = sample_benchmark(default_benchmark(), 0)
+    cfg = replace(benchmark_train_config(), max_epochs=400, patience=399)
+    spec = MlpSpec(splits["train"].n_x, (20, 20, 20), splits["train"].n_y)
+    model, _ = train(spec, splits["train"], cfg)
+    alpha = math.exp(model.hyper.log_alpha + AlphaSearchConfig().span)
+    _, a = forward_batch(model.params, model.x_scaler.transform(splits["test"].x[:20]))
+    var_y, _ = predictive_variances(model, a, alpha)
+    expected = _mp_quads(model.phi, alpha, affine_rows(a))
+    scale = np.exp(2.0 * model.hyper.log_sigma_e) * model.t_scaler.scale**2
+    worst = (np.abs(var_y / scale - expected[:, None]) / expected[:, None]).max()
+    assert worst <= 1e-11, f"largest relative error {worst:.2e}"
 
 
 class TestWithAlpha:
