@@ -83,7 +83,7 @@ def mlp_backward(
             )
         # [h.T @ g; column sums of g], written straight into the caller's array.
         np.matmul(h.T, g, out=gk[:-1])
-        g.sum(axis=0, out=gk[-1])
+        np.add.reduce(g, 0, out=gk[-1])
         if k == 0:
             break
         g = g @ weights[k][:-1].T

@@ -16,7 +16,7 @@ from .autodiff import mlp_backward
 from .bll import BllModel, closed_form_wbar, fit_posterior
 from .bll import negative_lml  # noqa: F401 - perfbench's tracer patches baselines:negative_lml
 from .data import Dataset
-from .mlp import MlpParams, MlpSpec, affine_rows, forward_batch, forward_layers, init_params
+from .mlp import MlpParams, MlpSpec, affine_rows, forward_batch, forward_weights, init_params
 from .training import TrainConfig, TrainHistory, fit_loop, fit_nlml, standardized_splits
 from .rng import make_rng
 
@@ -26,12 +26,12 @@ __all__ = ["blr_fit", "train_mse"]
 def _mse_head(y: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean squared error of the outputs and its gradient with respect to them."""
     resid = t - y
-    return float((1.0 / t.size) * (resid * resid).sum()), (-2.0 / t.size) * resid
+    return float((1.0 / t.size) * np.add.reduce(resid * resid, None)), (-2.0 / t.size) * resid
 
 
 def _mse_grads(weights, data: Dataset, out) -> float:
     """Mean squared error of the network on ``data``; its weight gradients overwrite ``out``."""
-    acts = forward_layers(MlpParams(tuple(weights)), data.x)
+    acts = forward_weights(weights, data.x)
     value, d_y = _mse_head(acts[-1], data.t)
     mlp_backward(weights, acts, d_y, None, out)
     return value
@@ -56,8 +56,7 @@ def train_mse(
     if val_std is not None:
 
         def monitor(vals):
-            y, _ = forward_batch(MlpParams(tuple(vals)), val_std.x)
-            return _mse_head(y, val_std.t)[0]
+            return _mse_head(forward_weights(vals, val_std.x)[-1], val_std.t)[0]
 
     best, history = fit_loop(leaves, loss_and_grads, cfg, monitor=monitor)
     return MlpParams(tuple(best)), history

@@ -38,7 +38,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import Dataset, Standardizer, identity_standardizer
 from .linalg import DimensionMismatch, chol_spd, identity, logdet_pd, solve_pd
-from .mlp import MlpParams, affine_rows, features, forward_batch, forward_layers
+from .mlp import MlpParams, affine_rows, features, forward_batch, forward_weights
 
 __all__ = [
     "BllHyper",
@@ -52,6 +52,7 @@ __all__ = [
     "negative_lml_grads",
     "negative_lml_grads_into",
     "negative_lml_marginalized",
+    "nlml_grads_into",
     "nlml_head",
     "nlml_head_grid",
     "precision_bar",
@@ -146,28 +147,41 @@ def nlml_head(
     Raises:
         NonFiniteLoss: if the value is NaN or infinite.
     """
+    return _nlml_head(a, y, wbar, t, float(hyper.log_alpha), hyper.log_sigma_e, flat_bias)
+
+
+def _nlml_head(a, y, wbar, t, log_alpha: float, log_sigma_e, flat_bias=True, fixed=None):
+    """``nlml_head`` on bare hyperparameters, ``log_alpha`` a float.
+
+    ``fixed``, when given, is (phi, phi^T phi) of rows ``a`` that training
+    holds constant: they are read instead of rebuilt, and the gradient
+    with respect to ``a`` comes back as None.
+    """
     m, n_y = t.shape
-    phi = affine_rows(a)
+    if fixed is None:
+        phi = affine_rows(a)
+        gram = phi.T @ phi
+    else:
+        phi, gram = fixed
     n_phi = phi.shape[1]
-    log_alpha = np.asarray(hyper.log_alpha, dtype=float)
     inv_alpha = np.exp(-log_alpha)
     prior = identity(n_phi, flat_bias)
     in_prior = prior.diagonal()  # 0 on a flat bias row
-    logdet, logdet_grad = ad.logdet_spd(phi.T @ phi + inv_alpha * prior)
+    logdet, logdet_grad = ad.logdet_spd(gram + inv_alpha * prior)
 
-    inv_sig2 = np.exp(-2.0 * hyper.log_sigma_e)
+    inv_sig2 = np.exp(-2.0 * log_sigma_e)
     resid = t - y
-    misfit = (resid * resid).sum(axis=0)
+    misfit = np.add.reduce(resid * resid, 0)
     wpen_rows = wbar * in_prior[:, None]
-    wpen = (wpen_rows * wpen_rows).sum(axis=0)
-    wpen_sum = (wpen * inv_sig2).sum()
+    wpen = np.add.reduce(wpen_rows * wpen_rows, 0)
+    wpen_sum = np.add.reduce(wpen * inv_sig2)
 
     value = float(
         0.5 * n_y * math.log(2.0 * math.pi)
         + (n_y * n_phi / (2.0 * m)) * log_alpha
         + (n_y / (2.0 * m)) * logdet
-        + hyper.log_sigma_e.sum()
-        + (0.5 / m) * (misfit * inv_sig2).sum()
+        + np.add.reduce(log_sigma_e)
+        + (0.5 / m) * np.add.reduce(misfit * inv_sig2)
         + (0.5 / m) * (inv_alpha * wpen_sum)
     )
     if not math.isfinite(value):
@@ -177,12 +191,12 @@ def nlml_head(
         lam_inv = logdet_grad()
         d_y = (-1.0 / m) * resid
         d_y *= inv_sig2
-        d_a = (n_y / m) * (phi @ lam_inv)[:, :-1]
+        d_a = None if fixed is not None else (n_y / m) * (phi @ lam_inv)[:, :-1]
         d_wbar = (inv_alpha / m) * wpen_rows
         d_wbar *= inv_sig2
         d_log_alpha = (
             n_y * n_phi / (2.0 * m)
-            - (n_y / (2.0 * m)) * inv_alpha * (lam_inv.diagonal() * in_prior).sum()
+            - (n_y / (2.0 * m)) * inv_alpha * np.add.reduce(lam_inv.diagonal() * in_prior)
             - (0.5 / m) * inv_alpha * wpen_sum
         )
         d_log_sigma_e = 1.0 - (misfit + inv_alpha * wpen) * inv_sig2 / m
@@ -301,10 +315,24 @@ def negative_lml_grads_into(params: MlpParams, hyper: BllHyper, data: Dataset, o
         or out[n_w + 1].shape != hyper.log_sigma_e.shape
     ):
         raise ValueError("gradient destinations do not match the parameters")
-    acts = forward_layers(params, data.x)
-    value, grad_fn = nlml_head(acts[-2], acts[-1], params.wbar, data.t, hyper)
+    log_alpha = float(hyper.log_alpha)
+    return nlml_grads_into(params.weights, log_alpha, hyper.log_sigma_e, data.x, data.t, out)
+
+
+def nlml_grads_into(weights, log_alpha: float, log_sigma_e, x, t, out, fixed=None) -> float:
+    """``negative_lml_grads_into`` on bare leaves, with ``out`` taken as laid out.
+
+    ``training.fit_nlml`` calls it on its leaf views every epoch, so no
+    ``MlpParams`` or ``BllHyper`` is built.  For a one-layer network,
+    whose features are the rows ``x`` themselves, ``fixed`` may hold
+    (phi, phi^T phi) of those rows, read once per fit.
+    """
+    n_w = len(weights)
+    acts = forward_weights(weights, x)
+    a, y = acts[-2], acts[-1]
+    value, grad_fn = _nlml_head(a, y, weights[-1], t, log_alpha, log_sigma_e, True, fixed)
     d_y, d_a, d_wbar, d_log_alpha, d_log_sigma_e = grad_fn()
-    ad.mlp_backward(params.weights, acts, d_y, d_a, out[:n_w])
+    ad.mlp_backward(weights, acts, d_y, d_a, out[:n_w])
     out[n_w - 1] += d_wbar
     out[n_w][...] = d_log_alpha
     out[n_w + 1][...] = d_log_sigma_e

@@ -7,6 +7,7 @@ exact same doubles.
 """
 
 import csv
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,13 +155,30 @@ def read_splits_csv(path) -> dict[str, Dataset]:
     return out
 
 
-def write_table_csv(path, header: list[str], rows: list[list[float]]) -> None:
-    """Generic numeric table writer with deterministic float formatting."""
+def write_table_csv(
+    path, header: list[str], rows: np.ndarray | Iterable[Sequence[float | str]]
+) -> None:
+    """Generic numeric table writer with deterministic float formatting.
+
+    ``rows`` is a 2-D float array or rows of numbers, where a row may also
+    hold strings.  A numeric row is joined directly: ``repr`` of a float
+    never holds a comma, a quote or a line break, so the bytes are those
+    ``csv.writer`` writes for it.  The header and a row holding a string
+    go through ``csv.writer``.
+    """
+    floats = isinstance(rows, np.ndarray)
+    if floats:
+        rows = rows.astype(float, copy=False).tolist()  # Python floats, whose repr is _fmt's
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+            if floats:
+                fh.write(",".join(map(repr, row)) + "\r\n")
+            elif any(isinstance(v, str) for v in row):
+                writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+            else:
+                fh.write(",".join(map(_fmt, row)) + "\r\n")
 
 
 def read_table_csv(path) -> tuple[list[str], np.ndarray]:

@@ -98,7 +98,7 @@ def identity(dim: int, zero_last: bool = False) -> np.ndarray:
 
 def logdet_pd(lower: np.ndarray) -> float:
     """Log-determinant of L @ L.T from its Cholesky factor L: 2 * sum(log(diag(L)))."""
-    return float(2.0 * np.log(lower.diagonal()).sum())
+    return float(2.0 * np.add.reduce(np.log(lower.diagonal())))
 
 
 def solve_pd(lower: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ __all__ = [
     "init_params",
     "forward_batch",
     "forward_layers",
+    "forward_weights",
     "affine_rows",
     "features",
 ]
@@ -88,10 +89,18 @@ def forward_layers(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
     Returns [x, h_1, ..., h_L, y]: the inputs, each hidden activation and
     the linear outputs, as ``autodiff.mlp_backward`` expects them.
     """
+    return forward_weights(params.weights, x)
+
+
+def forward_weights(weights, x: np.ndarray) -> list[np.ndarray]:
+    """``forward_layers`` on a sequence of weight matrices, no ``MlpParams`` built.
+
+    The trainers' objectives call it on their leaf views every epoch.
+    """
     acts = [np.asarray(x, dtype=float)]
-    for w in params.weights[:-1]:
+    for w in weights[:-1]:
         acts.append(np.tanh(acts[-1] @ w[:-1] + w[-1]))
-    w = params.weights[-1]
+    w = weights[-1]
     acts.append(acts[-1] @ w[:-1] + w[-1])
     return acts
 

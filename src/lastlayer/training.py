@@ -21,10 +21,10 @@ from .bll import (
     BllModel,
     fit_posterior,
     negative_lml,
-    negative_lml_grads_into,
+    nlml_grads_into,
 )
 from .data import Dataset, Standardizer, fit_standardizer, split_train_val
-from .mlp import MlpParams, MlpSpec, init_params
+from .mlp import MlpParams, MlpSpec, affine_rows, init_params
 from .optim import adam_init, adam_step
 from .rng import make_rng
 
@@ -136,10 +136,10 @@ def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=N
     for epoch in range(cfg.max_epochs):
         try:
             value = loss_and_grads(leaves, grads)
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise NonFiniteLoss(f"objective evaluated to {value}")
             crit = value if monitor is None else monitor(leaves)
-            if not np.isfinite(crit):
+            if not math.isfinite(crit):
                 raise NonFiniteLoss(f"monitor evaluated to {crit}")
         except NonFiniteLoss as err:
             raise NonFiniteLoss(f"epoch {epoch}: {err}") from err
@@ -203,6 +203,12 @@ def fit_nlml(
     the per-output log sigma_e, monitoring the same objective on
     ``val_data`` when it is given.
 
+    The objective reads the leaf views as they are; only the monitor,
+    which goes through the public ``negative_lml``, builds an ``MlpParams``
+    and a ``BllHyper`` each epoch.  With one weight matrix (blr), the
+    features are the fit rows themselves, so their affine rows and gram
+    are read once here.
+
     Returns:
         The parameters and hyperparameters of the best monitored epoch,
         and the training history.
@@ -214,14 +220,19 @@ def fit_nlml(
         np.full(fit_data.n_y, cfg.init_log_sigma_e, dtype=float),
     ]
 
+    x, t = fit_data.x, fit_data.t
+    fixed = None
+    if n_w == 1:
+        phi = affine_rows(x)
+        fixed = phi, phi.T @ phi
+
     def unpack(vals):
         params = MlpParams(tuple(vals[:n_w]))
         hyper = BllHyper(float(vals[n_w]), vals[n_w + 1])
         return params, hyper
 
     def loss_and_grads(vals, grads):
-        params, hyper = unpack(vals)
-        return negative_lml_grads_into(params, hyper, fit_data, grads)
+        return nlml_grads_into(vals[:n_w], float(vals[n_w]), vals[n_w + 1], x, t, grads, fixed)
 
     monitor = None
     if val_data is not None:

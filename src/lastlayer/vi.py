@@ -20,7 +20,7 @@ import numpy as np
 from .autodiff import mlp_backward
 from .calibration import LOG_2PI, gaussian_log_density
 from .data import Dataset, Standardizer
-from .mlp import MlpParams, MlpSpec, forward_batch, forward_layers, init_params
+from .mlp import MlpParams, MlpSpec, forward_batch, forward_weights, init_params
 from .rng import spawn_rngs
 from .training import (
     TrainConfig,
@@ -98,20 +98,25 @@ def _negative_elbo(leaves, grads, eps, x, t, shapes) -> float:
     log_sigma = np.log(sigma)
     quad = sigma * sigma + mu * mu
     prior_quad = quad * inv_prior
-    kl = rows * log_prior_spread.sum() + 0.5 * math.log(HIDDEN_PRIOR_VAR) * hidden
+    add = np.add.reduce  # what ndarray.sum calls, minus its Python-level wrapper
+    kl = rows * add(log_prior_spread) + 0.5 * math.log(HIDDEN_PRIOR_VAR) * hidden
     for layer_log_sigma, layer_prior_quad in zip(
         flat_views(log_sigma, shapes), flat_views(prior_quad, shapes)
     ):
-        kl += -layer_log_sigma.sum() + 0.5 * layer_prior_quad.sum() - 0.5 * layer_log_sigma.size
-    g_log_prior_spread[...] = rows - quad[hidden:].reshape(rows, n_y).sum(axis=0) * out_inv_prior
+        kl += (
+            -add(layer_log_sigma, None)
+            + 0.5 * add(layer_prior_quad, None)
+            - 0.5 * layer_log_sigma.size
+        )
+    g_log_prior_spread[...] = rows - add(quad[hidden:].reshape(rows, n_y), 0) * out_inv_prior
 
     # Monte Carlo negative log-likelihood at the one draw; dW lands in g_mu.
     inv_sig2 = np.exp(-2.0 * log_sigma_e)
     weights = flat_views(mu + sigma * eps, shapes)
-    acts = forward_layers(MlpParams(tuple(weights)), x)
+    acts = forward_weights(weights, x)
     resid = t - acts[-1]
-    misfit = (resid * resid).sum(axis=0) * inv_sig2
-    nll = 0.5 * m * n_y * LOG_2PI + m * log_sigma_e.sum() + 0.5 * misfit.sum()
+    misfit = add(resid * resid, 0) * inv_sig2
+    nll = 0.5 * m * n_y * LOG_2PI + m * add(log_sigma_e) + 0.5 * add(misfit)
     mlp_backward(weights, acts, -resid * inv_sig2, None, flat_views(g_mu, shapes))
     g_sigma = sigma * inv_prior - 1.0 / sigma
     g_sigma += g_mu * eps
@@ -158,7 +163,7 @@ def vi_train(
         def monitor(vals):
             # Negative log-likelihood at the surrogate means.
             mu, _, _, log_sigma_e = vals
-            y, _ = forward_batch(MlpParams(tuple(flat_views(mu, shapes))), val_std.x)
+            y = forward_weights(flat_views(mu, shapes), val_std.x)[-1]
             sig2 = np.exp(2.0 * log_sigma_e)
             return float(-gaussian_log_density(y, sig2, val_std.t).mean())
 

@@ -19,8 +19,11 @@ before the sweep cached each row set's network outputs (the prediction
 reads the model's eigenbasis as ``bll.predictive_variances`` does); and
 ``vi_predict_batch_reference``, the mixture prediction that drew each
 component through its own sampling helper, recomputing the spreads each time.
+``write_table_csv_reference`` is the table writer from before numeric rows
+skipped ``csv.writer``.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -28,7 +31,7 @@ from scipy.linalg import solve_triangular
 
 from lastlayer.autodiff import NonFiniteLoss
 from lastlayer.calibration import LOG_2PI, gaussian_log_density
-from lastlayer.data import Dataset
+from lastlayer.data import Dataset, _fmt
 from lastlayer.linalg import chol_spd, solve_pd
 from lastlayer.bll import negative_lml, with_alpha
 from lastlayer.mlp import MlpParams, forward_batch, forward_layers
@@ -451,3 +454,12 @@ def vi_predict_batch_reference(model, x, n_samples, rng):
     )
     noise_var = (np.exp(model.log_sigma_e) * model.t_scaler.scale) ** 2
     return means, noise_var
+
+
+def write_table_csv_reference(path, header, rows) -> None:
+    """Every row through ``csv.writer``, each number as ``_fmt`` writes it."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])

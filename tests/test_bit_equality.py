@@ -4,7 +4,8 @@ Each head returns exactly the doubles its reference in ``oracles`` returns:
 the value and every gradient, over random networks, data and
 hyperparameters.  The heads that write in place get one NaN-filled gradient
 buffer, viewed per leaf as ``training.fit_loop`` views it, and must write
-every entry.  ``predict_batch`` is held to the one-pass prediction it
+every entry; so does the objective ``training.fit_nlml`` hands
+``fit_loop``, caught on its way there.  ``predict_batch`` is held to the one-pass prediction it
 replaced, and ``vi_predict_batch`` to its per-component sampling helper.
 Equality is ``array_equal``, not a tolerance, with one exception: the alpha
 sweep, which runs the network once per row set and reads every alpha from
@@ -14,10 +15,13 @@ factored head, and its LPD columns within a bound derived from that
 product's summation order.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from lastlayer import training
 from lastlayer.autodiff import mlp_backward
 from lastlayer.baselines import _mse_grads
 from lastlayer.bll import (
@@ -129,6 +133,49 @@ def test_negative_lml_grads_match_their_reference(problem):
     _assert_arrays_equal(w_grads, ref_w)
     assert np.array_equal(g_la, ref_la)
     assert np.array_equal(g_ls, ref_ls)
+    assert not np.isnan(buffer).any()
+    _assert_arrays_equal(out, [*ref_w, ref_la, ref_ls])
+
+
+class _Captured(Exception):
+    """Raised by the spy that stands in for ``fit_loop``, once it holds the objective."""
+
+
+def _fit_nlml_objective(weights, data):
+    """The objective ``training.fit_nlml`` hands ``fit_loop`` for ``weights`` on ``data``."""
+    captured = []
+
+    def spy(leaves, loss_and_grads, cfg, monitor=None, post_step=None):
+        captured.append(loss_and_grads)
+        raise _Captured
+
+    with mock.patch.object(training, "fit_loop", spy), pytest.raises(_Captured):
+        training.fit_nlml(weights, data, None, training.TrainConfig())
+    return captured[0]
+
+
+@SETTINGS
+@given(problem=problems(), frozen=st.booleans())
+def test_the_fit_nlml_objective_matches_its_reference(problem, frozen):
+    # frozen: blr's shape, the output layer alone on the network's last
+    # hidden features, whose affine rows and gram fit_nlml reads once
+    params, hyper, data, _ = problem
+    if frozen:
+        data = Dataset(forward_batch(params, data.x)[1], data.t)
+        params = MlpParams((params.wbar,))
+    objective = _fit_nlml_objective(params.weights, data)
+    shapes = [*(w.shape for w in params.weights), (), hyper.log_sigma_e.shape]
+    values = np.concatenate([*params.weights, [hyper.log_alpha], hyper.log_sigma_e], axis=None)
+    leaves = training.flat_views(values, shapes)
+    buffer, out = _nan_buffer(shapes)
+    outcome = _same_outcome(
+        lambda: objective(leaves, out),
+        lambda: negative_lml_grads_reference(params, hyper, data),
+    )
+    if outcome is None:
+        return
+    value, (ref_value, (ref_w, ref_la, ref_ls)) = outcome
+    assert value == ref_value
     assert not np.isnan(buffer).any()
     _assert_arrays_equal(out, [*ref_w, ref_la, ref_ls])
 

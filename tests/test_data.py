@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lastlayer.data import (
     SPLITS,
@@ -11,6 +16,8 @@ from lastlayer.data import (
     write_splits_csv,
     write_table_csv,
 )
+
+from oracles import write_table_csv_reference
 
 
 def test_dataset_validates_shapes_and_values():
@@ -106,7 +113,43 @@ def test_splits_csv_byte_identical(tmp_path):
 def test_table_csv_round_trip(tmp_path):
     path = tmp_path / "table.csv"
     rows = [[0.1, -2.0], [3.5e-17, 7.0]]
-    write_table_csv(path, ["a", "b"], rows)
-    header, loaded = read_table_csv(path)
-    assert header == ["a", "b"]
-    np.testing.assert_array_equal(loaded, np.array(rows))
+    for table in (rows, np.array(rows)):  # rows of numbers, then a float array
+        write_table_csv(path, ["a", "b"], table)
+        header, loaded = read_table_csv(path)
+        assert header == ["a", "b"]
+        np.testing.assert_array_equal(loaded, np.array(rows))
+
+
+EDGE_FLOATS = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1.7e308, -1.7e308]
+CELLS = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.integers(-(2**53), 2**53).map(float),  # whole numbers
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    table=arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(1, 5)), elements=CELLS),
+    with_split=st.booleans(),
+)
+def test_every_row_form_writes_the_bytes_of_the_reference_writer(table, with_split):
+    # the float array, Python floats and numpy scalars take the joined route,
+    # a row ending in a split name goes through csv.writer; all must match
+    # the writer that sent every row through csv.writer
+    header = [f"c{j}" for j in range(table.shape[1])]
+    rows = table.tolist()
+    if with_split:
+        header.append("split")
+        rows = [[*row, "train"] for row in rows]
+        forms = {"split": rows}
+    else:
+        forms = {"array": table, "floats": rows, "numpy scalars": [list(r) for r in table]}
+    with tempfile.TemporaryDirectory() as tmp:
+        expected_path = Path(tmp) / "reference.csv"
+        write_table_csv_reference(expected_path, header, rows)
+        expected = expected_path.read_bytes()
+        for name, form in forms.items():
+            path = Path(tmp) / "table.csv"
+            write_table_csv(path, header, form)
+            assert path.read_bytes() == expected, name

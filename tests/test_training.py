@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,14 @@ from lastlayer.bll import (
 from lastlayer.data import Dataset
 from lastlayer.mlp import MlpParams, MlpSpec, forward_batch, forward_layers, init_params
 from lastlayer.rng import make_rng
-from lastlayer.training import TrainConfig, clamp_hyper_tail, fit_loop, flat_views, train
+from lastlayer.training import (
+    TrainConfig,
+    clamp_hyper_tail,
+    fit_loop,
+    fit_nlml,
+    flat_views,
+    train,
+)
 from lastlayer.vi import RHO_INIT, _negative_elbo, vi_train
 
 from oracles import (
@@ -383,6 +392,38 @@ def test_flat_fit_loop_matches_the_per_leaf_loop_on_the_elbo():
         *ref_best[2 * n_layers :],
     ]
     _assert_same_run((best, history), (as_flat, *ref_rest))
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("monitored", [False, True])
+def test_fit_nlml_builds_no_params_or_hyperparameters_per_objective_call(
+    monkeypatch, frozen, monitored
+):
+    # the objective reads the leaf views; only the monitor, which goes
+    # through the public negative_lml, and the result build them
+    counts = Counter()
+    for cls in (BllHyper, MlpParams):
+        monkeypatch.setattr(cls, "__post_init__", _counting(cls.__post_init__, counts, cls))
+    fit, val = _bench_data(6)
+    weights = init_params(BENCH_SPEC, make_rng(4)).weights
+    if frozen:  # blr: the output layer alone on fixed features
+        fit = Dataset(forward_batch(MlpParams(weights), fit.x)[1], fit.t)
+        val = Dataset(forward_batch(MlpParams(weights), val.x)[1], val.t)
+        weights = weights[-1:]
+    counts.clear()
+    epochs = 5
+    fit_nlml(weights, fit, val if monitored else None, TrainConfig(max_epochs=epochs, patience=4))
+    per_epoch = epochs if monitored else 0
+    assert counts[BllHyper] <= per_epoch + 1
+    assert counts[MlpParams] <= per_epoch + 1
+
+
+def _counting(post_init, counts, cls):
+    def counted(self):
+        counts[cls] += 1
+        post_init(self)
+
+    return counted
 
 
 class TestTrain:
