@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bll import BllModel, precision_bar, predict
+from .bll import BllModel, precision_bar, predict_batch
 from .linalg import DimensionMismatch
 from .linalg import chol_spd  # noqa: F401 - perfbench's tracer patches affine:chol_spd
 from .mlp import affine_rows, forward_batch
@@ -129,10 +129,14 @@ def bll_affine_equivalence(model: BllModel, x: np.ndarray) -> tuple[float, float
     Returns (cost, var_y / sigma_e^2) computed through independent paths;
     with gamma set to the model's alpha the two agree.  Standardization
     cancels: both sides are evaluated in the model's feature space.
+
+    Raises:
+        DimensionMismatch: if ``x`` is not one row of the network's input width.
+        ValueError: if ``x`` holds a NaN or infinity.
     """
     x = np.asarray(x, dtype=float).reshape(1, -1)
+    var_y = predict_batch(model, x)[1]  # checks the row's width and values
     _, phi_tilde = forward_batch(model.params, model.x_scaler.transform(x))
     lhs = affine_cost_closed(model.phi[:, :-1], phi_tilde[0], model.alpha)
-    dist = predict(model, x[0])
-    rhs = float(dist.var_y[0] / model.sigma_e[0] ** 2)
+    rhs = float(var_y[0, 0] / model.sigma_e[0] ** 2)
     return lhs, rhs

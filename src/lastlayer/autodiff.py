@@ -54,7 +54,7 @@ def mlp_backward(
     d_last_hidden: np.ndarray | None,
     out,
 ) -> None:
-    """Reverse sweep through a network evaluated by ``mlp.forward_layers``.
+    """Reverse sweep through a network evaluated by ``mlp.forward_weights``.
 
     Args:
         weights: one matrix per layer, bias in the last row.

@@ -50,7 +50,6 @@ __all__ = [
     "fit_posterior",
     "negative_lml",
     "negative_lml_grads",
-    "negative_lml_grads_into",
     "negative_lml_marginalized",
     "nlml_grads_into",
     "nlml_head",
@@ -59,6 +58,7 @@ __all__ = [
     "predict",
     "predict_batch",
     "predictive_variances",
+    "query_rows",
     "with_alpha",
 ]
 
@@ -121,14 +121,7 @@ def closed_form_wbar(
     return solve_pd(lower, np.asarray(phi, dtype=float).T @ np.asarray(t, dtype=float))
 
 
-def nlml_head(
-    a: np.ndarray,
-    y: np.ndarray,
-    wbar: np.ndarray,
-    t: np.ndarray,
-    hyper: BllHyper,
-    flat_bias: bool = True,
-):
+def nlml_head(a, y, wbar, t, log_alpha: float, log_sigma_e, flat_bias=True, fixed=None):
     """Scaled negative LML on top of a network's last layer.
 
     Args:
@@ -136,26 +129,21 @@ def nlml_head(
         y: network outputs a @ wbar[:-1] + wbar[-1] (m, n_y).
         wbar: output-layer weights, bias in the last row.
         t: targets (m, n_y).
-        hyper: alpha and the per-output noise scales.
+        log_alpha: log of the signal-to-noise ratio, a Python float, so
+            its scalar products are float arithmetic.
+        log_sigma_e: the per-output log noise scales, an array.
         flat_bias: leave the bias row out of the prior.
+        fixed: (phi, phi^T phi) of rows ``a`` that training holds
+            constant, read instead of rebuilt, or None.
 
     Returns:
         The objective value and a function giving its gradients
         (d_y, d_a, d_wbar_penalty, d_log_alpha, d_log_sigma_e); the output
-        layer's data term reaches wbar through d_y.
+        layer's data term reaches wbar through d_y, and d_a is None when
+        ``fixed`` is given.
 
     Raises:
         NonFiniteLoss: if the value is NaN or infinite.
-    """
-    return _nlml_head(a, y, wbar, t, float(hyper.log_alpha), hyper.log_sigma_e, flat_bias)
-
-
-def _nlml_head(a, y, wbar, t, log_alpha: float, log_sigma_e, flat_bias=True, fixed=None):
-    """``nlml_head`` on bare hyperparameters, ``log_alpha`` a float.
-
-    ``fixed``, when given, is (phi, phi^T phi) of rows ``a`` that training
-    holds constant: they are read instead of rebuilt, and the gradient
-    with respect to ``a`` comes back as None.
     """
     m, n_y = t.shape
     if fixed is None:
@@ -235,8 +223,8 @@ def nlml_head_grid(
 ) -> np.ndarray:
     """``nlml_head``'s value, flat bias prior, at every log alpha of a grid.
 
-    Entry i equals ``nlml_head(a, y, wbar, t, BllHyper(log_alphas[i],
-    log_sigma_e))[0]`` up to rounding, with no factor per alpha: eliminating
+    Entry i equals ``nlml_head(a, y, wbar, t, log_alphas[i],
+    log_sigma_e)[0]`` up to rounding, with no factor per alpha: eliminating
     the flat-prior bias (a Schur complement) gives
 
         log det(Phi^T Phi + alpha^-1 I~) = log m + sum_k log(lambda_k + alpha^-1)
@@ -286,7 +274,8 @@ def negative_lml(
     pass is paid.
     """
     y, a = forward_batch(params, data.x)
-    value, _ = nlml_head(a, y, params.wbar, data.t, hyper, flat_bias)
+    log_alpha = float(hyper.log_alpha)
+    value, _ = nlml_head(a, y, params.wbar, data.t, log_alpha, hyper.log_sigma_e, flat_bias)
     return value
 
 
@@ -294,43 +283,30 @@ def negative_lml_grads(params: MlpParams, hyper: BllHyper, data: Dataset):
     """Objective value and gradients for (weights, log_alpha, log_sigma_e)."""
     out = [np.empty(w.shape) for w in params.weights]
     out += [np.empty(()), np.empty(hyper.log_sigma_e.shape)]
-    value = negative_lml_grads_into(params, hyper, data, out)
+    log_alpha = float(hyper.log_alpha)
+    value = nlml_grads_into(params.weights, log_alpha, hyper.log_sigma_e, data.x, data.t, out)
     return value, (out[:-2], out[-2][()], out[-1])
 
 
-def negative_lml_grads_into(params: MlpParams, hyper: BllHyper, data: Dataset, out) -> float:
-    """Objective value, with its gradient written into ``out``.
+def nlml_grads_into(weights, log_alpha: float, log_sigma_e, x, t, out, fixed=None) -> float:
+    """Objective value on bare leaves, with its gradient written into ``out``.
 
     ``out`` holds one array per weight matrix, then a 0-d array for
     log_alpha and one shaped like log_sigma_e: the leaf layout
-    ``training.fit_nlml`` trains.  Every entry is overwritten.
+    ``training.fit_nlml`` trains and views every epoch, so no ``MlpParams``
+    or ``BllHyper`` is built.  Every entry is overwritten.  For a one-layer
+    network, whose features are the rows ``x`` themselves, ``fixed`` may
+    hold (phi, phi^T phi) of those rows, read once per fit.
 
     Raises:
         ValueError: when ``out`` does not match that layout.
     """
-    n_w = len(params.weights)
-    if (
-        len(out) != n_w + 2
-        or out[n_w].shape != ()
-        or out[n_w + 1].shape != hyper.log_sigma_e.shape
-    ):
-        raise ValueError("gradient destinations do not match the parameters")
-    log_alpha = float(hyper.log_alpha)
-    return nlml_grads_into(params.weights, log_alpha, hyper.log_sigma_e, data.x, data.t, out)
-
-
-def nlml_grads_into(weights, log_alpha: float, log_sigma_e, x, t, out, fixed=None) -> float:
-    """``negative_lml_grads_into`` on bare leaves, with ``out`` taken as laid out.
-
-    ``training.fit_nlml`` calls it on its leaf views every epoch, so no
-    ``MlpParams`` or ``BllHyper`` is built.  For a one-layer network,
-    whose features are the rows ``x`` themselves, ``fixed`` may hold
-    (phi, phi^T phi) of those rows, read once per fit.
-    """
     n_w = len(weights)
+    if len(out) != n_w + 2 or out[n_w].shape != () or out[n_w + 1].shape != log_sigma_e.shape:
+        raise ValueError("gradient destinations do not match the parameters")
     acts = forward_weights(weights, x)
     a, y = acts[-2], acts[-1]
-    value, grad_fn = _nlml_head(a, y, weights[-1], t, log_alpha, log_sigma_e, True, fixed)
+    value, grad_fn = nlml_head(a, y, weights[-1], t, log_alpha, log_sigma_e, True, fixed)
     d_y, d_a, d_wbar, d_log_alpha, d_log_sigma_e = grad_fn()
     ad.mlp_backward(weights, acts, d_y, d_a, out[:n_w])
     out[n_w - 1] += d_wbar
@@ -455,15 +431,27 @@ def predict_batch(model: BllModel, x: np.ndarray):
         DimensionMismatch: if the rows of ``x`` are not the network's input width.
         ValueError: if ``x`` holds a NaN or infinity.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    check_rows(model, x)
-    if not np.isfinite(x).all():
-        raise ValueError("query rows must not contain infs or NaNs")
+    x = query_rows(x, model.params.weights[0].shape[0] - 1)
     if len(x) <= PREDICT_BLOCK:
         return _predict_rows(model, x)
     starts = range(0, len(x), PREDICT_BLOCK)
     blocks = [_predict_rows(model, x[i : i + PREDICT_BLOCK]) for i in starts]
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def query_rows(x, n_x: int) -> np.ndarray:
+    """``x`` as 2-D float rows, checked as the predictions check their queries.
+
+    Raises:
+        DimensionMismatch: if the rows of ``x`` are not ``n_x`` wide.
+        ValueError: if ``x`` holds a NaN or infinity.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.ndim != 2 or x.shape[1] != n_x:
+        raise DimensionMismatch(f"inputs of shape {x.shape} for a network of width {n_x}")
+    if not np.isfinite(x).all():
+        raise ValueError("query rows must not contain infs or NaNs")
+    return x
 
 
 def check_rows(model: BllModel, x: np.ndarray, t: np.ndarray | None = None) -> None:

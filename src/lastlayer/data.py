@@ -160,25 +160,22 @@ def write_table_csv(
 ) -> None:
     """Generic numeric table writer with deterministic float formatting.
 
-    ``rows`` is a 2-D float array or rows of numbers, where a row may also
-    hold strings.  A numeric row is joined directly: ``repr`` of a float
-    never holds a comma, a quote or a line break, so the bytes are those
-    ``csv.writer`` writes for it.  The header and a row holding a string
-    go through ``csv.writer``.
+    ``rows`` is a 2-D float array, or rows that hold strings, such as
+    ``dataset.csv``'s split column.  An array row is joined directly:
+    ``repr`` of a float never holds a comma, a quote or a line break, so the
+    bytes are those ``csv.writer`` writes for it.  The header and the rows
+    of any other form go through ``csv.writer``, each number as ``_fmt``.
     """
-    floats = isinstance(rows, np.ndarray)
-    if floats:
-        rows = rows.astype(float, copy=False).tolist()  # Python floats, whose repr is _fmt's
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            if floats:
+        if isinstance(rows, np.ndarray):
+            # Python floats, whose repr is _fmt's
+            for row in rows.astype(float, copy=False).tolist():
                 fh.write(",".join(map(repr, row)) + "\r\n")
-            elif any(isinstance(v, str) for v in row):
+        else:
+            for row in rows:
                 writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
-            else:
-                fh.write(",".join(map(_fmt, row)) + "\r\n")
 
 
 def read_table_csv(path) -> tuple[list[str], np.ndarray]:

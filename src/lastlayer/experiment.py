@@ -145,7 +145,7 @@ def _write_alpha_sweep(path, model: BllModel, splits, span: float, points: int) 
     """Objective and per-split LPD over ``points`` log-alphas above the trained one."""
     log_grid = np.linspace(model.hyper.log_alpha, model.hyper.log_alpha + span, points)
     rows = alpha_sweep(model, splits["train"], splits, log_grid)
-    write_table_csv(path, list(rows[0].keys()), [list(r.values()) for r in rows])
+    write_table_csv(path, list(rows[0].keys()), np.array([list(r.values()) for r in rows]))
     return rows
 
 
@@ -310,13 +310,15 @@ def toy_feature_demo(seed: int, out_dir) -> dict:
     _, feats_grid = forward_batch(model.params, model.x_scaler.transform(x_grid))
     rows = [[splits["train"].x[i, 0], *feats_train[i], 1.0] for i in range(3)]
     rows += [[x_grid[i, 0], *feats_grid[i], 0.0] for i in range(x_grid.shape[0])]
-    write_table_csv(out_dir / "toy_features.csv", ["x", "phi_0", "phi_1", "is_train"], rows)
+    write_table_csv(
+        out_dir / "toy_features.csv", ["x", "phi_0", "phi_1", "is_train"], np.array(rows)
+    )
 
     span0 = feats_grid[:, 0].min() - 0.5, feats_grid[:, 0].max() + 0.5
     span1 = feats_grid[:, 1].min() - 0.5, feats_grid[:, 1].max() + 0.5
     g0, g1 = np.meshgrid(np.linspace(*span0, 40), np.linspace(*span1, 40))
     queries = np.concatenate([np.column_stack([g0.ravel(), g1.ravel()]), feats_train])
-    cost_rows = [[*q, affine_cost_closed(feats_train, q, model.alpha)] for q in queries]
+    cost_rows = np.array([[*q, affine_cost_closed(feats_train, q, model.alpha)] for q in queries])
     write_table_csv(out_dir / "toy_affine_grid.csv", ["phi_0", "phi_1", "cost"], cost_rows)
 
     _write_alpha_sweep(out_dir / "toy_alpha_sweep.csv", model, splits, search.span, 41)

@@ -15,7 +15,6 @@ __all__ = [
     "MlpParams",
     "init_params",
     "forward_batch",
-    "forward_layers",
     "forward_weights",
     "affine_rows",
     "features",
@@ -83,19 +82,13 @@ def init_params(spec: MlpSpec, rng: np.random.Generator) -> MlpParams:
     return MlpParams(tuple(weights))
 
 
-def forward_layers(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
+def forward_weights(weights, x: np.ndarray) -> list[np.ndarray]:
     """Evaluate the network on rows of ``x``, keeping every layer's output.
 
+    ``weights`` is a sequence of weight matrices, one per layer, so the
+    trainers call it on their leaf views with no ``MlpParams`` built.
     Returns [x, h_1, ..., h_L, y]: the inputs, each hidden activation and
     the linear outputs, as ``autodiff.mlp_backward`` expects them.
-    """
-    return forward_weights(params.weights, x)
-
-
-def forward_weights(weights, x: np.ndarray) -> list[np.ndarray]:
-    """``forward_layers`` on a sequence of weight matrices, no ``MlpParams`` built.
-
-    The trainers' objectives call it on their leaf views every epoch.
     """
     acts = [np.asarray(x, dtype=float)]
     for w in weights[:-1]:
@@ -111,7 +104,7 @@ def forward_batch(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     Returns the outputs (m, n_y) and the linear features (m, n_phi_tilde),
     i.e. the last hidden activations that feed the linear output layer.
     """
-    acts = forward_layers(params, x)
+    acts = forward_weights(params.weights, x)
     return acts[-1], acts[-2]
 
 

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import mlp_backward
+from .bll import query_rows
 from .calibration import LOG_2PI, gaussian_log_density
 from .data import Dataset, Standardizer
-from .mlp import MlpParams, MlpSpec, forward_batch, forward_weights, init_params
+from .mlp import MlpSpec, forward_weights, init_params
 from .rng import spawn_rngs
 from .training import (
     TrainConfig,
@@ -181,15 +182,19 @@ def vi_predict_batch(
     One weight set is drawn per component, as one flat draw over every
     layer, and evaluated at every query row, so all points share the same
     mixture components.
+
+    Raises:
+        ValueError: if ``n_samples`` is below 1, or ``x`` holds a NaN or infinity.
+        DimensionMismatch: if the rows of ``x`` are not the network's input width.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    x_std = model.x_scaler.transform(np.atleast_2d(np.asarray(x, dtype=float)))
+    x_std = model.x_scaler.transform(query_rows(x, model.shapes[0][0] - 1))
     sigma = np.logaddexp(0.0, model.rho)
     means = []
     for _ in range(n_samples):
         weights = flat_views(model.mu + sigma * rng.standard_normal(model.mu.size), model.shapes)
-        means.append(model.t_scaler.inverse(forward_batch(MlpParams(tuple(weights)), x_std)[0]))
+        means.append(model.t_scaler.inverse(forward_weights(weights, x_std)[-1]))
     return np.stack(means), model.sigma_e**2
 
 

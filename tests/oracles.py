@@ -12,15 +12,18 @@ flat parameter vector.
 The ``*_reference`` gradient heads at the end are the exception: they are
 the heads as they stood before their numpy wrappers were trimmed (``np.sum``,
 ``np.diag``, a fresh ``np.eye`` and a ``np.vstack`` per call), kept verbatim
-so that the trimmed heads can be checked against them bit for bit.  So are
+so that the trimmed heads (``bll.negative_lml``, ``negative_lml_grads`` and
+the in-place ``nlml_grads_into``, the ELBO, the MSE and the reverse sweep)
+can be checked against them bit for bit.  They run the network through
+``mlp.forward_weights``, the one forward pass.  So are
 ``predict_batch_reference`` and ``alpha_sweep_reference``: the one-pass
 prediction and the sweep that ran the network again at every alpha, from
 before the sweep cached each row set's network outputs (the prediction
 reads the model's eigenbasis as ``bll.predictive_variances`` does); and
 ``vi_predict_batch_reference``, the mixture prediction that drew each
 component through its own sampling helper, recomputing the spreads each time.
-``write_table_csv_reference`` is the table writer from before numeric rows
-skipped ``csv.writer``.
+``write_table_csv_reference`` writes every row through ``csv.writer``, as
+the table writer did before float-array rows were joined directly.
 """
 
 import csv
@@ -34,7 +37,7 @@ from lastlayer.calibration import LOG_2PI, gaussian_log_density
 from lastlayer.data import Dataset, _fmt
 from lastlayer.linalg import chol_spd, solve_pd
 from lastlayer.bll import negative_lml, with_alpha
-from lastlayer.mlp import MlpParams, forward_batch, forward_layers
+from lastlayer.mlp import MlpParams, forward_batch, forward_weights
 from lastlayer.optim import adam_init, adam_step
 from lastlayer.vi import HIDDEN_PRIOR_VAR
 
@@ -323,7 +326,7 @@ def negative_lml_reference(params, hyper, data, flat_bias=True) -> float:
 
 
 def negative_lml_grads_reference(params, hyper, data):
-    acts = forward_layers(params, data.x)
+    acts = forward_weights(params.weights, data.x)
     value, grad_fn = nlml_head_reference(acts[-2], acts[-1], params.wbar, data.t, hyper)
     d_y, d_a, d_wbar, d_log_alpha, d_log_sigma_e = grad_fn()
     grads = mlp_backward_reference(params.weights, acts, d_y, d_a)
@@ -362,7 +365,7 @@ def negative_elbo_reference(leaves, eps, x, t):
 
     inv_sig2 = np.exp(-2.0 * log_sigma_e)
     weights = [mu + sigma * e for mu, sigma, e in zip(mus, sigmas, eps)]
-    acts = forward_layers(MlpParams(tuple(weights)), x)
+    acts = forward_weights(weights, x)
     resid = t - acts[-1]
     misfit = np.sum(resid * resid, axis=0) * inv_sig2
     nll = 0.5 * m * n_y * LOG_2PI + m * np.sum(log_sigma_e) + 0.5 * np.sum(misfit)
@@ -384,7 +387,7 @@ def negative_elbo_reference(leaves, eps, x, t):
 
 def mse_grads_reference(weights, data):
     """Mean squared error of the network and its weight gradients."""
-    acts = forward_layers(MlpParams(tuple(weights)), data.x)
+    acts = forward_weights(weights, data.x)
     resid = data.t - acts[-1]
     value = float((1.0 / data.t.size) * np.sum(resid * resid))
     d_y = (-2.0 / data.t.size) * resid

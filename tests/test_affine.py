@@ -166,6 +166,13 @@ class TestCovarianceEquivalence:
             lhs, rhs = bll_affine_equivalence(model, query)
             assert abs(lhs - rhs) / (1.0 + abs(rhs)) < 1e-8
 
+    @pytest.mark.parametrize("query", [np.zeros(2), np.zeros(0)], ids=["two inputs", "none"])
+    def test_a_query_of_the_wrong_width_raises_dimension_mismatch(self, query):
+        model, _ = _random_model(seed=3)  # one input
+        with pytest.raises(DimensionMismatch) as raised:
+            bll_affine_equivalence(model, query)
+        assert type(raised.value) is DimensionMismatch
+
     def test_mismatched_gamma_breaks_equality(self):
         from lastlayer.mlp import forward_batch
 

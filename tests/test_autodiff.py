@@ -3,7 +3,7 @@ import pytest
 
 from lastlayer import autodiff as ad
 from lastlayer.linalg import chol_spd, cholesky, identity, logdet_pd, solve_pd
-from lastlayer.mlp import MlpParams, forward_layers
+from lastlayer.mlp import forward_weights
 from lastlayer.training import TrainConfig, fit_loop
 
 from oracles import finite_difference, random_spd, writing
@@ -14,7 +14,7 @@ def test_linear_chain_matches_hand_derivative():
     x, t = 0.7, 0.3
     w1, w2 = 1.1, -0.4
     weights = (np.array([[w1], [0.0]]), np.array([[w2], [0.0]]))
-    acts = forward_layers(MlpParams(weights), np.array([[x]]))
+    acts = forward_weights(weights, np.array([[x]]))
     a = np.tanh(w1 * x)
     dy = w2 * a - t
     grads = [np.empty(w.shape) for w in weights]
@@ -32,12 +32,12 @@ def test_matmul_transpose_affine_ones():
     weights = [rng.standard_normal((3, 4)), rng.standard_normal((5, 2))]
 
     def loss(arrays):
-        acts = forward_layers(MlpParams(tuple(arrays)), x)
+        acts = forward_weights(arrays, x)
         phi = np.concatenate([acts[-2], np.ones((6, 1))], axis=1)
         gram = phi.T @ phi
         return float(np.sum(acts[-1]) + np.sum(gram * gram))
 
-    acts = forward_layers(MlpParams(tuple(weights)), x)
+    acts = forward_weights(weights, x)
     phi = np.concatenate([acts[-2], np.ones((6, 1))], axis=1)
     d_phi = 4.0 * phi @ (phi.T @ phi)
     grads = [np.empty(w.shape) for w in weights]

@@ -30,7 +30,7 @@ from lastlayer.bll import (
     fit_posterior,
     negative_lml,
     negative_lml_grads,
-    negative_lml_grads_into,
+    nlml_grads_into,
     precision_bar,
     predict_batch,
     with_alpha,
@@ -38,7 +38,7 @@ from lastlayer.bll import (
 from lastlayer.calibration import LOG_2PI, alpha_sweep
 from lastlayer.data import Dataset, fit_standardizer
 from lastlayer.linalg import NotPositiveDefinite, cholesky, identity
-from lastlayer.mlp import MlpParams, affine_rows, forward_batch, forward_layers
+from lastlayer.mlp import MlpParams, affine_rows, forward_batch, forward_weights
 from lastlayer.vi import ViModel, _negative_elbo, vi_predict_batch
 
 from oracles import (
@@ -122,7 +122,9 @@ def test_negative_lml_grads_match_their_reference(problem):
     outcome = _same_outcome(
         lambda: (
             negative_lml_grads(params, hyper, data),
-            negative_lml_grads_into(params, hyper, data, out),
+            nlml_grads_into(
+                params.weights, float(hyper.log_alpha), hyper.log_sigma_e, data.x, data.t, out
+            ),
         ),
         lambda: negative_lml_grads_reference(params, hyper, data),
     )
@@ -184,7 +186,7 @@ def test_the_fit_nlml_objective_matches_its_reference(problem, frozen):
 @given(problem=problems(), with_hidden_grad=st.booleans())
 def test_mlp_backward_matches_its_reference(problem, with_hidden_grad):
     params, _, data, rng = problem
-    acts = forward_layers(params, data.x)
+    acts = forward_weights(params.weights, data.x)
     d_out = rng.standard_normal(acts[-1].shape)
     d_hidden = rng.standard_normal(acts[-2].shape) if with_hidden_grad else None
     before = d_out.copy()

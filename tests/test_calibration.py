@@ -171,19 +171,19 @@ class TestAlphaSweep:
 
 @pytest.mark.parametrize("n_sets", [0, 1, 3])
 def test_sweep_runs_the_network_once_per_row_set(monkeypatch, n_sets):
-    # forward_batch looks forward_layers up in mlp's namespace, so the
+    # forward_batch looks forward_weights up in mlp's namespace, so the
     # wrapper counts every forward pass, whoever makes it.
     from lastlayer import mlp
 
     model, data = _trained_toy(seed=8)
     calls = []
-    forward_layers = mlp.forward_layers
+    forward_weights = mlp.forward_weights
 
-    def counted(params, x):
+    def counted(weights, x):
         calls.append(len(x))
-        return forward_layers(params, x)
+        return forward_weights(weights, x)
 
-    monkeypatch.setattr(mlp, "forward_layers", counted)
+    monkeypatch.setattr(mlp, "forward_weights", counted)
     eval_sets = {f"set{k}": data.subset(np.arange(k + 1)) for k in range(n_sets)}
     grid = np.linspace(model.hyper.log_alpha, model.hyper.log_alpha + 15.0, 7)
     rows = alpha_sweep(model, data, eval_sets, grid)
@@ -285,7 +285,7 @@ def test_sweep_objective_matches_the_factored_head_within_its_bound(problem):
             cholesky(precision_bar(affine_rows(a), hyper.alpha))
         except NotPositiveDefinite:
             continue  # the head's factor needs jitter here, which moves its value
-        expected, _ = nlml_head(a, y, model.wbar, train_data.t, hyper)
+        expected, _ = nlml_head(a, y, model.wbar, train_data.t, float(log_alpha), log_sigma_e)
         bound = nlml_grid_bound(a, y, model.wbar, train_data.t, log_sigma_e, log_alpha)
         assert abs(row["nlml_train"] - expected) <= bound
 

@@ -1,0 +1,71 @@
+"""Source checks a linter would make: stale ``__all__`` entries and unused imports.
+
+Every module of the package is parsed with ``ast``.  A name counts as used
+when it is read anywhere in the module (as a bare name or the root of an
+attribute chain) or listed in ``__all__``.  An import kept on purpose for a
+caller outside the module, such as one that perfbench's tracer patches,
+carries ``# noqa: F401`` on its line.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import lastlayer
+
+SOURCES = sorted(Path(lastlayer.__file__).parent.glob("*.py"))
+
+
+def _module_name(path):
+    return "lastlayer" if path.stem == "__init__" else f"lastlayer.{path.stem}"
+
+
+def _declared_all(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _imported_names(tree, lines):
+    """(bound name, line) of every import not marked ``noqa: F401``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if "noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+
+
+def _read_names(tree):
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_all_entry_resolves(path):
+    module = importlib.import_module(_module_name(path))
+    names = _declared_all(ast.parse(path.read_text()))
+    assert [n for n in names if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    source = path.read_text()
+    tree = ast.parse(source)
+    used = _read_names(tree) | set(_declared_all(tree))
+    unused = [
+        f"{path.name}:{line} {name}"
+        for name, line in _imported_names(tree, source.splitlines())
+        if name not in used
+    ]
+    assert unused == []

@@ -11,10 +11,10 @@ from lastlayer.bll import (
     BllHyper,
     closed_form_wbar,
     negative_lml,
-    negative_lml_grads_into,
+    nlml_grads_into,
 )
 from lastlayer.data import Dataset
-from lastlayer.mlp import MlpParams, MlpSpec, forward_batch, forward_layers, init_params
+from lastlayer.mlp import MlpParams, MlpSpec, forward_batch, forward_weights, init_params
 from lastlayer.rng import make_rng
 from lastlayer.training import (
     TrainConfig,
@@ -145,7 +145,7 @@ class TestFitLoop:
         # fit_loop hands the objective views shaped like the leaves, and the
         # reverse sweep every head runs refuses destinations of other shapes
         weights = init_params(MlpSpec(1, (3,), 1), make_rng(0)).weights  # (2, 3), (4, 1)
-        acts = forward_layers(MlpParams(weights), np.linspace(-1.0, 1.0, 5).reshape(-1, 1))
+        acts = forward_weights(weights, np.linspace(-1.0, 1.0, 5).reshape(-1, 1))
         with pytest.raises(ValueError, match="gradient destination"):
             mlp_backward(weights, acts, np.ones((5, 1)), None, grads)
 
@@ -208,16 +208,14 @@ def _wrong_destinations():
     rng = np.random.default_rng(0)
     weights = init_params(MlpSpec(1, (3,), 2), make_rng(0)).weights  # (2, 3) and (4, 2)
     data = Dataset(rng.standard_normal((6, 1)), rng.standard_normal((6, 2)))
-    hyper = BllHyper(0.0, np.zeros(2))
     mu, rho = np.concatenate(weights, axis=None), np.full(14, -3.0)
     elbo_leaves = [mu, rho, np.zeros(2), np.zeros(2)]
     eps = rng.standard_normal(14)
     shapes = [(2, 3), (4, 2)]
 
     def nlml(tail):
-        return lambda: negative_lml_grads_into(
-            MlpParams(weights), hyper, data, [np.empty(w.shape) for w in weights] + tail
-        )
+        out = [np.empty(w.shape) for w in weights] + tail
+        return lambda: nlml_grads_into(weights, 0.0, np.zeros(2), data.x, data.t, out)
 
     def elbo(grads):
         return lambda: _negative_elbo(elbo_leaves, grads, eps, data.x, data.t, shapes)
@@ -320,7 +318,7 @@ def test_flat_fit_loop_matches_the_per_leaf_loop_on_the_nlml():
         return MlpParams(tuple(vals[:-2])), BllHyper(float(vals[-2]), vals[-1])
 
     def loss_and_grads(vals, grads):
-        return negative_lml_grads_into(*unpack(vals), fit, grads)
+        return nlml_grads_into(vals[:-2], float(vals[-2]), vals[-1], fit.x, fit.t, grads)
 
     def reference(vals):
         value, (w_grads, g_la, g_ls) = negative_lml_grads_reference(*unpack(vals), fit)

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
-from lastlayer.data import Dataset
+from lastlayer.data import Dataset, identity_standardizer
+from lastlayer.linalg import DimensionMismatch
 from lastlayer.mlp import MlpSpec
 from lastlayer.rng import make_rng
 from lastlayer.training import TrainConfig
 from lastlayer.vi import (
+    ViModel,
     _negative_elbo,
     gmm_log_density,
     vi_predict_batch,
@@ -282,3 +284,30 @@ class TestViTraining:
         np.testing.assert_allclose(
             gmm_log_density(means, noise_var, data.t), per_point, rtol=1e-12
         )
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        (np.zeros((3, 2)), DimensionMismatch),  # two inputs for a one-input network
+        (np.array([[0.5], [np.nan]]), ValueError),
+        (np.array([[0.5], [np.inf]]), ValueError),
+    ],
+    ids=["wrong width", "nan", "inf"],
+)
+def test_malformed_query_rows_raise(rows, error):
+    # the checks bll.predict_batch makes: a NaN row would give NaN means,
+    # and an infinite one saturate tanh into finite ones
+    shapes = ((2, 3), (4, 1))
+    model = ViModel(
+        make_rng(0).standard_normal(10),
+        np.full(10, -3.0),
+        np.zeros(1),
+        np.zeros(1),
+        shapes,
+        identity_standardizer(1),
+        identity_standardizer(1),
+    )
+    with pytest.raises(error) as raised:
+        vi_predict_batch(model, rows, 4, make_rng(1))
+    assert type(raised.value) is error
