@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bll import BllModel, precision_bar, predict_batch
+from .bll import BllModel, precision_bar, predictive_variances, query_rows
 from .linalg import DimensionMismatch
 from .linalg import chol_spd  # noqa: F401 - perfbench's tracer patches affine:chol_spd
 from .mlp import affine_rows, forward_batch
@@ -134,9 +134,9 @@ def bll_affine_equivalence(model: BllModel, x: np.ndarray) -> tuple[float, float
         DimensionMismatch: if ``x`` is not one row of the network's input width.
         ValueError: if ``x`` holds a NaN or infinity.
     """
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    var_y = predict_batch(model, x)[1]  # checks the row's width and values
-    _, phi_tilde = forward_batch(model.params, model.x_scaler.transform(x))
-    lhs = affine_cost_closed(model.phi[:, :-1], phi_tilde[0], model.alpha)
+    x = query_rows(np.reshape(x, (1, -1)), model.params.weights[0].shape[0] - 1)
+    _, a = forward_batch(model.params, model.x_scaler.transform(x))
+    var_y = predictive_variances(model, a, model.alpha)[0]
+    lhs = affine_cost_closed(model.phi[:, :-1], a[0], model.alpha)
     rhs = float(var_y[0, 0] / model.sigma_e[0] ** 2)
     return lhs, rhs

@@ -45,7 +45,6 @@ __all__ = [
     "BllModel",
     "PredictiveDistribution",
     "centred_spectrum",
-    "check_rows",
     "closed_form_wbar",
     "fit_posterior",
     "negative_lml",
@@ -82,6 +81,8 @@ class BllHyper:
         if log_sigma_e.ndim == 0:
             log_sigma_e = log_sigma_e.reshape(1)
         object.__setattr__(self, "log_sigma_e", log_sigma_e)
+        if log_sigma_e.ndim != 1:
+            raise ValueError(f"log_sigma_e must be 1-D, got shape {log_sigma_e.shape}")
         if not math.isfinite(self.log_alpha) or not np.isfinite(log_sigma_e).all():
             raise ValueError("hyperparameters must be finite")
         if abs(self.log_alpha) > LOG_ALPHA_MAX:
@@ -398,8 +399,18 @@ def fit_posterior(
     """Cache the posterior pieces for a trained network on its training data.
 
     Raises:
-        ValueError: if the network's features on ``data`` are not finite.
+        ValueError: if ``data`` has no rows, or the network's features on
+            it are not finite.
+        DimensionMismatch: if the noise scales in ``hyper`` or the network's
+            outputs are not as many as the targets' columns.
     """
+    if data.m == 0:
+        raise ValueError("a posterior needs at least one training row")
+    widths = len(hyper.log_sigma_e), params.wbar.shape[1]
+    if widths != (data.n_y, data.n_y):
+        raise DimensionMismatch(
+            f"(noise scales, outputs) of widths {widths} for targets of width {data.n_y}"
+        )
     phi = features(params, data.x)
     if not np.isfinite(phi).all():
         raise ValueError("features of the training rows must not contain infs or NaNs")
@@ -452,14 +463,6 @@ def query_rows(x, n_x: int) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError("query rows must not contain infs or NaNs")
     return x
-
-
-def check_rows(model: BllModel, x: np.ndarray, t: np.ndarray | None = None) -> None:
-    """Raise DimensionMismatch unless ``x`` (and ``t``) are 2-D rows of the network's widths."""
-    n_x, n_y = model.params.weights[0].shape[0] - 1, model.wbar.shape[1]
-    for name, rows, width in (("inputs", x, n_x), ("targets", t, n_y)):
-        if rows is not None and (rows.ndim != 2 or rows.shape[1] != width):
-            raise DimensionMismatch(f"{name} of shape {rows.shape} for a network of width {width}")
 
 
 def _predict_rows(model: BllModel, x: np.ndarray):

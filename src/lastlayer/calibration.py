@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bll import negative_lml  # noqa: F401 - perfbench's tracer patches calibration:negative_lml
-from .bll import HYPER_CLAMP, LOG_ALPHA_MAX, BllModel, check_rows, nlml_head_grid, predict_batch
+from .bll import HYPER_CLAMP, LOG_ALPHA_MAX, BllModel, nlml_head_grid, predict_batch
 from .bll import predictive_variances, with_alpha
 from .data import Dataset
+from .linalg import DimensionMismatch
 from .mlp import forward_batch
 from .training import check_integers, check_numbers
 
@@ -62,7 +63,11 @@ def gaussian_log_density(mean: np.ndarray, var_t: np.ndarray, t: np.ndarray) -> 
 def _check_scored(model: BllModel, data: Dataset) -> None:
     if data.m == 0:
         raise ValueError("a scored dataset needs at least one row")
-    check_rows(model, data.x, data.t)
+    widths = model.params.weights[0].shape[0] - 1, model.wbar.shape[1]
+    if (data.n_x, data.n_y) != widths:
+        raise DimensionMismatch(
+            f"a dataset of widths {(data.n_x, data.n_y)} for a network of widths {widths}"
+        )
 
 
 def lpd(model: BllModel, data: Dataset) -> float:
@@ -89,9 +94,17 @@ def tune_alpha(
     Returns:
         (alpha_max, retuned model). The retuned model shares the feature
         weights, output weights and noise scales with the input model.
+
+    Raises:
+        ValueError: if log(alpha*) + span exceeds ``LOG_ALPHA_MAX``, which
+            only a hand-set log alpha beyond the training clamp reaches.
     """
     lo = model.hyper.log_alpha
     hi = lo + cfg.span
+    if hi > LOG_ALPHA_MAX:
+        raise ValueError(
+            f"the search reaches log alpha {hi!r}, past LOG_ALPHA_MAX = {LOG_ALPHA_MAX!r}"
+        )
 
     def value(log_alpha: float) -> float:
         return lpd(with_alpha(model, math.exp(log_alpha)), val_data)

@@ -7,7 +7,6 @@ exact same doubles.
 """
 
 import csv
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +36,8 @@ class Dataset:
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
         t = np.atleast_2d(np.asarray(self.t, dtype=float))
+        if x.ndim > 2 or t.ndim > 2:
+            raise ValueError(f"inputs {x.shape} and targets {t.shape} must be at most 2-D")
         if t.shape[0] == 1 and x.shape[0] > 1:
             t = t.T
         object.__setattr__(self, "x", x)
@@ -101,19 +102,14 @@ def split_train_val(
     return data.subset(perm[:-n_val]), data.subset(perm[-n_val:])
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _splits_header(n_x: int, n_y: int) -> list[str]:
     return [f"x_{i}" for i in range(n_x)] + [f"t_{j}" for j in range(n_y)] + ["split"]
 
 
 def write_splits_csv(path, splits: dict[str, Dataset]) -> None:
     first = next(iter(splits.values()))
-    header = _splits_header(first.n_x, first.n_y)
-    rows = [[*d.x[i], *d.t[i], name] for name, d in splits.items() for i in range(d.m)]
-    write_table_csv(path, header, rows)
+    blocks = [(np.hstack([d.x, d.t]), f",{name}\r\n") for name, d in splits.items()]
+    _write_csv(path, _splits_header(first.n_x, first.n_y), blocks)
 
 
 def read_splits_csv(path) -> dict[str, Dataset]:
@@ -155,27 +151,24 @@ def read_splits_csv(path) -> dict[str, Dataset]:
     return out
 
 
-def write_table_csv(
-    path, header: list[str], rows: np.ndarray | Iterable[Sequence[float | str]]
-) -> None:
-    """Generic numeric table writer with deterministic float formatting.
+def write_table_csv(path, header: list[str], rows: np.ndarray) -> None:
+    """Numeric table writer with deterministic float formatting: ``rows`` is a 2-D float array."""
+    _write_csv(path, header, [(rows, "\r\n")])
 
-    ``rows`` is a 2-D float array, or rows that hold strings, such as
-    ``dataset.csv``'s split column.  An array row is joined directly:
-    ``repr`` of a float never holds a comma, a quote or a line break, so the
-    bytes are those ``csv.writer`` writes for it.  The header and the rows
-    of any other form go through ``csv.writer``, each number as ``_fmt``.
+
+def _write_csv(path, header: list[str], blocks) -> None:
+    """The header, then the rows of each (float array, line end) block.
+
+    Every cell is the ``repr`` of a Python float, which never holds a comma,
+    a quote or a line break, and every header name is one the package
+    builds, so joining them with commas writes the bytes ``csv.writer``
+    writes for the same cells.
     """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        if isinstance(rows, np.ndarray):
-            # Python floats, whose repr is _fmt's
+        fh.write(",".join(header) + "\r\n")
+        for rows, end in blocks:
             for row in rows.astype(float, copy=False).tolist():
-                fh.write(",".join(map(repr, row)) + "\r\n")
-        else:
-            for row in rows:
-                writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+                fh.write(",".join(map(repr, row)) + end)
 
 
 def read_table_csv(path) -> tuple[list[str], np.ndarray]:

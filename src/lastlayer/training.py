@@ -25,10 +25,14 @@ from .bll import (
 )
 from .data import Dataset, Standardizer, fit_standardizer, split_train_val
 from .mlp import MlpParams, MlpSpec, affine_rows, init_params
-from .optim import adam_init, adam_step
 from .rng import make_rng
 
 __all__ = ["TrainConfig", "TrainHistory", "fit_nlml", "train"]
+
+# Adam's published constants.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 def check_integers(**values) -> None:
@@ -97,6 +101,20 @@ def flat_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
+def adam_step(t: int, m, v, params: np.ndarray, grads: np.ndarray, lr: float):
+    """Adam's step ``t`` (from 1) with bias correction: fresh (m, v, params) arrays.
+
+    The inputs are left alone, so a snapshot of past parameters stays valid.
+    """
+    if params.shape != grads.shape:
+        raise ValueError("gradient shape mismatch")
+    c1 = 1.0 - BETA1**t
+    c2 = 1.0 - BETA2**t
+    m = BETA1 * m + (1.0 - BETA1) * grads
+    v = BETA2 * v + (1.0 - BETA2) * grads * grads
+    return m, v, params - lr * (m / c1) / (np.sqrt(v / c2) + EPS)
+
+
 def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=None):
     """Generic early-stopped Adam loop shared by every trainer in the package.
 
@@ -105,6 +123,8 @@ def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=N
     leaves and the gradients handed to the callables are reshaped views
     into those two vectors, built once: every step refreshes the leaves in
     place, and the objective overwrites every gradient entry in place.
+    Adam's moments are two more flat arrays, and its step number is the
+    epoch plus one, as the loop breaks before it steps.
 
     Args:
         leaves: list of parameter arrays (not modified).
@@ -128,7 +148,7 @@ def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=N
     grad = np.full_like(flat, np.nan)  # an entry the objective skips poisons the step
     shapes = [np.shape(a) for a in leaves]
     leaves, grads = flat_views(flat, shapes), flat_views(grad, shapes)
-    state = adam_init(flat, cfg.lr)
+    m, v = np.zeros_like(flat), np.zeros_like(flat)
     history = TrainHistory(val_objective=None if monitor is None else [])
     best_value = np.inf
     best_flat = flat.copy()
@@ -153,7 +173,7 @@ def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=N
         elif epoch - history.best_epoch > cfg.patience:
             history.stop_reason = "patience"
             break
-        state, stepped = adam_step(state, flat, grad)
+        m, v, stepped = adam_step(epoch + 1, m, v, flat, grad, cfg.lr)
         flat[...] = stepped
         if post_step is not None:
             post_step(leaves)

@@ -23,7 +23,7 @@ reads the model's eigenbasis as ``bll.predictive_variances`` does); and
 ``vi_predict_batch_reference``, the mixture prediction that drew each
 component through its own sampling helper, recomputing the spreads each time.
 ``write_table_csv_reference`` writes every row through ``csv.writer``, as
-the table writer did before float-array rows were joined directly.
+the table and dataset writers did before their rows were joined directly.
 """
 
 import csv
@@ -34,11 +34,11 @@ from scipy.linalg import solve_triangular
 
 from lastlayer.autodiff import NonFiniteLoss
 from lastlayer.calibration import LOG_2PI, gaussian_log_density
-from lastlayer.data import Dataset, _fmt
+from lastlayer.data import Dataset
 from lastlayer.linalg import chol_spd, solve_pd
 from lastlayer.bll import negative_lml, with_alpha
 from lastlayer.mlp import MlpParams, forward_batch, forward_weights
-from lastlayer.optim import adam_init, adam_step
+from lastlayer.training import adam_step
 from lastlayer.vi import HIDDEN_PRIOR_VAR
 
 
@@ -200,8 +200,10 @@ def fit_loop_per_leaf(leaves, loss_and_grads, cfg, monitor=None, post_step=None)
 
     The loop ``training.fit_loop`` ran before it moved to one flat
     parameter vector; Adam is elementwise, so both must agree bit for bit.
+    It counts its own steps, where ``fit_loop`` passes the epoch plus one.
     """
-    states = [adam_init(a, cfg.lr) for a in leaves]
+    states = [(np.zeros_like(a), np.zeros_like(a)) for a in leaves]
+    step = 0
     train_objective, val_objective = [], []
     best_value, best_epoch = np.inf, 0
     best_leaves = [a.copy() for a in leaves]
@@ -215,8 +217,12 @@ def fit_loop_per_leaf(leaves, loss_and_grads, cfg, monitor=None, post_step=None)
             best_leaves = [a.copy() for a in leaves]
         elif epoch - best_epoch > cfg.patience:
             break
-        steps = [adam_step(*args) for args in zip(states, leaves, grads, strict=True)]
-        states, leaves = [s for s, _ in steps], [a for _, a in steps]
+        step += 1
+        steps = [
+            adam_step(step, m, v, a, g, cfg.lr)
+            for (m, v), a, g in zip(states, leaves, grads, strict=True)
+        ]
+        states, leaves = [(m, v) for m, v, _ in steps], [a for _, _, a in steps]
         if post_step is not None:
             leaves = post_step(leaves)
     return best_leaves, train_objective, val_objective, best_epoch
@@ -460,9 +466,9 @@ def vi_predict_batch_reference(model, x, n_samples, rng):
 
 
 def write_table_csv_reference(path, header, rows) -> None:
-    """Every row through ``csv.writer``, each number as ``_fmt`` writes it."""
+    """Every row through ``csv.writer``, each number as ``repr(float(v))``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+            writer.writerow([v if isinstance(v, str) else repr(float(v)) for v in row])

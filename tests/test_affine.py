@@ -173,6 +173,23 @@ class TestCovarianceEquivalence:
             bll_affine_equivalence(model, query)
         assert type(raised.value) is DimensionMismatch
 
+    def test_runs_the_network_once(self, monkeypatch):
+        # forward_batch looks forward_weights up in mlp's namespace, so the
+        # wrapper counts every forward pass, whoever makes it.
+        from lastlayer import mlp
+
+        model, _ = _random_model(seed=4)
+        calls = []
+        forward_weights = mlp.forward_weights
+
+        def counted(weights, x):
+            calls.append(len(x))
+            return forward_weights(weights, x)
+
+        monkeypatch.setattr(mlp, "forward_weights", counted)
+        bll_affine_equivalence(model, np.array([0.5]))
+        assert calls == [1]
+
     def test_mismatched_gamma_breaks_equality(self):
         from lastlayer.mlp import forward_batch
 

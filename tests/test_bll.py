@@ -26,7 +26,7 @@ from lastlayer.benchmarks import default_benchmark, sample_benchmark
 from lastlayer.calibration import AlphaSearchConfig, alpha_sweep
 from lastlayer.data import Dataset, fit_standardizer
 from lastlayer.experiment import benchmark_train_config
-from lastlayer.linalg import NotPositiveDefinite, chol_spd, cholesky, solve_pd
+from lastlayer.linalg import DimensionMismatch, NotPositiveDefinite, chol_spd, cholesky, solve_pd
 from lastlayer.mlp import MlpParams, MlpSpec, affine_rows, features, forward_batch, init_params
 from lastlayer.rng import make_rng
 from lastlayer.training import train
@@ -386,6 +386,25 @@ class TestFitPosterior:
         with pytest.raises(ValueError, match="features"), np.errstate(invalid="ignore"):
             fit_posterior(MlpParams(tuple(weights)), hyper, data)
 
+    def test_rejects_a_fit_set_without_rows(self):
+        params, hyper, data = _random_instance(np.random.default_rng(3))
+        with pytest.raises(ValueError, match="at least one"):
+            fit_posterior(params, hyper, data.subset(np.arange(0)))
+
+    @pytest.mark.parametrize(
+        "n_sigma, n_out", [(3, 1), (1, 3)], ids=["three noise scales", "three outputs"]
+    )
+    def test_rejects_noise_scales_or_outputs_of_another_width_than_the_targets(
+        self, n_sigma, n_out
+    ):
+        # one target column: predict_batch would broadcast it to three
+        rng = np.random.default_rng(4)
+        params = init_params(MlpSpec(2, (3,), n_out), make_rng(4))
+        data = Dataset(rng.standard_normal((5, 2)), rng.standard_normal((5, 1)))
+        with pytest.raises(DimensionMismatch) as raised:
+            fit_posterior(params, BllHyper(0.0, np.zeros(n_sigma)), data)
+        assert type(raised.value) is DimensionMismatch
+
     def test_one_spectrum_route(self, monkeypatch):
         # fit_posterior and the sweep's objective read the centred spectrum
         # from one helper; nothing eigendecomposes a gram
@@ -572,6 +591,10 @@ class TestBllHyper:
     def test_rejects_log_alpha_whose_alpha_or_inverse_overflows(self, log_alpha):
         with pytest.raises(ValueError):
             BllHyper(log_alpha, np.array([0.0]))
+
+    def test_rejects_log_sigma_e_of_more_than_one_dimension(self):
+        with pytest.raises(ValueError, match="1-D"):
+            BllHyper(0.0, np.zeros((1, 1)))
 
     @pytest.mark.parametrize("log_alpha", [709.0, -709.0])
     def test_accepts_log_alpha_with_finite_alpha_and_inverse(self, log_alpha):

@@ -139,6 +139,17 @@ class TestTuneAlpha:
         with pytest.raises(ValueError):
             AlphaSearchConfig(span=-1.0)
 
+    def test_a_search_past_the_largest_log_alpha_raises_before_scoring(self, monkeypatch):
+        # only a hand-set log alpha, beyond the training clamp, gets here
+        import lastlayer.calibration as calibration
+
+        model, data = _constant_model()
+        scored = []
+        monkeypatch.setattr(calibration, "lpd", lambda mdl, _data: scored.append(mdl))
+        with pytest.raises(ValueError, match="LOG_ALPHA_MAX"):
+            tune_alpha(with_alpha(model, math.exp(700.0)), data)
+        assert scored == []
+
 
 class TestAlphaSweep:
     def test_single_row_consistency(self):

@@ -27,6 +27,16 @@ def test_dataset_validates_shapes_and_values():
         Dataset(np.array([[np.nan]]), np.array([[0.0]]))
 
 
+@pytest.mark.parametrize(
+    "x, t",
+    [(np.zeros((2, 1, 1)), np.zeros((2, 1))), (np.zeros((2, 1)), np.zeros((2, 1, 1)))],
+    ids=["3-D inputs", "3-D targets"],
+)
+def test_dataset_rejects_arrays_of_more_than_two_dimensions(x, t):
+    with pytest.raises(ValueError, match="2-D"):
+        Dataset(x, t)
+
+
 def test_dataset_vector_targets_promoted():
     data = Dataset(np.zeros((3, 2)), np.array([1.0, 2.0, 3.0]))
     assert data.t.shape == (3, 1)
@@ -112,44 +122,49 @@ def test_splits_csv_byte_identical(tmp_path):
 
 def test_table_csv_round_trip(tmp_path):
     path = tmp_path / "table.csv"
-    rows = [[0.1, -2.0], [3.5e-17, 7.0]]
-    for table in (rows, np.array(rows)):  # rows of numbers, then a float array
-        write_table_csv(path, ["a", "b"], table)
-        header, loaded = read_table_csv(path)
-        assert header == ["a", "b"]
-        np.testing.assert_array_equal(loaded, np.array(rows))
+    table = np.array([[0.1, -2.0], [3.5e-17, 7.0]])
+    write_table_csv(path, ["a", "b"], table)
+    header, loaded = read_table_csv(path)
+    assert header == ["a", "b"]
+    np.testing.assert_array_equal(loaded, table)
 
 
 EDGE_FLOATS = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1.7e308, -1.7e308]
-CELLS = st.one_of(
-    st.sampled_from(EDGE_FLOATS),
-    st.integers(-(2**53), 2**53).map(float),  # whole numbers
-    st.floats(allow_nan=True, allow_infinity=True, width=64),
-)
+
+
+def _cells(finite):
+    return st.one_of(
+        st.sampled_from([v for v in EDGE_FLOATS if np.isfinite(v) or not finite]),
+        st.integers(-(2**53), 2**53).map(float),  # whole numbers
+        st.floats(allow_nan=not finite, allow_infinity=not finite, width=64),
+    )
+
+
+CELLS, FINITE_CELLS = _cells(finite=False), _cells(finite=True)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(
-    table=arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(1, 5)), elements=CELLS),
-    with_split=st.booleans(),
-)
-def test_every_row_form_writes_the_bytes_of_the_reference_writer(table, with_split):
-    # the float array, Python floats and numpy scalars take the joined route,
-    # a row ending in a split name goes through csv.writer; all must match
-    # the writer that sent every row through csv.writer
+@given(with_split=st.booleans(), data=st.data())
+def test_every_row_form_writes_the_bytes_of_the_reference_writer(with_split, data):
+    # a float array through write_table_csv, and a dataset's rows ending in
+    # their split name through write_splits_csv, must both match the writer
+    # that sent every row through csv.writer; a Dataset holds finite values only
+    shape = st.tuples(st.integers(0, 6), st.integers(2 if with_split else 1, 5))
+    table = data.draw(arrays(np.float64, shape, elements=FINITE_CELLS if with_split else CELLS))
     header = [f"c{j}" for j in range(table.shape[1])]
     rows = table.tolist()
     if with_split:
-        header.append("split")
-        rows = [[*row, "train"] for row in rows]
-        forms = {"split": rows}
-    else:
-        forms = {"array": table, "floats": rows, "numpy scalars": [list(r) for r in table]}
+        n_x = data.draw(st.integers(1, table.shape[1] - 1))
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(table)), min_size=2, max_size=2)))
+        pieces = dict(zip(SPLITS, np.split(table, cuts)))
+        header = [f"x_{i}" for i in range(n_x)]
+        header += [f"t_{j}" for j in range(table.shape[1] - n_x)] + ["split"]
+        rows = [[*row, name] for name, piece in pieces.items() for row in piece.tolist()]
     with tempfile.TemporaryDirectory() as tmp:
-        expected_path = Path(tmp) / "reference.csv"
+        expected_path, path = Path(tmp) / "reference.csv", Path(tmp) / "table.csv"
         write_table_csv_reference(expected_path, header, rows)
-        expected = expected_path.read_bytes()
-        for name, form in forms.items():
-            path = Path(tmp) / "table.csv"
-            write_table_csv(path, header, form)
-            assert path.read_bytes() == expected, name
+        if with_split:
+            write_splits_csv(path, {k: Dataset(p[:, :n_x], p[:, n_x:]) for k, p in pieces.items()})
+        else:
+            write_table_csv(path, header, table)
+        assert path.read_bytes() == expected_path.read_bytes()

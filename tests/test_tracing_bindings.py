@@ -63,3 +63,24 @@ def test_spans_are_attributed_to_their_trainer():
         assert spans[f"objective.{label}"] == cfg.max_epochs, label
         assert spans[f"monitor.{label}"] == cfg.max_epochs, label
     assert spans["bll.negative_lml"] == spans["monitor.bll"] + spans["monitor.blr"]
+
+
+def test_traced_runs_see_every_adam_step():
+    # fit_loop looks adam_step up in training's namespace, where the tracer
+    # wraps it; each epoch below steps once, as none stops on patience.
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1.0, 1.0, size=(20, 1))
+    data = Dataset(x, np.sin(2.0 * x) + 0.1 * rng.standard_normal((20, 1)))
+    net = MlpSpec(1, (4,), 1)
+    cfg = training.TrainConfig(max_epochs=5, patience=4)
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        training.train(net, data, cfg)
+        frozen, _ = baselines.train_mse(net, data, cfg)
+        baselines.blr_fit(frozen, data, cfg)
+        vi.vi_train(net, data, cfg)
+    steps = sum(span[0] == "optim.adam_step" for span in tracer.spans)
+    assert steps == len(tracing.TRAINER_LABELS) * cfg.max_epochs == 20
