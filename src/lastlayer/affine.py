@@ -134,7 +134,7 @@ def bll_affine_equivalence(model: BllModel, x: np.ndarray) -> tuple[float, float
         DimensionMismatch: if ``x`` is not one row of the network's input width.
         ValueError: if ``x`` holds a NaN or infinity.
     """
-    x = query_rows(np.reshape(x, (1, -1)), model.params.weights[0].shape[0] - 1)
+    x = query_rows(np.reshape(x, (1, -1)), model.n_x)
     _, a = forward_batch(model.params, model.x_scaler.transform(x))
     var_y = predictive_variances(model, a, model.alpha)[0]
     lhs = affine_cost_closed(model.phi[:, :-1], a[0], model.alpha)

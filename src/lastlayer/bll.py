@@ -376,6 +376,14 @@ class BllModel:
     wbar_gap: float
 
     @property
+    def n_x(self) -> int:
+        return self.params.weights[0].shape[0] - 1  # the first layer's rows: inputs, then bias
+
+    @property
+    def n_y(self) -> int:
+        return self.params.weights[-1].shape[1]
+
+    @property
     def wbar(self) -> np.ndarray:
         return self.params.wbar
 
@@ -442,7 +450,7 @@ def predict_batch(model: BllModel, x: np.ndarray):
         DimensionMismatch: if the rows of ``x`` are not the network's input width.
         ValueError: if ``x`` holds a NaN or infinity.
     """
-    x = query_rows(x, model.params.weights[0].shape[0] - 1)
+    x = query_rows(x, model.n_x)
     if len(x) <= PREDICT_BLOCK:
         return _predict_rows(model, x)
     starts = range(0, len(x), PREDICT_BLOCK)

@@ -63,7 +63,7 @@ def gaussian_log_density(mean: np.ndarray, var_t: np.ndarray, t: np.ndarray) -> 
 def _check_scored(model: BllModel, data: Dataset) -> None:
     if data.m == 0:
         raise ValueError("a scored dataset needs at least one row")
-    widths = model.params.weights[0].shape[0] - 1, model.wbar.shape[1]
+    widths = model.n_x, model.n_y
     if (data.n_x, data.n_y) != widths:
         raise DimensionMismatch(
             f"a dataset of widths {(data.n_x, data.n_y)} for a network of widths {widths}"

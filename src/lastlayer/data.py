@@ -3,7 +3,10 @@
 CSV schema for datasets: ``x_0..x_{n_x-1}, t_0..t_{n_y-1}, split`` with
 split in ``SPLITS``, rows read back in ``SPLITS`` order.  Floats are written
 with ``repr`` so files are byte-identical across reruns and parse back to the
-exact same doubles.
+exact same doubles; ``column_names`` builds every numbered column name.
+Both readers raise ``ValueError`` naming the path for an empty file, and
+naming the line for a row whose cell count is not the header's or a cell
+(its column named too) that is not a float; a header-only table is (0, n).
 """
 
 import csv
@@ -102,8 +105,13 @@ def split_train_val(
     return data.subset(perm[:-n_val]), data.subset(perm[-n_val:])
 
 
+def column_names(prefix: str, n: int) -> list[str]:
+    """``prefix_0`` .. ``prefix_{n-1}``: the numbered columns of every CSV the package writes."""
+    return [f"{prefix}_{i}" for i in range(n)]
+
+
 def _splits_header(n_x: int, n_y: int) -> list[str]:
-    return [f"x_{i}" for i in range(n_x)] + [f"t_{j}" for j in range(n_y)] + ["split"]
+    return column_names("x", n_x) + column_names("t", n_y) + ["split"]
 
 
 def write_splits_csv(path, splits: dict[str, Dataset]) -> None:
@@ -114,41 +122,22 @@ def write_splits_csv(path, splits: dict[str, Dataset]) -> None:
 
 def read_splits_csv(path) -> dict[str, Dataset]:
     """Read a dataset CSV in ``SPLITS`` order; raises ValueError off the schema."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"dataset file is empty: {path}")
-        n_x = sum(1 for c in header if c.startswith("x_"))
-        n_y = sum(1 for c in header if c.startswith("t_"))
-        if n_x == 0 or n_y == 0 or header != _splits_header(n_x, n_y):
-            raise ValueError(f"dataset header must read x_0.., t_0.., split; got {header}")
-        buckets: dict[str, list[list[float]]] = {name: [] for name in SPLITS}
-        for row in reader:
-            if len(row) != len(header):
-                raise ValueError(
-                    f"dataset line {reader.line_num} has {len(row)} cells, "
-                    f"the header has {len(header)}"
-                )
-            if row[-1] not in buckets:
-                raise ValueError(
-                    f"dataset line {reader.line_num} has split {row[-1]!r}; "
-                    f"the split must be one of {', '.join(SPLITS)}"
-                )
-            cells = []
-            for name, cell in zip(header, row[:-1]):
-                try:
-                    cells.append(float(cell))
-                except ValueError:
-                    line = reader.line_num
-                    raise ValueError(f"dataset line {line} has {cell!r} in column {name}") from None
-            buckets[row[-1]].append(cells)
-    out = {}
-    for name, rows in buckets.items():
-        if rows:
-            arr = np.array(rows)
-            out[name] = Dataset(arr[:, :n_x], arr[:, n_x : n_x + n_y])
-    return out
+    rows = _read_csv(path, "dataset", n_text=1)
+    header = next(rows)
+    n_x = sum(1 for c in header if c.startswith("x_"))
+    n_y = sum(1 for c in header if c.startswith("t_"))
+    if n_x == 0 or n_y == 0 or header != _splits_header(n_x, n_y):
+        raise ValueError(f"dataset header must read x_0.., t_0.., split; got {header}")
+    buckets: dict[str, list[list[float]]] = {name: [] for name in SPLITS}
+    for line, cells, (split,) in rows:
+        if split not in buckets:
+            raise ValueError(
+                f"dataset line {line} has split {split!r}; "
+                f"the split must be one of {', '.join(SPLITS)}"
+            )
+        buckets[split].append(cells)
+    tables = {name: np.array(cells) for name, cells in buckets.items() if cells}
+    return {name: Dataset(table[:, :n_x], table[:, n_x:]) for name, table in tables.items()}
 
 
 def write_table_csv(path, header: list[str], rows: np.ndarray) -> None:
@@ -172,8 +161,30 @@ def _write_csv(path, header: list[str], blocks) -> None:
 
 
 def read_table_csv(path) -> tuple[list[str], np.ndarray]:
+    """The header and a (rows, columns) float array; raises ValueError as the module says."""
+    rows = _read_csv(path, "table")
+    header = next(rows)
+    table = [cells for _, cells, _ in rows]
+    return header, np.array(table).reshape(len(table), len(header))
+
+
+def _read_csv(path, noun: str, n_text: int = 0):
+    """Yield the header, then each row's line, float cells and last ``n_text`` (text) cells."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    return header, np.array(rows)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{noun} file is empty: {path}")
+        yield header
+        n = len(header)
+        for row in reader:
+            line = reader.line_num
+            if len(row) != n:
+                raise ValueError(f"{noun} line {line} has {len(row)} cells, the header has {n}")
+            cells = []
+            for name, cell in zip(header[: n - n_text], row):
+                try:
+                    cells.append(float(cell))
+                except ValueError:
+                    raise ValueError(f"{noun} line {line} has {cell!r} in column {name}") from None
+            yield line, cells, row[n - n_text :]

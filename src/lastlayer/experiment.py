@@ -24,7 +24,7 @@ from .baselines import blr_fit, train_mse
 from .benchmarks import default_benchmark, sample_benchmark, toy_three_point
 from .bll import BllModel, negative_lml, predict_batch, with_alpha
 from .calibration import AlphaSearchConfig, alpha_sweep, gaussian_log_density, lpd, tune_alpha
-from .data import SPLITS, Dataset, read_splits_csv, write_splits_csv, write_table_csv
+from .data import SPLITS, Dataset, column_names, read_splits_csv, write_splits_csv, write_table_csv
 from .mlp import MlpSpec, forward_batch
 from .rng import make_rng
 from .training import TrainConfig, check_integers, train
@@ -131,13 +131,9 @@ def load_splits(config: ExperimentConfig) -> dict[str, Dataset]:
 
 def _write_predictions(path, x, mean, var_y, var_t) -> None:
     """One row per input: the inputs, predictive means and both spreads."""
-    n_x, n_y = x.shape[1], mean.shape[1]
-    header = (
-        [f"x_{i}" for i in range(n_x)]
-        + [f"mean_{j}" for j in range(n_y)]
-        + [f"sd_y_{j}" for j in range(n_y)]
-        + [f"sd_t_{j}" for j in range(n_y)]
-    )
+    header = column_names("x", x.shape[1]) + [
+        name for part in ("mean", "sd_y", "sd_t") for name in column_names(part, mean.shape[1])
+    ]
     write_table_csv(path, header, np.hstack([x, mean, np.sqrt(var_y), np.sqrt(var_t)]))
 
 
@@ -223,7 +219,7 @@ def _run_vi(config, train_cfg, spec, splits, everything, out_dir, metrics):
     _score("vi", splits, mean, gmm_log_density(means, noise_var, everything.t), metrics)
     _write_predictions(out_dir / "predictions_vi.csv", everything.x, mean, var_y, var_y + noise_var)
 
-    comp_header = [f"x_{i}" for i in range(everything.n_x)] + [
+    comp_header = column_names("x", everything.n_x) + [
         f"mean_{j}_c{c}" for c in range(VI_PREDICT_SAMPLES) for j in range(everything.n_y)
     ]
     per_row = means.transpose(1, 0, 2).reshape(everything.m, -1)  # component-major columns

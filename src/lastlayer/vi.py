@@ -56,6 +56,14 @@ class ViModel:
     t_scaler: Standardizer
 
     @property
+    def n_x(self) -> int:
+        return self.shapes[0][0] - 1  # the first layer's rows: inputs, then bias
+
+    @property
+    def n_y(self) -> int:
+        return self.shapes[-1][1]
+
+    @property
     def sigma_e(self) -> np.ndarray:
         """Noise scales in original target units."""
         return np.exp(self.log_sigma_e) * self.t_scaler.scale
@@ -78,12 +86,7 @@ def _negative_elbo(leaves, grads, eps, x, t, shapes) -> float:
     """
     mu, rho, log_prior_spread, log_sigma_e = leaves
     g_mu, g_rho, g_log_prior_spread, g_log_sigma_e = grads
-    if (g_mu.shape, g_rho.shape, g_log_prior_spread.shape, g_log_sigma_e.shape) != (
-        mu.shape,
-        rho.shape,
-        log_prior_spread.shape,
-        log_sigma_e.shape,
-    ):
+    if [g.shape for g in grads] != [v.shape for v in leaves]:
         raise ValueError("gradient destinations do not match the leaves")
     m, n_y = t.shape
     rows = shapes[-1][0]
@@ -189,7 +192,7 @@ def vi_predict_batch(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    x_std = model.x_scaler.transform(query_rows(x, model.shapes[0][0] - 1))
+    x_std = model.x_scaler.transform(query_rows(x, model.n_x))
     sigma = np.logaddexp(0.0, model.rho)
     means = []
     for _ in range(n_samples):

@@ -168,3 +168,40 @@ def test_every_row_form_writes_the_bytes_of_the_reference_writer(with_split, dat
         else:
             write_table_csv(path, header, table)
         assert path.read_bytes() == expected_path.read_bytes()
+        # and each file reads back to the values written, NaN as NaN, and
+        # to shape (0, n) when the table has no rows
+        if with_split:
+            loaded = read_splits_csv(path)
+            assert list(loaded) == [k for k, p in pieces.items() if len(p)]
+            for name, got in loaded.items():
+                np.testing.assert_array_equal(got.x, pieces[name][:, :n_x], strict=True)
+                np.testing.assert_array_equal(got.t, pieces[name][:, n_x:], strict=True)
+        else:
+            got_header, got = read_table_csv(path)
+            assert got_header == header
+            np.testing.assert_array_equal(got, table, strict=True)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "table file is empty: .*bad.csv"),
+        ("a,b\r\n", None),
+        ("a,b\r\n1.0\r\n", "table line 2 has 1 cells, the header has 2"),
+        ("a,b\r\n1.0,2.0,3.0\r\n", "table line 2 has 3 cells, the header has 2"),
+        ("a,b\r\n1.0,2.0\r\n3.0,x\r\n", "table line 3 has 'x' in column b"),
+        ("a,b\r\n1.0,2.0\r\n3.0\r\n4.0,5.0,6.0\r\n", "table line 3 has 1 cells"),
+    ],
+    ids=["empty", "header only", "short row", "long row", "non-float cell", "ragged"],
+)
+def test_read_table_csv_names_the_line_of_a_malformed_file(tmp_path, text, message):
+    # the checks read_splits_csv makes, through the same reader; a header
+    # alone is a table of no rows with the header's width
+    path = tmp_path / "bad.csv"
+    path.write_text(text, newline="")
+    if message is None:
+        header, rows = read_table_csv(path)
+        assert header == ["a", "b"] and rows.shape == (0, 2)
+    else:
+        with pytest.raises(ValueError, match=message):
+            read_table_csv(path)

@@ -1,10 +1,13 @@
-"""Source checks a linter would make: stale ``__all__`` entries and unused imports.
+"""Source checks a linter would make: stale ``__all__`` entries, unused imports
+and orphaned private names.
 
 Every module of the package is parsed with ``ast``.  A name counts as used
 when it is read anywhere in the module (as a bare name or the root of an
 attribute chain) or listed in ``__all__``.  An import kept on purpose for a
 caller outside the module, such as one that perfbench's tracer patches,
-carries ``# noqa: F401`` on its line.
+carries ``# noqa: F401`` on its line.  A module-level ``_private`` function,
+class or constant is the module's own, so the module must read it; dunder
+names are exempt.
 """
 
 import ast
@@ -51,6 +54,21 @@ def _read_names(tree):
     }
 
 
+def _private_definitions(tree):
+    """(name, line) of every module-level private def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                yield name, node.lineno
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_all_entry_resolves(path):
     module = importlib.import_module(_module_name(path))
@@ -69,3 +87,15 @@ def test_no_module_imports_a_name_it_never_uses(path):
         if name not in used
     ]
     assert unused == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_defines_a_private_name_it_never_reads(path):
+    tree = ast.parse(path.read_text())
+    read = _read_names(tree)
+    orphans = [
+        f"{path.name}:{line} {name}"
+        for name, line in _private_definitions(tree)
+        if name not in read
+    ]
+    assert orphans == []

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
+from lastlayer.bll import BllHyper, fit_posterior, predict_batch
 from lastlayer.data import Dataset, identity_standardizer
 from lastlayer.linalg import DimensionMismatch
-from lastlayer.mlp import MlpSpec
+from lastlayer.mlp import MlpSpec, init_params
 from lastlayer.rng import make_rng
 from lastlayer.training import TrainConfig
 from lastlayer.vi import (
@@ -287,27 +288,41 @@ class TestViTraining:
 
 
 @pytest.mark.parametrize(
-    "rows, error",
+    "widths, rows, error",
     [
-        (np.zeros((3, 2)), DimensionMismatch),  # two inputs for a one-input network
-        (np.array([[0.5], [np.nan]]), ValueError),
-        (np.array([[0.5], [np.inf]]), ValueError),
+        ((1, 1), np.zeros((3, 2)), DimensionMismatch),  # two inputs for a one-input network
+        ((1, 1), np.array([[0.5], [np.nan]]), ValueError),
+        ((1, 1), np.array([[0.5], [np.inf]]), ValueError),
+        ((2, 3), np.zeros((3, 1)), DimensionMismatch),
+        ((2, 3), np.zeros((3, 3)), DimensionMismatch),
     ],
-    ids=["wrong width", "nan", "inf"],
+    ids=["wrong width", "nan", "inf", "2-in 3-out one wide", "2-in 3-out three wide"],
 )
-def test_malformed_query_rows_raise(rows, error):
-    # the checks bll.predict_batch makes: a NaN row would give NaN means,
+def test_malformed_query_rows_raise(widths, rows, error):
+    # the checks bll.predict_batch makes, on both model kinds, each reading
+    # its (n_x, n_y) off its layer shapes: a NaN row would give NaN means,
     # and an infinite one saturate tanh into finite ones
-    shapes = ((2, 3), (4, 1))
+    n_x, n_y = widths
+    spec = MlpSpec(n_x, (3,), n_y)
+    params = init_params(spec, make_rng(0))
+    n_weights = sum(w.size for w in params.weights)
     model = ViModel(
-        make_rng(0).standard_normal(10),
-        np.full(10, -3.0),
-        np.zeros(1),
-        np.zeros(1),
-        shapes,
-        identity_standardizer(1),
-        identity_standardizer(1),
+        np.concatenate(params.weights, axis=None),
+        np.full(n_weights, -3.0),
+        np.zeros(n_y),
+        np.zeros(n_y),
+        tuple(spec.layer_shapes()),
+        identity_standardizer(n_x),
+        identity_standardizer(n_y),
     )
-    with pytest.raises(error) as raised:
-        vi_predict_batch(model, rows, 4, make_rng(1))
-    assert type(raised.value) is error
+    rng = make_rng(1)
+    data = Dataset(rng.standard_normal((8, n_x)), rng.standard_normal((8, n_y)))
+    bll_model = fit_posterior(params, BllHyper(0.0, np.zeros(n_y)), data)
+    assert (model.n_x, model.n_y) == (bll_model.n_x, bll_model.n_y) == widths
+    for predict in (
+        lambda x: vi_predict_batch(model, x, 4, make_rng(1)),
+        lambda x: predict_batch(bll_model, x),
+    ):
+        with pytest.raises(error) as raised:
+            predict(rows)
+        assert type(raised.value) is error
