@@ -12,11 +12,11 @@ and alpha tuning are shared with the jointly trained variant.
 
 import numpy as np
 
-from .autodiff import mlp_backward
 from .bll import BllModel, closed_form_wbar, fit_posterior
 from .bll import negative_lml  # noqa: F401 - perfbench's tracer patches baselines:negative_lml
 from .data import Dataset
 from .mlp import MlpParams, MlpSpec, affine_rows, forward_batch, forward_weights, init_params
+from .mlp import mlp_backward
 from .training import TrainConfig, TrainHistory, fit_loop, fit_nlml, standardized_splits
 from .rng import make_rng
 

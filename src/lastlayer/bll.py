@@ -38,7 +38,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import Dataset, Standardizer, identity_standardizer
 from .linalg import DimensionMismatch, chol_spd, identity, logdet_pd, solve_pd
-from .mlp import MlpParams, affine_rows, features, forward_batch, forward_weights
+from .mlp import MlpParams, affine_rows, features, forward_batch, forward_weights, mlp_backward
 
 __all__ = [
     "BllHyper",
@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 HYPER_CLAMP = 15.0
+LOG_2PI = math.log(2.0 * math.pi)
 # Largest |log alpha| at which alpha and 1/alpha are both finite and positive.
 LOG_ALPHA_MAX = math.log(sys.float_info.max)
 # predict_batch works through this many rows at a time: larger temporaries
@@ -166,7 +167,7 @@ def nlml_head(a, y, wbar, t, log_alpha: float, log_sigma_e, flat_bias=True, fixe
     wpen_sum = np.add.reduce(wpen * inv_sig2)
 
     value = float(
-        0.5 * n_y * math.log(2.0 * math.pi)
+        0.5 * n_y * LOG_2PI
         + (n_y * n_phi / (2.0 * m)) * log_alpha
         + (n_y / (2.0 * m)) * logdet
         + np.add.reduce(log_sigma_e)
@@ -253,7 +254,7 @@ def nlml_head_grid(
     misfit = (resid * resid).sum(axis=0)
     wpen = (wbar[:-1] * wbar[:-1]).sum(axis=0)
     values = (
-        0.5 * n_y * math.log(2.0 * math.pi)
+        0.5 * n_y * LOG_2PI
         + log_sigma_e.sum()
         + (0.5 / m) * (misfit * inv_sig2).sum()
         + (n_y * n_phi / (2.0 * m)) * log_alphas
@@ -309,7 +310,7 @@ def nlml_grads_into(weights, log_alpha: float, log_sigma_e, x, t, out, fixed=Non
     a, y = acts[-2], acts[-1]
     value, grad_fn = nlml_head(a, y, weights[-1], t, log_alpha, log_sigma_e, True, fixed)
     d_y, d_a, d_wbar, d_log_alpha, d_log_sigma_e = grad_fn()
-    ad.mlp_backward(weights, acts, d_y, d_a, out[:n_w])
+    mlp_backward(weights, acts, d_y, d_a, out[:n_w])
     out[n_w - 1] += d_wbar
     out[n_w][...] = d_log_alpha
     out[n_w + 1][...] = d_log_sigma_e
@@ -333,7 +334,7 @@ def negative_lml_marginalized(phi: np.ndarray, t: np.ndarray, hyper: BllHyper) -
     quad = np.einsum("ij,ij->j", t, t) - np.einsum("ij,ij->j", phi.T @ t, wbar)
     inv_sig2 = np.exp(-2.0 * hyper.log_sigma_e)
     return float(
-        0.5 * n_y * math.log(2.0 * math.pi)
+        0.5 * n_y * LOG_2PI
         + (n_y * n_phi / (2.0 * m)) * hyper.log_alpha
         + (n_y / (2.0 * m)) * logdet_pd(lower)
         + np.sum(hyper.log_sigma_e)

@@ -14,16 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bll import negative_lml  # noqa: F401 - perfbench's tracer patches calibration:negative_lml
-from .bll import HYPER_CLAMP, LOG_ALPHA_MAX, BllModel, nlml_head_grid, predict_batch
+from .bll import HYPER_CLAMP, LOG_2PI, LOG_ALPHA_MAX, BllModel, nlml_head_grid, predict_batch
 from .bll import predictive_variances, with_alpha
-from .data import Dataset
+from .data import Dataset, check_integers, check_numbers
 from .linalg import DimensionMismatch
 from .mlp import forward_batch
-from .training import check_integers, check_numbers
 
 __all__ = ["AlphaSearchConfig", "alpha_sweep", "gaussian_log_density", "lpd", "tune_alpha"]
 
-LOG_2PI = math.log(2.0 * math.pi)
 # A trained log alpha lies within HYPER_CLAMP of 0, so a search above it
 # keeps exp(log alpha) finite up to this span.
 MAX_SPAN = LOG_ALPHA_MAX - HYPER_CLAMP

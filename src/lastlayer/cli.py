@@ -13,12 +13,10 @@ import json
 import sys
 from pathlib import Path
 
-from .data import write_splits_csv
 from .experiment import (
     ExperimentConfig,
     config_from_dict,
-    load_splits,
-    render_metrics_table,
+    prepare_dataset,
     run_experiment,
     toy_feature_demo,
 )
@@ -60,11 +58,7 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _cmd_generate(args) -> int:
-    config = _load_config(args)
-    splits = load_splits(config)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_splits_csv(out_dir / "dataset.csv", splits)
+    _, _, out_dir = prepare_dataset(_load_config(args))
     print(f"wrote {out_dir / 'dataset.csv'}")
     return 0
 
@@ -93,6 +87,38 @@ def _cmd_report(args) -> int:
     metrics = _read_json(path, "metrics file")
     print(render_metrics_table(metrics))
     return 0
+
+
+def render_metrics_table(metrics: dict) -> str:
+    """Human-readable summary of a metrics dict; a missing or non-numeric value prints ``-``."""
+
+    def number(key, spec):
+        value = metrics.get(key)
+        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+        return format(value, spec) if numeric else "-"
+
+    groups = sorted(
+        {k.split(".")[0] for k in metrics if "." in k and not k.startswith(("provenance", "errors"))}
+    )
+    columns = ("train_lpd", "val_lpd", "test_lpd", "test_mse")
+    lines = [f"{'method':<18}" + "".join(f"{c:>12}" for c in columns)]
+    for name in groups:
+        if f"{name}.test_lpd" not in metrics:
+            continue  # hyperparameter-only groups have their own line below
+        cells = (f"{number(f'{name}.{c}', '.3f'):>12}" for c in columns)
+        lines.append(f"{name:<18}" + "".join(cells))
+    for name in groups:
+        if f"{name}.alpha_star" in metrics:
+            sigma_keys = (k for k in sorted(metrics) if k.startswith(f"{name}.sigma_e_"))
+            sigmas = ", ".join(number(k, ".3f") for k in sigma_keys)
+            lines.append(
+                f"{name}: alpha*={number(f'{name}.alpha_star', '.3g')} "
+                f"alpha_max={number(f'{name}.alpha_max', '.3g')} sigma_e=({sigmas})"
+            )
+    for key in sorted(metrics):
+        if key.startswith("errors."):
+            lines.append(f"{key}: {metrics[key]}")
+    return "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,6 +7,7 @@ exact same doubles; ``column_names`` builds every numbered column name.
 Both readers raise ``ValueError`` naming the path for an empty file, and
 naming the line for a row whose cell count is not the header's or a cell
 (its column named too) that is not a float; a header-only table is (0, n).
+``check_integers`` and ``check_numbers`` type-check settings read from JSON.
 """
 
 import csv
@@ -27,6 +28,20 @@ __all__ = [
     "read_splits_csv",
     "write_splits_csv",
 ]
+
+
+def check_integers(**values) -> None:
+    """Raise TypeError unless every value is an int; bool (JSON true) is not one."""
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def check_numbers(**values) -> None:
+    """Raise TypeError unless every value is an int or a float; bool (JSON true) is neither."""
+    for name, value in values.items():
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise TypeError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)

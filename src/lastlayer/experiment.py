@@ -24,10 +24,11 @@ from .baselines import blr_fit, train_mse
 from .benchmarks import default_benchmark, sample_benchmark, toy_three_point
 from .bll import BllModel, negative_lml, predict_batch, with_alpha
 from .calibration import AlphaSearchConfig, alpha_sweep, gaussian_log_density, lpd, tune_alpha
-from .data import SPLITS, Dataset, column_names, read_splits_csv, write_splits_csv, write_table_csv
+from .data import SPLITS, Dataset, check_integers, column_names, read_splits_csv, write_splits_csv
+from .data import write_table_csv
 from .mlp import MlpSpec, forward_batch
 from .rng import make_rng
-from .training import TrainConfig, check_integers, train
+from .training import TrainConfig, train
 from .vi import gmm_log_density, vi_predict_batch, vi_train
 
 __all__ = ["ExperimentConfig", "config_hash", "run_experiment", "toy_feature_demo"]
@@ -112,7 +113,12 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def load_splits(config: ExperimentConfig) -> dict[str, Dataset]:
+def prepare_dataset(config: ExperimentConfig) -> tuple[dict[str, Dataset], MlpSpec, Path]:
+    """Read or sample the splits, shape the network, write ``<out_dir>/dataset.csv``.
+
+    Returns the splits, the network shape and the output directory.  Inputs
+    are checked before the directory is made, so a bad one writes nothing.
+    """
     if config.dataset_path is not None:
         path = Path(config.dataset_path)
         if not path.exists():
@@ -126,7 +132,13 @@ def load_splits(config: ExperimentConfig) -> dict[str, Dataset]:
     for required in SPLITS:
         if required not in splits:
             raise ValueError(f"dataset is missing the {required!r} split")
-    return splits
+    spec = MlpSpec(
+        input_dim=splits["train"].n_x, hidden=config.hidden, output_dim=splits["train"].n_y
+    )
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_splits_csv(out_dir / "dataset.csv", splits)
+    return splits, spec, out_dir
 
 
 def _write_predictions(path, x, mean, var_y, var_t) -> None:
@@ -232,15 +244,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
     Per-method failures are recorded under ``errors.<method>`` and the run
     continues; exit code 2 flags a partial failure.
     """
-    splits = load_splits(config)
-    spec = MlpSpec(
-        input_dim=splits["train"].n_x, hidden=config.hidden, output_dim=splits["train"].n_y
-    )
-    # Inputs are valid from here on, so a configuration error writes nothing.
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    splits, spec, out_dir = prepare_dataset(config)
     everything = _stack_all(splits)
-    write_splits_csv(out_dir / "dataset.csv", splits)
     train_cfg = config.train_config()
     metrics: dict = {}
     errors: dict[str, str] = {}
@@ -323,35 +328,3 @@ def toy_feature_demo(seed: int, out_dir) -> dict:
         "alpha_max": alpha_max,
         "files": sorted(p.name for p in out_dir.glob("toy_*.csv")),
     }
-
-
-def render_metrics_table(metrics: dict) -> str:
-    """Human-readable summary of a metrics dict; a missing or non-numeric value prints ``-``."""
-
-    def number(key, spec):
-        value = metrics.get(key)
-        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-        return format(value, spec) if numeric else "-"
-
-    groups = sorted(
-        {k.split(".")[0] for k in metrics if "." in k and not k.startswith(("provenance", "errors"))}
-    )
-    columns = ("train_lpd", "val_lpd", "test_lpd", "test_mse")
-    lines = [f"{'method':<18}" + "".join(f"{c:>12}" for c in columns)]
-    for name in groups:
-        if f"{name}.test_lpd" not in metrics:
-            continue  # hyperparameter-only groups have their own line below
-        cells = (f"{number(f'{name}.{c}', '.3f'):>12}" for c in columns)
-        lines.append(f"{name:<18}" + "".join(cells))
-    for name in groups:
-        if f"{name}.alpha_star" in metrics:
-            sigma_keys = (k for k in sorted(metrics) if k.startswith(f"{name}.sigma_e_"))
-            sigmas = ", ".join(number(k, ".3f") for k in sigma_keys)
-            lines.append(
-                f"{name}: alpha*={number(f'{name}.alpha_star', '.3g')} "
-                f"alpha_max={number(f'{name}.alpha_max', '.3g')} sigma_e=({sigmas})"
-            )
-    for key in sorted(metrics):
-        if key.startswith("errors."):
-            lines.append(f"{key}: {metrics[key]}")
-    return "\n".join(lines)

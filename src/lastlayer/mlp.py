@@ -1,9 +1,12 @@
-"""Feed-forward network: evaluation and feature extraction.
+"""Feed-forward network: evaluation, reverse sweep and feature extraction.
 
 Hidden layers compute ``tanh([a, 1] @ W)``; the bias lives in the last row
 of each weight matrix.  The output layer is always linear, so the
 activations of the last hidden layer act as a learned feature map and the
 final weight matrix is a linear regression on those features.
+``mlp_backward`` writes each layer's gradient into an array the caller
+supplies, so a training objective hands it views into the one flat
+gradient that ``training.fit_loop`` allocates and Adam reads.
 """
 
 from dataclasses import dataclass
@@ -16,6 +19,7 @@ __all__ = [
     "init_params",
     "forward_batch",
     "forward_weights",
+    "mlp_backward",
     "affine_rows",
     "features",
 ]
@@ -88,7 +92,7 @@ def forward_weights(weights, x: np.ndarray) -> list[np.ndarray]:
     ``weights`` is a sequence of weight matrices, one per layer, so the
     trainers call it on their leaf views with no ``MlpParams`` built.
     Returns [x, h_1, ..., h_L, y]: the inputs, each hidden activation and
-    the linear outputs, as ``autodiff.mlp_backward`` expects them.
+    the linear outputs, as ``mlp_backward`` expects them.
     """
     acts = [np.asarray(x, dtype=float)]
     for w in weights[:-1]:
@@ -96,6 +100,51 @@ def forward_weights(weights, x: np.ndarray) -> list[np.ndarray]:
     w = weights[-1]
     acts.append(acts[-1] @ w[:-1] + w[-1])
     return acts
+
+
+def mlp_backward(
+    weights,
+    acts: list[np.ndarray],
+    d_out: np.ndarray,
+    d_last_hidden: np.ndarray | None,
+    out,
+) -> None:
+    """Reverse sweep through a network evaluated by ``forward_weights``.
+
+    Args:
+        weights: one matrix per layer, bias in the last row.
+        acts: the forward activations [x, h_1, ..., h_L, y].
+        d_out: gradient of the objective with respect to the outputs y
+            (left unchanged).
+        d_last_hidden: extra gradient with respect to h_L from a head that
+            reads the features directly, or None.
+        out: one array per layer, each the shape of its weight matrix; the
+            gradient with respect to layer k overwrites ``out[k]``.
+
+    Raises:
+        ValueError: when ``out`` does not hold one array of each weight's shape.
+    """
+    n_layers = len(weights)
+    if len(out) != n_layers:
+        raise ValueError(f"{len(out)} gradient destinations for {n_layers} layers")
+    g = d_out
+    for k in range(n_layers - 1, -1, -1):
+        h = acts[k]
+        gk = out[k]
+        if gk.shape != weights[k].shape:
+            raise ValueError(
+                f"layer {k} gradient destination has shape {gk.shape}, "
+                f"its weights {weights[k].shape}"
+            )
+        # [h.T @ g; column sums of g], written straight into the caller's array.
+        np.matmul(h.T, g, out=gk[:-1])
+        np.add.reduce(g, 0, out=gk[-1])
+        if k == 0:
+            break
+        g = g @ weights[k][:-1].T
+        if k == n_layers - 1 and d_last_hidden is not None:
+            g += d_last_hidden
+        g *= 1.0 - h * h
 
 
 def forward_batch(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

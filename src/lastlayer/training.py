@@ -23,7 +23,8 @@ from .bll import (
     negative_lml,
     nlml_grads_into,
 )
-from .data import Dataset, Standardizer, fit_standardizer, split_train_val
+from .data import Dataset, Standardizer, check_integers, check_numbers, fit_standardizer
+from .data import split_train_val
 from .mlp import MlpParams, MlpSpec, affine_rows, init_params
 from .rng import make_rng
 
@@ -33,20 +34,6 @@ __all__ = ["TrainConfig", "TrainHistory", "fit_nlml", "train"]
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
-
-
-def check_integers(**values) -> None:
-    """Raise TypeError unless every value is an int; bool (JSON true) is not one."""
-    for name, value in values.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
-
-
-def check_numbers(**values) -> None:
-    """Raise TypeError unless every value is an int or a float; bool (JSON true) is neither."""
-    for name, value in values.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise TypeError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import mlp_backward
-from .bll import query_rows
-from .calibration import LOG_2PI, gaussian_log_density
+from .bll import LOG_2PI, query_rows
+from .calibration import gaussian_log_density
 from .data import Dataset, Standardizer
-from .mlp import MlpSpec, forward_weights, init_params
+from .mlp import MlpSpec, forward_weights, init_params, mlp_backward
 from .rng import spawn_rngs
 from .training import (
     TrainConfig,

@@ -3,7 +3,7 @@ import pytest
 
 from lastlayer import autodiff as ad
 from lastlayer.linalg import chol_spd, cholesky, identity, logdet_pd, solve_pd
-from lastlayer.mlp import forward_weights
+from lastlayer.mlp import forward_weights, mlp_backward
 from lastlayer.training import TrainConfig, fit_loop
 
 from oracles import finite_difference, random_spd, writing
@@ -18,7 +18,7 @@ def test_linear_chain_matches_hand_derivative():
     a = np.tanh(w1 * x)
     dy = w2 * a - t
     grads = [np.empty(w.shape) for w in weights]
-    ad.mlp_backward(weights, acts, np.array([[dy]]), None, grads)
+    mlp_backward(weights, acts, np.array([[dy]]), None, grads)
     np.testing.assert_allclose(grads[1], [[dy * a], [dy]], rtol=1e-12)
     dh = dy * w2 * (1 - a**2)
     np.testing.assert_allclose(grads[0], [[dh * x], [dh]], rtol=1e-12)
@@ -41,7 +41,7 @@ def test_matmul_transpose_affine_ones():
     phi = np.concatenate([acts[-2], np.ones((6, 1))], axis=1)
     d_phi = 4.0 * phi @ (phi.T @ phi)
     grads = [np.empty(w.shape) for w in weights]
-    ad.mlp_backward(weights, acts, np.ones((6, 2)), d_phi[:, :-1], grads)
+    mlp_backward(weights, acts, np.ones((6, 2)), d_phi[:, :-1], grads)
     for g, f in zip(grads, finite_difference(loss, weights)):
         np.testing.assert_allclose(g, f, rtol=1e-5, atol=1e-6)
 

@@ -148,9 +148,9 @@ class TestBlrFit:
                 frozen.replace_wbar(wbar), hyper, fit_std
             )
             assert value == joint
-            np.testing.assert_allclose(grads[0], w_grads[-1], rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(grads[1], g_la, rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(grads[2], g_ls, rtol=1e-12, atol=1e-14)
+            np.testing.assert_array_equal(grads[0], w_grads[-1], strict=True)
+            np.testing.assert_array_equal(grads[1], g_la, strict=True)
+            np.testing.assert_array_equal(grads[2], g_ls, strict=True)
             # the monitor on precomputed features is the full frozen network's value
             assert captured["monitor"](leaves) == negative_lml(
                 frozen.replace_wbar(wbar), hyper, val_std

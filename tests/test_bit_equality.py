@@ -22,7 +22,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lastlayer import training
-from lastlayer.autodiff import mlp_backward
 from lastlayer.baselines import _mse_grads
 from lastlayer.bll import (
     HYPER_CLAMP,
@@ -38,7 +37,7 @@ from lastlayer.bll import (
 from lastlayer.calibration import LOG_2PI, alpha_sweep
 from lastlayer.data import Dataset, fit_standardizer
 from lastlayer.linalg import NotPositiveDefinite, cholesky, identity
-from lastlayer.mlp import MlpParams, affine_rows, forward_batch, forward_weights
+from lastlayer.mlp import MlpParams, affine_rows, forward_batch, forward_weights, mlp_backward
 from lastlayer.vi import ViModel, _negative_elbo, vi_predict_batch
 
 from oracles import (

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from lastlayer import cli
 from lastlayer.data import SPLITS, read_splits_csv, read_table_csv
-from lastlayer.experiment import config_from_dict
+from lastlayer.experiment import config_from_dict, toy_feature_demo
 
 
 def _small_config(tmp_path, **overrides):
@@ -623,3 +623,26 @@ def test_two_input_run_writes_every_input_and_no_curves(tmp_path):
         climb = math.log(metrics[f"{name}.alpha_max"] / metrics[f"{name}.alpha_star"])
         assert climb < 15.0 - 1e-3
         assert metrics[f"{name}.alpha_max_at_bound"] == 1.0
+
+
+def test_toy_prints_its_alphas_and_writes_the_demo_files(tmp_path, capsys):
+    out, reference = tmp_path / "cli", tmp_path / "reference"
+    assert cli.main(["toy", "--seed", "0", "--out", str(out)]) == 0
+    summary = toy_feature_demo(0, reference)
+    text, files_line = capsys.readouterr().out.rstrip("\n").rsplit("\n", 1)
+    assert set(json.loads(text)) == {"alpha_star", "alpha_max"}
+    assert len(summary["files"]) == 6
+    assert files_line == "files: " + ", ".join(summary["files"])
+    assert sorted(p.name for p in out.iterdir()) == summary["files"]
+    for name in summary["files"]:
+        assert (out / name).read_bytes() == (reference / name).read_bytes(), name
+
+
+def test_dataset_without_a_test_split_is_one_error_line(tmp_path, capsys):
+    rows = "".join(f"{i / 10},{i / 5},{s}\n" for s in ("train", "val") for i in range(6))
+    dataset = tmp_path / "no_test.csv"
+    dataset.write_text("x_0,t_0,split\n" + rows)
+    config_path, _ = _small_config(tmp_path, dataset_path=str(dataset))
+    assert cli.main(["run", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == "error: dataset is missing the 'test' split\n"
+    assert not (tmp_path / "out").exists()

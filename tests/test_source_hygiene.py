@@ -1,5 +1,5 @@
-"""Source checks a linter would make: stale ``__all__`` entries, unused imports
-and orphaned private names.
+"""Source checks a linter would make: stale ``__all__`` entries, unused imports,
+orphaned private names and imports against the module order.
 
 Every module of the package is parsed with ``ast``.  A name counts as used
 when it is read anywhere in the module (as a bare name or the root of an
@@ -7,7 +7,7 @@ attribute chain) or listed in ``__all__``.  An import kept on purpose for a
 caller outside the module, such as one that perfbench's tracer patches,
 carries ``# noqa: F401`` on its line.  A module-level ``_private`` function,
 class or constant is the module's own, so the module must read it; dunder
-names are exempt.
+names are exempt.  Relative imports follow ``LAYERS``, lowest module first.
 """
 
 import ast
@@ -99,3 +99,29 @@ def test_no_module_defines_a_private_name_it_never_reads(path):
         if name not in read
     ]
     assert orphans == []
+
+
+# Lower modules first: each module may import only from modules before it.
+LAYERS = (
+    "rng", "linalg", "mlp", "data", "autodiff", "bll", "affine", "calibration",
+    "training", "baselines", "vi", "benchmarks", "experiment", "cli",
+)
+
+
+def test_every_relative_import_names_a_lower_module():
+    assert sorted(LAYERS) == sorted(p.stem for p in SOURCES if p.stem != "__init__")
+    upward = []
+    for path in SOURCES:
+        if path.stem == "__init__":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.ImportFrom) and node.level):
+                continue
+            if node.module is None:  # ``from . import x``: only the version, or a module
+                names = [a.name for a in node.names if a.name != "__version__"]
+            else:
+                names = [node.module]
+            for name in names:
+                if name not in LAYERS[: LAYERS.index(path.stem)]:
+                    upward.append(f"{path.name}:{node.lineno} imports {name}")
+    assert upward == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lastlayer.autodiff import NonFiniteLoss, mlp_backward
+from lastlayer.autodiff import NonFiniteLoss
 from lastlayer.baselines import _mse_grads, _mse_head, blr_fit, train_mse
 from lastlayer.bll import (
     HYPER_CLAMP,
@@ -15,6 +15,7 @@ from lastlayer.bll import (
 )
 from lastlayer.data import Dataset
 from lastlayer.mlp import MlpParams, MlpSpec, forward_batch, forward_weights, init_params
+from lastlayer.mlp import mlp_backward
 from lastlayer.rng import make_rng
 from lastlayer.training import (
     TrainConfig,
