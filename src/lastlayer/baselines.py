@@ -23,10 +23,13 @@ from .rng import make_rng
 __all__ = ["blr_fit", "train_mse"]
 
 
-def _mse_head(y: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error of the outputs and its gradient with respect to them."""
+def _mse_head(y: np.ndarray, t: np.ndarray):
+    """Mean squared error of the outputs and its gradient with respect to them.
+
+    Outputs ``y`` with leading block axes give one error per block entry.
+    """
     resid = t - y
-    return float((1.0 / t.size) * np.add.reduce(resid * resid, None)), (-2.0 / t.size) * resid
+    return (1.0 / t.size) * np.add.reduce(resid * resid, (-2, -1)), (-2.0 / t.size) * resid
 
 
 def _mse_grads(weights, data: Dataset, out) -> float:
@@ -34,7 +37,7 @@ def _mse_grads(weights, data: Dataset, out) -> float:
     acts = forward_weights(weights, data.x)
     value, d_y = _mse_head(acts[-1], data.t)
     mlp_backward(weights, acts, d_y, None, out)
-    return value
+    return float(value)
 
 
 def train_mse(

@@ -123,7 +123,7 @@ def closed_form_wbar(
     return solve_pd(lower, np.asarray(phi, dtype=float).T @ np.asarray(t, dtype=float))
 
 
-def nlml_head(a, y, wbar, t, log_alpha: float, log_sigma_e, flat_bias=True, fixed=None):
+def nlml_head(a, y, wbar, t, log_alpha, log_sigma_e, flat_bias=True, fixed=None):
     """Scaled negative LML on top of a network's last layer.
 
     Args:
@@ -138,6 +138,12 @@ def nlml_head(a, y, wbar, t, log_alpha: float, log_sigma_e, flat_bias=True, fixe
         fixed: (phi, phi^T phi) of rows ``a`` that training holds
             constant, read instead of rebuilt, or None.
 
+    ``a``, ``y``, ``wbar`` and ``log_sigma_e`` may carry leading block
+    axes, one problem per block entry, with ``log_alpha`` an array of that
+    block shape: the value is then an array holding each entry's value, as
+    a call on that problem alone gives it, and a non-finite entry is
+    returned, not raised.  The gradients need one problem.
+
     Returns:
         The objective value and a function giving its gradients
         (d_y, d_a, d_wbar_penalty, d_log_alpha, d_log_sigma_e); the output
@@ -145,37 +151,39 @@ def nlml_head(a, y, wbar, t, log_alpha: float, log_sigma_e, flat_bias=True, fixe
         ``fixed`` is given.
 
     Raises:
-        NonFiniteLoss: if the value is NaN or infinite.
+        NonFiniteLoss: if the value of one problem is NaN or infinite.
     """
     m, n_y = t.shape
     if fixed is None:
         phi = affine_rows(a)
-        gram = phi.T @ phi
+        gram = phi.swapaxes(-1, -2) @ phi
     else:
         phi, gram = fixed
-    n_phi = phi.shape[1]
+    n_phi = phi.shape[-1]
     inv_alpha = np.exp(-log_alpha)
     prior = identity(n_phi, flat_bias)
     in_prior = prior.diagonal()  # 0 on a flat bias row
-    logdet, logdet_grad = ad.logdet_spd(gram + inv_alpha * prior)
+    logdet, logdet_grad = ad.logdet_spd(gram + inv_alpha[..., None, None] * prior)
 
     inv_sig2 = np.exp(-2.0 * log_sigma_e)
     resid = t - y
-    misfit = np.add.reduce(resid * resid, 0)
+    misfit = np.add.reduce(resid * resid, -2)
     wpen_rows = wbar * in_prior[:, None]
-    wpen = np.add.reduce(wpen_rows * wpen_rows, 0)
-    wpen_sum = np.add.reduce(wpen * inv_sig2)
+    wpen = np.add.reduce(wpen_rows * wpen_rows, -2)
+    wpen_sum = np.add.reduce(wpen * inv_sig2, -1)
 
-    value = float(
+    value = (
         0.5 * n_y * LOG_2PI
         + (n_y * n_phi / (2.0 * m)) * log_alpha
         + (n_y / (2.0 * m)) * logdet
-        + np.add.reduce(log_sigma_e)
-        + (0.5 / m) * np.add.reduce(misfit * inv_sig2)
+        + np.add.reduce(log_sigma_e, -1)
+        + (0.5 / m) * np.add.reduce(misfit * inv_sig2, -1)
         + (0.5 / m) * (inv_alpha * wpen_sum)
     )
-    if not math.isfinite(value):
-        raise ad.NonFiniteLoss(f"objective evaluated to {value}")
+    if np.ndim(value) == 0:
+        value = float(value)
+        if not math.isfinite(value):
+            raise ad.NonFiniteLoss(f"objective evaluated to {value}")
 
     def grad_fn():
         lam_inv = logdet_grad()

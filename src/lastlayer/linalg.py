@@ -40,25 +40,30 @@ class DimensionMismatch(ValueError):
 def cholesky(a: np.ndarray, jitter: float = 0.0) -> np.ndarray:
     """Factor a symmetric positive-definite matrix as L @ L.T and return L.
 
+    A stack of matrices (leading axes before the last two) is factored in
+    one numpy call, each matrix as it would be alone.
+
     Args:
-        a: square symmetric matrix (symmetric within 1e-10 relative tolerance;
-            an exactly symmetric one skips the tolerance scan).
+        a: square symmetric matrix, or a stack of them (symmetric within
+            1e-10 relative tolerance; an exactly symmetric one skips the
+            tolerance scan).
         jitter: nonnegative value added to the diagonal before factoring.
 
     Raises:
         DimensionMismatch: if ``a`` is not square.
         ValueError: if ``a`` is not numerically symmetric.
-        NotPositiveDefinite: if the jittered matrix is not positive definite.
+        NotPositiveDefinite: if a jittered matrix is not positive definite.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not (a == a.T).all():
-        scale = np.abs(a).max() if a.size else 0.0
-        if np.abs(a - a.T).max(initial=0.0) > 1e-10 * (1.0 + scale):
+    a_t = a.swapaxes(-1, -2)
+    if not (a == a_t).all():
+        scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
+        if (np.abs(a - a_t).max(axis=(-2, -1), initial=0.0) > 1e-10 * (1.0 + scale)).any():
             raise ValueError("matrix is not symmetric within tolerance")
     if jitter != 0.0:
-        a = a + jitter * np.eye(a.shape[0])
+        a = a + jitter * np.eye(a.shape[-1])
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as err:
@@ -71,9 +76,18 @@ def chol_spd(a: np.ndarray) -> np.ndarray:
     The first attempt uses no jitter so that factorizations stay consistent
     across code paths that are compared to each other at tight tolerances.
     Near-singular matrices (a log-det regularizer can drive the feature gram
-    close to rank deficiency) get diagonal jitter scaled by trace/dim.
+    close to rank deficiency) get diagonal jitter scaled by trace/dim.  A
+    stack is factored in one call; if any of its matrices fails, each
+    matrix takes the ladder on its own, so every factor is the one a call
+    on that matrix alone returns.
     """
     a = np.asarray(a, dtype=float)
+    if a.ndim > 2:
+        try:
+            return cholesky(a)
+        except NotPositiveDefinite:
+            matrices = a.reshape(-1, *a.shape[-2:])
+            return np.stack([chol_spd(one) for one in matrices]).reshape(a.shape)
     jitter = 0.0
     for _ in range(8):
         try:
@@ -96,9 +110,12 @@ def identity(dim: int, zero_last: bool = False) -> np.ndarray:
     return eye
 
 
-def logdet_pd(lower: np.ndarray) -> float:
-    """Log-determinant of L @ L.T from its Cholesky factor L: 2 * sum(log(diag(L)))."""
-    return float(2.0 * np.add.reduce(np.log(lower.diagonal())))
+def logdet_pd(lower: np.ndarray):
+    """Log-determinant of L @ L.T from its Cholesky factor L: 2 * sum(log(diag(L))).
+
+    A float for one factor; for a stack of factors, one value per factor.
+    """
+    return 2.0 * np.add.reduce(np.log(lower.diagonal(0, -2, -1)), -1)
 
 
 def solve_pd(lower: np.ndarray, b: np.ndarray) -> np.ndarray:

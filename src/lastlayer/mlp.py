@@ -93,12 +93,17 @@ def forward_weights(weights, x: np.ndarray) -> list[np.ndarray]:
     trainers call it on their leaf views with no ``MlpParams`` built.
     Returns [x, h_1, ..., h_L, y]: the inputs, each hidden activation and
     the linear outputs, as ``mlp_backward`` expects them.
+
+    The matrices may carry leading block axes, one weight set per block
+    entry (the early-stopping monitors pass a block of epochs' weights);
+    each activation then has those axes too, and each block entry's
+    activations are the ones a call on that weight set alone returns.
     """
     acts = [np.asarray(x, dtype=float)]
     for w in weights[:-1]:
-        acts.append(np.tanh(acts[-1] @ w[:-1] + w[-1]))
+        acts.append(np.tanh(acts[-1] @ w[..., :-1, :] + w[..., -1:, :]))
     w = weights[-1]
-    acts.append(acts[-1] @ w[:-1] + w[-1])
+    acts.append(acts[-1] @ w[..., :-1, :] + w[..., -1:, :])
     return acts
 
 

@@ -6,7 +6,9 @@ hyperparameters and keeps the parameters of the best monitored epoch;
 posterior model.  The monitor is the same objective evaluated on held-out
 data (a deterministic 20% shuffle split by default); without validation
 data the training objective itself is monitored, which turns early
-stopping into a plain convergence check.
+stopping into a plain convergence check.  ``fit_loop``, the loop every
+trainer shares, judges the monitor once per block of epochs, on all of
+the block's parameter snapshots at once.
 """
 
 import math
@@ -15,17 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import NonFiniteLoss
-from .bll import (
-    HYPER_CLAMP,
-    BllHyper,
-    BllModel,
-    fit_posterior,
-    negative_lml,
-    nlml_grads_into,
-)
+from .bll import HYPER_CLAMP, BllHyper, BllModel, fit_posterior, nlml_grads_into, nlml_head
+from .bll import negative_lml  # noqa: F401 - perfbench's tracer patches training:negative_lml
 from .data import Dataset, Standardizer, check_integers, check_numbers, fit_standardizer
 from .data import split_train_val
-from .mlp import MlpParams, MlpSpec, affine_rows, init_params
+from .mlp import MlpParams, MlpSpec, affine_rows, forward_weights, init_params
 from .rng import make_rng
 
 __all__ = ["TrainConfig", "TrainHistory", "fit_nlml", "train"]
@@ -34,6 +30,8 @@ __all__ = ["TrainConfig", "TrainHistory", "fit_nlml", "train"]
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+# fit_loop judges early stopping once per block of at most this many epochs.
+MONITOR_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -79,11 +77,16 @@ class TrainHistory:
 
 
 def flat_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive views of ``flat``, one reshaped to each of ``shapes`` in order."""
+    """Consecutive views of ``flat``, one reshaped to each of ``shapes`` in order.
+
+    The views cut the last axis, so a stack of flat vectors (a block of
+    epochs' parameters) gives views that keep its leading axes.
+    """
+    lead = flat.shape[:-1]
     views, lo = [], 0
     for shape in shapes:
         size = math.prod(shape)
-        views.append(flat[lo : lo + size].reshape(shape))
+        views.append(flat[..., lo : lo + size].reshape((*lead, *shape)))
         lo += size
     return views
 
@@ -113,14 +116,27 @@ def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=N
     Adam's moments are two more flat arrays, and its step number is the
     epoch plus one, as the loop breaks before it steps.
 
+    Early stopping is judged in blocks of up to ``MONITOR_BLOCK`` epochs.
+    Each epoch copies the parameters into one row of a snapshot buffer
+    before its objective runs, and one monitor call at the end of the
+    block reads every row; the best and patience rules then run in epoch
+    order.  A block ends no later than the first epoch that could stop on
+    patience, and that last epoch's Adam step waits for the judgement, so
+    the loop runs exactly the objectives and steps, and keeps exactly the
+    history, that judging every epoch on its own would.  The one
+    difference is when a run fails: a non-finite monitor value is raised
+    once its block is judged, after the block's later epochs have run.
+
     Args:
         leaves: list of parameter arrays (not modified).
         loss_and_grads: (leaves, grads) -> value at the current leaves; it
             writes the gradient with respect to ``leaves[i]`` into
             ``grads[i]``, which has that leaf's shape.
         cfg: loop hyperparameters.
-        monitor: optional callable giving the early-stopping criterion value
-            at the current leaves; defaults to the training objective.
+        monitor: optional callable giving the early-stopping criterion of
+            a block of epochs: it takes the leaves with a leading block
+            axis, one row per epoch, and returns one value per row.  It
+            defaults to the training objective.
         post_step: optional projection applied in place to the leaves after
             each step.
 
@@ -128,42 +144,71 @@ def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=N
         (best_leaves, history).
 
     Raises:
-        NonFiniteLoss: naming the epoch, when the objective or the monitor is
-            NaN or infinite.
+        NonFiniteLoss: naming the first epoch whose objective or monitor is
+            NaN or infinite, with the best epoch judged before it and its
+            monitor value.
     """
     flat = np.concatenate(leaves, axis=None, dtype=float)
     grad = np.full_like(flat, np.nan)  # an entry the objective skips poisons the step
     shapes = [np.shape(a) for a in leaves]
     leaves, grads = flat_views(flat, shapes), flat_views(grad, shapes)
     m, v = np.zeros_like(flat), np.zeros_like(flat)
+    snaps = np.empty((min(MONITOR_BLOCK, cfg.max_epochs), flat.size))
     history = TrainHistory(val_objective=None if monitor is None else [])
     best_value = np.inf
     best_flat = flat.copy()
     history.stop_reason = "max_epochs"
-    for epoch in range(cfg.max_epochs):
-        try:
-            value = loss_and_grads(leaves, grads)
-            if not math.isfinite(value):
-                raise NonFiniteLoss(f"objective evaluated to {value}")
-            crit = value if monitor is None else monitor(leaves)
-            if not math.isfinite(crit):
-                raise NonFiniteLoss(f"monitor evaluated to {crit}")
-        except NonFiniteLoss as err:
-            raise NonFiniteLoss(f"epoch {epoch}: {err}") from err
-        history.train_objective.append(value)
-        if monitor is not None:
-            history.val_objective.append(crit)
-        if crit < best_value:
-            best_value = crit
-            history.best_epoch = epoch
-            best_flat = flat.copy()
-        elif epoch - history.best_epoch > cfg.patience:
-            history.stop_reason = "patience"
-            break
+
+    def step(epoch):
+        nonlocal m, v
         m, v, stepped = adam_step(epoch + 1, m, v, flat, grad, cfg.lr)
         flat[...] = stepped
         if post_step is not None:
             post_step(leaves)
+
+    def failure(epoch, detail):
+        best = "no epoch judged before it"
+        if best_value < np.inf:
+            best = f"best so far: epoch {history.best_epoch}, monitor value {best_value!r}"
+        return NonFiniteLoss(f"epoch {epoch}: {detail} ({best})")
+
+    start = 0
+    while start < cfg.max_epochs:
+        stop = min(start + len(snaps), cfg.max_epochs, history.best_epoch + cfg.patience + 2)
+        values, error = [], None
+        for epoch in range(start, stop):
+            snaps[epoch - start] = flat
+            try:
+                value = loss_and_grads(leaves, grads)
+                if not math.isfinite(value):
+                    raise NonFiniteLoss(f"objective evaluated to {value}")
+            except NonFiniteLoss as err:  # raised once the epochs before it are judged
+                error = err
+                break
+            values.append(value)
+            if epoch < stop - 1:
+                step(epoch)
+        crits = values
+        if monitor is not None and values:
+            crits = np.asarray(monitor(flat_views(snaps[: len(values)], shapes))).tolist()
+        for row, (value, crit) in enumerate(zip(values, crits, strict=True)):
+            epoch = start + row
+            if not math.isfinite(crit):
+                raise failure(epoch, f"monitor evaluated to {crit}")
+            history.train_objective.append(value)
+            if monitor is not None:
+                history.val_objective.append(crit)
+            if crit < best_value:
+                best_value = crit
+                history.best_epoch = epoch
+                best_flat = snaps[row].copy()
+            elif epoch - history.best_epoch > cfg.patience:
+                history.stop_reason = "patience"
+                return flat_views(best_flat, shapes), history
+        if error is not None:
+            raise failure(start + len(values), error) from error
+        step(stop - 1)
+        start = stop
     return flat_views(best_flat, shapes), history
 
 
@@ -210,11 +255,12 @@ def fit_nlml(
     the per-output log sigma_e, monitoring the same objective on
     ``val_data`` when it is given.
 
-    The objective reads the leaf views as they are; only the monitor,
-    which goes through the public ``negative_lml``, builds an ``MlpParams``
-    and a ``BllHyper`` each epoch.  With one weight matrix (blr), the
-    features are the fit rows themselves, so their affine rows and gram
-    are read once here.
+    The objective and the monitor read the leaf views as they are, with no
+    ``MlpParams`` or ``BllHyper`` built: the monitor runs ``nlml_head`` on
+    a whole block of epochs' leaves at once, each value the one the public
+    ``negative_lml`` gives that epoch's parameters on ``val_data``.  With
+    one weight matrix (blr), the features are the fit rows themselves, so
+    their affine rows and gram are read once here.
 
     Returns:
         The parameters and hyperparameters of the best monitored epoch,
@@ -245,8 +291,9 @@ def fit_nlml(
     if val_data is not None:
 
         def monitor(vals):
-            params, hyper = unpack(vals)
-            return negative_lml(params, hyper, val_data)
+            acts = forward_weights(vals[:n_w], val_data.x)
+            w_out, log_alpha, log_sigma_e = vals[n_w - 1 :]
+            return nlml_head(acts[-2], acts[-1], w_out, val_data.t, log_alpha, log_sigma_e)[0]
 
     best, history = fit_loop(
         leaves, loss_and_grads, cfg, monitor=monitor, post_step=clamp_hyper_tail

@@ -138,7 +138,8 @@ def vi_train(
 
     Each step draws one reparameterized weight sample.  The early-stopping
     monitor is the validation negative log-likelihood at the surrogate
-    means, which is deterministic and cheap.
+    means, which is deterministic and cheap; it reads a block of epochs'
+    means in one forward pass.
     """
     x_scaler, t_scaler, fit_std, val_std = standardized_splits(train_data, cfg)
 
@@ -164,11 +165,11 @@ def vi_train(
     if val_std is not None:
 
         def monitor(vals):
-            # Negative log-likelihood at the surrogate means.
+            # Negative log-likelihood at the surrogate means, one per epoch.
             mu, _, _, log_sigma_e = vals
             y = forward_weights(flat_views(mu, shapes), val_std.x)[-1]
-            sig2 = np.exp(2.0 * log_sigma_e)
-            return float(-gaussian_log_density(y, sig2, val_std.t).mean())
+            sig2 = np.exp(2.0 * log_sigma_e)[..., None, :]
+            return -gaussian_log_density(y, sig2, val_std.t).mean(-1)
 
     best, history = fit_loop(
         leaves, loss_and_grads, cfg, monitor=monitor, post_step=clamp_hyper_tail

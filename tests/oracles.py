@@ -6,8 +6,9 @@ eigenvalues instead of Cholesky, the m x m marginal Gaussian instead of the
 feature-space precision, and the unscaled noise/prior parameterization of
 the objective instead of the signal-to-noise form, the per-entry
 Gaussian KL instead of the ELBO's inline sum, ``scipy.linalg.solve_triangular``
-instead of the direct LAPACK calls, and a per-leaf Adam loop instead of the
-flat parameter vector.
+instead of the direct LAPACK calls, and a per-leaf Adam loop judging its
+monitor every epoch instead of the flat parameter vector judged in blocks
+(``per_row`` turns that loop's per-epoch monitor into a block monitor).
 
 The ``*_reference`` gradient heads at the end are the exception: they are
 the heads as they stood before their numpy wrappers were trimmed (``np.sum``,
@@ -21,7 +22,8 @@ prediction and the sweep that ran the network again at every alpha, from
 before the sweep cached each row set's network outputs (the prediction
 reads the model's eigenbasis as ``bll.predictive_variances`` does); and
 ``vi_predict_batch_reference``, the mixture prediction that drew each
-component through its own sampling helper, recomputing the spreads each time.
+component through its own sampling helper, recomputing the spreads each time;
+and ``vi_monitor_reference``, vi's early-stopping value on one epoch's means.
 ``write_table_csv_reference`` writes every row through ``csv.writer``, as
 the table and dataset writers did before their rows were joined directly.
 """
@@ -199,23 +201,44 @@ def fit_loop_per_leaf(leaves, loss_and_grads, cfg, monitor=None, post_step=None)
     """Early-stopped Adam with one optimizer state per leaf and list snapshots.
 
     The loop ``training.fit_loop`` ran before it moved to one flat
-    parameter vector; Adam is elementwise, so both must agree bit for bit.
-    It counts its own steps, where ``fit_loop`` passes the epoch plus one.
+    parameter vector and before it judged the monitor in blocks: the
+    monitor here takes one epoch's leaves and is judged every epoch.  Adam
+    is elementwise, so both loops must agree bit for bit.  It counts its
+    own steps, where ``fit_loop`` passes the epoch plus one, and raises
+    ``NonFiniteLoss`` at the first non-finite objective or monitor value,
+    naming the epoch and the best epoch judged before it.
+
+    Returns:
+        (best_leaves, train_objective, val_objective, best_epoch,
+        stop_reason, steps).
     """
     states = [(np.zeros_like(a), np.zeros_like(a)) for a in leaves]
     step = 0
     train_objective, val_objective = [], []
     best_value, best_epoch = np.inf, 0
     best_leaves = [a.copy() for a in leaves]
+    stop_reason = "max_epochs"
+
+    def non_finite(epoch, what, value):
+        best = "no epoch judged before it"
+        if best_value < np.inf:
+            best = f"best so far: epoch {best_epoch}, monitor value {best_value!r}"
+        return NonFiniteLoss(f"epoch {epoch}: {what} evaluated to {value} ({best})")
+
     for epoch in range(cfg.max_epochs):
         value, grads = loss_and_grads(leaves)
+        if not math.isfinite(value):
+            raise non_finite(epoch, "objective", value)
         crit = value if monitor is None else monitor(leaves)
+        if not math.isfinite(crit):
+            raise non_finite(epoch, "monitor", crit)
         train_objective.append(value)
         val_objective.append(crit)
         if crit < best_value:
             best_value, best_epoch = crit, epoch
             best_leaves = [a.copy() for a in leaves]
         elif epoch - best_epoch > cfg.patience:
+            stop_reason = "patience"
             break
         step += 1
         steps = [
@@ -225,7 +248,20 @@ def fit_loop_per_leaf(leaves, loss_and_grads, cfg, monitor=None, post_step=None)
         states, leaves = [(m, v) for m, v, _ in steps], [a for _, _, a in steps]
         if post_step is not None:
             leaves = post_step(leaves)
-    return best_leaves, train_objective, val_objective, best_epoch
+    return best_leaves, train_objective, val_objective, best_epoch, stop_reason, step
+
+
+def per_row(monitor):
+    """The block monitor ``training.fit_loop`` takes, from one judging one epoch.
+
+    ``monitor`` runs on each row of the block in turn, handed that row of
+    every leaf with the leaf's own shape.
+    """
+
+    def block(leaves):
+        return [monitor([a[row, ...] for a in leaves]) for row in range(len(leaves[0]))]
+
+    return block
 
 
 def returning(loss_and_grads):
@@ -389,6 +425,16 @@ def negative_elbo_reference(leaves, eps, x, t):
     ]
     value = float((nll + kl) / m)
     return value, [g / m for g in grads]
+
+
+def vi_monitor_reference(mu, log_sigma_e, shapes, data) -> float:
+    """vi's early-stopping value at one epoch's flat surrogate means, as it was judged per epoch."""
+    lo, weights = 0, []
+    for rows, cols in shapes:
+        weights.append(mu[lo : lo + rows * cols].reshape(rows, cols))
+        lo += rows * cols
+    y = forward_weights(weights, data.x)[-1]
+    return float(-gaussian_log_density(y, np.exp(2.0 * log_sigma_e), data.t).mean())
 
 
 def mse_grads_reference(weights, data):

@@ -139,6 +139,7 @@ class TestBlrFit:
         blr_fit(frozen, data, FAST)
         _, _, fit_std, val_std = standardized_splits(data, FAST)
         rng = make_rng(10)
+        draws = []
         for _ in range(5):
             wbar = frozen.wbar + 0.3 * rng.standard_normal(frozen.wbar.shape)
             hyper = BllHyper(float(rng.uniform(-1.0, 2.0)), rng.uniform(-1.0, 0.5, size=1))
@@ -151,10 +152,13 @@ class TestBlrFit:
             np.testing.assert_array_equal(grads[0], w_grads[-1], strict=True)
             np.testing.assert_array_equal(grads[1], g_la, strict=True)
             np.testing.assert_array_equal(grads[2], g_ls, strict=True)
-            # the monitor on precomputed features is the full frozen network's value
-            assert captured["monitor"](leaves) == negative_lml(
-                frozen.replace_wbar(wbar), hyper, val_std
-            )
+            draws.append((leaves, negative_lml(frozen.replace_wbar(wbar), hyper, val_std)))
+        # the monitor on precomputed features, judging the five draws as one
+        # block, gives each the full frozen network's value
+        block = [np.stack(leaf) for leaf in zip(*(leaves for leaves, _ in draws))]
+        np.testing.assert_array_equal(
+            captured["monitor"](block), [value for _, value in draws], strict=True
+        )
 
 
 def _fit_indices(data, cfg):

@@ -7,6 +7,9 @@ buffer, viewed per leaf as ``training.fit_loop`` views it, and must write
 every entry; so does the objective ``training.fit_nlml`` hands
 ``fit_loop``, caught on its way there.  ``predict_batch`` is held to the one-pass prediction it
 replaced, and ``vi_predict_batch`` to its per-component sampling helper.
+Each trainer's early-stopping monitor, which judges a block of epochs at
+once, is held row by row to the value its epoch alone gets from the
+public ``negative_lml`` or the per-epoch reference monitor.
 Equality is ``array_equal``, not a tolerance, with one exception: the alpha
 sweep, which runs the network once per row set and reads every alpha from
 one spectrum and one product, matches the per-alpha loop within derived
@@ -21,7 +24,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lastlayer import training
+import lastlayer.vi as vi_trainer
+from lastlayer import baselines, linalg, training
 from lastlayer.baselines import _mse_grads
 from lastlayer.bll import (
     HYPER_CLAMP,
@@ -37,7 +41,9 @@ from lastlayer.bll import (
 from lastlayer.calibration import LOG_2PI, alpha_sweep
 from lastlayer.data import Dataset, fit_standardizer
 from lastlayer.linalg import NotPositiveDefinite, cholesky, identity
-from lastlayer.mlp import MlpParams, affine_rows, forward_batch, forward_weights, mlp_backward
+from lastlayer.mlp import MlpParams, MlpSpec, affine_rows, forward_batch, forward_weights
+from lastlayer.mlp import init_params, mlp_backward
+from lastlayer.rng import make_rng
 from lastlayer.vi import ViModel, _negative_elbo, vi_predict_batch
 
 from oracles import (
@@ -49,6 +55,7 @@ from oracles import (
     negative_lml_grads_reference,
     negative_lml_reference,
     predict_batch_reference,
+    vi_monitor_reference,
     vi_predict_batch_reference,
 )
 
@@ -139,20 +146,29 @@ def test_negative_lml_grads_match_their_reference(problem):
 
 
 class _Captured(Exception):
-    """Raised by the spy that stands in for ``fit_loop``, once it holds the objective."""
+    """Raised by the spy that stands in for ``fit_loop``, once it holds its arguments."""
+
+
+def _caught_fit_loop_call(module, run):
+    """The (leaves, objective, monitor) ``run`` hands ``module.fit_loop``, caught on their way."""
+    captured = []
+
+    def spy(leaves, loss_and_grads, cfg, monitor=None, post_step=None):
+        captured.append((leaves, loss_and_grads, monitor))
+        raise _Captured
+
+    with mock.patch.object(module, "fit_loop", spy), pytest.raises(_Captured):
+        run()
+    return captured[0]
 
 
 def _fit_nlml_objective(weights, data):
     """The objective ``training.fit_nlml`` hands ``fit_loop`` for ``weights`` on ``data``."""
-    captured = []
 
-    def spy(leaves, loss_and_grads, cfg, monitor=None, post_step=None):
-        captured.append(loss_and_grads)
-        raise _Captured
-
-    with mock.patch.object(training, "fit_loop", spy), pytest.raises(_Captured):
+    def run():
         training.fit_nlml(weights, data, None, training.TrainConfig())
-    return captured[0]
+
+    return _caught_fit_loop_call(training, run)[1]
 
 
 @SETTINGS
@@ -384,3 +400,117 @@ def test_vi_predict_batch_matches_the_per_component_sampler(problem, n_samples, 
     assert means.shape == (n_samples, data.m, data.n_y)
     assert np.array_equal(means, ref_means)
     assert np.array_equal(noise_var, ref_noise_var)
+
+
+# The early-stopping monitors judge a block of epochs at once: every
+# parameter leaf gains a leading block axis.  Each row's value must be the
+# double the per-epoch monitor gave that epoch's parameters alone.
+
+
+@pytest.mark.parametrize("hidden", [(), (4,), (6, 5, 3)])
+@pytest.mark.parametrize("n_x", [1, 3])
+def test_forward_weights_on_stacked_weights_matches_one_set_at_a_time(n_x, hidden):
+    rng = np.random.default_rng(n_x + len(hidden))
+    dims = [n_x, *hidden, 2]
+    block = [
+        [rng.standard_normal((dims[i] + 1, dims[i + 1])) for i in range(len(dims) - 1)]
+        for _ in range(7)
+    ]
+    x = rng.standard_normal((9, n_x))
+    stacked = forward_weights([np.stack(layer) for layer in zip(*block)], x)
+    for row, weights in enumerate(block):
+        alone = forward_weights(weights, x)
+        assert len(stacked) == len(alone)
+        for got, want in zip(stacked, alone):
+            np.testing.assert_array_equal(got[row] if got.ndim == 3 else got, want, strict=True)
+
+
+def _trainer_block(trainer, spec, data, cfg, rng, n_rows):
+    """A trainer's block monitor, a block of ``n_rows`` drawn epochs and each row's per-epoch value.
+
+    The block is viewed as ``fit_loop`` views its snapshot rows; each row's
+    value comes from the public ``negative_lml`` (bll, blr) or the
+    per-epoch reference monitor (mse, vi) on the standardized monitor rows.
+    """
+    val = training.standardized_splits(data, cfg)[3]
+    frozen = init_params(spec, make_rng(1))
+    module, run, value = {
+        "bll": (
+            training,
+            lambda: training.train(spec, data, cfg),
+            lambda w: negative_lml(MlpParams(tuple(w[:-2])), BllHyper(float(w[-2]), w[-1]), val),
+        ),
+        "blr": (
+            training,
+            lambda: baselines.blr_fit(frozen, data, cfg),
+            lambda w: negative_lml(frozen.replace_wbar(w[0]), BllHyper(float(w[1]), w[2]), val),
+        ),
+        "mse": (
+            baselines,
+            lambda: baselines.train_mse(spec, data, cfg),
+            lambda w: mse_grads_reference(w, val)[0],
+        ),
+        "vi": (
+            vi_trainer,
+            lambda: vi_trainer.vi_train(spec, data, cfg),
+            lambda w: vi_monitor_reference(w[0], w[3], spec.layer_shapes(), val),
+        ),
+    }[trainer]
+    leaves, _, monitor = _caught_fit_loop_call(module, run)
+    rows = [[a + 0.3 * rng.standard_normal(np.shape(a)) for a in leaves] for _ in range(n_rows)]
+    snapshots = np.stack([np.concatenate(row, axis=None) for row in rows])
+    block = training.flat_views(snapshots, [np.shape(a) for a in leaves])
+    return monitor, block, [value(row) for row in rows]
+
+
+def _monitored_data(n_x, n_y, m, seed):
+    rng = np.random.default_rng(seed)
+    return Dataset(rng.standard_normal((m, n_x)), rng.standard_normal((m, n_y)))
+
+
+@pytest.mark.parametrize("n_rows", [1, 9])
+@pytest.mark.parametrize("n_y", [1, 3])
+@pytest.mark.parametrize("trainer", ["bll", "blr", "mse", "vi"])
+def test_each_block_monitor_matches_its_per_epoch_value(trainer, n_y, n_rows):
+    spec = MlpSpec(2, (5, 4), n_y)
+    data = _monitored_data(2, n_y, 40, seed=n_y)
+    cfg = training.TrainConfig(max_epochs=5, patience=4)
+    rng = np.random.default_rng(n_rows)
+    monitor, block, expected = _trainer_block(trainer, spec, data, cfg, rng, n_rows)
+    np.testing.assert_array_equal(monitor(block), expected, strict=True)
+
+
+def test_a_near_singular_gram_in_a_block_alone_takes_the_jitter_ladder():
+    # two monitor rows for six features: the gram has rank 2, and at
+    # log alpha = 700 the prior does not lift it off singular
+    spec = MlpSpec(1, (6,), 1)
+    data = _monitored_data(1, 1, 10, seed=3)
+    cfg = training.TrainConfig(max_epochs=5, patience=4)
+    monitor, block, _ = _trainer_block("bll", spec, data, cfg, np.random.default_rng(4), 5)
+    singular = 2
+    block[-2][singular] = 700.0
+    val = training.standardized_splits(data, cfg)[3]
+    rows = [[leaf[row] for leaf in block] for row in range(5)]
+
+    def per_epoch(w):
+        return negative_lml(MlpParams(tuple(w[:-2])), BllHyper(float(w[-2]), w[-1]), val)
+
+    calls = []
+
+    def recorded(a, jitter=0.0):
+        calls.append((np.array(a), jitter))
+        return cholesky(a, jitter)
+
+    with mock.patch.object(linalg, "cholesky", recorded):
+        values = monitor(block)
+    stack, _ = calls[0]
+    assert stack.shape == (5, 7, 7)
+    with pytest.raises(NotPositiveDefinite):
+        cholesky(stack[singular])
+    # the stack, then each matrix once unjittered, with the singular one's ladder
+    plain = [a for a, jitter in calls[1:] if jitter == 0.0]
+    ladder = [a for a, jitter in calls[1:] if jitter != 0.0]
+    assert len(plain) == 5
+    assert all(np.array_equal(a, one) for a, one in zip(plain, stack))
+    assert ladder and all(np.array_equal(a, stack[singular]) for a in ladder)
+    np.testing.assert_array_equal(values, [per_epoch(w) for w in rows], strict=True)

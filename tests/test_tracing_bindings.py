@@ -40,9 +40,10 @@ def test_fit_loop_takes_the_traced_call():
 
 
 def test_spans_are_attributed_to_their_trainer():
-    # Every epoch of every trainer is one objective span and one monitor
-    # span under that trainer's label, and the marginal-likelihood monitors
-    # (bll and blr) go through the public negative_lml.
+    # Every epoch of every trainer is one objective span under that
+    # trainer's label, and every block of epochs one monitor span: with no
+    # patience stop possible, the blocks are MONITOR_BLOCK epochs long but
+    # the last.
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
@@ -50,7 +51,8 @@ def test_spans_are_attributed_to_their_trainer():
     x = rng.uniform(-1.0, 1.0, size=(20, 1))
     data = Dataset(x, np.sin(2.0 * x) + 0.1 * rng.standard_normal((20, 1)))
     net = MlpSpec(1, (4,), 1)
-    cfg = training.TrainConfig(max_epochs=5, patience=4)
+    epochs = 2 * training.MONITOR_BLOCK + 2
+    cfg = training.TrainConfig(max_epochs=epochs, patience=epochs - 1)
     tracer = tracing.Tracer()
     with tracing.instrument(tracer):
         training.train(net, data, cfg)
@@ -61,8 +63,7 @@ def test_spans_are_attributed_to_their_trainer():
     for label in tracing.TRAINER_LABELS:
         assert tracer.counts[f"training.epochs.{label}"] == cfg.max_epochs, label
         assert spans[f"objective.{label}"] == cfg.max_epochs, label
-        assert spans[f"monitor.{label}"] == cfg.max_epochs, label
-    assert spans["bll.negative_lml"] == spans["monitor.bll"] + spans["monitor.blr"]
+        assert spans[f"monitor.{label}"] == 3, label
 
 
 def test_traced_runs_see_every_adam_step():

@@ -1,4 +1,6 @@
+import itertools
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,9 +18,12 @@ from lastlayer.bll import (
 from lastlayer.data import Dataset
 from lastlayer.mlp import MlpParams, MlpSpec, forward_batch, forward_weights, init_params
 from lastlayer.mlp import mlp_backward
+from lastlayer import training
 from lastlayer.rng import make_rng
 from lastlayer.training import (
+    MONITOR_BLOCK,
     TrainConfig,
+    adam_step,
     clamp_hyper_tail,
     fit_loop,
     fit_nlml,
@@ -32,6 +37,7 @@ from oracles import (
     mse_grads_reference,
     negative_elbo_reference,
     negative_lml_grads_reference,
+    per_row,
     returning,
     writing,
 )
@@ -97,7 +103,7 @@ class TestFitLoop:
             [np.asarray(1.0)],
             writing(loss_and_grads),
             TrainConfig(max_epochs=100, patience=10, lr=0.1),
-            monitor=monitor,
+            monitor=per_row(monitor),
         )
         assert history.best_epoch == 5
         assert len(history.val_objective) < 100  # patience cut the run short
@@ -126,7 +132,7 @@ class TestFitLoop:
             [np.asarray(0.0)],
             writing(loss_and_grads),
             TrainConfig(max_epochs=100, patience=10),
-            monitor=lambda leaves: next(crits),
+            monitor=per_row(lambda leaves: next(crits)),
         )
         assert history.best_epoch == 4
         # epochs 5..15 do not improve; the one 11 epochs past the best stops it
@@ -179,14 +185,48 @@ class TestFitLoop:
         def loss_and_grads(leaves):
             return 1.0, [np.zeros(())]
 
-        values = iter([3.0, 2.0, float("nan")])
+        # the block of epochs 0-6 is judged at once, so the monitor reads all seven
+        values = iter([3.0, 2.0, float("nan")] + [1.0] * 4)
         with pytest.raises(NonFiniteLoss, match="^epoch 2: monitor evaluated to nan"):
             fit_loop(
                 [np.asarray(0.0)],
                 writing(loss_and_grads),
                 TrainConfig(max_epochs=10, patience=5),
-                monitor=lambda leaves: next(values),
+                monitor=per_row(lambda leaves: next(values)),
             )
+
+    @pytest.mark.parametrize(
+        "objective, monitor, message",
+        [
+            (
+                [1.0, 1.0, 1.0],
+                [3.0, 2.0, np.inf],
+                "epoch 2: monitor evaluated to inf (best so far: epoch 1, monitor value 2.0)",
+            ),
+            (
+                [1.0, 1.0, np.nan],
+                [3.0, 2.0, 5.0],
+                "epoch 2: objective evaluated to nan (best so far: epoch 1, monitor value 2.0)",
+            ),
+            (
+                [1.0, 1.0, np.nan],
+                [2.0, 3.0, 5.0],
+                "epoch 2: objective evaluated to nan (best so far: epoch 0, monitor value 2.0)",
+            ),
+            ([np.nan], [1.0], "epoch 0: objective evaluated to nan (no epoch judged before it)"),
+        ],
+    )
+    def test_a_non_finite_value_names_the_best_epoch_so_far(self, objective, monitor, message):
+        # padded to the first block, epochs 0-6, which the monitor reads at once
+        objectives, monitors = iter(objective + [1.0] * 7), iter(monitor + [1.0] * 7)
+        with pytest.raises(NonFiniteLoss) as err:
+            fit_loop(
+                [np.asarray(0.0)],
+                writing(lambda leaves: (next(objectives), [np.zeros(())])),
+                TrainConfig(max_epochs=10, patience=5),
+                monitor=per_row(lambda leaves: next(monitors)),
+            )
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("trainer", ["bll", "mse", "blr", "vi"])
     def test_every_trainer_reports_the_epoch_of_a_non_finite_objective(self, trainer):
@@ -246,7 +286,7 @@ def _clip_tail_copies(leaves):
 
 def _assert_same_run(flat_run, reference_run):
     best, history = flat_run
-    ref_best, ref_train, ref_val, ref_best_epoch = reference_run
+    ref_best, ref_train, ref_val, ref_best_epoch, ref_stop_reason, _ = reference_run
     assert len(best) == len(ref_best)
     for got, want in zip(best, ref_best):
         assert got.shape == np.shape(want)
@@ -255,23 +295,23 @@ def _assert_same_run(flat_run, reference_run):
     if history.val_objective is not None:
         assert history.val_objective == ref_val
     assert history.best_epoch == ref_best_epoch
+    assert history.stop_reason == ref_stop_reason
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(
-    seed=st.integers(0, 2**16),
-    shapes=st.lists(st.sampled_from([(), (3,), (2, 4), (5, 1)]), max_size=4),
-    n_tail=st.integers(1, 3),
-    patience=st.integers(3, 39),
-    with_monitor=st.booleans(),
-)
-def test_flat_fit_loop_matches_the_per_leaf_loop(seed, shapes, n_tail, patience, with_monitor):
+def _sinusoid_problem(seed, shapes, n_tail):
+    """Leaves, a per-leaf objective returning (value, grads) and a per-epoch monitor.
+
+    Both curves wander, and the monitor's bowl sits halfway to the
+    objective's optima, so it falls and then rises: the best epoch and the
+    patience stop fall at scattered epochs.
+    """
     rng = np.random.default_rng(seed)
     # a 0-d and a vector hyperparameter leaf last, as fit_nlml lays them out
     leaves = [rng.standard_normal(s) for s in shapes]
     leaves += [np.asarray(rng.standard_normal()), rng.standard_normal(n_tail)]
     # optima far outside the clamp box, so clamp_hyper_tail has work to do
     targets = [30.0 * rng.standard_normal(np.shape(a)) for a in leaves]
+    bowl = [0.5 * (a + tgt) for a, tgt in zip(leaves, targets)]
 
     def loss_and_grads(vals):
         diffs = [v - tgt for v, tgt in zip(vals, targets)]
@@ -279,21 +319,121 @@ def test_flat_fit_loop_matches_the_per_leaf_loop(seed, shapes, n_tail, patience,
         return value, [np.cos(d) + 0.1 * d for d in diffs]
 
     def monitor(vals):
-        return float(sum(np.sum(np.abs(np.sin(3.0 * (v - tgt)))) for v, tgt in zip(vals, targets)))
+        return float(
+            sum(
+                np.sum(np.abs(np.sin(3.0 * (v - tgt))) + 0.01 * (v - low) ** 2)
+                for v, tgt, low in zip(vals, targets, bowl)
+            )
+        )
 
+    return leaves, loss_and_grads, monitor
+
+
+LEAF_SHAPES = st.lists(st.sampled_from([(), (3,), (2, 4), (5, 1)]), max_size=4)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    shapes=LEAF_SHAPES,
+    n_tail=st.integers(1, 3),
+    patience=st.integers(3, 39),
+    with_monitor=st.booleans(),
+)
+def test_flat_fit_loop_matches_the_per_leaf_loop(seed, shapes, n_tail, patience, with_monitor):
+    leaves, loss_and_grads, monitor = _sinusoid_problem(seed, shapes, n_tail)
     cfg = TrainConfig(max_epochs=40, patience=patience, lr=2.0)
-    kwargs = {"monitor": monitor if with_monitor else None}
     flat_run = fit_loop(
         [a.copy() for a in leaves],
         writing(loss_and_grads),
         cfg,
+        monitor=per_row(monitor) if with_monitor else None,
         post_step=clamp_hyper_tail,
-        **kwargs,
     )
     reference_run = fit_loop_per_leaf(
-        leaves, loss_and_grads, cfg, post_step=_clip_tail_copies, **kwargs
+        leaves,
+        loss_and_grads,
+        cfg,
+        monitor=monitor if with_monitor else None,
+        post_step=_clip_tail_copies,
     )
     _assert_same_run(flat_run, reference_run)
+
+
+def _poisoned(fn, epoch, value, returns_grads):
+    """``fn`` with its result at call ``epoch`` (counted from 0) replaced by ``value``."""
+    calls = itertools.count()
+
+    def poisoned(vals):
+        out = fn(vals)
+        if next(calls) != epoch:
+            return out
+        return (value, out[1]) if returns_grads else value
+
+    return poisoned
+
+
+@pytest.mark.parametrize("poison", [None, "objective", "monitor"])
+@pytest.mark.parametrize("long_patience", [False, True])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), shapes=LEAF_SHAPES, with_monitor=st.booleans(), data=st.data())
+def test_the_block_judged_loop_matches_the_per_epoch_loop(
+    seed, shapes, with_monitor, long_patience, poison, data
+):
+    # the per-leaf loop judges every epoch on its own; fit_loop judges a
+    # block of epochs with one monitor call, here the same monitor row by
+    # row; up to about three blocks, patience under or over one block
+    lowest = MONITOR_BLOCK + 2 if long_patience else 2
+    max_epochs = data.draw(st.integers(lowest, 3 * MONITOR_BLOCK + 8), label="max_epochs")
+    if long_patience:
+        patience = data.draw(st.integers(MONITOR_BLOCK, max_epochs - 1), label="patience")
+    else:
+        patience = data.draw(st.integers(0, min(12, max_epochs - 1)), label="patience")
+    with_monitor = with_monitor or poison == "monitor"
+    if poison is not None:
+        epoch = data.draw(st.integers(0, max_epochs - 1), label="poisoned epoch")
+        value = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="poison")
+    leaves, loss_and_grads, monitor = _sinusoid_problem(seed, shapes, 1)
+    cfg = TrainConfig(max_epochs=max_epochs, patience=patience, lr=2.0)
+
+    def callables():
+        """The objective and monitor, poisoned as drawn, each counting its own calls."""
+        objective, crit = loss_and_grads, monitor if with_monitor else None
+        if poison == "objective":
+            objective = _poisoned(objective, epoch, value, returns_grads=True)
+        if poison == "monitor":
+            crit = _poisoned(crit, epoch, value, returns_grads=False)
+        return objective, crit
+
+    def flat_run():
+        objective, crit = callables()
+        return fit_loop(
+            [a.copy() for a in leaves],
+            writing(objective),
+            cfg,
+            monitor=per_row(crit) if crit else None,
+            post_step=clamp_hyper_tail,
+        )
+
+    objective, crit = callables()
+    try:
+        reference_run = fit_loop_per_leaf(
+            leaves, objective, cfg, monitor=crit, post_step=_clip_tail_copies
+        )
+    except NonFiniteLoss as err:
+        with pytest.raises(NonFiniteLoss) as got:
+            flat_run()
+        assert str(got.value) == str(err)
+        return
+    steps = Counter()
+
+    def counted_adam_step(*args):
+        steps["adam"] += 1
+        return adam_step(*args)
+
+    with mock.patch.object(training, "adam_step", counted_adam_step):
+        _assert_same_run(flat_run(), reference_run)
+    assert steps["adam"] == reference_run[-1]
 
 
 # The real objectives at the benchmark's shapes: 48 fit rows, hidden
@@ -330,7 +470,11 @@ def test_flat_fit_loop_matches_the_per_leaf_loop_on_the_nlml():
 
     cfg = TrainConfig(max_epochs=30, patience=29, lr=1e-2)
     flat_run = fit_loop(
-        [a.copy() for a in leaves], loss_and_grads, cfg, monitor, post_step=clamp_hyper_tail
+        [a.copy() for a in leaves],
+        loss_and_grads,
+        cfg,
+        per_row(monitor),
+        post_step=clamp_hyper_tail,
     )
     reference_run = fit_loop_per_leaf(leaves, reference, cfg, monitor, post_step=_clip_tail_copies)
     _assert_same_run(flat_run, reference_run)
@@ -348,7 +492,7 @@ def test_flat_fit_loop_matches_the_per_leaf_loop_on_the_mse():
         [a.copy() for a in leaves],
         lambda vals, grads: _mse_grads(vals, fit, grads),
         cfg,
-        monitor,
+        per_row(monitor),
     )
     reference_run = fit_loop_per_leaf(
         leaves, lambda vals: mse_grads_reference(vals, fit), cfg, monitor
@@ -398,8 +542,8 @@ def test_flat_fit_loop_matches_the_per_leaf_loop_on_the_elbo():
 def test_fit_nlml_builds_no_params_or_hyperparameters_per_objective_call(
     monkeypatch, frozen, monitored
 ):
-    # the objective reads the leaf views; only the monitor, which goes
-    # through the public negative_lml, and the result build them
+    # the objective and the block monitor read the leaf views; only the
+    # result builds them
     counts = Counter()
     for cls in (BllHyper, MlpParams):
         monkeypatch.setattr(cls, "__post_init__", _counting(cls.__post_init__, counts, cls))
@@ -412,9 +556,8 @@ def test_fit_nlml_builds_no_params_or_hyperparameters_per_objective_call(
     counts.clear()
     epochs = 5
     fit_nlml(weights, fit, val if monitored else None, TrainConfig(max_epochs=epochs, patience=4))
-    per_epoch = epochs if monitored else 0
-    assert counts[BllHyper] <= per_epoch + 1
-    assert counts[MlpParams] <= per_epoch + 1
+    assert counts[BllHyper] <= 1
+    assert counts[MlpParams] <= 1
 
 
 def _counting(post_init, counts, cls):
