@@ -48,6 +48,7 @@ def train_mse(
     Returns parameters in standardized data space (the same standardization
     ``blr_fit`` rebuilds from the training data).
     """
+    train_data.check_widths(spec.input_dim, spec.output_dim)
     _, _, fit_std, val_std = standardized_splits(train_data, cfg)
     params0 = init_params(spec, make_rng(cfg.seed))
     leaves = list(params0.weights)
@@ -75,6 +76,7 @@ def blr_fit(
     output weights by their closed-form posterior mean before caching the
     model.
     """
+    train_data.check_widths(frozen.n_x, frozen.n_y)
     x_scaler, t_scaler, fit_std, val_std = standardized_splits(train_data, cfg)
 
     def frozen_features(data):

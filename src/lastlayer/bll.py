@@ -386,11 +386,11 @@ class BllModel:
 
     @property
     def n_x(self) -> int:
-        return self.params.weights[0].shape[0] - 1  # the first layer's rows: inputs, then bias
+        return self.params.n_x
 
     @property
     def n_y(self) -> int:
-        return self.params.weights[-1].shape[1]
+        return self.params.n_y
 
     @property
     def wbar(self) -> np.ndarray:

@@ -17,7 +17,6 @@ from .bll import negative_lml  # noqa: F401 - perfbench's tracer patches calibra
 from .bll import HYPER_CLAMP, LOG_2PI, LOG_ALPHA_MAX, BllModel, nlml_head_grid, predict_batch
 from .bll import predictive_variances, with_alpha
 from .data import Dataset, check_integers, check_numbers
-from .linalg import DimensionMismatch
 from .mlp import forward_batch
 
 __all__ = ["AlphaSearchConfig", "alpha_sweep", "gaussian_log_density", "lpd", "tune_alpha"]
@@ -61,11 +60,7 @@ def gaussian_log_density(mean: np.ndarray, var_t: np.ndarray, t: np.ndarray) -> 
 def _check_scored(model: BllModel, data: Dataset) -> None:
     if data.m == 0:
         raise ValueError("a scored dataset needs at least one row")
-    widths = model.n_x, model.n_y
-    if (data.n_x, data.n_y) != widths:
-        raise DimensionMismatch(
-            f"a dataset of widths {(data.n_x, data.n_y)} for a network of widths {widths}"
-        )
+    data.check_widths(model.n_x, model.n_y)
 
 
 def lpd(model: BllModel, data: Dataset) -> float:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import DimensionMismatch
 from .rng import make_rng
 
 SPLITS = ("train", "val", "test")
@@ -79,6 +80,13 @@ class Dataset:
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(self.x[idx], self.t[idx])
+
+    def check_widths(self, n_x: int, n_y: int) -> None:
+        """Raise ``DimensionMismatch`` unless the inputs are ``n_x`` and the targets ``n_y`` wide."""
+        if (self.n_x, self.n_y) != (n_x, n_y):
+            raise DimensionMismatch(
+                f"a dataset of widths {(self.n_x, self.n_y)} for a network of widths {(n_x, n_y)}"
+            )
 
 
 @dataclass(frozen=True)

@@ -158,9 +158,7 @@ def _write_alpha_sweep(path, model: BllModel, splits, span: float, points: int) 
 
 
 def _nlml_on(model: BllModel, data: Dataset) -> float:
-    std = Dataset(
-        model.x_scaler.transform(data.x), model.t_scaler.transform(data.t)
-    )
+    std = Dataset(model.x_scaler.transform(data.x), model.t_scaler.transform(data.t))
     return negative_lml(model.params, model.hyper, std)
 
 

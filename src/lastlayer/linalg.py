@@ -73,30 +73,27 @@ def cholesky(a: np.ndarray, jitter: float = 0.0) -> np.ndarray:
 def chol_spd(a: np.ndarray) -> np.ndarray:
     """Factor with an escalating jitter ladder as a fallback.
 
-    The first attempt uses no jitter so that factorizations stay consistent
-    across code paths that are compared to each other at tight tolerances.
-    Near-singular matrices (a log-det regularizer can drive the feature gram
-    close to rank deficiency) get diagonal jitter scaled by trace/dim.  A
-    stack is factored in one call; if any of its matrices fails, each
-    matrix takes the ladder on its own, so every factor is the one a call
-    on that matrix alone returns.
+    The one first attempt, on a matrix or a whole stack, uses no jitter so
+    that factorizations stay consistent across code paths that are compared
+    to each other at tight tolerances.  If it fails, a stack sends each of
+    its matrices through ``chol_spd`` alone, so every factor is the one a
+    call on that matrix returns; a near-singular matrix (a log-det
+    regularizer can drive the feature gram close to rank deficiency) takes
+    seven attempts with diagonal jitter trace/dim times 1e-12, 1e-10, ..., 1.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim > 2:
-        try:
-            return cholesky(a)
-        except NotPositiveDefinite:
+    try:
+        return cholesky(a)
+    except NotPositiveDefinite:
+        if a.ndim > 2:
             matrices = a.reshape(-1, *a.shape[-2:])
             return np.stack([chol_spd(one) for one in matrices]).reshape(a.shape)
-    jitter = 0.0
-    for _ in range(8):
+    jitter = max(np.trace(a) / max(a.shape[0], 1), 1e-30) * 1e-12
+    for _ in range(7):
         try:
             return cholesky(a, jitter=jitter)
         except NotPositiveDefinite:
-            if jitter == 0.0:
-                jitter = max(np.trace(a) / max(a.shape[0], 1), 1e-30) * 1e-12
-            else:
-                jitter *= 100.0
+            jitter *= 100.0
     raise NotPositiveDefinite("matrix not positive definite even with jitter")
 
 

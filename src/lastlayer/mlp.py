@@ -64,6 +64,14 @@ class MlpParams:
             raise ValueError(f"unknown activation {self.activation!r}; tanh is the only one")
 
     @property
+    def n_x(self) -> int:
+        return self.weights[0].shape[0] - 1  # the first layer's rows: inputs, then bias
+
+    @property
+    def n_y(self) -> int:
+        return self.weights[-1].shape[1]
+
+    @property
     def wbar(self) -> np.ndarray:
         """Output-layer weights (the regression on the learned features)."""
         return self.weights[-1]

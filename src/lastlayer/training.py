@@ -114,18 +114,17 @@ def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=N
     into those two vectors, built once: every step refreshes the leaves in
     place, and the objective overwrites every gradient entry in place.
     Adam's moments are two more flat arrays, and its step number is the
-    epoch plus one, as the loop breaks before it steps.
+    epoch plus one.
 
     Early stopping is judged in blocks of up to ``MONITOR_BLOCK`` epochs.
-    Each epoch copies the parameters into one row of a snapshot buffer
-    before its objective runs, and one monitor call at the end of the
-    block reads every row; the best and patience rules then run in epoch
-    order.  A block ends no later than the first epoch that could stop on
-    patience, and that last epoch's Adam step waits for the judgement, so
-    the loop runs exactly the objectives and steps, and keeps exactly the
-    history, that judging every epoch on its own would.  The one
-    difference is when a run fails: a non-finite monitor value is raised
-    once its block is judged, after the block's later epochs have run.
+    Each epoch copies the parameters into the next row of a snapshot
+    buffer, then runs its objective.  Before the epoch's Adam step, the
+    pending rows are judged (one monitor call, then the best and patience
+    rules in epoch order) when the buffer is full, the budget ends, or the
+    epoch could stop on patience; a failing objective has the rows before
+    it judged first.  So the loop runs exactly the objectives and steps,
+    and keeps exactly the history, that judging every epoch alone would,
+    but a non-finite monitor value is raised only when its block is judged.
 
     Args:
         leaves: list of parameter arrays (not modified).
@@ -155,16 +154,9 @@ def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=N
     m, v = np.zeros_like(flat), np.zeros_like(flat)
     snaps = np.empty((min(MONITOR_BLOCK, cfg.max_epochs), flat.size))
     history = TrainHistory(val_objective=None if monitor is None else [])
-    best_value = np.inf
-    best_flat = flat.copy()
     history.stop_reason = "max_epochs"
-
-    def step(epoch):
-        nonlocal m, v
-        m, v, stepped = adam_step(epoch + 1, m, v, flat, grad, cfg.lr)
-        flat[...] = stepped
-        if post_step is not None:
-            post_step(leaves)
+    best_value, best_flat = np.inf, flat.copy()
+    values = []  # objective values of the epochs whose snapshots await judgement
 
     def failure(epoch, detail):
         best = "no epoch judged before it"
@@ -172,27 +164,14 @@ def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=N
             best = f"best so far: epoch {history.best_epoch}, monitor value {best_value!r}"
         return NonFiniteLoss(f"epoch {epoch}: {detail} ({best})")
 
-    start = 0
-    while start < cfg.max_epochs:
-        stop = min(start + len(snaps), cfg.max_epochs, history.best_epoch + cfg.patience + 2)
-        values, error = [], None
-        for epoch in range(start, stop):
-            snaps[epoch - start] = flat
-            try:
-                value = loss_and_grads(leaves, grads)
-                if not math.isfinite(value):
-                    raise NonFiniteLoss(f"objective evaluated to {value}")
-            except NonFiniteLoss as err:  # raised once the epochs before it are judged
-                error = err
-                break
-            values.append(value)
-            if epoch < stop - 1:
-                step(epoch)
+    def judge():
+        """Judge the pending epochs in order; True when one stops on patience."""
+        nonlocal best_value
         crits = values
         if monitor is not None and values:
             crits = np.asarray(monitor(flat_views(snaps[: len(values)], shapes))).tolist()
         for row, (value, crit) in enumerate(zip(values, crits, strict=True)):
-            epoch = start + row
+            epoch = len(history.train_objective)
             if not math.isfinite(crit):
                 raise failure(epoch, f"monitor evaluated to {crit}")
             history.train_objective.append(value)
@@ -201,14 +180,30 @@ def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=N
             if crit < best_value:
                 best_value = crit
                 history.best_epoch = epoch
-                best_flat = snaps[row].copy()
+                best_flat[...] = snaps[row]
             elif epoch - history.best_epoch > cfg.patience:
                 history.stop_reason = "patience"
-                return flat_views(best_flat, shapes), history
-        if error is not None:
-            raise failure(start + len(values), error) from error
-        step(stop - 1)
-        start = stop
+                return True
+        values.clear()
+        return False
+
+    for epoch in range(cfg.max_epochs):
+        snaps[len(values)] = flat
+        try:
+            value = loss_and_grads(leaves, grads)
+            if not math.isfinite(value):
+                raise NonFiniteLoss(f"objective evaluated to {value}")
+        except NonFiniteLoss as err:
+            judge()
+            raise failure(epoch, err) from err
+        values.append(value)
+        due = len(values) == len(snaps) or epoch == cfg.max_epochs - 1
+        if (due or epoch > history.best_epoch + cfg.patience) and judge():
+            break
+        m, v, stepped = adam_step(epoch + 1, m, v, flat, grad, cfg.lr)
+        flat[...] = stepped
+        if post_step is not None:
+            post_step(leaves)
     return flat_views(best_flat, shapes), history
 
 
@@ -279,11 +274,6 @@ def fit_nlml(
         phi = affine_rows(x)
         fixed = phi, phi.T @ phi
 
-    def unpack(vals):
-        params = MlpParams(tuple(vals[:n_w]))
-        hyper = BllHyper(float(vals[n_w]), vals[n_w + 1])
-        return params, hyper
-
     def loss_and_grads(vals, grads):
         return nlml_grads_into(vals[:n_w], float(vals[n_w]), vals[n_w + 1], x, t, grads, fixed)
 
@@ -298,7 +288,7 @@ def fit_nlml(
     best, history = fit_loop(
         leaves, loss_and_grads, cfg, monitor=monitor, post_step=clamp_hyper_tail
     )
-    return *unpack(best), history
+    return MlpParams(tuple(best[:n_w])), BllHyper(float(best[n_w]), best[n_w + 1]), history
 
 
 def train(
@@ -307,7 +297,7 @@ def train(
     """Train a Bayesian-last-layer network by marginal-likelihood descent.
 
     Args:
-        spec: network architecture (output width must match the targets).
+        spec: network architecture (its widths must match the data's).
         train_data: training samples in original units.
         cfg: loop configuration; when ``cfg.val_fraction`` is set, a
             deterministic shuffle split of the training data provides the
@@ -316,8 +306,7 @@ def train(
     Returns:
         The fitted model (best monitored epoch) and the training history.
     """
-    if spec.output_dim != train_data.n_y or spec.input_dim != train_data.n_x:
-        raise ValueError("network spec does not match dataset dimensions")
+    train_data.check_widths(spec.input_dim, spec.output_dim)
     x_scaler, t_scaler, fit_std, val_std = standardized_splits(train_data, cfg)
     params0 = init_params(spec, make_rng(cfg.seed))
     params, hyper, history = fit_nlml(params0.weights, fit_std, val_std, cfg)

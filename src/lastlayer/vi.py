@@ -141,6 +141,7 @@ def vi_train(
     means, which is deterministic and cheap; it reads a block of epochs'
     means in one forward pass.
     """
+    train_data.check_widths(spec.input_dim, spec.output_dim)
     x_scaler, t_scaler, fit_std, val_std = standardized_splits(train_data, cfg)
 
     init_rng, noise_rng = spawn_rngs(cfg.seed, 2)

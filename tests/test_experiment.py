@@ -1,4 +1,5 @@
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -87,6 +88,18 @@ class TestConfig:
         assert len(blocks) == 1
         raw = json.loads(blocks[0].split("```")[0])
         assert config_from_dict(raw) == ExperimentConfig()
+
+    def test_readme_quick_start_runs_as_written(self):
+        # the library example keeps up with the API, and tuning alpha on its
+        # validation set cannot lower that set's LPD
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = readme.split("```python\n")[1:]
+        assert len(blocks) == 1
+        names = {}
+        exec(blocks[0].split("```")[0], names)
+        lpd, val = names["lpd"], names["val"]
+        trained, tuned = lpd(names["model"], val), lpd(names["tuned"], val)
+        assert math.isfinite(trained) and tuned >= trained
 
     def test_hash_ignores_out_dir_but_not_seed(self):
         a = ExperimentConfig(seed=1, out_dir="a")

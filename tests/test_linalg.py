@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lastlayer import linalg
 from lastlayer.bll import precision_bar
 from lastlayer.linalg import (
     DimensionMismatch,
@@ -185,6 +186,28 @@ class TestCholSpdChecks:
         a = np.array([[2.0, 1.0], [1.0 + 1e-13, 2.0]])
         assert not (a == a.T).all()
         np.testing.assert_array_equal(chol_spd(a), np.linalg.cholesky(a))
+
+
+@pytest.mark.parametrize(
+    ("diagonal", "scale"),
+    [
+        ((4.0, -3.0), 0.5),  # jitter scaled by trace/dim never reaches the -3 pivot
+        ((-1.0, -1.0), 1e-30),  # a negative trace falls back to the 1e-30 floor
+    ],
+)
+def test_a_never_positive_definite_matrix_climbs_the_whole_ladder(monkeypatch, diagonal, scale):
+    # one unjittered attempt, then seven jittered ones, each 100 times the last
+    jitters = []
+
+    def spy(a, jitter=0.0):
+        jitters.append(jitter)
+        return cholesky(a, jitter=jitter)
+
+    monkeypatch.setattr(linalg, "cholesky", spy)
+    with pytest.raises(NotPositiveDefinite, match="even with jitter"):
+        chol_spd(np.diag(diagonal))
+    assert jitters[0] == 0.0
+    assert jitters[1:] == pytest.approx([scale * 1e-12 * 100.0**k for k in range(7)], rel=1e-12)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import Counter
 from unittest import mock
 
@@ -16,6 +17,7 @@ from lastlayer.bll import (
     nlml_grads_into,
 )
 from lastlayer.data import Dataset
+from lastlayer.linalg import DimensionMismatch
 from lastlayer.mlp import MlpParams, MlpSpec, forward_batch, forward_weights, init_params
 from lastlayer.mlp import mlp_backward
 from lastlayer import training
@@ -619,7 +621,21 @@ class TestTrain:
         assert gap < 1e-3 * (1.0 + np.abs(model.wbar).max())
         assert model.wbar_gap == pytest.approx(gap)
 
-    def test_spec_dimension_mismatch_rejected(self):
-        data = _linear_dataset(seed=6, m=10)
-        with pytest.raises(ValueError):
-            train(MlpSpec(2, (3,), 1), data, FAST)
+
+TRAINERS = {
+    "bll": train,
+    "mse": train_mse,
+    "blr": lambda spec, data, cfg: blr_fit(init_params(spec, make_rng(0)), data, cfg),
+    "vi": vi_train,
+}
+
+
+@pytest.mark.parametrize("trainer", TRAINERS)
+@pytest.mark.parametrize("spec", [MlpSpec(2, (3,), 1), MlpSpec(1, (3,), 2)], ids=["input", "output"])
+def test_every_trainer_checks_the_network_widths(trainer, spec):
+    # blr reads its widths off the frozen weights, the others off the spec
+    data = _linear_dataset(seed=6, m=10)
+    widths = (spec.input_dim, spec.output_dim)
+    message = f"a dataset of widths (1, 1) for a network of widths {widths}"
+    with pytest.raises(DimensionMismatch, match=re.escape(message)):
+        TRAINERS[trainer](spec, data, TrainConfig(max_epochs=2, patience=1))
