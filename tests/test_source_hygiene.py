@@ -1,5 +1,6 @@
 """Source checks a linter would make: stale ``__all__`` entries, unused imports,
-orphaned private names and imports against the module order.
+orphaned private names and imports against the module order, and the
+README's module table and line lengths.
 
 Every module of the package is parsed with ``ast``.  A name counts as used
 when it is read anywhere in the module (as a bare name or the root of an
@@ -21,6 +22,7 @@ import lastlayer
 
 SOURCES = sorted(Path(lastlayer.__file__).parent.glob("*.py"))
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _module_name(path):
@@ -144,3 +146,22 @@ def test_every_relative_import_names_a_lower_module():
                 if name not in LAYERS[: LAYERS.index(path.stem)]:
                     upward.append(f"{path.name}:{node.lineno} imports {name}")
     assert upward == []
+
+
+def test_readme_package_table_lists_every_module_once_in_layer_order():
+    # a module added, removed or renamed without its table line fails here
+    text = README.read_text()
+    assert "\n## Package layout\n" in text
+    section = text.split("\n## Package layout\n")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)
+    assert rows == list(LAYERS)  # LAYERS names every module, as the import test checks
+
+
+def test_no_readme_line_outside_code_blocks_is_longer_than_160_characters():
+    fenced, long = False, []
+    for number, line in enumerate(README.read_text().splitlines(), 1):
+        if line.startswith("```"):
+            fenced = not fenced
+        elif not fenced and len(line) > 160:
+            long.append(number)
+    assert long == []
