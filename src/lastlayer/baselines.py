@@ -4,18 +4,17 @@ its frozen features.
 ``train_mse`` fits the network weights by plain mean-squared error.
 ``blr_fit`` then treats the hidden layers as a fixed feature map and runs
 the same marginal-likelihood fit as the jointly trained model on the
-output layer alone (the DNGO recipe), finalizing the output weights in
-closed form.
-The resulting model is an ordinary ``BllModel``, so prediction, scoring
-and alpha tuning are shared with the jointly trained variant.
+output layer alone (the DNGO recipe).  The same readout, ``fit_posterior``,
+makes it an ordinary ``BllModel``, so prediction, scoring and alpha tuning
+are shared with the jointly trained variant.
 """
 
 import numpy as np
 
-from .bll import BllModel, closed_form_wbar, fit_posterior
+from .bll import BllModel, fit_posterior
 from .bll import negative_lml  # noqa: F401 - perfbench's tracer patches baselines:negative_lml
 from .data import Dataset
-from .mlp import MlpParams, MlpSpec, affine_rows, forward_batch, forward_weights, init_params
+from .mlp import MlpParams, MlpSpec, forward_batch, forward_weights, init_params
 from .mlp import mlp_backward
 from .training import TrainConfig, TrainHistory, fit_loop, fit_nlml, standardized_splits
 from .rng import make_rng
@@ -72,9 +71,8 @@ def blr_fit(
     """Empirical-Bayes regression on a fixed feature map.
 
     Runs the bll objective (``fit_nlml``) on the output layer alone, over
-    features computed once from the frozen hidden layers, then replaces the
-    output weights by their closed-form posterior mean before caching the
-    model.
+    features computed once from the frozen hidden layers.  ``fit_posterior``
+    then sets the closed-form output weights, as it does for ``train``.
     """
     train_data.check_widths(frozen.n_x, frozen.n_y)
     x_scaler, t_scaler, fit_std, val_std = standardized_splits(train_data, cfg)
@@ -82,9 +80,9 @@ def blr_fit(
     def frozen_features(data):
         return None if data is None else Dataset(forward_batch(frozen, data.x)[1], data.t)
 
-    fit_features = frozen_features(fit_std)
-    _, hyper, history = fit_nlml((frozen.wbar,), fit_features, frozen_features(val_std), cfg)
-    phi = affine_rows(fit_features.x)
-    params = frozen.replace_wbar(closed_form_wbar(phi, fit_std.t, hyper.alpha))
+    trained, hyper, history = fit_nlml(
+        (frozen.wbar,), frozen_features(fit_std), frozen_features(val_std), cfg
+    )
+    params = frozen.replace_wbar(trained.wbar)
     model = fit_posterior(params, hyper, fit_std, x_scaler=x_scaler, t_scaler=t_scaler)
     return model, history

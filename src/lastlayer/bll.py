@@ -23,10 +23,10 @@ reads the objective's log-determinant at a whole grid of alphas off one
 spectrum (``nlml_head_grid``).
 
 Training minimizes the scaled negative log-marginal likelihood with the
-output weights reintroduced as free variables; its stationary point in
-those weights coincides with the closed-form posterior mean, so plain
-gradient descent on all weights and hyperparameters recovers the
-marginal-likelihood solution without a matrix inverse in the loss.
+output weights reintroduced as free variables, so the loss needs no matrix
+inverse.  Its stationary point in those weights is the closed-form
+posterior mean, which early stopping leaves Adam short of; ``fit_posterior``,
+the one readout for every marginal-likelihood fit, sets that closed form.
 """
 
 import math
@@ -370,8 +370,8 @@ class BllModel:
     mean training feature row without its bias entry, and ``basis`` and
     ``spectrum`` are the eigenvectors (columns) and eigenvalues of the gram
     of the centred feature rows, as ``centred_spectrum`` reads them.
-    ``wbar_gap`` records how far the trained output weights sit from their
-    closed-form stationary value (a convergence diagnostic, not an error).
+    ``wbar_gap`` records how far the output weights given to ``fit_posterior``
+    sat from the closed form it kept (a convergence diagnostic, not an error).
     """
 
     params: MlpParams
@@ -413,7 +413,7 @@ def fit_posterior(
     x_scaler: Standardizer | None = None,
     t_scaler: Standardizer | None = None,
 ) -> BllModel:
-    """Cache the posterior pieces for a trained network on its training data.
+    """A trained network's posterior on its fit rows, with the closed-form output weights.
 
     Raises:
         ValueError: if ``data`` has no rows, or the network's features on
@@ -435,7 +435,7 @@ def fit_posterior(
     gap = float(np.max(np.abs(params.wbar - closed)))
     mean, basis, spectrum = centred_spectrum(phi[:, :-1])
     return BllModel(
-        params=params,
+        params=params.replace_wbar(closed),
         hyper=hyper,
         feature_mean=mean,
         basis=basis,

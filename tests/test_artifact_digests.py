@@ -1,6 +1,7 @@
 """The sha256 of every artifact of four reference runs, pinned in ``artifact_digests.json``.
 
-The runs are ``run_experiment`` on seeds 0-2 at the default config,
+The runs are ``run_experiment`` on seeds 0-9 (every seed the ten-seed
+report judges) at the default config,
 ``toy_feature_demo(0)``, the acceptance suite's criterion-8 config with
 methods bll, blr and vi, and ``generate --seed 4``.  A change that claims
 byte-identical artifacts leaves the file alone; a change that moves floats
@@ -42,7 +43,7 @@ def _digests(out_dir: Path) -> dict:
 def compute_digests(root: Path) -> dict:
     """Run the four reference runs under ``root`` and digest what each writes."""
     runs = {}
-    for seed in range(3):
+    for seed in range(10):
         out = root / f"run_seed{seed}"
         run_experiment(ExperimentConfig(seed=seed, out_dir=str(out)))
         runs[out.name] = _digests(out)

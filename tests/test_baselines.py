@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lastlayer import training
+from lastlayer import baselines, training
 from lastlayer.baselines import _mse_grads, blr_fit, train_mse
 from lastlayer.bll import (
     BllHyper,
@@ -98,17 +98,26 @@ class TestBlrFit:
         running_best = np.minimum.accumulate(objective)
         assert (np.diff(running_best) <= 1e-12).all()
 
-    def test_wbar_is_closed_form(self):
+    def test_wbar_is_closed_form(self, monkeypatch):
         data = _linear_dataset(seed=6)
         frozen, _ = train_mse(MlpSpec(1, (3,), 1), data, FAST)
+        fits = []
+
+        def spy(*args):
+            fits.append(training.fit_nlml(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(baselines, "fit_nlml", spy)
         model, _ = blr_fit(frozen, data, FAST)
-        t_std = model.t_scaler.transform(data.t)
         # the split used for the gradient is a subset; recompute on model.phi
         expected = closed_form_wbar(
             model.phi, model.t_scaler.transform(data.t)[_fit_indices(data, FAST)], model.alpha
         )
         np.testing.assert_allclose(model.wbar, expected, atol=1e-12)
-        assert model.wbar_gap == 0.0
+        # the gap is the trained output layer's, before the readout
+        ((trained, _, _),) = fits
+        assert model.wbar_gap == np.abs(trained.wbar - model.wbar).max()
+        assert np.isfinite(model.wbar_gap) and model.wbar_gap > 0.0
 
     def test_hidden_layers_never_move(self):
         data = _linear_dataset(seed=7)

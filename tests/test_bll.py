@@ -21,7 +21,8 @@ from lastlayer.bll import (
     predictive_variances,
     with_alpha,
 )
-from lastlayer import autodiff, bll
+from lastlayer import autodiff, baselines, bll, training
+from lastlayer.baselines import blr_fit
 from lastlayer.benchmarks import default_benchmark, sample_benchmark
 from lastlayer.calibration import AlphaSearchConfig, alpha_sweep
 from lastlayer.data import Dataset, fit_standardizer
@@ -29,7 +30,7 @@ from lastlayer.experiment import benchmark_train_config
 from lastlayer.linalg import DimensionMismatch, NotPositiveDefinite, chol_spd, cholesky, solve_pd
 from lastlayer.mlp import MlpParams, MlpSpec, affine_rows, features, forward_batch, init_params
 from lastlayer.rng import make_rng
-from lastlayer.training import train
+from lastlayer.training import TrainConfig, standardized_splits, train
 
 from oracles import marginal_gaussian_nll, nlml_sigma_parameterization
 
@@ -341,6 +342,42 @@ def test_precision_bar_and_nlml_gram_are_exactly_symmetric(seed, m, width, log_a
     (gram,) = grams
     assert gram.shape == (width + 1, width + 1)
     assert np.array_equal(gram, gram.T)
+
+
+@pytest.mark.parametrize("n_y", [1, 2])
+@pytest.mark.parametrize("route", ["train", "blr_fit", "fit_posterior"])
+def test_every_posterior_predicts_with_the_closed_form_layer(route, n_y, monkeypatch):
+    # fit_posterior is the one readout: whatever output weights it is given,
+    # the model keeps the closed form on the fit rows and records their gap
+    rng = np.random.default_rng(31 + n_y)
+    given = []
+
+    def spy(params, *args, **kwargs):
+        given.append(params.wbar)
+        return fit_posterior(params, *args, **kwargs)
+
+    monkeypatch.setattr(training, "fit_posterior", spy)
+    monkeypatch.setattr(baselines, "fit_posterior", spy)
+    if route == "fit_posterior":
+        params, hyper, fit = _random_instance(rng, n_y=n_y)
+        model = spy(params, hyper, fit)
+    else:
+        x = rng.uniform(-1.0, 1.0, size=(30, 1))
+        t = np.sin(3.0 * x) * np.arange(1, n_y + 1) + 0.1 * rng.standard_normal((30, n_y))
+        data, spec = Dataset(x, t), MlpSpec(1, (4,), n_y)
+        cfg = TrainConfig(max_epochs=300, patience=100, lr=5e-3, seed=0)
+        fit = standardized_splits(data, cfg)[2]
+        if route == "train":
+            model, _ = train(spec, data, cfg)
+        else:
+            model, _ = blr_fit(init_params(spec, make_rng(0)), data, cfg)
+    np.testing.assert_array_equal(model.phi, features(model.params, fit.x), strict=True)
+    closed = closed_form_wbar(model.phi, fit.t, model.alpha)
+    np.testing.assert_array_equal(model.wbar, closed, strict=True)
+    _, (w_grads, _, _) = negative_lml_grads(model.params, model.hyper, fit)
+    assert np.abs(w_grads[-1]).max() < 1e-6
+    (wbar,) = given
+    assert model.wbar_gap == np.abs(wbar - closed).max()
 
 
 class TestFitPosterior:

@@ -611,15 +611,15 @@ class TestTrain:
         assert history.best_epoch == int(np.argmin(history.val_objective))
 
     def test_trained_wbar_near_closed_form(self):
-        # at convergence the free output weights sit at their stationary value
+        # at convergence Adam's free output weights sit at their stationary
+        # value (wbar_gap measures them); the readout then sets it exactly
         data = _linear_dataset(seed=5, m=16, noise=0.05)
         cfg = TrainConfig(max_epochs=20000, patience=19999, lr=5e-3, seed=1, val_fraction=None)
         model, _ = train(MlpSpec(1, (2,), 1), data, cfg)
         t_std = model.t_scaler.transform(data.t)
         closed = closed_form_wbar(model.phi, t_std, model.alpha)
-        gap = np.abs(model.wbar - closed).max()
-        assert gap < 1e-3 * (1.0 + np.abs(model.wbar).max())
-        assert model.wbar_gap == pytest.approx(gap)
+        np.testing.assert_array_equal(model.wbar, closed, strict=True)
+        assert model.wbar_gap < 1e-3 * (1.0 + np.abs(model.wbar).max())
 
 
 TRAINERS = {
