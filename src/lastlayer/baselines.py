@@ -14,9 +14,10 @@ import numpy as np
 from .bll import BllModel, fit_posterior
 from .bll import negative_lml  # noqa: F401 - perfbench's tracer patches baselines:negative_lml
 from .data import Dataset
-from .mlp import MlpParams, MlpSpec, forward_batch, forward_weights, init_params
-from .mlp import mlp_backward
-from .training import TrainConfig, TrainHistory, fit_loop, fit_nlml, standardized_splits
+from .mlp import MlpParams, MlpSpec, bind_backward, bind_forward, forward_batch, forward_weights
+from .mlp import init_params
+from .training import TrainConfig, TrainHistory, bind_once, fit_loop, fit_nlml, single_call
+from .training import standardized_splits
 from .rng import make_rng
 
 __all__ = ["blr_fit", "train_mse"]
@@ -31,12 +32,24 @@ def _mse_head(y: np.ndarray, t: np.ndarray):
     return (1.0 / t.size) * np.add.reduce(resid * resid, (-2, -1)), (-2.0 / t.size) * resid
 
 
-def _mse_grads(weights, data: Dataset, out) -> float:
-    """Mean squared error of the network on ``data``; its weight gradients overwrite ``out``."""
-    acts = forward_weights(weights, data.x)
-    value, d_y = _mse_head(acts[-1], data.t)
-    mlp_backward(weights, acts, d_y, None, out)
-    return float(value)
+@single_call
+def _mse_grads(weights, data: Dataset, out):
+    """Mean squared error of the network on ``data``; its weight gradients overwrite ``out``.
+
+    As bound by ``_mse_grads.bind``, which checks the destinations and
+    takes the network's views once, it returns ``epoch()``, the error at
+    the weights' current values.
+    """
+    forward, backward = bind_forward(weights), bind_backward(weights, out)
+    x = np.asarray(data.x, dtype=float)
+
+    def epoch():
+        acts = forward(x)
+        value, d_y = _mse_head(acts[-1], data.t)
+        backward(acts, d_y, None)
+        return float(value)
+
+    return epoch
 
 
 def train_mse(
@@ -51,9 +64,7 @@ def train_mse(
     _, _, fit_std, val_std = standardized_splits(train_data, cfg)
     params0 = init_params(spec, make_rng(cfg.seed))
     leaves = list(params0.weights)
-
-    def loss_and_grads(vals, grads):
-        return _mse_grads(vals, fit_std, grads)
+    loss_and_grads = bind_once(lambda vals, grads: _mse_grads.bind(vals, fit_std, grads))
 
     monitor = None
     if val_std is not None:

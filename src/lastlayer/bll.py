@@ -27,6 +27,16 @@ output weights reintroduced as free variables, so the loss needs no matrix
 inverse.  Its stationary point in those weights is the closed-form
 posterior mean, which early stopping leaves Adam short of; ``fit_posterior``,
 the one readout for every marginal-likelihood fit, sets that closed form.
+
+A fit binds the objective once (``bind_nlml``): the bind step checks the
+gradient layout, takes the network's weight, bias and gradient views,
+writes the bias column of the feature rows, holds blr's fixed feature rows
+and gram, and reads the prior's diagonal and the head's scalar
+coefficients (``bind_nlml_head``).  The views stay valid while Adam steps
+because ``training.fit_loop`` writes each step into the flat vectors they
+view, so every epoch does only the arithmetic ``nlml_head`` and
+``mlp.mlp_backward`` do, in their order.  ``nlml_head`` and
+``nlml_grads_into`` are the same code bound for one call.
 """
 
 import math
@@ -38,12 +48,14 @@ import numpy as np
 from . import autodiff as ad
 from .data import Dataset, Standardizer, identity_standardizer
 from .linalg import DimensionMismatch, chol_spd, identity, logdet_pd, solve_pd
-from .mlp import MlpParams, affine_rows, features, forward_batch, forward_weights, mlp_backward
+from .mlp import MlpParams, affine_rows, bind_backward, bind_forward, features, forward_batch
 
 __all__ = [
     "BllHyper",
     "BllModel",
     "PredictiveDistribution",
+    "bind_nlml",
+    "bind_nlml_head",
     "centred_spectrum",
     "closed_form_wbar",
     "fit_posterior",
@@ -123,7 +135,7 @@ def closed_form_wbar(
     return solve_pd(lower, np.asarray(phi, dtype=float).T @ np.asarray(t, dtype=float))
 
 
-def nlml_head(a, y, wbar, t, log_alpha, log_sigma_e, flat_bias=True, fixed=None):
+def nlml_head(a, y, wbar, t, log_alpha, log_sigma_e, flat_bias=True):
     """Scaled negative LML on top of a network's last layer.
 
     Args:
@@ -135,8 +147,6 @@ def nlml_head(a, y, wbar, t, log_alpha, log_sigma_e, flat_bias=True, fixed=None)
             its scalar products are float arithmetic.
         log_sigma_e: the per-output log noise scales, an array.
         flat_bias: leave the bias row out of the prior.
-        fixed: (phi, phi^T phi) of rows ``a`` that training holds
-            constant, read instead of rebuilt, or None.
 
     ``a``, ``y``, ``wbar`` and ``log_sigma_e`` may carry leading block
     axes, one problem per block entry, with ``log_alpha`` an array of that
@@ -147,60 +157,82 @@ def nlml_head(a, y, wbar, t, log_alpha, log_sigma_e, flat_bias=True, fixed=None)
     Returns:
         The objective value and a function giving its gradients
         (d_y, d_a, d_wbar_penalty, d_log_alpha, d_log_sigma_e); the output
-        layer's data term reaches wbar through d_y, and d_a is None when
-        ``fixed`` is given.
+        layer's data term reaches wbar through d_y.
 
     Raises:
         NonFiniteLoss: if the value of one problem is NaN or infinite.
     """
+    phi = affine_rows(a)
+    value, grads = bind_nlml_head(t, phi.shape[-1], flat_bias)
+    return value(phi, phi.swapaxes(-1, -2) @ phi, y, wbar, log_alpha, log_sigma_e), grads
+
+
+def bind_nlml_head(t, n_phi: int, flat_bias: bool = True, feature_grad: bool = True):
+    """``nlml_head``'s formula for targets ``t`` and ``n_phi`` affine features, bound once.
+
+    The prior, its diagonal and the scalar coefficients are read here, not
+    per call.  Returns (value, grads):
+    ``value(phi, gram, y, wbar, log_alpha, log_sigma_e)`` is ``nlml_head``'s
+    value on the affine rows ``phi`` and their gram (block axes allowed, as
+    there), and ``grads()`` gives the gradients at the last ``value`` call,
+    as ``nlml_head``'s function does; its d_a is None unless
+    ``feature_grad``, for features that training holds constant.
+    """
     m, n_y = t.shape
-    if fixed is None:
-        phi = affine_rows(a)
-        gram = phi.swapaxes(-1, -2) @ phi
-    else:
-        phi, gram = fixed
-    n_phi = phi.shape[-1]
-    inv_alpha = np.exp(-log_alpha)
     prior = identity(n_phi, flat_bias)
     in_prior = prior.diagonal()  # 0 on a flat bias row
-    logdet, logdet_grad = ad.logdet_spd(gram + inv_alpha[..., None, None] * prior)
+    in_prior_rows = in_prior[:, None]
+    c_value, half_m = 0.5 * n_y * LOG_2PI, 0.5 / m
+    c_alpha, c_logdet = n_y * n_phi / (2.0 * m), n_y / (2.0 * m)
+    c_y, c_a = -1.0 / m, n_y / m
+    last = None  # what the last value call leaves for grads
 
-    inv_sig2 = np.exp(-2.0 * log_sigma_e)
-    resid = t - y
-    misfit = np.add.reduce(resid * resid, -2)
-    wpen_rows = wbar * in_prior[:, None]
-    wpen = np.add.reduce(wpen_rows * wpen_rows, -2)
-    wpen_sum = np.add.reduce(wpen * inv_sig2, -1)
+    def value(phi, gram, y, wbar, log_alpha, log_sigma_e):
+        nonlocal last
+        inv_alpha = np.exp(-log_alpha)
+        # a block of alphas scales its own matrix
+        scale = inv_alpha[..., None, None] if inv_alpha.ndim else inv_alpha
+        logdet, logdet_grad = ad.logdet_spd(gram + scale * prior)
 
-    value = (
-        0.5 * n_y * LOG_2PI
-        + (n_y * n_phi / (2.0 * m)) * log_alpha
-        + (n_y / (2.0 * m)) * logdet
-        + np.add.reduce(log_sigma_e, -1)
-        + (0.5 / m) * np.add.reduce(misfit * inv_sig2, -1)
-        + (0.5 / m) * (inv_alpha * wpen_sum)
-    )
-    if np.ndim(value) == 0:
-        value = float(value)
-        if not math.isfinite(value):
-            raise ad.NonFiniteLoss(f"objective evaluated to {value}")
+        inv_sig2 = np.exp(-2.0 * log_sigma_e)
+        resid = t - y
+        misfit = np.add.reduce(resid * resid, -2)
+        wpen_rows = wbar * in_prior_rows
+        wpen = np.add.reduce(wpen_rows * wpen_rows, -2)
+        wpen_sum = np.add.reduce(wpen * inv_sig2, -1)
 
-    def grad_fn():
+        total = (
+            c_value
+            + c_alpha * log_alpha
+            + c_logdet * logdet
+            + np.add.reduce(log_sigma_e, -1)
+            + half_m * np.add.reduce(misfit * inv_sig2, -1)
+            + half_m * (inv_alpha * wpen_sum)
+        )
+        last = phi, logdet_grad, inv_alpha, inv_sig2, resid, misfit, wpen_rows, wpen, wpen_sum
+        if total.ndim == 0:
+            total = float(total)
+            if not math.isfinite(total):
+                raise ad.NonFiniteLoss(f"objective evaluated to {total}")
+        return total
+
+    def grads():
+        phi, logdet_grad, inv_alpha, inv_sig2, resid, misfit, wpen_rows, wpen, wpen_sum = last
         lam_inv = logdet_grad()
-        d_y = (-1.0 / m) * resid
+        d_y = c_y * resid
         d_y *= inv_sig2
-        d_a = None if fixed is not None else (n_y / m) * (phi @ lam_inv)[:, :-1]
+        d_a = c_a * (phi @ lam_inv)[:, :-1] if feature_grad else None
         d_wbar = (inv_alpha / m) * wpen_rows
         d_wbar *= inv_sig2
         d_log_alpha = (
-            n_y * n_phi / (2.0 * m)
-            - (n_y / (2.0 * m)) * inv_alpha * np.add.reduce(lam_inv.diagonal() * in_prior)
-            - (0.5 / m) * inv_alpha * wpen_sum
+            c_alpha
+            - c_logdet * inv_alpha * np.add.reduce(lam_inv.diagonal() * in_prior)
+            - half_m * inv_alpha * wpen_sum
         )
         d_log_sigma_e = 1.0 - (misfit + inv_alpha * wpen) * inv_sig2 / m
         return d_y, d_a, d_wbar, d_log_alpha, d_log_sigma_e
 
-    return value, grad_fn
+    return value, grads
 
 
 def centred_spectrum(a: np.ndarray):
@@ -298,31 +330,66 @@ def negative_lml_grads(params: MlpParams, hyper: BllHyper, data: Dataset):
     return value, (out[:-2], out[-2][()], out[-1])
 
 
-def nlml_grads_into(weights, log_alpha: float, log_sigma_e, x, t, out, fixed=None) -> float:
+def nlml_grads_into(weights, log_alpha: float, log_sigma_e, x, t, out) -> float:
     """Objective value on bare leaves, with its gradient written into ``out``.
 
     ``out`` holds one array per weight matrix, then a 0-d array for
     log_alpha and one shaped like log_sigma_e: the leaf layout
-    ``training.fit_nlml`` trains and views every epoch, so no ``MlpParams``
-    or ``BllHyper`` is built.  Every entry is overwritten.  For a one-layer
-    network, whose features are the rows ``x`` themselves, ``fixed`` may
-    hold (phi, phi^T phi) of those rows, read once per fit.
+    ``training.fit_nlml`` trains, so no ``MlpParams`` or ``BllHyper`` is
+    built.  Every entry is overwritten.  One call of ``bind_nlml``.
 
     Raises:
         ValueError: when ``out`` does not match that layout.
     """
-    n_w = len(weights)
-    if len(out) != n_w + 2 or out[n_w].shape != () or out[n_w + 1].shape != log_sigma_e.shape:
+    leaves = [*weights, np.asarray(log_alpha, dtype=float), log_sigma_e]
+    return bind_nlml(leaves, out, x, t)()
+
+
+def bind_nlml(leaves, grads, x, t):
+    """The objective on leaves and gradient arrays the caller updates in place, bound once.
+
+    ``leaves`` are the weight matrices, a 0-d log_alpha and log_sigma_e;
+    ``grads`` has the same layout.  A one-layer network's features are the
+    rows ``x`` themselves (blr), so their affine rows and gram are held.
+    Returns ``epoch()``: the value at the leaves' current values, its
+    gradient written into every entry of ``grads``.
+
+    Raises:
+        ValueError: when ``grads`` does not match that layout.
+    """
+    n_w = len(leaves) - 2
+    weights, log_alpha, log_sigma_e = leaves[:n_w], leaves[n_w], leaves[n_w + 1]
+    if len(grads) != n_w + 2 or grads[n_w].shape != () or grads[n_w + 1].shape != log_sigma_e.shape:
         raise ValueError("gradient destinations do not match the parameters")
-    acts = forward_weights(weights, x)
-    a, y = acts[-2], acts[-1]
-    value, grad_fn = nlml_head(a, y, weights[-1], t, log_alpha, log_sigma_e, True, fixed)
-    d_y, d_a, d_wbar, d_log_alpha, d_log_sigma_e = grad_fn()
-    mlp_backward(weights, acts, d_y, d_a, out[:n_w])
-    out[n_w - 1] += d_wbar
-    out[n_w][...] = d_log_alpha
-    out[n_w + 1][...] = d_log_sigma_e
-    return value
+    backward = bind_backward(weights, grads[:n_w])
+    forward = bind_forward(weights)
+    g_wbar, g_log_alpha, g_log_sigma_e = grads[n_w - 1 :]
+    wbar = weights[-1]
+    x = np.asarray(x, dtype=float)
+    if n_w == 1:
+        phi, rows = affine_rows(x), None
+        held_gram = phi.T @ phi
+    else:
+        phi = affine_rows(np.zeros((len(x), wbar.shape[0] - 1)))
+        rows = phi[:, :-1]
+    value, head_grads = bind_nlml_head(t, phi.shape[1], feature_grad=rows is not None)
+
+    def epoch():
+        acts = forward(x)
+        if rows is None:
+            gram = held_gram
+        else:
+            rows[...] = acts[-2]
+            gram = phi.T @ phi
+        total = value(phi, gram, acts[-1], wbar, float(log_alpha), log_sigma_e)
+        d_y, d_a, d_wbar, d_log_alpha, d_log_sigma_e = head_grads()
+        backward(acts, d_y, d_a)
+        np.add(g_wbar, d_wbar, out=g_wbar)
+        g_log_alpha[...] = d_log_alpha
+        g_log_sigma_e[...] = d_log_sigma_e
+        return total
+
+    return epoch
 
 
 def negative_lml_marginalized(phi: np.ndarray, t: np.ndarray, hyper: BllHyper) -> float:

@@ -178,16 +178,26 @@ def _score(tag, splits, mean, log_density, metrics) -> None:
         metrics[f"{tag}.{name}_mse"] = float(np.mean((splits[name].t - mean[seg]) ** 2))
 
 
+def _timed_fit(fits, label, trainer, *args):
+    """``trainer(*args)``, which returns (result, history); appends (label, history, seconds)."""
+    started = time.perf_counter()
+    result, history = trainer(*args)
+    fits.append((label, history, time.perf_counter() - started))
+    return result, history
+
+
 def _run_lml_method(name, config, train_cfg, spec, splits, everything, out_dir, metrics):
     """Shared flow for the two marginal-likelihood methods (joint and frozen).
 
     Trainers are looked up in this module at call time, so they can be replaced on it.
+    Returns each fit's (label, history, seconds).
     """
+    fits = []
     if name == "bll":
-        model_star, _ = train(spec, splits["train"], train_cfg)
+        model_star, _ = _timed_fit(fits, "bll", train, spec, splits["train"], train_cfg)
     else:  # blr: Bayesian linear regression on the frozen features of an mse network
-        mse_params, _ = train_mse(spec, splits["train"], train_cfg)
-        model_star, _ = blr_fit(mse_params, splits["train"], train_cfg)
+        mse_params, _ = _timed_fit(fits, "mse", train_mse, spec, splits["train"], train_cfg)
+        model_star, _ = _timed_fit(fits, "blr", blr_fit, mse_params, splits["train"], train_cfg)
     search = config.alpha_search
     alpha_max, model_max = tune_alpha(model_star, splits["val"], search)
     metrics[f"{name}.alpha_star"] = model_star.alpha
@@ -213,10 +223,13 @@ def _run_lml_method(name, config, train_cfg, spec, splits, everything, out_dir, 
         if everything.n_x == 1:  # a dense curve over one input; no single axis exists otherwise
             grid = np.linspace(splits["test"].x.min(), splits["test"].x.max(), 400).reshape(-1, 1)
             _write_predictions(out_dir / f"curve_{variant}.csv", grid, *predict_batch(model, grid))
+    return fits
 
 
 def _run_vi(config, train_cfg, spec, splits, everything, out_dir, metrics):
-    model, history = vi_train(spec, splits["train"], train_cfg)
+    """vi's flow; returns its one fit's (label, history, seconds)."""
+    fits = []
+    model, history = _timed_fit(fits, "vi", vi_train, spec, splits["train"], train_cfg)
     metrics["vi.train_nlml"] = history.train_objective[history.best_epoch]
     for j, sig in enumerate(model.sigma_e):
         metrics[f"vi.sigma_e_{j}"] = float(sig)
@@ -234,6 +247,17 @@ def _run_vi(config, train_cfg, spec, splits, everything, out_dir, metrics):
     ]
     per_row = means.transpose(1, 0, 2).reshape(everything.m, -1)  # component-major columns
     write_table_csv(out_dir / "components_vi.csv", comp_header, np.hstack([everything.x, per_row]))
+    return fits
+
+
+def _time_line(name: str, fits, seconds: float) -> str:
+    """Each fit's epochs, best epoch and stop reason, then training time against the rest."""
+    described = ", ".join(
+        f"{label} {len(h.train_objective)} epochs (best {h.best_epoch}, stopped on {h.stop_reason})"
+        for label, h, _ in fits
+    )
+    training = sum(s for _, _, s in fits)
+    return f"{name}: {described}; {training:.2f} s training, {seconds - training:.2f} s the rest"
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
@@ -252,10 +276,12 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
         started = time.perf_counter()
         try:
             if name == "vi":
-                _run_vi(config, train_cfg, spec, splits, everything, out_dir, metrics)
+                fits = _run_vi(config, train_cfg, spec, splits, everything, out_dir, metrics)
             else:
-                _run_lml_method(name, config, train_cfg, spec, splits, everything, out_dir, metrics)
-            print(f"{name} finished in {time.perf_counter() - started:.1f}s")
+                fits = _run_lml_method(
+                    name, config, train_cfg, spec, splits, everything, out_dir, metrics
+                )
+            print(_time_line(name, fits, time.perf_counter() - started))
         except Exception as err:  # noqa: BLE001 - failures become report entries
             errors[name] = f"{type(err).__name__}: {err}"
 

@@ -7,6 +7,15 @@ final weight matrix is a linear regression on those features.
 ``mlp_backward`` writes each layer's gradient into an array the caller
 supplies, so a training objective hands it views into the one flat
 gradient that ``training.fit_loop`` allocates and Adam reads.
+
+A training objective binds its network once per fit: ``bind_forward`` and
+``bind_backward`` take each weight's body and bias views, and each
+gradient destination's, when they are called, and check the destinations
+then.  The views stay valid for the whole fit because ``fit_loop`` never
+replaces its flat parameter and gradient vectors, only writes into them,
+so each epoch reads the weights Adam just stepped to.  ``forward_weights``
+and ``mlp_backward`` are those bind steps called once, so the monitors and
+the predict path run the same passes.
 """
 
 from dataclasses import dataclass
@@ -19,6 +28,8 @@ __all__ = [
     "init_params",
     "forward_batch",
     "forward_weights",
+    "bind_forward",
+    "bind_backward",
     "mlp_backward",
     "affine_rows",
     "features",
@@ -107,12 +118,71 @@ def forward_weights(weights, x: np.ndarray) -> list[np.ndarray]:
     each activation then has those axes too, and each block entry's
     activations are the ones a call on that weight set alone returns.
     """
-    acts = [np.asarray(x, dtype=float)]
-    for w in weights[:-1]:
-        acts.append(np.tanh(acts[-1] @ w[..., :-1, :] + w[..., -1:, :]))
-    w = weights[-1]
-    acts.append(acts[-1] @ w[..., :-1, :] + w[..., -1:, :])
-    return acts
+    return bind_forward(weights)(np.asarray(x, dtype=float))
+
+
+def bind_forward(weights):
+    """``forward_weights`` with each weight's body and bias views taken once.
+
+    Returns ``forward(x)``, which evaluates the network at the values the
+    matrices hold when it is called, on float rows ``x``.  Each layer's bias
+    add and tanh run in place on its fresh matmul output, whose shape
+    already carries every block axis.
+    """
+    *hidden, (out_body, out_bias) = [(w[..., :-1, :], w[..., -1:, :]) for w in weights]
+
+    def forward(x):
+        acts = [x]
+        for body, bias in hidden:
+            z = acts[-1] @ body
+            z += bias
+            acts.append(np.tanh(z, out=z))
+        y = acts[-1] @ out_body
+        y += out_bias
+        acts.append(y)
+        return acts
+
+    return forward
+
+
+def bind_backward(weights, out):
+    """``mlp_backward`` for fixed weight and destination arrays, checked and sliced once.
+
+    Returns ``backward(acts, d_out, d_last_hidden)``, the reverse sweep at
+    the values the weights hold when it is called.
+
+    Raises:
+        ValueError: when ``out`` does not hold one array of each weight's shape.
+    """
+    n_layers = len(weights)
+    if len(out) != n_layers:
+        raise ValueError(f"{len(out)} gradient destinations for {n_layers} layers")
+    for k, (w, gk) in enumerate(zip(weights, out)):
+        if gk.shape != w.shape:
+            raise ValueError(
+                f"layer {k} gradient destination has shape {gk.shape}, its weights {w.shape}"
+            )
+    # From the output layer down: the destination's body and bias row, and
+    # the transposed weight body that carries the gradient to the layer below.
+    last = n_layers - 1
+    layers = [(k, out[k][:-1], out[k][-1], weights[k][:-1].T) for k in range(last, -1, -1)]
+
+    def backward(acts, d_out, d_last_hidden):
+        g = d_out
+        for k, body, bias, w_body_t in layers:
+            h = acts[k]
+            # [h.T @ g; column sums of g], written straight into the caller's array.
+            np.matmul(h.T, g, out=body)
+            np.add.reduce(g, 0, out=bias)
+            if k == 0:
+                break
+            g = g @ w_body_t
+            if k == last and d_last_hidden is not None:
+                g += d_last_hidden
+            slope = h * h
+            g *= np.subtract(1.0, slope, out=slope)
+
+    return backward
 
 
 def mlp_backward(
@@ -137,27 +207,7 @@ def mlp_backward(
     Raises:
         ValueError: when ``out`` does not hold one array of each weight's shape.
     """
-    n_layers = len(weights)
-    if len(out) != n_layers:
-        raise ValueError(f"{len(out)} gradient destinations for {n_layers} layers")
-    g = d_out
-    for k in range(n_layers - 1, -1, -1):
-        h = acts[k]
-        gk = out[k]
-        if gk.shape != weights[k].shape:
-            raise ValueError(
-                f"layer {k} gradient destination has shape {gk.shape}, "
-                f"its weights {weights[k].shape}"
-            )
-        # [h.T @ g; column sums of g], written straight into the caller's array.
-        np.matmul(h.T, g, out=gk[:-1])
-        np.add.reduce(g, 0, out=gk[-1])
-        if k == 0:
-            break
-        g = g @ weights[k][:-1].T
-        if k == n_layers - 1 and d_last_hidden is not None:
-            g += d_last_hidden
-        g *= 1.0 - h * h
+    bind_backward(weights, out)(acts, d_out, d_last_hidden)
 
 
 def forward_batch(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

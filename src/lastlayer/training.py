@@ -9,22 +9,31 @@ data the training objective itself is monitored, which turns early
 stopping into a plain convergence check.  ``fit_loop``, the loop every
 trainer shares, judges the monitor once per block of epochs, on all of
 the block's parameter snapshots at once.
+
+Every trainer binds its objective once per fit (``bind_once``): on the
+first epoch, its bind step checks the gradient layout, takes the weight,
+bias and gradient views it reads into ``fit_loop``'s flat parameter and
+gradient vectors, and computes what no epoch changes (bias columns, a
+fixed gram, priors, scalar coefficients).  The views stay valid while Adam
+steps because ``fit_loop`` writes each step into those same vectors and
+never replaces them, so each epoch does only its arithmetic.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import NonFiniteLoss
-from .bll import HYPER_CLAMP, BllHyper, BllModel, fit_posterior, nlml_grads_into, nlml_head
+from .bll import HYPER_CLAMP, BllHyper, BllModel, bind_nlml, fit_posterior, nlml_head
 from .bll import negative_lml  # noqa: F401 - perfbench's tracer patches training:negative_lml
 from .data import Dataset, Standardizer, check_integers, check_numbers, fit_standardizer
 from .data import split_train_val
-from .mlp import MlpParams, MlpSpec, affine_rows, forward_weights, init_params
+from .mlp import MlpParams, MlpSpec, forward_weights, init_params
 from .rng import make_rng
 
-__all__ = ["TrainConfig", "TrainHistory", "fit_nlml", "train"]
+__all__ = ["TrainConfig", "TrainHistory", "bind_once", "fit_nlml", "single_call", "train"]
 
 # Adam's published constants.
 BETA1 = 0.9
@@ -105,6 +114,45 @@ def adam_step(t: int, m, v, params: np.ndarray, grads: np.ndarray, lr: float):
     return m, v, params - lr * (m / c1) / (np.sqrt(v / c2) + EPS)
 
 
+def bind_once(bind):
+    """A ``fit_loop`` objective that binds itself on its first call.
+
+    ``bind(leaves, grads)`` checks that layout and returns ``epoch()``,
+    which computes the value at the leaves' current values and writes its
+    gradient into ``grads``.  The objective reuses that binding for as long
+    as it is handed the same two lists, as ``fit_loop`` hands them every
+    epoch, and binds again when handed others.
+    """
+    bound = bound_leaves = bound_grads = None
+
+    def loss_and_grads(leaves, grads):
+        nonlocal bound, bound_leaves, bound_grads
+        if leaves is not bound_leaves or grads is not bound_grads:
+            bound, bound_leaves, bound_grads = bind(leaves, grads), leaves, grads
+        return bound()
+
+    return loss_and_grads
+
+
+def single_call(bind):
+    """The single-call form of a bind step, which keeps the step as its ``bind``.
+
+    ``bind(*args)`` checks its arguments and returns ``epoch()``; the
+    returned function binds to its arguments and calls the binding once,
+    so a one-off call and a whole fit run the same code.  It serves the
+    private objectives whose one-off form takes the bind step's arguments
+    (``baselines._mse_grads``, ``vi._negative_elbo``): their trainer binds
+    through ``.bind``, so the module reads the one name the tests call.
+    """
+
+    @functools.wraps(bind)
+    def call(*args):
+        return bind(*args)()
+
+    call.bind = bind
+    return call
+
+
 def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=None):
     """Generic early-stopped Adam loop shared by every trainer in the package.
 
@@ -113,6 +161,8 @@ def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=N
     leaves and the gradients handed to the callables are reshaped views
     into those two vectors, built once: every step refreshes the leaves in
     place, and the objective overwrites every gradient entry in place.
+    Every epoch hands the objective the same two lists of views, so an
+    objective may bind to them once (``bind_once``).
     Adam's moments are two more flat arrays, and its step number is the
     epoch plus one.
 
@@ -250,12 +300,11 @@ def fit_nlml(
     the per-output log sigma_e, monitoring the same objective on
     ``val_data`` when it is given.
 
-    The objective and the monitor read the leaf views as they are, with no
-    ``MlpParams`` or ``BllHyper`` built: the monitor runs ``nlml_head`` on
-    a whole block of epochs' leaves at once, each value the one the public
-    ``negative_lml`` gives that epoch's parameters on ``val_data``.  With
-    one weight matrix (blr), the features are the fit rows themselves, so
-    their affine rows and gram are read once here.
+    The objective is ``bll.bind_nlml`` bound once per fit, and the monitor
+    reads the leaf views as they are, with no ``MlpParams`` or ``BllHyper``
+    built: it runs ``nlml_head`` on a whole block of epochs' leaves at
+    once, each value the one the public ``negative_lml`` gives that epoch's
+    parameters on ``val_data``.
 
     Returns:
         The parameters and hyperparameters of the best monitored epoch,
@@ -267,15 +316,7 @@ def fit_nlml(
         np.asarray(0.0),
         np.full(fit_data.n_y, cfg.init_log_sigma_e, dtype=float),
     ]
-
-    x, t = fit_data.x, fit_data.t
-    fixed = None
-    if n_w == 1:
-        phi = affine_rows(x)
-        fixed = phi, phi.T @ phi
-
-    def loss_and_grads(vals, grads):
-        return nlml_grads_into(vals[:n_w], float(vals[n_w]), vals[n_w + 1], x, t, grads, fixed)
+    loss_and_grads = bind_once(lambda vals, grads: bind_nlml(vals, grads, fit_data.x, fit_data.t))
 
     monitor = None
     if val_data is not None:

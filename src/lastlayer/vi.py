@@ -10,6 +10,13 @@ the Bayesian-last-layer hyperparameters.
 
 Prediction samples weight sets from the surrogate and returns a uniform
 Gaussian mixture over the resulting network outputs.
+
+``vi_train`` binds the negative ELBO once per fit (``_negative_elbo.bind``):
+the bind step checks the gradient layout, fills the hidden layers' prior,
+takes the per-layer views, and allocates the buffers an epoch writes (the
+noise draw, the drawn weights the network's views read, the KL terms).
+The views of the leaves and gradients stay valid while Adam steps because
+``training.fit_loop`` writes each step into the flat vectors they view.
 """
 
 import math
@@ -20,14 +27,16 @@ import numpy as np
 from .bll import LOG_2PI, query_rows
 from .calibration import gaussian_log_density
 from .data import Dataset, Standardizer
-from .mlp import MlpSpec, forward_weights, init_params, mlp_backward
+from .mlp import MlpSpec, bind_backward, bind_forward, forward_weights, init_params
 from .rng import spawn_rngs
 from .training import (
     TrainConfig,
     TrainHistory,
+    bind_once,
     clamp_hyper_tail,
     fit_loop,
     flat_views,
+    single_call,
     standardized_splits,
 )
 
@@ -68,8 +77,9 @@ class ViModel:
         return np.exp(self.log_sigma_e) * self.t_scaler.scale
 
 
-def _negative_elbo(leaves, grads, eps, x, t, shapes) -> float:
-    """Negative ELBO / m at one Monte Carlo draw ``eps``; its gradient overwrites ``grads``.
+@single_call
+def _negative_elbo(leaves, grads, eps, x, t, shapes):
+    """Negative ELBO / m at the Monte Carlo draw ``eps``; its gradient overwrites ``grads``.
 
     The leaves are [mu, rho, log_prior_spread, log_sigma_e], where mu, rho
     and the draw are flat, holding every layer's matrix in order (viewed
@@ -79,6 +89,10 @@ def _negative_elbo(leaves, grads, eps, x, t, shapes) -> float:
     (Bayes by Backprop).  The KL term against the priors is closed form,
     and so is its gradient.  Elementwise steps run once over the flat
     vectors; the KL sums run per layer.
+
+    As bound by ``_negative_elbo.bind``, it returns ``epoch()``, the value
+    at the current values of the leaves and of ``eps``, a buffer the caller
+    refills in place.
 
     Raises:
         ValueError: when ``grads`` does not match the leaves.
@@ -90,45 +104,60 @@ def _negative_elbo(leaves, grads, eps, x, t, shapes) -> float:
     m, n_y = t.shape
     rows = shapes[-1][0]
     hidden = mu.size - rows * n_y  # entries before the output layer's
+    x = np.asarray(x, dtype=float)
+    add = np.add.reduce  # what ndarray.sum calls, minus its Python-level wrapper
 
     # KL(q || prior): fixed zero-mean prior on hidden layers, learned
     # per-output spread on the last layer.
-    sigma = np.logaddexp(0.0, rho)
-    out_inv_prior = np.exp(-2.0 * log_prior_spread)
     inv_prior = np.empty(mu.size)
     inv_prior[:hidden] = 1.0 / HIDDEN_PRIOR_VAR
-    inv_prior[hidden:].reshape(rows, n_y)[...] = out_inv_prior
-    log_sigma = np.log(sigma)
-    quad = sigma * sigma + mu * mu
-    prior_quad = quad * inv_prior
-    add = np.add.reduce  # what ndarray.sum calls, minus its Python-level wrapper
-    kl = rows * add(log_prior_spread) + 0.5 * math.log(HIDDEN_PRIOR_VAR) * hidden
-    for layer_log_sigma, layer_prior_quad in zip(
-        flat_views(log_sigma, shapes), flat_views(prior_quad, shapes)
-    ):
-        kl += (
-            -add(layer_log_sigma, None)
-            + 0.5 * add(layer_prior_quad, None)
-            - 0.5 * layer_log_sigma.size
+    out_inv_prior_rows = inv_prior[hidden:].reshape(rows, n_y)
+    kl_hidden = 0.5 * math.log(HIDDEN_PRIOR_VAR) * hidden
+    nll_const = 0.5 * m * n_y * LOG_2PI
+    log_sigma, quad, prior_quad = np.empty(mu.size), np.empty(mu.size), np.empty(mu.size)
+    layers = [
+        (layer_log_sigma, layer_prior_quad, 0.5 * layer_log_sigma.size)
+        for layer_log_sigma, layer_prior_quad in zip(
+            flat_views(log_sigma, shapes), flat_views(prior_quad, shapes)
         )
-    g_log_prior_spread[...] = rows - add(quad[hidden:].reshape(rows, n_y), 0) * out_inv_prior
+    ]
+    out_quad = quad[hidden:].reshape(rows, n_y)
+    drawn = np.empty(mu.size)
+    forward = bind_forward(flat_views(drawn, shapes))
+    backward = bind_backward(flat_views(drawn, shapes), flat_views(g_mu, shapes))
 
-    # Monte Carlo negative log-likelihood at the one draw; dW lands in g_mu.
-    inv_sig2 = np.exp(-2.0 * log_sigma_e)
-    weights = flat_views(mu + sigma * eps, shapes)
-    acts = forward_weights(weights, x)
-    resid = t - acts[-1]
-    misfit = add(resid * resid, 0) * inv_sig2
-    nll = 0.5 * m * n_y * LOG_2PI + m * add(log_sigma_e) + 0.5 * add(misfit)
-    mlp_backward(weights, acts, -resid * inv_sig2, None, flat_views(g_mu, shapes))
-    g_sigma = sigma * inv_prior - 1.0 / sigma
-    g_sigma += g_mu * eps
-    g_mu += mu * inv_prior  # dW + mu / prior: addition commutes exactly
-    np.multiply(g_sigma, 0.5 * (1.0 + np.tanh(0.5 * rho)), out=g_rho)
-    g_log_sigma_e[...] = m - misfit
-    for g in grads:
-        g /= m
-    return float((nll + kl) / m)
+    def epoch():
+        sigma = np.logaddexp(0.0, rho)
+        out_inv_prior = np.exp(-2.0 * log_prior_spread)
+        out_inv_prior_rows[...] = out_inv_prior
+        np.log(sigma, out=log_sigma)
+        np.multiply(sigma, sigma, out=quad)
+        np.add(quad, mu * mu, out=quad)
+        np.multiply(quad, inv_prior, out=prior_quad)
+        kl = rows * add(log_prior_spread) + kl_hidden
+        for layer_log_sigma, layer_prior_quad, half_size in layers:
+            kl += -add(layer_log_sigma, None) + 0.5 * add(layer_prior_quad, None) - half_size
+        np.divide(rows - add(out_quad, 0) * out_inv_prior, m, out=g_log_prior_spread)
+
+        # Monte Carlo negative log-likelihood at the one draw; dW lands in g_mu.
+        inv_sig2 = np.exp(-2.0 * log_sigma_e)
+        np.multiply(sigma, eps, out=drawn)
+        np.add(drawn, mu, out=drawn)
+        acts = forward(x)
+        resid = t - acts[-1]
+        misfit = add(resid * resid, 0) * inv_sig2
+        nll = nll_const + m * add(log_sigma_e) + 0.5 * add(misfit)
+        backward(acts, -resid * inv_sig2, None)
+        g_sigma = sigma * inv_prior - 1.0 / sigma
+        g_sigma += g_mu * eps
+        np.add(g_mu, mu * inv_prior, out=g_mu)  # dW + mu / prior: addition commutes exactly
+        np.divide(g_mu, m, out=g_mu)
+        g_sigma *= 0.5 * (1.0 + np.tanh(0.5 * rho))
+        np.divide(g_sigma, m, out=g_rho)
+        np.divide(m - misfit, m, out=g_log_sigma_e)
+        return float((nll + kl) / m)
+
+    return epoch
 
 
 def vi_train(
@@ -156,11 +185,20 @@ def vi_train(
         np.full(n_y, cfg.init_log_sigma_e, dtype=float),
     ]
 
-    def loss_and_grads(vals, grads):
-        # One flat draw: the generator fills it in the order per-layer
-        # draws would take, so the values are the same.
-        eps = noise_rng.standard_normal(n_weights)
-        return _negative_elbo(vals, grads, eps, fit_std.x, fit_std.t, shapes)
+    eps = np.empty(n_weights)
+
+    def bind(vals, grads):
+        epoch = _negative_elbo.bind(vals, grads, eps, fit_std.x, fit_std.t, shapes)
+
+        def draw_then_epoch():
+            # One flat draw a step: the generator fills it in the order
+            # per-layer draws would take, so the values are the same.
+            noise_rng.standard_normal(out=eps)
+            return epoch()
+
+        return draw_then_epoch
+
+    loss_and_grads = bind_once(bind)
 
     monitor = None
     if val_std is not None:

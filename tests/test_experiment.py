@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -189,3 +190,42 @@ def test_prediction_csv_round_trips_header_and_exact_doubles(data, m, n_x, n_y):
         [[*x[i], *mean[i], *np.sqrt(var_y[i]), *np.sqrt(var_t[i])] for i in range(m)]
     )
     assert rows.tobytes() == expected.tobytes()  # bit for bit, signed zeros included
+
+
+def test_a_run_prints_each_fit_and_where_its_time_went(tmp_path, capsys):
+    # a budget too short for patience to stop any fit: every one runs out of epochs
+    out = tmp_path / "out"
+    config = config_from_dict(
+        {
+            "methods": ["bll", "blr", "vi"],
+            "seed": 3,
+            "hidden": [6],
+            "train": {"max_epochs": 30, "patience": 29, "lr": 0.005},
+            "alpha_search": {"max_evals": 10},
+            "sweep_points": 3,
+            "out_dir": str(out),
+        }
+    )
+    _, code = run_experiment(config)
+    assert code == 0
+    fit = r"{} 30 epochs \(best \d+, stopped on max_epochs\)"
+    times = r"; \d+\.\d\d s training, \d+\.\d\d s the rest"
+    expected = [
+        "bll: " + fit.format("bll") + times,
+        "blr: " + fit.format("mse") + ", " + fit.format("blr") + times,
+        "vi: " + fit.format("vi") + times,
+    ]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(expected)
+    for line, pattern in zip(lines, expected):
+        assert re.fullmatch(pattern, line), line
+    # the report goes to stdout only: out_dir holds the run's artifacts and nothing else
+    lml = {
+        f"{kind}_{m}_{tag}.csv"
+        for m in ("bll", "blr")
+        for kind in ("predictions", "curve")
+        for tag in ("alpha_star", "alpha_max")
+    }
+    artifacts = lml | {"alpha_sweep_bll.csv", "alpha_sweep_blr.csv"}
+    artifacts |= {"dataset.csv", "metrics.json", "predictions_vi.csv", "components_vi.csv"}
+    assert {p.name for p in out.iterdir()} == artifacts
