@@ -4,9 +4,11 @@ its frozen features.
 ``train_mse`` fits the network weights by plain mean-squared error.
 ``blr_fit`` then treats the hidden layers as a fixed feature map and runs
 the same marginal-likelihood fit as the jointly trained model on the
-output layer alone (the DNGO recipe).  The same readout, ``fit_posterior``,
-makes it an ordinary ``BllModel``, so prediction, scoring and alpha tuning
-are shared with the jointly trained variant.
+output layer alone (the DNGO recipe).  Because those features never move,
+its objective and monitor read the log-determinant off their spectrum,
+taken once per fit, and factor no matrix in any epoch.  The same readout,
+``fit_posterior``, makes it an ordinary ``BllModel``, so prediction,
+scoring and alpha tuning are shared with the jointly trained variant.
 """
 
 import numpy as np
@@ -82,8 +84,10 @@ def blr_fit(
     """Empirical-Bayes regression on a fixed feature map.
 
     Runs the bll objective (``fit_nlml``) on the output layer alone, over
-    features computed once from the frozen hidden layers.  ``fit_posterior``
-    then sets the closed-form output weights, as it does for ``train``.
+    features computed once from the frozen hidden layers, with the
+    log-determinant read off their centred spectrum (``bll.spectral_logdet``).
+    ``fit_posterior`` then sets the closed-form output weights, as it does
+    for ``train``.
     """
     train_data.check_widths(frozen.n_x, frozen.n_y)
     x_scaler, t_scaler, fit_std, val_std = standardized_splits(train_data, cfg)

@@ -19,8 +19,10 @@ where mu is the mean training feature row and (lambda_k, v_k) are the
 eigenpairs of the centred gram: v_k a right singular vector of the
 centred rows and lambda_k its squared singular value.  alpha only shifts
 that spectrum, so retuning it factors nothing, and the same elimination
-reads the objective's log-determinant at a whole grid of alphas off one
-spectrum (``nlml_head_grid``).
+reads the objective's log-determinant, log m + sum_k log(lambda_k +
+alpha^-1), off one spectrum (``spectral_logdet``): at a whole grid of
+alphas for the sweep (``nlml_head_grid``), and at every epoch and monitor
+block of blr, whose features never move.
 
 Training minimizes the scaled negative log-marginal likelihood with the
 output weights reintroduced as free variables, so the loss needs no matrix
@@ -30,13 +32,15 @@ the one readout for every marginal-likelihood fit, sets that closed form.
 
 A fit binds the objective once (``bind_nlml``): the bind step checks the
 gradient layout, takes the network's weight, bias and gradient views,
-writes the bias column of the feature rows, holds blr's fixed feature rows
-and gram, and reads the prior's diagonal and the head's scalar
-coefficients (``bind_nlml_head``).  The views stay valid while Adam steps
-because ``training.fit_loop`` writes each step into the flat vectors they
-view, so every epoch does only the arithmetic ``nlml_head`` and
-``mlp.mlp_backward`` do, in their order.  ``nlml_head`` and
-``nlml_grads_into`` are the same code bound for one call.
+writes the bias column of the feature rows, takes blr's feature spectrum,
+and reads the prior's diagonal and the head's scalar coefficients
+(``bind_nlml_head``).  The views stay valid while Adam steps because
+``training.fit_loop`` writes each step into the flat vectors they view, so
+every epoch does only its arithmetic: for bll, what ``nlml_head`` and
+``mlp.mlp_backward`` do, in their order, with one Cholesky factor of the
+precision; for blr, the same head with its log-determinant read off the
+spectrum.  ``nlml_head`` and ``nlml_grads_into`` are the same code bound
+for one call, and keep the factored route.
 """
 
 import math
@@ -70,6 +74,7 @@ __all__ = [
     "predict_batch",
     "predictive_variances",
     "query_rows",
+    "spectral_logdet",
     "with_alpha",
 ]
 
@@ -167,7 +172,7 @@ def nlml_head(a, y, wbar, t, log_alpha, log_sigma_e, flat_bias=True):
     return value(phi, phi.swapaxes(-1, -2) @ phi, y, wbar, log_alpha, log_sigma_e), grads
 
 
-def bind_nlml_head(t, n_phi: int, flat_bias: bool = True, feature_grad: bool = True):
+def bind_nlml_head(t, n_phi: int, flat_bias: bool = True, spectrum=None):
     """``nlml_head``'s formula for targets ``t`` and ``n_phi`` affine features, bound once.
 
     The prior, its diagonal and the scalar coefficients are read here, not
@@ -175,9 +180,16 @@ def bind_nlml_head(t, n_phi: int, flat_bias: bool = True, feature_grad: bool = T
     ``value(phi, gram, y, wbar, log_alpha, log_sigma_e)`` is ``nlml_head``'s
     value on the affine rows ``phi`` and their gram (block axes allowed, as
     there), and ``grads()`` gives the gradients at the last ``value`` call,
-    as ``nlml_head``'s function does; its d_a is None unless
-    ``feature_grad``, for features that training holds constant.
+    as ``nlml_head``'s function does.
+
+    Features that training holds fixed (blr's) are handed over as the
+    ``spectrum`` of their centred gram (``centred_spectrum``, flat bias
+    prior only): the log-determinant and the trace in its log alpha
+    gradient are then read off it by ``spectral_logdet``, with no factor,
+    ``phi`` and ``gram`` are not read, and d_a is None.
     """
+    if spectrum is not None and not flat_bias:
+        raise ValueError("a held spectrum needs the flat bias prior")
     m, n_y = t.shape
     prior = identity(n_phi, flat_bias)
     in_prior = prior.diagonal()  # 0 on a flat bias row
@@ -190,9 +202,12 @@ def bind_nlml_head(t, n_phi: int, flat_bias: bool = True, feature_grad: bool = T
     def value(phi, gram, y, wbar, log_alpha, log_sigma_e):
         nonlocal last
         inv_alpha = np.exp(-log_alpha)
-        # a block of alphas scales its own matrix
-        scale = inv_alpha[..., None, None] if inv_alpha.ndim else inv_alpha
-        logdet, logdet_grad = ad.logdet_spd(gram + scale * prior)
+        if spectrum is None:
+            # a block of alphas scales its own matrix
+            scale = inv_alpha[..., None, None] if inv_alpha.ndim else inv_alpha
+            logdet, logdet_grad = ad.logdet_spd(gram + scale * prior)
+        else:
+            logdet, logdet_grad = spectral_logdet(m, spectrum, inv_alpha)
 
         inv_sig2 = np.exp(-2.0 * log_sigma_e)
         resid = t - y
@@ -218,15 +233,19 @@ def bind_nlml_head(t, n_phi: int, flat_bias: bool = True, feature_grad: bool = T
 
     def grads():
         phi, logdet_grad, inv_alpha, inv_sig2, resid, misfit, wpen_rows, wpen, wpen_sum = last
-        lam_inv = logdet_grad()
+        if spectrum is None:
+            lam_inv = logdet_grad()
+            d_a = c_a * (phi @ lam_inv)[:, :-1]
+            prior_trace = np.add.reduce(lam_inv.diagonal() * in_prior)
+        else:
+            d_a, prior_trace = None, logdet_grad()
         d_y = c_y * resid
         d_y *= inv_sig2
-        d_a = c_a * (phi @ lam_inv)[:, :-1] if feature_grad else None
         d_wbar = (inv_alpha / m) * wpen_rows
         d_wbar *= inv_sig2
         d_log_alpha = (
             c_alpha
-            - c_logdet * inv_alpha * np.add.reduce(lam_inv.diagonal() * in_prior)
+            - c_logdet * inv_alpha * prior_trace
             - half_m * inv_alpha * wpen_sum
         )
         d_log_sigma_e = 1.0 - (misfit + inv_alpha * wpen) * inv_sig2 / m
@@ -255,6 +274,22 @@ def centred_spectrum(a: np.ndarray):
     return mean, vt.T, spectrum
 
 
+def spectral_logdet(m: int, spectrum: np.ndarray, inv_alpha):
+    """log det(Phi^T Phi + alpha^-1 I~) of ``m`` affine rows, read off their centred ``spectrum``.
+
+    Eliminating the flat-prior bias (a Schur complement) leaves the
+    centred gram: the value is log m + sum_k log(lambda_k + alpha^-1) on
+    the spectrum lambda that ``centred_spectrum`` reads.  ``inv_alpha`` is
+    alpha^-1 as a float, or an array of them, giving one value each.
+    Returns the value and a function giving its derivative in alpha^-1,
+    tr((Phi^T Phi + alpha^-1 I~)^-1 I~) = sum_k 1 / (lambda_k + alpha^-1),
+    the inverse's block on the centred features.
+    """
+    shifted = np.add.outer(inv_alpha, spectrum)
+    logdet = math.log(m) + np.add.reduce(np.log(shifted), -1)
+    return logdet, lambda: np.add.reduce(1.0 / shifted, -1)
+
+
 def nlml_head_grid(
     a: np.ndarray,
     y: np.ndarray,
@@ -266,14 +301,10 @@ def nlml_head_grid(
     """``nlml_head``'s value, flat bias prior, at every log alpha of a grid.
 
     Entry i equals ``nlml_head(a, y, wbar, t, log_alphas[i],
-    log_sigma_e)[0]`` up to rounding, with no factor per alpha: eliminating
-    the flat-prior bias (a Schur complement) gives
-
-        log det(Phi^T Phi + alpha^-1 I~) = log m + sum_k log(lambda_k + alpha^-1)
-
-    on the spectrum lambda of the centred gram of ``a``, read once by
-    ``centred_spectrum``, and the misfit and the weight penalty do not
-    depend on alpha.
+    log_sigma_e)[0]`` up to rounding, with no factor per alpha: every
+    log-determinant comes from ``spectral_logdet`` on the spectrum of the
+    centred gram of ``a``, read once by ``centred_spectrum``, and the misfit
+    and the weight penalty do not depend on alpha.
 
     Raises:
         ValueError: unless ``log_alphas`` is 1-D and finite with every
@@ -285,9 +316,8 @@ def nlml_head_grid(
         raise ValueError(f"log alphas must be a 1-D grid of finite values within {LOG_ALPHA_MAX}")
     m, n_y = t.shape
     n_phi = a.shape[1] + 1
-    spectrum = centred_spectrum(a)[2]
     inv_alpha = np.exp(-log_alphas)
-    logdet = math.log(m) + np.log(np.add.outer(inv_alpha, spectrum)).sum(axis=1)
+    logdet = spectral_logdet(m, centred_spectrum(a)[2], inv_alpha)[0]
 
     inv_sig2 = np.exp(-2.0 * log_sigma_e)
     resid = t - y
@@ -350,7 +380,8 @@ def bind_nlml(leaves, grads, x, t):
 
     ``leaves`` are the weight matrices, a 0-d log_alpha and log_sigma_e;
     ``grads`` has the same layout.  A one-layer network's features are the
-    rows ``x`` themselves (blr), so their affine rows and gram are held.
+    rows ``x`` themselves (blr), fixed for the whole fit, so the head is
+    bound to their spectrum (``centred_spectrum``), taken here once.
     Returns ``epoch()``: the value at the leaves' current values, its
     gradient written into every entry of ``grads``.
 
@@ -366,19 +397,18 @@ def bind_nlml(leaves, grads, x, t):
     g_wbar, g_log_alpha, g_log_sigma_e = grads[n_w - 1 :]
     wbar = weights[-1]
     x = np.asarray(x, dtype=float)
+    phi = rows = spectrum = None
     if n_w == 1:
-        phi, rows = affine_rows(x), None
-        held_gram = phi.T @ phi
+        spectrum = centred_spectrum(x)[2]
     else:
         phi = affine_rows(np.zeros((len(x), wbar.shape[0] - 1)))
         rows = phi[:, :-1]
-    value, head_grads = bind_nlml_head(t, phi.shape[1], feature_grad=rows is not None)
+    value, head_grads = bind_nlml_head(t, wbar.shape[0], spectrum=spectrum)
 
     def epoch():
         acts = forward(x)
-        if rows is None:
-            gram = held_gram
-        else:
+        gram = None
+        if rows is not None:
             rows[...] = acts[-2]
             gram = phi.T @ phi
         total = value(phi, gram, acts[-1], wbar, float(log_alpha), log_sigma_e)

@@ -13,10 +13,11 @@ the block's parameter snapshots at once.
 Every trainer binds its objective once per fit (``bind_once``): on the
 first epoch, its bind step checks the gradient layout, takes the weight,
 bias and gradient views it reads into ``fit_loop``'s flat parameter and
-gradient vectors, and computes what no epoch changes (bias columns, a
-fixed gram, priors, scalar coefficients).  The views stay valid while Adam
-steps because ``fit_loop`` writes each step into those same vectors and
-never replaces them, so each epoch does only its arithmetic.
+gradient vectors, and computes what no epoch changes (bias columns, the
+spectrum of fixed features, priors, scalar coefficients).  The views stay
+valid while Adam steps because ``fit_loop`` writes each step into those
+same vectors and never replaces them, so each epoch does only its
+arithmetic.
 """
 
 import functools
@@ -26,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import NonFiniteLoss
-from .bll import HYPER_CLAMP, BllHyper, BllModel, bind_nlml, fit_posterior, nlml_head
+from .bll import HYPER_CLAMP, BllHyper, BllModel, bind_nlml, bind_nlml_head, centred_spectrum
+from .bll import fit_posterior, nlml_head
 from .bll import negative_lml  # noqa: F401 - perfbench's tracer patches training:negative_lml
 from .data import Dataset, Standardizer, check_integers, check_numbers, fit_standardizer
 from .data import split_train_val
@@ -304,7 +306,11 @@ def fit_nlml(
     reads the leaf views as they are, with no ``MlpParams`` or ``BllHyper``
     built: it runs ``nlml_head`` on a whole block of epochs' leaves at
     once, each value the one the public ``negative_lml`` gives that epoch's
-    parameters on ``val_data``.
+    parameters on ``val_data``.  On blr's fixed features both read the
+    log-determinant off a spectrum taken once per fit
+    (``bll.spectral_logdet``): the fit rows' in the objective, the
+    monitor rows' for every block, so neither factors a matrix; the
+    value then agrees with ``negative_lml`` to rounding, not to the bit.
 
     Returns:
         The parameters and hyperparameters of the best monitored epoch,
@@ -320,10 +326,15 @@ def fit_nlml(
 
     monitor = None
     if val_data is not None:
+        if n_w == 1:  # blr's fixed features: one spectrum serves every block
+            spectrum = centred_spectrum(val_data.x)[2]
+            held, _ = bind_nlml_head(val_data.t, weights0[0].shape[0], spectrum=spectrum)
 
         def monitor(vals):
             acts = forward_weights(vals[:n_w], val_data.x)
             w_out, log_alpha, log_sigma_e = vals[n_w - 1 :]
+            if n_w == 1:
+                return held(None, None, acts[-1], w_out, log_alpha, log_sigma_e)
             return nlml_head(acts[-2], acts[-1], w_out, val_data.t, log_alpha, log_sigma_e)[0]
 
     best, history = fit_loop(

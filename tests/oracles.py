@@ -136,6 +136,9 @@ def nlml_sigma_parameterization(phi, t, wbar, sigma_w, sigma_e, flat_bias=True):
 def nlml_grid_bound(a, y, wbar, t, log_sigma_e, log_alpha) -> float:
     """How far ``bll.nlml_head_grid`` and ``bll.nlml_head`` may differ at one log alpha.
 
+    blr's objective and monitor, which read their log-determinant off the
+    same spectrum (``bll.spectral_logdet``), are held to it too.
+
     The head factors A = Phi^T Phi + alpha^-1 I~; the grid reads the
     spectrum lambda of the centred gram C as squared singular values.  A
     backward-stable factor perturbs A by about c * n_phi * eps *
@@ -179,6 +182,52 @@ def nlml_grid_bound(a, y, wbar, t, log_sigma_e, log_alpha) -> float:
         + (0.5 / m) * inv_alpha * ((wbar[:-1] ** 2).sum(axis=0) * inv_sig2).sum()
     )
     return float(logdet_moved + (n_phi + 6) * eps * terms)
+
+
+def log_alpha_grad_bound(a, wbar, t, log_sigma_e, log_alpha) -> float:
+    """How far the spectral head's d_log_alpha may sit from ``bll.nlml_head``'s.
+
+    The two differ only in the trace T = tr(A^-1 I~) they scale by
+    n_y alpha^-1 / 2m: the factored head sums the diagonal of the inverse
+    of a Cholesky factor, the spectral head sum_k 1 / (lambda_k + alpha^-1).
+    Derived as ``nlml_grid_bound`` is: a backward-stable factor perturbs A
+    by about c * n_phi * eps * lambda_max(A), and a backward-stable SVD each
+    lambda_k by at most about twice that relative to lambda_max(C); either
+    moves T by that times tr(A^-1 I~ A^-1), the squared norm of the rows of
+    A^-1 on the centred features.  From the same block inverse (the flat
+    bias eliminated) that is sum_k (1 + (mu . v_k)^2) / (lambda_k +
+    alpha^-1)^2, at least the sum_k 1 / (lambda_k + alpha^-1)^2 that moves
+    the spectral side.  On top, each side rounds T's n_phi - 1 terms and the
+    gradient's three: (n_phi + 4) * eps of the terms' magnitudes.
+
+    c = 4: over 24,000 random comparisons of frozen tanh features (a
+    constant column, a duplicated one, or neither; 1-60 rows, 1-24
+    features, 1-3 outputs, log alpha over the clamp box) the drift reached
+    1.81 times this bound at c = 1 (0.45 times it at c = 4), on a lone
+    constant feature, the case that is also ``nlml_grid_bound``'s worst.
+    The duplicated column's worst was 0.08 times it, plain features' 0.15.
+    """
+    eps = np.finfo(float).eps
+    m, n_y = t.shape
+    n_phi = a.shape[1] + 1
+    inv_alpha = math.exp(-log_alpha)
+    mean = a.mean(axis=0)
+    lam, basis = np.linalg.eigh((a - mean).T @ (a - mean))
+    shifted = np.maximum(lam, 0.0) + inv_alpha
+    lifted = 1.0 + (mean @ basis) ** 2
+    phi = np.column_stack([a, np.ones(m)])
+    prior = np.eye(n_phi)
+    prior[-1, -1] = 0.0
+    lam_max = np.linalg.eigvalsh(phi.T @ phi + inv_alpha * prior)[-1]
+    scale = (n_y / (2.0 * m)) * inv_alpha
+    trace_moved = scale * 4 * n_phi * eps * lam_max * (lifted / shifted**2).sum()
+    inv_sig2 = np.exp(-2.0 * np.asarray(log_sigma_e, dtype=float))
+    terms = (
+        n_y * n_phi / (2.0 * m)
+        + scale * (1.0 / m + (lifted / shifted).sum())
+        + (0.5 / m) * inv_alpha * ((wbar[:-1] ** 2).sum(axis=0) * inv_sig2).sum()
+    )
+    return float(trace_moved + (n_phi + 4) * eps * terms)
 
 
 def kl_diag_gaussian(mu, sigma, prior_sigma) -> float:

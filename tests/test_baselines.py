@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lastlayer import baselines, training
+from lastlayer import baselines, linalg, training
 from lastlayer.baselines import _mse_grads, blr_fit, train_mse
 from lastlayer.bll import (
     BllHyper,
@@ -12,11 +14,11 @@ from lastlayer.bll import (
     predict_batch,
 )
 from lastlayer.data import Dataset
-from lastlayer.mlp import MlpSpec, forward_batch, init_params
+from lastlayer.mlp import MlpParams, MlpSpec, forward_batch, init_params
 from lastlayer.rng import make_rng
 from lastlayer.training import TrainConfig, TrainHistory, standardized_splits
 
-from oracles import finite_difference, returning
+from oracles import finite_difference, log_alpha_grad_bound, nlml_grid_bound, returning
 
 FAST = TrainConfig(max_epochs=3000, patience=400, lr=5e-3, seed=0)
 
@@ -135,6 +137,10 @@ class TestBlrFit:
         assert (var_t > var_y).all()
 
     def test_epoch_gradient_is_the_output_slice_of_the_joint_gradient(self, monkeypatch):
+        # blr reads its log-determinant off the spectrum of its fixed
+        # features, the joint gradient off a Cholesky factor: the value, the
+        # monitor and d_log_alpha agree within derived bounds, and every
+        # term the log-determinant does not enter keeps its bits
         data = _linear_dataset(seed=9)
         frozen, _ = train_mse(MlpSpec(1, (3, 3), 1), data, FAST)
         captured = {}
@@ -154,20 +160,67 @@ class TestBlrFit:
             hyper = BllHyper(float(rng.uniform(-1.0, 2.0)), rng.uniform(-1.0, 0.5, size=1))
             leaves = [wbar, np.asarray(hyper.log_alpha), hyper.log_sigma_e]
             value, grads = returning(captured["loss_and_grads"])(leaves)
-            joint, (w_grads, g_la, g_ls) = negative_lml_grads(
-                frozen.replace_wbar(wbar), hyper, fit_std
-            )
-            assert value == joint
+            params = frozen.replace_wbar(wbar)
+            joint, (w_grads, g_la, g_ls) = negative_lml_grads(params, hyper, fit_std)
+            y, a = forward_batch(params, fit_std.x)
+            bound_args = (a, wbar, fit_std.t, hyper.log_sigma_e, hyper.log_alpha)
+            assert abs(value - joint) <= nlml_grid_bound(a, y, *bound_args[1:])
+            assert abs(grads[1] - g_la) <= log_alpha_grad_bound(*bound_args)
             np.testing.assert_array_equal(grads[0], w_grads[-1], strict=True)
-            np.testing.assert_array_equal(grads[1], g_la, strict=True)
             np.testing.assert_array_equal(grads[2], g_ls, strict=True)
-            draws.append((leaves, negative_lml(frozen.replace_wbar(wbar), hyper, val_std)))
+            y_val, a_val = forward_batch(params, val_std.x)
+            val_args = (a_val, y_val, wbar, val_std.t, hyper.log_sigma_e, hyper.log_alpha)
+            draws.append((leaves, negative_lml(params, hyper, val_std), nlml_grid_bound(*val_args)))
         # the monitor on precomputed features, judging the five draws as one
-        # block, gives each the full frozen network's value
-        block = [np.stack(leaf) for leaf in zip(*(leaves for leaves, _ in draws))]
-        np.testing.assert_array_equal(
-            captured["monitor"](block), [value for _, value in draws], strict=True
-        )
+        # block, gives each the full frozen network's value within its bound
+        block = [np.stack(leaf) for leaf in zip(*(leaves for leaves, _, _ in draws))]
+        monitored = captured["monitor"](block)
+        assert monitored.shape == (5,)
+        for got, (_, expected, bound) in zip(monitored, draws):
+            assert abs(got - expected) <= bound
+
+    @pytest.mark.parametrize("shape", ["duplicated feature", "fewer fit rows than features"])
+    def test_near_singular_frozen_features_fit_with_no_factor(self, shape, monkeypatch):
+        # a duplicated feature column makes the feature gram singular, and
+        # eight fit rows (two monitor rows) for twenty features leave it
+        # rank-deficient; blr's objective and monitor read the spectrum and
+        # factor nothing, so only the closed-form readout calls cholesky
+        if shape == "duplicated feature":
+            data, spec = _linear_dataset(seed=11), MlpSpec(1, (6,), 1)
+        else:
+            data, spec = _linear_dataset(seed=11, m=10), MlpSpec(1, (20,), 1)
+        frozen = init_params(spec, make_rng(11))
+        if shape == "duplicated feature":
+            first = frozen.weights[0].copy()
+            first[:, 1] = first[:, 0]
+            frozen = MlpParams((first, frozen.wbar))
+            features = forward_batch(frozen, data.x)[1]
+            np.testing.assert_array_equal(features[:, 1], features[:, 0])
+        factors = {"fit_loop": 0, "elsewhere": 0}
+        where = ["elsewhere"]
+        cholesky, fit_loop = linalg.cholesky, training.fit_loop
+
+        def counted(a, jitter=0.0):
+            factors[where[0]] += 1
+            return cholesky(a, jitter)
+
+        def watched(*args, **kwargs):
+            where[0] = "fit_loop"
+            try:
+                return fit_loop(*args, **kwargs)
+            finally:
+                where[0] = "elsewhere"
+
+        monkeypatch.setattr(linalg, "cholesky", counted)
+        monkeypatch.setattr(training, "fit_loop", watched)
+        cfg = TrainConfig(max_epochs=400, patience=100, lr=5e-3, seed=0)
+        model, history = blr_fit(frozen, data, cfg)
+        assert factors["fit_loop"] == 0 and factors["elsewhere"] >= 1
+        assert math.isfinite(model.alpha) and model.alpha > 0.0
+        assert np.isfinite(model.sigma_e).all()
+        assert len(history.val_objective) == len(history.train_objective) > 1
+        assert np.isfinite(history.train_objective).all()
+        assert np.isfinite(history.val_objective).all()
 
 
 def _fit_indices(data, cfg):

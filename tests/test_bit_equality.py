@@ -10,12 +10,17 @@ replaced, and ``vi_predict_batch`` to its per-component sampling helper.
 Each trainer's early-stopping monitor, which judges a block of epochs at
 once, is held row by row to the value its epoch alone gets from the
 public ``negative_lml`` or the per-epoch reference monitor.
-Equality is ``array_equal``, not a tolerance, with one exception: the alpha
+Equality is ``array_equal``, not a tolerance, with two exceptions, both
+where a log-determinant read off the centred feature spectrum
+(``bll.spectral_logdet``) stands in for a Cholesky factor.  The alpha
 sweep, which runs the network once per row set and reads every alpha from
 one spectrum and one product, matches the per-alpha loop within derived
 bounds: its objective column within ``oracles.nlml_grid_bound`` of the
 factored head, and its LPD columns within a bound derived from that
-product's summation order.
+product's summation order.  blr's objective on its frozen features keeps
+its weight and log sigma_e gradients to the bit; its value lies within
+``nlml_grid_bound`` and its log alpha gradient within
+``oracles.log_alpha_grad_bound`` of the reference.
 """
 
 from unittest import mock
@@ -48,6 +53,7 @@ from lastlayer.vi import ViModel, _negative_elbo, vi_predict_batch
 
 from oracles import (
     alpha_sweep_reference,
+    log_alpha_grad_bound,
     mlp_backward_reference,
     nlml_grid_bound,
     mse_grads_reference,
@@ -175,7 +181,8 @@ def _fit_nlml_objective(weights, data):
 @given(problem=problems(), frozen=st.booleans())
 def test_the_fit_nlml_objective_matches_its_reference(problem, frozen):
     # frozen: blr's shape, the output layer alone on the network's last
-    # hidden features, whose affine rows and gram fit_nlml reads once
+    # hidden features, whose spectrum fit_nlml reads once; its value and
+    # d_log_alpha come from that spectrum, not from the reference's factor
     params, hyper, data, _ = problem
     if frozen:
         data = Dataset(forward_batch(params, data.x)[1], data.t)
@@ -185,6 +192,18 @@ def test_the_fit_nlml_objective_matches_its_reference(problem, frozen):
     values = np.concatenate([*params.weights, [hyper.log_alpha], hyper.log_sigma_e], axis=None)
     leaves = training.flat_views(values, shapes)
     buffer, out = _nan_buffer(shapes)
+    if frozen:
+        value = objective(leaves, out)
+        assert not np.isnan(buffer).any()
+        if _needs_jitter(affine_rows(data.x), hyper.alpha):
+            return  # the reference's factor is jittered; the spectrum needs none
+        ref_value, (ref_w, ref_la, ref_ls) = negative_lml_grads_reference(params, hyper, data)
+        y = forward_batch(params, data.x)[0]
+        args = (data.x, params.wbar, data.t, hyper.log_sigma_e, hyper.log_alpha)
+        assert abs(value - ref_value) <= nlml_grid_bound(data.x, y, *args[1:])
+        assert abs(out[1] - ref_la) <= log_alpha_grad_bound(*args)
+        _assert_arrays_equal([out[0], out[2]], [*ref_w, ref_ls])
+        return
     outcome = _same_outcome(
         lambda: objective(leaves, out),
         lambda: negative_lml_grads_reference(params, hyper, data),

@@ -32,7 +32,8 @@ from lastlayer.mlp import MlpParams, MlpSpec, affine_rows, features, forward_bat
 from lastlayer.rng import make_rng
 from lastlayer.training import TrainConfig, standardized_splits, train
 
-from oracles import marginal_gaussian_nll, nlml_sigma_parameterization
+from oracles import log_alpha_grad_bound, marginal_gaussian_nll, nlml_grid_bound
+from oracles import nlml_sigma_parameterization
 
 
 def _random_instance(rng, n_y=1, hidden=(3,)):
@@ -617,6 +618,59 @@ def test_alpha_array_matches_the_stacked_single_alpha_calls(problem, log_alphas)
     for got, expected in zip((var_y, var_t), zip(*singles)):
         expected = np.stack(expected, axis=1)
         assert (np.abs(got - expected) <= bound * expected).all()
+
+
+@st.composite
+def frozen_feature_heads(draw):
+    """blr's head on frozen tanh features: rows, features, targets and hyperparameters.
+
+    The features are ``plain``, hold one ``constant`` column (the bias
+    pivot's cancellation, ``nlml_grid_bound``'s worst case), or are
+    ``wide``: fewer rows than features, so the centred gram is singular.
+    """
+    shape = draw(st.sampled_from(["plain", "constant", "wide"]))
+    m = draw(st.integers(1, 40))
+    k = m + draw(st.integers(1, 8)) if shape == "wide" else draw(st.integers(1, 24))
+    n_y = draw(st.integers(1, 3))
+    log_alpha = draw(st.floats(-HYPER_CLAMP, HYPER_CLAMP))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = np.tanh(rng.standard_normal((m, 2)) @ rng.standard_normal((2, k)) + rng.standard_normal(k))
+    if shape == "constant":
+        a[:, rng.integers(k)] = rng.uniform(-1.0, 1.0)
+    wbar = rng.standard_normal((k + 1, n_y)) / np.sqrt(k + 1)
+    t = rng.standard_normal((m, n_y))
+    return a, wbar, t, log_alpha, rng.uniform(-2.0, 1.0, size=n_y)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(problem=frozen_feature_heads())
+def test_the_spectral_head_matches_the_factored_head(problem):
+    # Held fixed features' spectrum, the head reads its log-determinant and
+    # the trace in d_log_alpha off it; the factored head factors the
+    # precision.  The value and d_log_alpha agree within the bounds derived
+    # for the two routes, and every other output keeps its bits.
+    a, wbar, t, log_alpha, log_sigma_e = problem
+    y = affine_rows(a) @ wbar
+    value, grads = bll.bind_nlml_head(t, a.shape[1] + 1, spectrum=bll.centred_spectrum(a)[2])
+    got = value(None, None, y, wbar, log_alpha, log_sigma_e)
+    d_y, d_a, d_wbar, d_log_alpha, d_log_sigma_e = grads()
+    assert math.isfinite(got) and math.isfinite(d_log_alpha) and d_a is None
+    expected, expected_grads = bll.nlml_head(a, y, wbar, t, log_alpha, log_sigma_e)
+    ref_y, _, ref_wbar, ref_log_alpha, ref_log_sigma_e = expected_grads()
+    for got_term, ref_term in ((d_y, ref_y), (d_wbar, ref_wbar), (d_log_sigma_e, ref_log_sigma_e)):
+        np.testing.assert_array_equal(got_term, ref_term, strict=True)
+    try:
+        cholesky(precision_bar(affine_rows(a), math.exp(log_alpha)))
+    except NotPositiveDefinite:
+        return  # the factored head's value is jittered; the spectrum needs no jitter
+    args = (a, wbar, t, log_sigma_e, log_alpha)
+    assert abs(got - expected) <= nlml_grid_bound(a, y, *args[1:])
+    assert abs(d_log_alpha - ref_log_alpha) <= log_alpha_grad_bound(*args)
+
+
+def test_a_spectrum_needs_the_flat_bias_prior():
+    with pytest.raises(ValueError, match="flat bias"):
+        bll.bind_nlml_head(np.zeros((3, 1)), 3, flat_bias=False, spectrum=np.ones(2))
 
 
 class TestBllHyper:

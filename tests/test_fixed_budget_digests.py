@@ -31,7 +31,7 @@ EPOCHS = 100
 DIGESTS = {
     "bll": "acec045668f2baeefa3affc90f3b7a19ade51eee8b129c6b42b5ca4f516fc047",
     "mse": "1b2542ed7acdd7d555c2ecad028d7a2520eee8cc4ad6a3846e9e275c647903a6",
-    "blr": "d8e931bf65396897154811ae05a7a9992772bc7f1df195551f5c1ea88683f70c",
+    "blr": "286ee65a32184081f53981fc336e0b94e85ef4c03ca59ec24a85f44b57f93c00",
     "vi": "372779026171d82311ea4148b8c0518400d3d9b4a947b7665943b3ec82886688",
 }
 
