@@ -1,7 +1,7 @@
 """The log-determinant primitive the training objectives share.
 
 Every objective in this package is a small head on top of one network
-shape, so gradients come from two pieces: ``mlp.mlp_backward``, the reverse
+shape, so gradients come from two pieces: ``mlp.bind_backward``, the reverse
 sweep through the network, and ``logdet_spd`` here, whose gradient
 d(log det A) = trace(A^-1 dA) is read off the inverse of a Cholesky factor
 instead of differentiating the factorization itself.  It returns its value

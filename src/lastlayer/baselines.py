@@ -18,7 +18,7 @@ from .bll import negative_lml  # noqa: F401 - perfbench's tracer patches baselin
 from .data import Dataset
 from .mlp import MlpParams, MlpSpec, bind_backward, bind_forward, forward_batch, forward_weights
 from .mlp import init_params
-from .training import TrainConfig, TrainHistory, bind_once, fit_loop, fit_nlml, single_call
+from .training import TrainConfig, TrainHistory, bind_once, fit_loop, fit_nlml
 from .training import standardized_splits
 from .rng import make_rng
 
@@ -34,13 +34,11 @@ def _mse_head(y: np.ndarray, t: np.ndarray):
     return (1.0 / t.size) * np.add.reduce(resid * resid, (-2, -1)), (-2.0 / t.size) * resid
 
 
-@single_call
-def _mse_grads(weights, data: Dataset, out):
-    """Mean squared error of the network on ``data``; its weight gradients overwrite ``out``.
+def _bind_mse(weights, data: Dataset, out):
+    """Mean squared error of the network on ``data``, bound once.
 
-    As bound by ``_mse_grads.bind``, which checks the destinations and
-    takes the network's views once, it returns ``epoch()``, the error at
-    the weights' current values.
+    Checks the destinations ``out`` here and returns ``epoch()``: the error
+    at the weights' current values, its weight gradients written over ``out``.
     """
     forward, backward = bind_forward(weights), bind_backward(weights, out)
     x = np.asarray(data.x, dtype=float)
@@ -66,7 +64,7 @@ def train_mse(
     _, _, fit_std, val_std = standardized_splits(train_data, cfg)
     params0 = init_params(spec, make_rng(cfg.seed))
     leaves = list(params0.weights)
-    loss_and_grads = bind_once(lambda vals, grads: _mse_grads.bind(vals, fit_std, grads))
+    loss_and_grads = bind_once(lambda vals, grads: _bind_mse(vals, fit_std, grads))
 
     monitor = None
     if val_std is not None:

@@ -31,16 +31,16 @@ posterior mean, which early stopping leaves Adam short of; ``fit_posterior``,
 the one readout for every marginal-likelihood fit, sets that closed form.
 
 A fit binds the objective once (``bind_nlml``): the bind step checks the
-gradient layout, takes the network's weight, bias and gradient views,
-writes the bias column of the feature rows, takes blr's feature spectrum,
-and reads the prior's diagonal and the head's scalar coefficients
+gradient layout, takes the network's weight, bias and gradient views, and
+binds the head (``bind_network_head``), which takes blr's feature spectrum
+and reads the prior's diagonal and the scalar coefficients
 (``bind_nlml_head``).  The views stay valid while Adam steps because
 ``training.fit_loop`` writes each step into the flat vectors they view, so
-every epoch does only its arithmetic: for bll, what ``nlml_head`` and
-``mlp.mlp_backward`` do, in their order, with one Cholesky factor of the
-precision; for blr, the same head with its log-determinant read off the
-spectrum.  ``nlml_head`` and ``nlml_grads_into`` are the same code bound
-for one call, and keep the factored route.
+every epoch does only its arithmetic: for bll, the head with one Cholesky
+factor of the precision, then ``mlp.bind_backward``'s sweep; for blr, the
+same head with its log-determinant read off the spectrum.  Every reader of
+the objective's value (``nlml_head``, ``nlml_head_grid`` and the
+early-stopping monitors) calls a head bound by ``bind_nlml_head``.
 """
 
 import math
@@ -60,13 +60,13 @@ __all__ = [
     "PredictiveDistribution",
     "bind_nlml",
     "bind_nlml_head",
+    "bind_network_head",
     "centred_spectrum",
     "closed_form_wbar",
     "fit_posterior",
     "negative_lml",
     "negative_lml_grads",
     "negative_lml_marginalized",
-    "nlml_grads_into",
     "nlml_head",
     "nlml_head_grid",
     "precision_bar",
@@ -167,9 +167,8 @@ def nlml_head(a, y, wbar, t, log_alpha, log_sigma_e, flat_bias=True):
     Raises:
         NonFiniteLoss: if the value of one problem is NaN or infinite.
     """
-    phi = affine_rows(a)
-    value, grads = bind_nlml_head(t, phi.shape[-1], flat_bias)
-    return value(phi, phi.swapaxes(-1, -2) @ phi, y, wbar, log_alpha, log_sigma_e), grads
+    value, grads = bind_nlml_head(t, a.shape[-1] + 1, flat_bias)
+    return value(a, y, wbar, log_alpha, log_sigma_e), grads
 
 
 def bind_nlml_head(t, n_phi: int, flat_bias: bool = True, spectrum=None):
@@ -177,16 +176,16 @@ def bind_nlml_head(t, n_phi: int, flat_bias: bool = True, spectrum=None):
 
     The prior, its diagonal and the scalar coefficients are read here, not
     per call.  Returns (value, grads):
-    ``value(phi, gram, y, wbar, log_alpha, log_sigma_e)`` is ``nlml_head``'s
-    value on the affine rows ``phi`` and their gram (block axes allowed, as
-    there), and ``grads()`` gives the gradients at the last ``value`` call,
-    as ``nlml_head``'s function does.
+    ``value(a, y, wbar, log_alpha, log_sigma_e)`` is ``nlml_head``'s value
+    (block axes allowed, as there), and ``grads()`` gives the gradients at
+    the last ``value`` call, as ``nlml_head``'s function does.
 
-    Features that training holds fixed (blr's) are handed over as the
+    Features that do not move between calls (blr's) are handed over as the
     ``spectrum`` of their centred gram (``centred_spectrum``, flat bias
     prior only): the log-determinant and the trace in its log alpha
     gradient are then read off it by ``spectral_logdet``, with no factor,
-    ``phi`` and ``gram`` are not read, and d_a is None.
+    ``a`` is not read, and d_a is None.  Without it, each call factors the
+    precision of the affine rows of ``a``.
     """
     if spectrum is not None and not flat_bias:
         raise ValueError("a held spectrum needs the flat bias prior")
@@ -199,15 +198,16 @@ def bind_nlml_head(t, n_phi: int, flat_bias: bool = True, spectrum=None):
     c_y, c_a = -1.0 / m, n_y / m
     last = None  # what the last value call leaves for grads
 
-    def value(phi, gram, y, wbar, log_alpha, log_sigma_e):
+    def value(a, y, wbar, log_alpha, log_sigma_e):
         nonlocal last
         inv_alpha = np.exp(-log_alpha)
         if spectrum is None:
+            phi = affine_rows(a)
             # a block of alphas scales its own matrix
             scale = inv_alpha[..., None, None] if inv_alpha.ndim else inv_alpha
-            logdet, logdet_grad = ad.logdet_spd(gram + scale * prior)
+            logdet, logdet_grad = ad.logdet_spd(phi.swapaxes(-1, -2) @ phi + scale * prior)
         else:
-            logdet, logdet_grad = spectral_logdet(m, spectrum, inv_alpha)
+            phi, (logdet, logdet_grad) = None, spectral_logdet(m, spectrum, inv_alpha)
 
         inv_sig2 = np.exp(-2.0 * log_sigma_e)
         resid = t - y
@@ -301,10 +301,9 @@ def nlml_head_grid(
     """``nlml_head``'s value, flat bias prior, at every log alpha of a grid.
 
     Entry i equals ``nlml_head(a, y, wbar, t, log_alphas[i],
-    log_sigma_e)[0]`` up to rounding, with no factor per alpha: every
-    log-determinant comes from ``spectral_logdet`` on the spectrum of the
-    centred gram of ``a``, read once by ``centred_spectrum``, and the misfit
-    and the weight penalty do not depend on alpha.
+    log_sigma_e)[0]`` up to rounding, with no factor per alpha: the head is
+    bound to the spectrum of the centred gram of ``a``, read once by
+    ``centred_spectrum``, and called once on the whole grid.
 
     Raises:
         ValueError: unless ``log_alphas`` is 1-D and finite with every
@@ -314,23 +313,8 @@ def nlml_head_grid(
     log_alphas = np.asarray(log_alphas, dtype=float)
     if log_alphas.ndim != 1 or not (np.abs(log_alphas) <= LOG_ALPHA_MAX).all():
         raise ValueError(f"log alphas must be a 1-D grid of finite values within {LOG_ALPHA_MAX}")
-    m, n_y = t.shape
-    n_phi = a.shape[1] + 1
-    inv_alpha = np.exp(-log_alphas)
-    logdet = spectral_logdet(m, centred_spectrum(a)[2], inv_alpha)[0]
-
-    inv_sig2 = np.exp(-2.0 * log_sigma_e)
-    resid = t - y
-    misfit = (resid * resid).sum(axis=0)
-    wpen = (wbar[:-1] * wbar[:-1]).sum(axis=0)
-    values = (
-        0.5 * n_y * LOG_2PI
-        + log_sigma_e.sum()
-        + (0.5 / m) * (misfit * inv_sig2).sum()
-        + (n_y * n_phi / (2.0 * m)) * log_alphas
-        + (n_y / (2.0 * m)) * logdet
-        + (0.5 / m) * (wpen * inv_sig2).sum() * inv_alpha
-    )
+    value, _ = bind_nlml_head(t, a.shape[1] + 1, spectrum=centred_spectrum(a)[2])
+    values = value(a, y, wbar, log_alphas, log_sigma_e)
     if not np.isfinite(values).all():
         raise ad.NonFiniteLoss("objective evaluated to a non-finite value on the alpha grid")
     return values
@@ -355,33 +339,26 @@ def negative_lml_grads(params: MlpParams, hyper: BllHyper, data: Dataset):
     """Objective value and gradients for (weights, log_alpha, log_sigma_e)."""
     out = [np.empty(w.shape) for w in params.weights]
     out += [np.empty(()), np.empty(hyper.log_sigma_e.shape)]
-    log_alpha = float(hyper.log_alpha)
-    value = nlml_grads_into(params.weights, log_alpha, hyper.log_sigma_e, data.x, data.t, out)
+    leaves = [*params.weights, np.asarray(float(hyper.log_alpha)), hyper.log_sigma_e]
+    value = bind_nlml(leaves, out, data.x, data.t)()
     return value, (out[:-2], out[-2][()], out[-1])
 
 
-def nlml_grads_into(weights, log_alpha: float, log_sigma_e, x, t, out) -> float:
-    """Objective value on bare leaves, with its gradient written into ``out``.
+def bind_network_head(weights, x, t):
+    """``bind_nlml_head`` for the last layer of the network ``weights`` on rows ``x``.
 
-    ``out`` holds one array per weight matrix, then a 0-d array for
-    log_alpha and one shaped like log_sigma_e: the leaf layout
-    ``training.fit_nlml`` trains, so no ``MlpParams`` or ``BllHyper`` is
-    built.  Every entry is overwritten.  One call of ``bind_nlml``.
-
-    Raises:
-        ValueError: when ``out`` does not match that layout.
+    A one-layer network's features are the rows ``x`` themselves (blr),
+    fixed for the whole fit, so its head holds their spectrum, taken here.
     """
-    leaves = [*weights, np.asarray(log_alpha, dtype=float), log_sigma_e]
-    return bind_nlml(leaves, out, x, t)()
+    spectrum = centred_spectrum(x)[2] if len(weights) == 1 else None
+    return bind_nlml_head(t, weights[-1].shape[0], spectrum=spectrum)
 
 
 def bind_nlml(leaves, grads, x, t):
     """The objective on leaves and gradient arrays the caller updates in place, bound once.
 
     ``leaves`` are the weight matrices, a 0-d log_alpha and log_sigma_e;
-    ``grads`` has the same layout.  A one-layer network's features are the
-    rows ``x`` themselves (blr), fixed for the whole fit, so the head is
-    bound to their spectrum (``centred_spectrum``), taken here once.
+    ``grads`` has the same layout.  The head is ``bind_network_head``'s.
     Returns ``epoch()``: the value at the leaves' current values, its
     gradient written into every entry of ``grads``.
 
@@ -397,21 +374,11 @@ def bind_nlml(leaves, grads, x, t):
     g_wbar, g_log_alpha, g_log_sigma_e = grads[n_w - 1 :]
     wbar = weights[-1]
     x = np.asarray(x, dtype=float)
-    phi = rows = spectrum = None
-    if n_w == 1:
-        spectrum = centred_spectrum(x)[2]
-    else:
-        phi = affine_rows(np.zeros((len(x), wbar.shape[0] - 1)))
-        rows = phi[:, :-1]
-    value, head_grads = bind_nlml_head(t, wbar.shape[0], spectrum=spectrum)
+    value, head_grads = bind_network_head(weights, x, t)
 
     def epoch():
         acts = forward(x)
-        gram = None
-        if rows is not None:
-            rows[...] = acts[-2]
-            gram = phi.T @ phi
-        total = value(phi, gram, acts[-1], wbar, float(log_alpha), log_sigma_e)
+        total = value(acts[-2], acts[-1], wbar, float(log_alpha), log_sigma_e)
         d_y, d_a, d_wbar, d_log_alpha, d_log_sigma_e = head_grads()
         backward(acts, d_y, d_a)
         np.add(g_wbar, d_wbar, out=g_wbar)

@@ -4,18 +4,17 @@ Hidden layers compute ``tanh([a, 1] @ W)``; the bias lives in the last row
 of each weight matrix.  The output layer is always linear, so the
 activations of the last hidden layer act as a learned feature map and the
 final weight matrix is a linear regression on those features.
-``mlp_backward`` writes each layer's gradient into an array the caller
-supplies, so a training objective hands it views into the one flat
-gradient that ``training.fit_loop`` allocates and Adam reads.
 
 A training objective binds its network once per fit: ``bind_forward`` and
 ``bind_backward`` take each weight's body and bias views, and each
 gradient destination's, when they are called, and check the destinations
-then.  The views stay valid for the whole fit because ``fit_loop`` never
-replaces its flat parameter and gradient vectors, only writes into them,
-so each epoch reads the weights Adam just stepped to.  ``forward_weights``
-and ``mlp_backward`` are those bind steps called once, so the monitors and
-the predict path run the same passes.
+then.  The reverse sweep writes each layer's gradient into the array the
+caller supplied, so a training objective hands it views into the one flat
+gradient that ``training.fit_loop`` allocates and Adam reads.  The views
+stay valid for the whole fit because ``fit_loop`` never replaces its flat
+parameter and gradient vectors, only writes into them, so each epoch reads
+the weights Adam just stepped to.  ``forward_weights`` is the forward bind
+step called once, so the monitors and the predict path run the same pass.
 """
 
 from dataclasses import dataclass
@@ -30,7 +29,6 @@ __all__ = [
     "forward_weights",
     "bind_forward",
     "bind_backward",
-    "mlp_backward",
     "affine_rows",
     "features",
 ]
@@ -111,7 +109,7 @@ def forward_weights(weights, x: np.ndarray) -> list[np.ndarray]:
     ``weights`` is a sequence of weight matrices, one per layer, so the
     trainers call it on their leaf views with no ``MlpParams`` built.
     Returns [x, h_1, ..., h_L, y]: the inputs, each hidden activation and
-    the linear outputs, as ``mlp_backward`` expects them.
+    the linear outputs, as ``bind_backward``'s sweep expects them.
 
     The matrices may carry leading block axes, one weight set per block
     entry (the early-stopping monitors pass a block of epochs' weights);
@@ -146,10 +144,22 @@ def bind_forward(weights):
 
 
 def bind_backward(weights, out):
-    """``mlp_backward`` for fixed weight and destination arrays, checked and sliced once.
+    """The reverse sweep through a network evaluated by ``forward_weights``, bound once.
 
-    Returns ``backward(acts, d_out, d_last_hidden)``, the reverse sweep at
-    the values the weights hold when it is called.
+    The weight and destination arrays are checked and sliced here; the
+    sweep reads the values the weights hold when it is called.
+
+    Args:
+        weights: one matrix per layer, bias in the last row.
+        out: one array per layer, each the shape of its weight matrix; the
+            gradient with respect to layer k overwrites ``out[k]``.
+
+    Returns:
+        ``backward(acts, d_out, d_last_hidden)``, where ``acts`` are the
+        forward activations [x, h_1, ..., h_L, y], ``d_out`` the gradient of
+        the objective with respect to the outputs y (left unchanged), and
+        ``d_last_hidden`` an extra gradient with respect to h_L from a head
+        that reads the features directly, or None.
 
     Raises:
         ValueError: when ``out`` does not hold one array of each weight's shape.
@@ -183,31 +193,6 @@ def bind_backward(weights, out):
             g *= np.subtract(1.0, slope, out=slope)
 
     return backward
-
-
-def mlp_backward(
-    weights,
-    acts: list[np.ndarray],
-    d_out: np.ndarray,
-    d_last_hidden: np.ndarray | None,
-    out,
-) -> None:
-    """Reverse sweep through a network evaluated by ``forward_weights``.
-
-    Args:
-        weights: one matrix per layer, bias in the last row.
-        acts: the forward activations [x, h_1, ..., h_L, y].
-        d_out: gradient of the objective with respect to the outputs y
-            (left unchanged).
-        d_last_hidden: extra gradient with respect to h_L from a head that
-            reads the features directly, or None.
-        out: one array per layer, each the shape of its weight matrix; the
-            gradient with respect to layer k overwrites ``out[k]``.
-
-    Raises:
-        ValueError: when ``out`` does not hold one array of each weight's shape.
-    """
-    bind_backward(weights, out)(acts, d_out, d_last_hidden)
 
 
 def forward_batch(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,29 +13,27 @@ the block's parameter snapshots at once.
 Every trainer binds its objective once per fit (``bind_once``): on the
 first epoch, its bind step checks the gradient layout, takes the weight,
 bias and gradient views it reads into ``fit_loop``'s flat parameter and
-gradient vectors, and computes what no epoch changes (bias columns, the
-spectrum of fixed features, priors, scalar coefficients).  The views stay
+gradient vectors, and computes what no epoch changes (the spectrum of
+fixed features, priors, scalar coefficients, buffers).  The views stay
 valid while Adam steps because ``fit_loop`` writes each step into those
 same vectors and never replaces them, so each epoch does only its
 arithmetic.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import NonFiniteLoss
-from .bll import HYPER_CLAMP, BllHyper, BllModel, bind_nlml, bind_nlml_head, centred_spectrum
-from .bll import fit_posterior, nlml_head
+from .bll import HYPER_CLAMP, BllHyper, BllModel, bind_network_head, bind_nlml, fit_posterior
 from .bll import negative_lml  # noqa: F401 - perfbench's tracer patches training:negative_lml
 from .data import Dataset, Standardizer, check_integers, check_numbers, fit_standardizer
 from .data import split_train_val
 from .mlp import MlpParams, MlpSpec, forward_weights, init_params
 from .rng import make_rng
 
-__all__ = ["TrainConfig", "TrainHistory", "bind_once", "fit_nlml", "single_call", "train"]
+__all__ = ["TrainConfig", "TrainHistory", "bind_once", "fit_nlml", "train"]
 
 # Adam's published constants.
 BETA1 = 0.9
@@ -134,25 +132,6 @@ def bind_once(bind):
         return bound()
 
     return loss_and_grads
-
-
-def single_call(bind):
-    """The single-call form of a bind step, which keeps the step as its ``bind``.
-
-    ``bind(*args)`` checks its arguments and returns ``epoch()``; the
-    returned function binds to its arguments and calls the binding once,
-    so a one-off call and a whole fit run the same code.  It serves the
-    private objectives whose one-off form takes the bind step's arguments
-    (``baselines._mse_grads``, ``vi._negative_elbo``): their trainer binds
-    through ``.bind``, so the module reads the one name the tests call.
-    """
-
-    @functools.wraps(bind)
-    def call(*args):
-        return bind(*args)()
-
-    call.bind = bind
-    return call
 
 
 def fit_loop(leaves, loss_and_grads, cfg: TrainConfig, monitor=None, post_step=None):
@@ -302,15 +281,13 @@ def fit_nlml(
     the per-output log sigma_e, monitoring the same objective on
     ``val_data`` when it is given.
 
-    The objective is ``bll.bind_nlml`` bound once per fit, and the monitor
-    reads the leaf views as they are, with no ``MlpParams`` or ``BllHyper``
-    built: it runs ``nlml_head`` on a whole block of epochs' leaves at
-    once, each value the one the public ``negative_lml`` gives that epoch's
-    parameters on ``val_data``.  On blr's fixed features both read the
-    log-determinant off a spectrum taken once per fit
-    (``bll.spectral_logdet``): the fit rows' in the objective, the
-    monitor rows' for every block, so neither factors a matrix; the
-    value then agrees with ``negative_lml`` to rounding, not to the bit.
+    The objective is ``bll.bind_nlml`` bound once per fit.  The monitor is
+    a head bound once per fit (``bll.bind_network_head``), run on a whole
+    block of epochs' leaf views at once with no ``MlpParams`` or
+    ``BllHyper`` built: each value is the one the public ``negative_lml``
+    gives that epoch's parameters on ``val_data``, to the bit for bll and
+    to rounding for blr, whose two heads read the log-determinant off a
+    spectrum taken once per fit (``bll.spectral_logdet``) and factor nothing.
 
     Returns:
         The parameters and hyperparameters of the best monitored epoch,
@@ -326,16 +303,11 @@ def fit_nlml(
 
     monitor = None
     if val_data is not None:
-        if n_w == 1:  # blr's fixed features: one spectrum serves every block
-            spectrum = centred_spectrum(val_data.x)[2]
-            held, _ = bind_nlml_head(val_data.t, weights0[0].shape[0], spectrum=spectrum)
+        held, _ = bind_network_head(weights0, val_data.x, val_data.t)
 
         def monitor(vals):
             acts = forward_weights(vals[:n_w], val_data.x)
-            w_out, log_alpha, log_sigma_e = vals[n_w - 1 :]
-            if n_w == 1:
-                return held(None, None, acts[-1], w_out, log_alpha, log_sigma_e)
-            return nlml_head(acts[-2], acts[-1], w_out, val_data.t, log_alpha, log_sigma_e)[0]
+            return held(acts[-2], acts[-1], *vals[n_w - 1 :])
 
     best, history = fit_loop(
         leaves, loss_and_grads, cfg, monitor=monitor, post_step=clamp_hyper_tail

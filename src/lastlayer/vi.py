@@ -11,7 +11,7 @@ the Bayesian-last-layer hyperparameters.
 Prediction samples weight sets from the surrogate and returns a uniform
 Gaussian mixture over the resulting network outputs.
 
-``vi_train`` binds the negative ELBO once per fit (``_negative_elbo.bind``):
+``vi_train`` binds the negative ELBO once per fit (``_bind_negative_elbo``):
 the bind step checks the gradient layout, fills the hidden layers' prior,
 takes the per-layer views, and allocates the buffers an epoch writes (the
 noise draw, the drawn weights the network's views read, the KL terms).
@@ -36,7 +36,6 @@ from .training import (
     clamp_hyper_tail,
     fit_loop,
     flat_views,
-    single_call,
     standardized_splits,
 )
 
@@ -77,9 +76,8 @@ class ViModel:
         return np.exp(self.log_sigma_e) * self.t_scaler.scale
 
 
-@single_call
-def _negative_elbo(leaves, grads, eps, x, t, shapes):
-    """Negative ELBO / m at the Monte Carlo draw ``eps``; its gradient overwrites ``grads``.
+def _bind_negative_elbo(leaves, grads, eps, x, t, shapes):
+    """Negative ELBO / m at the Monte Carlo draw ``eps``, bound once.
 
     The leaves are [mu, rho, log_prior_spread, log_sigma_e], where mu, rho
     and the draw are flat, holding every layer's matrix in order (viewed
@@ -90,9 +88,9 @@ def _negative_elbo(leaves, grads, eps, x, t, shapes):
     and so is its gradient.  Elementwise steps run once over the flat
     vectors; the KL sums run per layer.
 
-    As bound by ``_negative_elbo.bind``, it returns ``epoch()``, the value
-    at the current values of the leaves and of ``eps``, a buffer the caller
-    refills in place.
+    Returns ``epoch()``: the value at the current values of the leaves and
+    of ``eps``, a buffer the caller refills in place, its gradient written
+    over ``grads``.
 
     Raises:
         ValueError: when ``grads`` does not match the leaves.
@@ -188,7 +186,7 @@ def vi_train(
     eps = np.empty(n_weights)
 
     def bind(vals, grads):
-        epoch = _negative_elbo.bind(vals, grads, eps, fit_std.x, fit_std.t, shapes)
+        epoch = _bind_negative_elbo(vals, grads, eps, fit_std.x, fit_std.t, shapes)
 
         def draw_then_epoch():
             # One flat draw a step: the generator fills it in the order

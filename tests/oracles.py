@@ -14,7 +14,7 @@ The ``*_reference`` gradient heads at the end are the exception: they are
 the heads as they stood before their numpy wrappers were trimmed (``np.sum``,
 ``np.diag``, a fresh ``np.eye`` and a ``np.vstack`` per call), kept verbatim
 so that the trimmed heads (``bll.negative_lml``, ``negative_lml_grads`` and
-the in-place ``nlml_grads_into``, the ELBO, the MSE and the reverse sweep)
+the in-place ``bind_nlml``, the ELBO, the MSE and the reverse sweep)
 can be checked against them bit for bit.  They run the network through
 ``mlp.forward_weights``, the one forward pass.  So are
 ``predict_batch_reference`` and ``alpha_sweep_reference``: the one-pass

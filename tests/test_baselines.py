@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lastlayer import baselines, linalg, training
-from lastlayer.baselines import _mse_grads, blr_fit, train_mse
+from lastlayer.baselines import _bind_mse, blr_fit, train_mse
 from lastlayer.bll import (
     BllHyper,
     closed_form_wbar,
@@ -83,7 +83,7 @@ def test_mse_gradient_matches_finite_differences(seed, n_y, depth):
         w + 0.1 * rng.standard_normal(w.shape) for w in init_params(spec, make_rng(seed)).weights
     ]
     data = Dataset(rng.standard_normal((m, n_x)), rng.standard_normal((m, n_y)))
-    mse = returning(lambda arrays, out: _mse_grads(arrays, data, out))
+    mse = returning(lambda arrays, out: _bind_mse(arrays, data, out)())
     _, grads = mse(weights)
     fd = finite_difference(lambda arrays: mse(arrays)[0], weights)
     for g, f in zip(grads, fd):

@@ -31,14 +31,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 import lastlayer.vi as vi_trainer
 from lastlayer import baselines, linalg, training
-from lastlayer.baselines import _mse_grads
+from lastlayer.baselines import _bind_mse
 from lastlayer.bll import (
     HYPER_CLAMP,
     BllHyper,
+    bind_nlml,
     fit_posterior,
     negative_lml,
     negative_lml_grads,
-    nlml_grads_into,
     precision_bar,
     predict_batch,
     with_alpha,
@@ -47,9 +47,9 @@ from lastlayer.calibration import LOG_2PI, alpha_sweep
 from lastlayer.data import Dataset, fit_standardizer
 from lastlayer.linalg import NotPositiveDefinite, cholesky, identity
 from lastlayer.mlp import MlpParams, MlpSpec, affine_rows, forward_batch, forward_weights
-from lastlayer.mlp import init_params, mlp_backward
+from lastlayer.mlp import bind_backward, init_params
 from lastlayer.rng import make_rng
-from lastlayer.vi import ViModel, _negative_elbo, vi_predict_batch
+from lastlayer.vi import ViModel, _bind_negative_elbo, vi_predict_batch
 
 from oracles import (
     alpha_sweep_reference,
@@ -134,9 +134,12 @@ def test_negative_lml_grads_match_their_reference(problem):
     outcome = _same_outcome(
         lambda: (
             negative_lml_grads(params, hyper, data),
-            nlml_grads_into(
-                params.weights, float(hyper.log_alpha), hyper.log_sigma_e, data.x, data.t, out
-            ),
+            bind_nlml(
+                [*params.weights, np.asarray(float(hyper.log_alpha)), hyper.log_sigma_e],
+                out,
+                data.x,
+                data.t,
+            )(),
         ),
         lambda: negative_lml_grads_reference(params, hyper, data),
     )
@@ -225,7 +228,7 @@ def test_mlp_backward_matches_its_reference(problem, with_hidden_grad):
     d_hidden = rng.standard_normal(acts[-2].shape) if with_hidden_grad else None
     before = d_out.copy()
     buffer, got = _nan_buffer([w.shape for w in params.weights])
-    mlp_backward(params.weights, acts, d_out, d_hidden, got)
+    bind_backward(params.weights, got)(acts, d_out, d_hidden)
     assert not np.isnan(buffer).any()
     _assert_arrays_equal(got, mlp_backward_reference(params.weights, acts, d_out, d_hidden))
     assert np.array_equal(d_out, before)  # the caller's gradient is left alone
@@ -236,7 +239,7 @@ def test_mlp_backward_matches_its_reference(problem, with_hidden_grad):
 def test_mse_grads_match_their_reference(problem):
     params, _, data, _ = problem
     buffer, out = _nan_buffer([w.shape for w in params.weights])
-    value = _mse_grads(params.weights, data, out)
+    value = _bind_mse(params.weights, data, out)()
     ref_value, ref_grads = mse_grads_reference(params.weights, data)
     assert value == ref_value
     assert not np.isnan(buffer).any()
@@ -264,7 +267,8 @@ def test_negative_elbo_matches_its_reference(problem):
         *leaves[2 * n_layers :],
     ]
     buffer, out = _nan_buffer([a.shape for a in flat])
-    value = _negative_elbo(flat, out, np.concatenate(eps, axis=None), data.x, data.t, shapes)
+    draw = np.concatenate(eps, axis=None)
+    value = _bind_negative_elbo(flat, out, draw, data.x, data.t, shapes)()
     ref_value, ref_grads = negative_elbo_reference(leaves, eps, data.x, data.t)
     assert value == ref_value
     assert not np.isnan(buffer).any()

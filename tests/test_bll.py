@@ -652,7 +652,7 @@ def test_the_spectral_head_matches_the_factored_head(problem):
     a, wbar, t, log_alpha, log_sigma_e = problem
     y = affine_rows(a) @ wbar
     value, grads = bll.bind_nlml_head(t, a.shape[1] + 1, spectrum=bll.centred_spectrum(a)[2])
-    got = value(None, None, y, wbar, log_alpha, log_sigma_e)
+    got = value(a, y, wbar, log_alpha, log_sigma_e)
     d_y, d_a, d_wbar, d_log_alpha, d_log_sigma_e = grads()
     assert math.isfinite(got) and math.isfinite(d_log_alpha) and d_a is None
     expected, expected_grads = bll.nlml_head(a, y, wbar, t, log_alpha, log_sigma_e)

@@ -1,4 +1,4 @@
-"""Each trainer's bound objective against a fresh single call, as Adam moves the leaves.
+"""A trainer's objective bound once against one bound fresh at each Adam step.
 
 Every trainer binds its objective once per fit: the bind step keeps views
 into the flat parameter and gradient vectors ``fit_loop`` hands it, and
@@ -6,9 +6,10 @@ every later epoch reads the parameters through them.  A view bound to a
 copy would pass the first epoch and then read stale values.  So each
 objective is caught on its way to ``fit_loop``, bound once, and then called
 after each of several in-place moves of the flat parameter vector (as
-``fit_loop`` applies Adam's steps); every call must give the value and
-every gradient entry a fresh single-call head gives on copies of the
-leaves, bit for bit, and leave no entry of the NaN-filled gradient unwritten.
+``fit_loop`` applies Adam's steps).  Every call must give the value and
+every gradient entry that the trainer's bind step, bound fresh at that step
+to copies of the leaves and called once, gives, bit for bit, and leave no
+entry of the NaN-filled gradient unwritten.
 """
 
 from unittest import mock
@@ -17,12 +18,12 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from lastlayer import baselines, training, vi
-from lastlayer.baselines import _mse_grads
-from lastlayer.bll import nlml_grads_into
+from lastlayer.baselines import _bind_mse
+from lastlayer.bll import bind_nlml
 from lastlayer.data import Dataset
 from lastlayer.mlp import MlpSpec, forward_batch, init_params
 from lastlayer.rng import make_rng, spawn_rngs
-from lastlayer.vi import _negative_elbo
+from lastlayer.vi import _bind_negative_elbo
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 MOVES = 4
@@ -49,17 +50,17 @@ def _caught(module, run):
 
 
 def _objective_and_reference(trainer, spec, data, cfg):
-    """A trainer's objective, its initial leaves and a single-call reference.
+    """A trainer's objective, its initial leaves and a reference bound fresh per call.
 
-    The reference takes copies of the leaves and a fresh gradient list and
-    returns the value, as the trainer's objective computes it.
+    The reference takes copies of the leaves and a fresh gradient list,
+    binds the trainer's bind step to them and returns its one call's value.
     """
     fit = training.standardized_splits(data, cfg)[2]
     if trainer == "bll":
         leaves, objective = _caught(training, lambda: training.train(spec, data, cfg))
 
         def reference(vals, out):
-            return nlml_grads_into(vals[:-2], float(vals[-2]), vals[-1], fit.x, fit.t, out)
+            return bind_nlml(vals, out, fit.x, fit.t)()
 
     elif trainer == "blr":
         frozen = init_params(spec, make_rng(cfg.seed + 1))
@@ -67,13 +68,13 @@ def _objective_and_reference(trainer, spec, data, cfg):
         features = forward_batch(frozen, fit.x)[1]
 
         def reference(vals, out):
-            return nlml_grads_into(vals[:1], float(vals[1]), vals[2], features, fit.t, out)
+            return bind_nlml(vals, out, features, fit.t)()
 
     elif trainer == "mse":
         leaves, objective = _caught(baselines, lambda: baselines.train_mse(spec, data, cfg))
 
         def reference(vals, out):
-            return _mse_grads(vals, fit, out)
+            return _bind_mse(vals, fit, out)()
 
     else:
         leaves, objective = _caught(vi, lambda: vi.vi_train(spec, data, cfg))
@@ -82,7 +83,7 @@ def _objective_and_reference(trainer, spec, data, cfg):
 
         def reference(vals, out):
             eps = noise.standard_normal(vals[0].size)
-            return _negative_elbo(vals, out, eps, fit.x, fit.t, shapes)
+            return _bind_negative_elbo(vals, out, eps, fit.x, fit.t, shapes)()
 
     return leaves, objective, reference
 

@@ -8,9 +8,11 @@ from lastlayer import affine, autodiff, bll
 from lastlayer.affine import affine_cost_closed
 from lastlayer.bll import (
     HYPER_CLAMP,
+    LOG_ALPHA_MAX,
     BllHyper,
     fit_posterior,
     nlml_head,
+    nlml_head_grid,
     precision_bar,
     predict,
     predict_batch,
@@ -341,6 +343,15 @@ def _sweep_over(data, grid=(0.0, 1.0)):
     return lambda model, train: alpha_sweep(model, train, {"val": data}, np.array(grid))
 
 
+def _grid_objective(model, data, grid):
+    y, a = forward_batch(model.params, data.x)
+    return nlml_head_grid(a, y, model.wbar, data.t, model.hyper.log_sigma_e, np.array(grid))
+
+
+# the first log alpha below -LOG_ALPHA_MAX, where 1 / alpha overflows
+BELOW_LOG_ALPHA_MIN = -np.nextafter(LOG_ALPHA_MAX, math.inf)
+
+
 @pytest.mark.parametrize(
     "call, error",
     [
@@ -356,6 +367,11 @@ def _sweep_over(data, grid=(0.0, 1.0)):
         (lambda model, data: _sweep_over(data, (0.0, 800.0))(model, data), ValueError),
         (lambda model, data: _sweep_over(data, (0.0, math.nan))(model, data), ValueError),
         (lambda model, data: alpha_sweep(model, data, {}, np.zeros((2, 2))), ValueError),
+        (lambda model, data: _sweep_over(data, (0.0, BELOW_LOG_ALPHA_MIN))(model, data), ValueError),
+        (lambda model, data: _grid_objective(model, data, (0.0, 800.0)), ValueError),
+        (lambda model, data: _grid_objective(model, data, (0.0, BELOW_LOG_ALPHA_MIN)), ValueError),
+        (lambda model, data: _grid_objective(model, data, (0.0, math.nan)), ValueError),
+        (lambda model, data: _grid_objective(model, data, np.zeros((2, 2))), ValueError),
     ],
     ids=[
         "predict_batch wide rows",
@@ -370,6 +386,11 @@ def _sweep_over(data, grid=(0.0, 1.0)):
         "alpha_sweep overflowing grid point",
         "alpha_sweep nan grid point",
         "alpha_sweep 2-d grid",
+        "alpha_sweep grid point below -LOG_ALPHA_MAX",
+        "nlml_head_grid overflowing grid point",
+        "nlml_head_grid grid point below -LOG_ALPHA_MAX",
+        "nlml_head_grid nan grid point",
+        "nlml_head_grid 2-d grid",
     ],
 )
 def test_malformed_read_input_raises_its_documented_error(call, error):

@@ -1,5 +1,5 @@
 """Source checks a linter would make: stale ``__all__`` entries, unused imports,
-orphaned private names and imports against the module order, and the
+orphaned private and public names, imports against the module order, and the
 README's module table and line lengths.
 
 Every module of the package is parsed with ``ast``.  A name counts as used
@@ -8,7 +8,11 @@ attribute chain) or listed in ``__all__``.  An import kept on purpose for
 perfbench's tracer carries ``# noqa: F401`` on its line, and the tracer must
 name that ``module:name`` binding.  A module-level ``_private`` function,
 class or constant is the module's own, so the module must read it; dunder
-names are exempt.  Relative imports follow ``LAYERS``, lowest module first.
+names are exempt.  A public name must be read by some module of the package
+(as a bare name or an attribute) or named in perfbench, so that no entry
+point survives for the tests alone; ``READ_BY_TESTS_ALONE`` lists the
+exceptions, each with its reason.  Relative imports follow ``LAYERS``,
+lowest module first.
 """
 
 import ast
@@ -21,7 +25,8 @@ import pytest
 import lastlayer
 
 SOURCES = sorted(Path(lastlayer.__file__).parent.glob("*.py"))
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -108,6 +113,37 @@ def test_every_kept_unused_import_is_a_binding_the_tracer_patches():
                 kept += [f"{_module_name(path)}:{a.asname or a.name}" for a in node.names]
     assert "lastlayer.training:fit_loop" in patched  # the pattern still reads the tracer
     assert [binding for binding in kept if binding not in patched] == []
+
+
+# Public names that no module of the package reads and perfbench does not
+# name, kept because the acceptance tests call them.
+READ_BY_TESTS_ALONE = {
+    "affine_cost_kkt": "criterion 3 checks the closed-form affine cost against its KKT solve",
+    "bll_affine_equivalence": "criterion 3 reads the bll and affine costs side by side with it",
+    "negative_lml_marginalized": "criterion 1 compares the free-weight objective with it",
+    "negative_lml_grads": "criteria 1 and 4 train and check gradients through it",
+}
+
+
+def test_every_public_name_is_read_by_the_package_or_named_in_perfbench():
+    read = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    perfbench = "\n".join(p.read_text() for p in sorted(PERFBENCH.glob("*.py")))
+    assert "fit_posterior" in read and re.search(r"\bpredict_batch\b", perfbench)
+    unread = [
+        f"{path.name}:{name}"
+        for path in SOURCES
+        for name in _declared_all(ast.parse(path.read_text()))
+        if name not in read
+        and name not in READ_BY_TESTS_ALONE
+        and not re.search(rf"\b{re.escape(name)}\b", perfbench)
+    ]
+    assert unread == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

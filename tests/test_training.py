@@ -8,18 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lastlayer.autodiff import NonFiniteLoss
-from lastlayer.baselines import _mse_grads, _mse_head, blr_fit, train_mse
+from lastlayer.baselines import _bind_mse, _mse_head, blr_fit, train_mse
 from lastlayer.bll import (
     HYPER_CLAMP,
     BllHyper,
+    bind_nlml,
     closed_form_wbar,
     negative_lml,
-    nlml_grads_into,
 )
 from lastlayer.data import Dataset
 from lastlayer.linalg import DimensionMismatch
 from lastlayer.mlp import MlpParams, MlpSpec, forward_batch, forward_weights, init_params
-from lastlayer.mlp import mlp_backward
+from lastlayer.mlp import bind_backward
 from lastlayer import training
 from lastlayer.rng import make_rng
 from lastlayer.training import (
@@ -32,7 +32,7 @@ from lastlayer.training import (
     flat_views,
     train,
 )
-from lastlayer.vi import RHO_INIT, _negative_elbo, vi_train
+from lastlayer.vi import RHO_INIT, _bind_negative_elbo, vi_train
 
 from oracles import (
     fit_loop_per_leaf,
@@ -156,7 +156,7 @@ class TestFitLoop:
         weights = init_params(MlpSpec(1, (3,), 1), make_rng(0)).weights  # (2, 3), (4, 1)
         acts = forward_weights(weights, np.linspace(-1.0, 1.0, 5).reshape(-1, 1))
         with pytest.raises(ValueError, match="gradient destination"):
-            mlp_backward(weights, acts, np.ones((5, 1)), None, grads)
+            bind_backward(weights, grads)(acts, np.ones((5, 1)), None)
 
     def test_an_entry_the_objective_leaves_unwritten_stops_the_run(self):
         # the gradient starts as NaN, so a skipped entry poisons the step
@@ -258,16 +258,16 @@ def _wrong_destinations():
 
     def nlml(tail):
         out = [np.empty(w.shape) for w in weights] + tail
-        return lambda: nlml_grads_into(weights, 0.0, np.zeros(2), data.x, data.t, out)
+        return lambda: bind_nlml([*weights, np.asarray(0.0), np.zeros(2)], out, data.x, data.t)()
 
     def elbo(grads):
-        return lambda: _negative_elbo(elbo_leaves, grads, eps, data.x, data.t, shapes)
+        return lambda: _bind_negative_elbo(elbo_leaves, grads, eps, data.x, data.t, shapes)()
 
     return {
         "nlml vector log alpha": nlml([np.empty(1), np.empty(2)]),
         "nlml broadcast log sigma_e": nlml([np.empty(()), np.empty((3, 2))]),
         "nlml tail missing": nlml([np.empty(())]),
-        "mse swapped": lambda: _mse_grads(weights, data, [np.empty((4, 2)), np.empty((2, 3))]),
+        "mse swapped": lambda: _bind_mse(weights, data, [np.empty((4, 2)), np.empty((2, 3))])(),
         "elbo short mu": elbo([np.empty(13), np.empty(14), np.empty(2), np.empty(2)]),
         "elbo broadcast prior spread": elbo(
             [np.empty(14), np.empty(14), np.empty((3, 2)), np.empty(2)]
@@ -461,7 +461,7 @@ def test_flat_fit_loop_matches_the_per_leaf_loop_on_the_nlml():
         return MlpParams(tuple(vals[:-2])), BllHyper(float(vals[-2]), vals[-1])
 
     def loss_and_grads(vals, grads):
-        return nlml_grads_into(vals[:-2], float(vals[-2]), vals[-1], fit.x, fit.t, grads)
+        return bind_nlml(vals, grads, fit.x, fit.t)()
 
     def reference(vals):
         value, (w_grads, g_la, g_ls) = negative_lml_grads_reference(*unpack(vals), fit)
@@ -492,7 +492,7 @@ def test_flat_fit_loop_matches_the_per_leaf_loop_on_the_mse():
     cfg = TrainConfig(max_epochs=30, patience=29, lr=1e-2)
     flat_run = fit_loop(
         [a.copy() for a in leaves],
-        lambda vals, grads: _mse_grads(vals, fit, grads),
+        lambda vals, grads: _bind_mse(vals, fit, grads)(),
         cfg,
         per_row(monitor),
     )
@@ -514,7 +514,7 @@ def test_flat_fit_loop_matches_the_per_leaf_loop_on_the_elbo():
 
     def loss_and_grads(vals, grads):
         eps = flat_rng.standard_normal(vals[0].size)
-        return _negative_elbo(vals, grads, eps, fit.x, fit.t, shapes)
+        return _bind_negative_elbo(vals, grads, eps, fit.x, fit.t, shapes)()
 
     def reference(vals):
         eps = [layer_rng.standard_normal(s) for s in shapes]

@@ -13,7 +13,7 @@ from lastlayer.rng import make_rng
 from lastlayer.training import TrainConfig
 from lastlayer.vi import (
     ViModel,
-    _negative_elbo,
+    _bind_negative_elbo,
     gmm_log_density,
     vi_predict_batch,
     vi_train,
@@ -25,7 +25,7 @@ FAST = TrainConfig(max_epochs=1500, patience=300, lr=5e-3, seed=0)
 
 
 def _elbo(leaves, eps, x, t):
-    """``_negative_elbo`` on per-layer leaves and draws: the value and per-layer gradients.
+    """``_bind_negative_elbo`` on per-layer leaves and draws: the value and per-layer gradients.
 
     The leaves are [mus..., rhos..., log_prior_spread, log_sigma_e]; vi
     trains the means and spreads as two flat vectors.
@@ -39,7 +39,7 @@ def _elbo(leaves, eps, x, t):
     ]
     draw = np.concatenate(eps, axis=None)
     value, grads = returning(
-        lambda vals, out: _negative_elbo(vals, out, draw, x, t, shapes)
+        lambda vals, out: _bind_negative_elbo(vals, out, draw, x, t, shapes)()
     )(flat)
     cuts = np.cumsum([np.size(mu) for mu in leaves[:n_layers]])[:-1]
 
